@@ -6,6 +6,12 @@
  * persisted artifacts fails here instead of silently orphaning
  * users' files.
  *
+ * The corpus is also the byte contract of the compiler: a fresh
+ * compile of the canonical program must re-encode to exactly the
+ * checked-in bytes, and the request's cache key must not move. Only
+ * `report.dcmb` is decode-only (it predates pattern retention, so a
+ * fresh report is larger).
+ *
  * Regenerate with  DCMBQC_REGEN_GOLDEN=1 ./test_golden  after an
  * *intentional*, version-bumped format change (wall-clock fields are
  * zeroed so regenerated bytes are deterministic).
@@ -18,6 +24,7 @@
 #include <vector>
 
 #include "api/api.hh"
+#include "cache/cache_key.hh"
 #include "circuit/generators.hh"
 #include "mbqc/dependency.hh"
 #include "mbqc/pattern_builder.hh"
@@ -262,6 +269,38 @@ TEST_F(GoldenCorpus, ExecResultFixtureDecodes)
     for (const auto &[bits, p] : decoded->probabilities)
         total += p;
     EXPECT_NEAR(total, 1.0, 1e-9);
+}
+
+TEST_F(GoldenCorpus, FreshEncodesMatchTheCheckedInBytes)
+{
+    const Circuit circuit = goldenCircuit();
+    const Pattern pattern = buildPattern(circuit);
+    const Digraph deps = realTimeDependencyGraph(pattern);
+    const CompileReport report = goldenReport();
+
+    EXPECT_EQ(encodeCircuitArtifact(circuit), load("circuit.dcmb"));
+    EXPECT_EQ(encodePatternArtifact(pattern), load("pattern.dcmb"));
+    EXPECT_EQ(encodeGraphArtifact(pattern.graph()), load("graph.dcmb"));
+    EXPECT_EQ(encodeDigraphArtifact(deps), load("digraph.dcmb"));
+    EXPECT_EQ(encodeConfigArtifact(goldenOptions().build().value()),
+              load("config.dcmb"));
+    EXPECT_EQ(encodeScheduleArtifact(report.result().schedule),
+              load("schedule.dcmb"));
+    EXPECT_EQ(encodeLocalScheduleArtifact(
+                  report.result().localSchedules[0]),
+              load("local_schedule.dcmb"));
+    EXPECT_EQ(encodeExecResultArtifact(report.executions[0]),
+              load("exec_result.dcmb"));
+}
+
+TEST_F(GoldenCorpus, CacheKeyIsPinned)
+{
+    EXPECT_EQ(compileCacheEpoch, 1u);
+    const CacheKeyPair key = computeCacheKey(
+        CompileRequest::fromCircuit(goldenCircuit(), "golden"),
+        goldenOptions().build().value(), /*baseline=*/false);
+    EXPECT_EQ(key.key, 0x4537b5e5cd2239d5ull);
+    EXPECT_EQ(key.verifier, 0x4b8586f8eb63b48cull);
 }
 
 TEST_F(GoldenCorpus, ShotTreeExecResultFixtureIsByteStable)
