@@ -99,7 +99,7 @@ struct LspFixture
             adaptivePartition(p.pattern.graph(), config.partition);
         return buildLayerSchedulingProblem(
             p.pattern.graph(), p.deps, adaptive.best, config.numQpus,
-            config.grid, config.order, config.kmax);
+            config.grid, config.order, config.kmax).value();
     }
 };
 

@@ -3,16 +3,15 @@
  * Streaming-compilation scale harness: compiles the huge-circuit
  * generator families through the windowed front end and reports
  * throughput (gates/s), wall-clock, process peak RSS, and the
- * streaming high-water marks (frontier nodes, pending edges,
- * resident sync slots) that bound live intermediate state by the
- * circuit's width rather than its length. The final stage compiles
- * a single graph-state instance whose size is taken from argv
+ * streaming high-water marks (frontier nodes, pending edges, live
+ * builder bytes, resident sync slots). The final stage compiles a
+ * single graph-state instance whose size is taken from argv
  * (default 500x500; CI passes 1000x1000 for the million-qubit run
- * under an address-space ulimit). The harness exits nonzero if any
- * frontier high-water mark exceeds the qubit count — the
- * width-not-length property that makes million-qubit inputs
- * compile in bounded memory at all. Results are mirrored to
- * BENCH_streaming.json.
+ * under an address-space ulimit). The harness exits nonzero if the
+ * pattern builder's live state grows with circuit length (deep QAOA
+ * at 24 vs 48 layers) — the width-not-length property that makes
+ * million-qubit inputs compile in bounded memory at all. Results
+ * are mirrored to BENCH_streaming.json.
  */
 
 #include <chrono>
@@ -103,10 +102,10 @@ appendJson(JsonWriter &json, const Measurement &m)
         .value((unsigned long long)m.streaming.frontierNodePeak);
     json.key("pendingEdgePeak")
         .value((unsigned long long)m.streaming.pendingEdgePeak);
+    json.key("liveBytesPeak")
+        .value((unsigned long long)m.streaming.liveBytesPeak);
     json.key("schedulerLivePeak")
         .value((unsigned long long)m.streaming.schedulerLivePeak);
-    json.key("segmentsEmitted")
-        .value((unsigned long long)m.streaming.segmentsEmitted);
     json.key("peakRssBytes").value(m.peakRssBytes);
     json.endObject();
 }
@@ -133,12 +132,13 @@ main(int argc, char **argv)
     families.push_back(
         measure(makeGraphStateStream(100, 100), 4, 7));
     families.push_back(measure(makeDeepQaoaStream(512, 24), 4, 7));
+    families.push_back(measure(makeDeepQaoaStream(512, 48), 4, 7));
     families.push_back(
         measure(makeRandomCliffordTStream(512, 100000), 4, 7));
 
     TextTable table({"program", "qubits", "gates", "wall ms",
                      "gates/s", "windows", "frontier", "pending",
-                     "sched live", "peak RSS MiB"});
+                     "live bytes", "sched live", "peak RSS MiB"});
     for (const Measurement &m : families)
         table.row()
             .cell(m.name)
@@ -149,24 +149,27 @@ main(int argc, char **argv)
             .cell((long long)m.streaming.windows)
             .cell((long long)m.streaming.frontierNodePeak)
             .cell((long long)m.streaming.pendingEdgePeak)
+            .cell((long long)m.streaming.liveBytesPeak)
             .cell((long long)m.streaming.schedulerLivePeak)
             .cell((long long)(m.peakRssBytes >> 20));
     std::printf("%s",
                 table.render("streaming compile, window 4096")
                     .c_str());
 
-    // The deep-QAOA family is where streaming shines: length >>
-    // width, so the frontier (one open wire per qubit) must stay at
-    // the qubit count while the gate count is ~50x larger. Gate on
-    // that — a frontier that tracks gates means the settled-prefix
-    // emission regressed into buffering the whole program.
-    const Measurement &deep = families[1];
-    if (deep.streaming.frontierNodePeak > deep.qubits)
-        fail("deep-QAOA frontier high-water mark " +
-             std::to_string(deep.streaming.frontierNodePeak) +
-             " exceeds the qubit count " +
-             std::to_string(deep.qubits) +
-             " — live state grows with circuit length");
+    // Deep QAOA is where streaming shines: length >> width. Doubling
+    // the layer count must not grow the pattern builder's live state
+    // -- growth means settled-prefix emission regressed into
+    // buffering the program. (Pending edges read 0 at every window
+    // boundary and the scheduler keeps every sync resident by
+    // design, so neither is gated.)
+    const Measurement &deep24 = families[1];
+    const Measurement &deep48 = families[2];
+    if (deep48.streaming.liveBytesPeak > deep24.streaming.liveBytesPeak)
+        fail("deep-QAOA live builder state grows with circuit length: " +
+             std::to_string(deep24.streaming.liveBytesPeak) +
+             " B at 24 layers, " +
+             std::to_string(deep48.streaming.liveBytesPeak) +
+             " B at 48 layers");
 
     // Scale stage: one wide graph state (CI passes 1000 1000 for
     // the million-qubit run under an address-space ulimit).
@@ -181,12 +184,6 @@ main(int argc, char **argv)
                 scale.peakRssBytes >> 20);
     if (scale.streaming.windows < 2)
         fail("scale run did not stream (fewer than 2 windows)");
-    if (scale.streaming.frontierNodePeak > scale.qubits)
-        fail("scale frontier high-water mark " +
-             std::to_string(scale.streaming.frontierNodePeak) +
-             " exceeds the qubit count " +
-             std::to_string(scale.qubits) +
-             " — live state grows with circuit length");
 
     JsonWriter json;
     json.beginObject();

@@ -33,7 +33,7 @@ main()
             adaptivePartition(p.pattern.graph(), config.partition);
         const auto lsp = buildLayerSchedulingProblem(
             p.pattern.graph(), p.deps, adaptive.best, config.numQpus,
-            config.grid, config.order, config.kmax);
+            config.grid, config.order, config.kmax).value();
 
         const auto list = listScheduleDefault(lsp);
         const int list_lifetime =

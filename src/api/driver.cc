@@ -12,7 +12,6 @@
 #include "common/resource.hh"
 #include "common/thread_pool.hh"
 #include "cache/cache_key.hh"
-#include "core/compile_path.hh"
 #include "portfolio/racer.hh"
 #include "cache/compile_cache.hh"
 #include "exec/backend.hh"
@@ -279,8 +278,7 @@ CompilerDriver::compileImpl(const CompileRequest &request,
     switch (request.entryPoint()) {
       case CompileRequest::EntryPoint::Circuit:
         ctx.circuit = &request.circuit();
-        if (ctx.window.active() &&
-            compilePathConfig().streamingFrontEnd) {
+        if (ctx.window.active()) {
             // Windowed execution of a materialized circuit: wrap it
             // in a borrowing stream so the fused PatternStream pass
             // runs. Byte-identical output either way; the wrap only
@@ -292,14 +290,7 @@ CompilerDriver::compileImpl(const CompileRequest &request,
         }
         break;
       case CompileRequest::EntryPoint::CircuitStream:
-        if (compilePathConfig().streamingFrontEnd) {
-            ctx.stream = &request.stream();
-        } else {
-            // Reference oracle: drain the stream into a circuit and
-            // run the monolithic Transpile + PatternBuild pair.
-            ctx.circuitStorage = request.stream().materialize();
-            ctx.circuit = &*ctx.circuitStorage;
-        }
+        ctx.stream = &request.stream();
         break;
       case CompileRequest::EntryPoint::Pattern:
         ctx.pattern = &request.pattern();

@@ -74,8 +74,8 @@ struct CompileReport
 
     /**
      * High-water marks of the streaming stages (windows completed,
-     * peak frontier nodes / pending edges / live bytes, timeline
-     * segments). All zero when no streaming stage ran. Execution
+     * peak frontier nodes / pending edges / live bytes, resident
+     * sync tasks). All zero when no streaming stage ran. Execution
      * telemetry, not compile content: never serialized into cached
      * artifacts, so artifact bytes stay window-invariant.
      */

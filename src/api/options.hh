@@ -8,8 +8,7 @@
  *
  *  - `partition.k` always follows `numQpus`: the adaptive
  *    partitioner must produce exactly one part per QPU, so any
- *    user-supplied `partition.k` is overwritten. The old
- *    `DcMbqcCompiler` constructor did this silently; the driver
+ *    user-supplied `partition.k` is overwritten, and the driver
  *    surfaces it as a report warning when the values disagree.
  *  - `seed(s)` plumbs one seed into both stochastic passes
  *    (adaptive partitioning and BDIR annealing) so a whole batch
@@ -41,7 +40,7 @@ class CompileOptions
     /** Starts from the paper's Section V-A defaults. */
     CompileOptions() = default;
 
-    /** Adopt an existing low-level config (shim entry path). */
+    /** Adopt an existing low-level config (e.g. a service job's). */
     static CompileOptions fromConfig(const DcMbqcConfig &config);
 
     /** Adopt a baseline config (grid + placement order, 1 QPU). */
@@ -130,8 +129,8 @@ class CompileOptions
 
     /**
      * Windowed-ingest size of the streaming compile stages: gates
-     * per window in the pattern builder, slots per timeline segment
-     * in the scheduler. 0 (the default) runs each stage as a single
+     * per window in the pattern builder, time slots per window in
+     * the scheduler. 0 (the default) runs each stage as a single
      * window. An execution knob, not a semantic one — compiled
      * artifacts are byte-identical for every window size, so the
      * window does not enter the cache key; it only bounds live

@@ -67,12 +67,6 @@ struct PassContext
     /** Backing storage when the driver wraps a borrowed circuit. */
     std::unique_ptr<CircuitStream> streamStorage;
 
-    /**
-     * Backing storage when the reference (non-streaming) path
-     * materializes a CircuitStream entry into a whole circuit.
-     */
-    std::optional<Circuit> circuitStorage;
-
     /** Windowed-ingest size of the streaming stages (0 = off). */
     StreamWindow window;
 

@@ -2,14 +2,11 @@
 
 #include <sstream>
 
-#include "core/compile_path.hh"
 #include "core/lifetime.hh"
 #include "core/list_scheduler.hh"
 #include "core/lsp_builder.hh"
-#include "core/streaming_schedule.hh"
 #include "mbqc/dependency.hh"
 #include "mbqc/pattern_builder.hh"
-#include "mbqc/streaming_builder.hh"
 
 namespace dcmbqc
 {
@@ -106,10 +103,13 @@ PlaceLocalPass::run(PassContext &ctx) const
         return Status::internal(
             "PlaceLocal: missing graph/deps/partition");
 
-    ctx.lsp = buildLayerSchedulingProblem(
+    Expected<LayerSchedulingProblem> lsp = buildLayerSchedulingProblem(
         *ctx.graph, *ctx.deps, ctx.partitionResult->best,
         ctx.config.numQpus, ctx.config.grid, ctx.config.order,
         ctx.config.kmax, &ctx.localSchedules);
+    if (!lsp.ok())
+        return lsp.status();
+    ctx.lsp = std::move(lsp).value();
 
     for (std::size_t qpu = 0; qpu < ctx.localSchedules.size(); ++qpu) {
         if (ctx.localSchedules[qpu].nodeLayer.empty())
@@ -132,30 +132,11 @@ ScheduleListPass::run(PassContext &ctx) const
     if (!ctx.lsp)
         return Status::internal("ScheduleList: no LSP on context");
 
-    if (compilePathConfig().streamingScheduler) {
-        // Same default priorities as listScheduleDefault; routed
-        // through the segment-emitting core so window checkpoints
-        // fire mid-pass. Byte-identical schedule either way.
-        const auto &lsp = *ctx.lsp;
-        std::vector<double> main_priority(lsp.mainTasks().size());
-        for (std::size_t i = 0; i < main_priority.size(); ++i)
-            main_priority[i] = lsp.mainTasks()[i].index;
-        std::vector<double> sync_priority(lsp.syncTasks().size());
-        for (std::size_t k = 0; k < sync_priority.size(); ++k) {
-            const auto &sync = lsp.syncTasks()[k];
-            sync_priority[k] =
-                0.5 * (lsp.mainTasks()[sync.taskA].index +
-                       lsp.mainTasks()[sync.taskB].index);
-        }
-        Expected<Schedule> schedule = listScheduleStreamed(
-            lsp, main_priority, sync_priority, std::nullopt,
-            ctx.window, ctx.windowCheckpoint, {}, &ctx.streamStats);
-        if (!schedule.ok())
-            return schedule.status();
-        ctx.schedule = std::move(schedule).value();
-    } else {
-        ctx.schedule = listScheduleDefault(*ctx.lsp);
-    }
+    Expected<Schedule> schedule = listScheduleDefault(
+        *ctx.lsp, ctx.window, ctx.windowCheckpoint, &ctx.streamStats);
+    if (!schedule.ok())
+        return schedule.status();
+    ctx.schedule = std::move(schedule).value();
 
     std::ostringstream note;
     note << "makespan " << ctx.schedule->makespan << " slots";
@@ -192,9 +173,12 @@ PlaceBaselinePass::run(PassContext &ctx) const
     config.grid = ctx.config.grid;
     config.order = ctx.config.order;
 
-    BaselineResult result;
-    result.schedule =
+    Expected<LocalSchedule> schedule =
         SingleQpuCompiler(config).compile(*ctx.graph, *ctx.deps);
+    if (!schedule.ok())
+        return schedule.status();
+    BaselineResult result;
+    result.schedule = std::move(schedule).value();
 
     std::vector<TimeSlot> node_time(ctx.graph->numNodes());
     for (NodeId u = 0; u < ctx.graph->numNodes(); ++u)

@@ -49,7 +49,7 @@ class PatternBuildPass : public Pass
 /**
  * CircuitStream -> Pattern in one windowed sweep (gates are lowered
  * and fed to the settled-prefix builder window by window; see
- * mbqc/streaming_builder.hh), then derives ctx.graph / ctx.deps
+ * mbqc/pattern_builder.hh), then derives ctx.graph / ctx.deps
  * like PatternBuildPass. Requires ctx.stream; honors ctx.window and
  * fires ctx.windowCheckpoint between windows. The resulting pattern
  * is byte-identical to the Transpile + PatternBuild pair on the

@@ -28,9 +28,9 @@ computeCacheKey(const CompileRequest &request,
     writer.writeU8(baseline ? 1 : 0);
     // Stream entries hash under the Circuit tag with the exact
     // encodeCircuit byte layout, so a stream and its materialized
-    // circuit share one cache line. Safe to alias: the streamed path
-    // is bit-identical to the monolithic one by construction (and by
-    // the differential tier-1 tests).
+    // circuit share one cache line. Safe to alias: both lower through
+    // the same pattern builder, so they compile to the same bytes
+    // (pinned by tests/test_streaming.cc).
     writer.writeU8(static_cast<std::uint8_t>(
         stream_entry ? CompileRequest::EntryPoint::Circuit
                      : request.entryPoint()));

@@ -61,8 +61,8 @@ class CircuitStream
 
     /**
      * Drain (from the start) into a materialized Circuit — the
-     * bridge to the monolithic oracle path and to --save-circuit.
-     * Leaves the stream exhausted.
+     * bridge to Circuit-only consumers (--save-circuit, the service
+     * wire format). Leaves the stream exhausted.
      */
     Circuit materialize();
 };

@@ -6,9 +6,8 @@
  * gate is computed in O(1) from the index — no gate list is ever
  * materialized, so a 10^6-qubit workload costs bytes, not
  * gigabytes, on the input side. Shared by bench/streaming_scale.cc
- * and the streamed-vs-monolithic differential tests (which
- * materialize the *small* instances through
- * `CircuitStream::materialize`).
+ * and the streaming tests (which materialize the *small* instances
+ * through `CircuitStream::materialize`).
  */
 
 #ifndef DCMBQC_CIRCUIT_HUGE_GENERATORS_HH

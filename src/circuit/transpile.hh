@@ -59,9 +59,8 @@ std::vector<Gate> lowerGate(const Gate &gate);
 /**
  * Append the {CZ, J(alpha)} lowering of one gate to `out`. This is
  * the per-gate kernel `transpileToJCz` folds over a circuit; the
- * streaming pattern builder feeds gates through the same function,
- * which is what makes the streamed lowering bit-identical to the
- * monolithic one by construction.
+ * pattern builder's Circuit and stream entry points feed gates
+ * through the same function, so every entry lowers identically.
  */
 void appendGateJOps(const Gate &gate, std::vector<JOp> &out);
 

@@ -2,9 +2,8 @@
  * @file
  * Minimal fixed-size thread pool shared by every internally parallel
  * layer of the library: `CompilerDriver::compileBatch`, the shot
- * execution backends, the portfolio racer, and (since the streaming
- * rework) the per-QPU local compiles of `core/lsp_builder` and the
- * chunked partition kernels in `partition/`. Deliberately tiny: FIFO
+ * execution backends, the portfolio racer, and the per-QPU local
+ * compiles of `core/lsp_builder`. Deliberately tiny: FIFO
  * queue, no futures (results are written into pre-sized slots), and
  * a `wait()` barrier for the submitting thread. Lives in `common/`
  * so the core layers can use it without depending on `api/`.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <string>
 
 #include "common/logging.hh"
 #include "compiler/placer.hh"
@@ -28,7 +29,7 @@ SingleQpuCompiler::SingleQpuCompiler(SingleQpuConfig config)
  * Cross-layer edges are delay-line fusions (Figure 5a) and consume
  * no grid cells.
  */
-LocalSchedule
+Expected<LocalSchedule>
 SingleQpuCompiler::compile(const Graph &g, const Digraph &deps) const
 {
     LocalSchedule schedule;
@@ -102,12 +103,14 @@ SingleQpuCompiler::compile(const Graph &g, const Digraph &deps) const
             // A layer may be consumed by deferred routing before any
             // node lands on it; only a failure on a completely fresh
             // layer (no nodes, no routing) is unrecoverable.
-            DCMBQC_ASSERT(!current.nodes.empty() ||
-                              grid.computeCells() > 0 ||
-                              grid.routingCells() > 0,
-                          "node ", u, " of degree ", degree,
-                          " does not fit on an empty ",
-                          grid.size(), "x", grid.size(), " layer");
+            if (current.nodes.empty() && grid.computeCells() == 0 &&
+                grid.routingCells() == 0) {
+                const std::string side = std::to_string(grid.size());
+                return Status::invalidArgument(
+                    "node " + std::to_string(u) + " of degree " +
+                    std::to_string(degree) + " does not fit on an empty " +
+                    side + "x" + side + " layer");
+            }
             close_layer();
             continue;
         }

@@ -10,6 +10,7 @@
 #ifndef DCMBQC_COMPILER_SINGLE_QPU_HH
 #define DCMBQC_COMPILER_SINGLE_QPU_HH
 
+#include "api/status.hh"
 #include "compiler/execution_layer.hh"
 #include "compiler/ordering.hh"
 #include "graph/digraph.hh"
@@ -45,8 +46,12 @@ class SingleQpuCompiler
      * @param g Computation graph (nodes = resource units, edges =
      *        fusions).
      * @param deps Real-time dependency graph over the same nodes.
+     * @return The layer schedule, or INVALID_ARGUMENT naming the
+     *         first node (in placement order) whose degree does not
+     *         fit on an empty layer of the grid.
      */
-    LocalSchedule compile(const Graph &g, const Digraph &deps) const;
+    Expected<LocalSchedule> compile(const Graph &g,
+                                    const Digraph &deps) const;
 
     const SingleQpuConfig &config() const { return config_; }
 

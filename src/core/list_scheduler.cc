@@ -4,8 +4,6 @@
 #include <numeric>
 
 #include "common/logging.hh"
-#include "core/compile_path.hh"
-#include "core/streaming_schedule.hh"
 
 namespace dcmbqc
 {
@@ -26,6 +24,24 @@ struct QpuSlotState
     }
 };
 
+/** The paper's default priorities (see the header). */
+void
+defaultPriorities(const LayerSchedulingProblem &lsp,
+                  std::vector<double> &main_priority,
+                  std::vector<double> &sync_priority)
+{
+    main_priority.resize(lsp.mainTasks().size());
+    for (std::size_t i = 0; i < main_priority.size(); ++i)
+        main_priority[i] = lsp.mainTasks()[i].index;
+    sync_priority.resize(lsp.syncTasks().size());
+    for (std::size_t k = 0; k < sync_priority.size(); ++k) {
+        const auto &sync = lsp.syncTasks()[k];
+        sync_priority[k] =
+            0.5 * (lsp.mainTasks()[sync.taskA].index +
+                   lsp.mainTasks()[sync.taskB].index);
+    }
+}
+
 } // namespace
 
 Schedule
@@ -34,21 +50,19 @@ listSchedule(const LayerSchedulingProblem &lsp,
              const std::vector<double> &sync_priority,
              const std::optional<TaskPin> &pin)
 {
-    if (compilePathConfig().streamingScheduler) {
-        // One whole-input window, no checkpoint: cannot fail.
-        return listScheduleStreamed(lsp, main_priority, sync_priority,
-                                    pin, StreamWindow{})
-            .value();
-    }
-    return listScheduleReference(lsp, main_priority, sync_priority,
-                                 pin);
+    // One whole-run window and no checkpoint: cannot fail.
+    return listSchedule(lsp, main_priority, sync_priority, pin,
+                        StreamWindow{})
+        .value();
 }
 
-Schedule
-listScheduleReference(const LayerSchedulingProblem &lsp,
-                      const std::vector<double> &main_priority,
-                      const std::vector<double> &sync_priority,
-                      const std::optional<TaskPin> &pin)
+Expected<Schedule>
+listSchedule(const LayerSchedulingProblem &lsp,
+             const std::vector<double> &main_priority,
+             const std::vector<double> &sync_priority,
+             const std::optional<TaskPin> &pin,
+             const StreamWindow &window,
+             const WindowCheckpoint &checkpoint, StreamStats *stats)
 {
     const auto &mains = lsp.mainTasks();
     const auto &syncs = lsp.syncTasks();
@@ -65,6 +79,8 @@ listScheduleReference(const LayerSchedulingProblem &lsp,
     std::vector<std::size_t> next_main(lsp.numQpus(), 0);
 
     // Sync tasks sorted by priority; compacted as they schedule.
+    // Sync tasks have no release slot, so all of them stay resident
+    // for the whole run -- this vector is the scheduler's live set.
     std::vector<int> sync_order(syncs.size());
     std::iota(sync_order.begin(), sync_order.end(), 0);
     std::stable_sort(sync_order.begin(), sync_order.end(),
@@ -77,6 +93,7 @@ listScheduleReference(const LayerSchedulingProblem &lsp,
 
     std::size_t mains_left = mains.size();
     std::size_t syncs_left = syncs.size();
+    const std::uint64_t total_tasks = mains.size() + syncs.size();
 
     TimeSlot max_release = 0;
     for (std::size_t i = 0; i < mains.size(); ++i)
@@ -85,6 +102,26 @@ listScheduleReference(const LayerSchedulingProblem &lsp,
     const TimeSlot horizon_guard = static_cast<TimeSlot>(
         4 * (mains.size() + syncs.size()) + 64 + max_release +
         (pin ? std::max<TimeSlot>(pin->slot, 0) : 0));
+
+    // The slot loop is monotone: once slot t is processed, every
+    // start at slots <= t is final. A window of `window.size` slots
+    // closes at such a boundary and gives cancellation and progress
+    // a turn there.
+    StreamStats local;
+    local.schedulerLivePeak = syncs.size();
+    TimeSlot window_begin = 0;
+    auto close_window = [&](TimeSlot end_slot) -> Status {
+        window_begin = end_slot;
+        ++local.windows;
+        if (!checkpoint)
+            return Status::okStatus();
+        WindowEvent event;
+        event.index = static_cast<std::uint32_t>(local.windows - 1);
+        event.settled = total_tasks - (mains_left + syncs_left);
+        event.total = total_tasks;
+        event.frontierLive = mains_left + syncs_left;
+        return checkpoint(event);
+    };
 
     std::vector<QpuSlotState> state(lsp.numQpus());
     for (TimeSlot t = 0; mains_left + syncs_left > 0; ++t) {
@@ -211,6 +248,14 @@ listScheduleReference(const LayerSchedulingProblem &lsp,
             }
             sync_order.resize(new_size);
         }
+
+        if (window.active() &&
+            static_cast<std::uint64_t>(t + 1 - window_begin) >=
+                window.size) {
+            Status status = close_window(t + 1);
+            if (!status.ok())
+                return status;
+        }
     }
 
     TimeSlot last = -1;
@@ -219,23 +264,41 @@ listScheduleReference(const LayerSchedulingProblem &lsp,
     for (TimeSlot t : schedule.syncStart)
         last = std::max(last, t);
     schedule.makespan = last + 1;
+
+    // The last (or only) window runs through the end of the makespan
+    // and fires the end-of-stage checkpoint.
+    if (!window.active() || window_begin < schedule.makespan ||
+        local.windows == 0) {
+        Status status = close_window(schedule.makespan);
+        if (!status.ok())
+            return status;
+    }
+
+    if (stats != nullptr)
+        stats->merge(local);
     return schedule;
 }
 
 Schedule
 listScheduleDefault(const LayerSchedulingProblem &lsp)
 {
-    std::vector<double> main_priority(lsp.mainTasks().size());
-    for (std::size_t i = 0; i < main_priority.size(); ++i)
-        main_priority[i] = lsp.mainTasks()[i].index;
-    std::vector<double> sync_priority(lsp.syncTasks().size());
-    for (std::size_t k = 0; k < sync_priority.size(); ++k) {
-        const auto &sync = lsp.syncTasks()[k];
-        sync_priority[k] =
-            0.5 * (lsp.mainTasks()[sync.taskA].index +
-                   lsp.mainTasks()[sync.taskB].index);
-    }
+    std::vector<double> main_priority;
+    std::vector<double> sync_priority;
+    defaultPriorities(lsp, main_priority, sync_priority);
     return listSchedule(lsp, main_priority, sync_priority);
+}
+
+Expected<Schedule>
+listScheduleDefault(const LayerSchedulingProblem &lsp,
+                    const StreamWindow &window,
+                    const WindowCheckpoint &checkpoint,
+                    StreamStats *stats)
+{
+    std::vector<double> main_priority;
+    std::vector<double> sync_priority;
+    defaultPriorities(lsp, main_priority, sync_priority);
+    return listSchedule(lsp, main_priority, sync_priority, std::nullopt,
+                        window, checkpoint, stats);
 }
 
 } // namespace dcmbqc

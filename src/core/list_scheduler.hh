@@ -13,7 +13,9 @@
 #include <optional>
 #include <vector>
 
+#include "api/status.hh"
 #include "core/lsp.hh"
+#include "core/stream_window.hh"
 
 namespace dcmbqc
 {
@@ -40,30 +42,40 @@ struct TaskPin
  * one connection-capacity unit on both its QPUs. Per-QPU main order
  * is enforced by only offering each QPU's lowest unscheduled index.
  *
+ * The slot loop is monotone, so it can stop at the end of every
+ * window of `window.size` slots (0 = one window over the whole
+ * makespan) and fire `checkpoint` there and once at the end; a
+ * non-OK status aborts the run and is returned unchanged. The window
+ * never changes the schedule. When `stats` is non-null, the windows
+ * closed and the resident sync-task count (`schedulerLivePeak`) are
+ * merged into it on success.
+ *
  * @param main_priority Priority per main task (lower runs earlier).
  * @param sync_priority Priority per sync task.
  * @param pin Optional task pin (BDIR's PINANDRESCHEDULE).
  */
+Expected<Schedule> listSchedule(const LayerSchedulingProblem &lsp,
+                                const std::vector<double> &main_priority,
+                                const std::vector<double> &sync_priority,
+                                const std::optional<TaskPin> &pin,
+                                const StreamWindow &window,
+                                const WindowCheckpoint &checkpoint = {},
+                                StreamStats *stats = nullptr);
+
+/** The same loop with no checkpoint (BDIR's rescheduling primitive). */
 Schedule listSchedule(const LayerSchedulingProblem &lsp,
                       const std::vector<double> &main_priority,
                       const std::vector<double> &sync_priority,
                       const std::optional<TaskPin> &pin = std::nullopt);
 
-/**
- * The original monolithic slot loop, kept verbatim as the
- * differential oracle for the segment-emitting streaming scheduler
- * (`listScheduleStreamed`). `listSchedule` dispatches between the
- * two on `compilePathConfig().streamingScheduler`; both produce
- * byte-identical schedules by contract.
- */
-Schedule listScheduleReference(
-    const LayerSchedulingProblem &lsp,
-    const std::vector<double> &main_priority,
-    const std::vector<double> &sync_priority,
-    const std::optional<TaskPin> &pin = std::nullopt);
-
 /** List scheduling with the paper's default priorities. */
 Schedule listScheduleDefault(const LayerSchedulingProblem &lsp);
+
+/** Default priorities, windowed as in `listSchedule` (ScheduleList). */
+Expected<Schedule> listScheduleDefault(const LayerSchedulingProblem &lsp,
+                                       const StreamWindow &window,
+                                       const WindowCheckpoint &checkpoint,
+                                       StreamStats *stats = nullptr);
 
 } // namespace dcmbqc
 

@@ -1,15 +1,15 @@
 #include "core/lsp_builder.hh"
 
 #include <algorithm>
+#include <string>
 
 #include "common/thread_pool.hh"
 #include "compiler/single_qpu.hh"
-#include "core/compile_path.hh"
 
 namespace dcmbqc
 {
 
-LayerSchedulingProblem
+Expected<LayerSchedulingProblem>
 buildLayerSchedulingProblem(const Graph &g, const Digraph &deps,
                             const Partitioning &part, int num_qpus,
                             const GridSpec &grid, PlacementOrder order,
@@ -21,15 +21,17 @@ buildLayerSchedulingProblem(const Graph &g, const Digraph &deps,
 
     // --- Per-QPU local compilation ----------------------------------
     // Each part's induced subproblem is independent and the local
-    // compiler is stateless, so the compiles run on the shared pool
-    // into pre-sized slots; the assembly below walks the slots in
-    // QPU order, making the output independent of the worker count.
+    // compiler is stateless, so the compiles run on a pool into
+    // pre-sized slots; the assembly below walks the slots in QPU
+    // order, making the output (and the reported failure) independent
+    // of the worker count.
     SingleQpuConfig local_config;
     local_config.grid = grid;
     local_config.order = order;
     const SingleQpuCompiler local_compiler(local_config);
 
-    std::vector<LocalSchedule> locals(num_qpus);
+    std::vector<Expected<LocalSchedule>> compiled(
+        num_qpus, Status::internal("QPU not compiled"));
 
     auto compile_one = [&](QpuId qpu) {
         std::vector<NodeId> to_sub;
@@ -42,13 +44,13 @@ buildLayerSchedulingProblem(const Graph &g, const Digraph &deps,
                 if (to_sub[v] != invalidNode)
                     sub_deps.addArc(to_sub[u], to_sub[v]);
 
-        locals[qpu] = local_compiler.compile(sub, sub_deps);
+        compiled[qpu] = local_compiler.compile(sub, sub_deps);
     };
 
     if (num_workers <= 0)
         num_workers = ThreadPool::defaultNumThreads();
     num_workers = std::min(num_workers, num_qpus);
-    if (compilePathConfig().parallelLocal && num_workers > 1) {
+    if (num_workers > 1) {
         ThreadPool pool(num_workers);
         for (QpuId qpu = 0; qpu < num_qpus; ++qpu)
             pool.submit([&, qpu] { compile_one(qpu); });
@@ -56,6 +58,16 @@ buildLayerSchedulingProblem(const Graph &g, const Digraph &deps,
     } else {
         for (QpuId qpu = 0; qpu < num_qpus; ++qpu)
             compile_one(qpu);
+    }
+
+    std::vector<LocalSchedule> locals;
+    locals.reserve(num_qpus);
+    for (QpuId qpu = 0; qpu < num_qpus; ++qpu) {
+        if (!compiled[qpu].ok())
+            return Status::invalidArgument(
+                "QPU " + std::to_string(qpu) + ": " +
+                compiled[qpu].status().message());
+        locals.push_back(std::move(compiled[qpu]).value());
     }
 
     // --- Sequential assembly (QPU order fixes the task ids) ---------

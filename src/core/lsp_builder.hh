@@ -3,8 +3,8 @@
  * Construction of the Layer Scheduling Problem instance from a
  * partitioned computation graph: per-part single-QPU compilation,
  * main-task extraction, and connector/synchronization task
- * derivation from the cut edges. Shared by the pass-based driver
- * (PlaceLocalPass) and the legacy `DcMbqcCompiler::buildLsp` shim.
+ * derivation from the cut edges. Used by PlaceLocalPass and by the
+ * benches and tests that rebuild an LSP for a given partition.
  */
 
 #ifndef DCMBQC_CORE_LSP_BUILDER_HH
@@ -12,6 +12,7 @@
 
 #include <vector>
 
+#include "api/status.hh"
 #include "compiler/execution_layer.hh"
 #include "compiler/ordering.hh"
 #include "core/lsp.hh"
@@ -37,13 +38,15 @@ namespace dcmbqc
  * @param kmax Connection capacity per connection layer.
  * @param local_out Optional out: the per-QPU local schedules.
  * @param num_workers Workers for the per-QPU compiles (<= 0 uses
- *        the hardware default). The per-part subproblems are
- *        independent and assembled in QPU order afterwards, so the
- *        result is byte-identical for every worker count; the
- *        sequential path is kept behind
- *        `compilePathConfig().parallelLocal` as the oracle.
+ *        the hardware default, 1 compiles sequentially). The per-part
+ *        subproblems are independent and assembled in QPU order
+ *        afterwards, so the result is byte-identical for every worker
+ *        count.
+ * @return The LSP instance, or INVALID_ARGUMENT from the first QPU
+ *         (in QPU order) whose part does not fit the grid; node ids
+ *         in the message are local to that QPU's part.
  */
-LayerSchedulingProblem buildLayerSchedulingProblem(
+Expected<LayerSchedulingProblem> buildLayerSchedulingProblem(
     const Graph &g, const Digraph &deps, const Partitioning &part,
     int num_qpus, const GridSpec &grid, PlacementOrder order, int kmax,
     std::vector<LocalSchedule> *local_out = nullptr,

@@ -1,25 +1,22 @@
 /**
  * @file
- * The end-to-end DC-MBQC compilation pipeline (Figure 2): adaptive
- * graph partitioning -> per-QPU single-QPU compilation -> layer
- * scheduling (list + BDIR), producing a distributed schedule and the
- * required-photon-lifetime / execution-time metrics of Section V.
- * Also provides the monolithic (OneQ-style) baseline for the
- * comparisons in Tables III-V.
+ * Configuration and results of the end-to-end DC-MBQC compilation
+ * pipeline (Figure 2): adaptive graph partitioning -> per-QPU
+ * single-QPU compilation -> layer scheduling (list + BDIR), producing
+ * a distributed schedule and the required-photon-lifetime /
+ * execution-time metrics of Section V, plus the result of the
+ * monolithic (OneQ-style) baseline used in Tables III-V. The
+ * pipeline itself runs in `CompilerDriver` (api/driver.hh).
  */
 
 #ifndef DCMBQC_CORE_PIPELINE_HH
 #define DCMBQC_CORE_PIPELINE_HH
 
-#include <cstdint>
 #include <vector>
 
 #include "compiler/single_qpu.hh"
 #include "core/bdir.hh"
 #include "core/lsp.hh"
-#include "graph/digraph.hh"
-#include "graph/graph.hh"
-#include "mbqc/pattern.hh"
 #include "partition/adaptive.hh"
 
 namespace dcmbqc
@@ -31,9 +28,8 @@ namespace dcmbqc
  * Normalization: `partition.k` is always derived from `numQpus` —
  * the partitioner must produce exactly one part per QPU, so any
  * user-supplied `partition.k` is overwritten when the config enters
- * a compiler. The pass-based API (`CompileOptions::build`) reports
- * the overwrite as a warning; the legacy `DcMbqcCompiler`
- * constructor applies it silently for backward compatibility.
+ * the compiler (`CompileOptions::build`, which reports the overwrite
+ * as a warning).
  */
 struct DcMbqcConfig
 {
@@ -102,58 +98,6 @@ struct BaselineResult
 
     int requiredLifetime() const { return lifetime.tauPhoton(); }
 };
-
-/**
- * The DC-MBQC distributed compiler.
- *
- * @deprecated Thin shim over the pass-based `dcmbqc::CompilerDriver`
- * (api/driver.hh), kept for source compatibility. It preserves the
- * historical abort-on-invalid-input contract: where the driver
- * returns a Status, the shim calls fatal(). New code should use
- * `CompilerDriver`, which adds per-stage reports, observer hooks,
- * non-aborting validation, and batch compilation.
- */
-class DcMbqcCompiler
-{
-  public:
-    explicit DcMbqcCompiler(DcMbqcConfig config);
-
-    /**
-     * Compile a computation graph with its real-time dependency
-     * graph onto numQpus QPUs.
-     */
-    DcMbqcResult compile(const Graph &g, const Digraph &deps) const;
-
-    /** Convenience: compile a measurement pattern. */
-    DcMbqcResult compile(const Pattern &pattern) const;
-
-    /**
-     * Build the LSP instance for a given partition (exposed so the
-     * scheduling benchmarks can compare schedulers on identical
-     * instances).
-     */
-    LayerSchedulingProblem buildLsp(
-        const Graph &g, const Digraph &deps, const Partitioning &part,
-        std::vector<LocalSchedule> *local_out = nullptr) const;
-
-    const DcMbqcConfig &config() const { return config_; }
-
-  private:
-    DcMbqcConfig config_;
-};
-
-/**
- * Compile with the monolithic single-QPU baseline (OneQ-style).
- *
- * @deprecated Shim over `CompilerDriver::compileBaseline`; aborts
- * via fatal() on invalid input where the driver returns a Status.
- */
-BaselineResult compileBaseline(const Graph &g, const Digraph &deps,
-                               const SingleQpuConfig &config);
-
-/** Convenience overload for measurement patterns. @deprecated */
-BaselineResult compileBaseline(const Pattern &pattern,
-                               const SingleQpuConfig &config);
 
 } // namespace dcmbqc
 

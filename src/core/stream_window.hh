@@ -2,11 +2,10 @@
  * @file
  * Windowing contract of the streaming compile path. A `StreamWindow`
  * bounds how much input the windowed stages ingest between
- * checkpoints — gates for the streaming pattern builder, time slots
- * for the segment-emitting list scheduler — and `StreamStats`
- * accumulates the high-water marks that make the memory claims
- * machine-checkable (max live frontier nodes / pending edges /
- * estimated live bytes).
+ * checkpoints — gates for the pattern builder, time slots for the
+ * list scheduler — and `StreamStats` accumulates the high-water marks
+ * that make the memory claims machine-checkable (max live frontier
+ * nodes / pending edges / estimated live bytes).
  *
  * The window is an execution knob, never a semantic one: for any
  * window size (including 0 = one window over the whole input) the
@@ -33,7 +32,7 @@ struct StreamWindow
 {
     /**
      * Units of input per window: gates for pattern construction,
-     * time slots per emitted segment for scheduling. 0 runs the
+     * time slots for scheduling. 0 runs the
      * whole input as a single window (checkpoints still fire once at
      * the end of the stage).
      */
@@ -88,17 +87,14 @@ struct StreamStats
     std::uint64_t pendingEdgePeak = 0;
 
     /**
-     * Estimated peak bytes of live frontier state (frontier nodes,
-     * pending-edge entries, and scheduler working set; excludes the
+     * Estimated peak bytes of the pattern builder's live frontier
+     * state (frontier nodes and pending-edge entries; excludes the
      * settled output containers, which are O(program) by contract).
      */
     std::uint64_t liveBytesPeak = 0;
 
     /** Max simultaneously unscheduled sync tasks in the scheduler. */
     std::uint64_t schedulerLivePeak = 0;
-
-    /** Timeline segments emitted by the streaming scheduler. */
-    std::uint64_t segmentsEmitted = 0;
 
     /** Merge another stage's contribution into this one. */
     void
@@ -113,7 +109,6 @@ struct StreamStats
         liveBytesPeak = std::max(liveBytesPeak, other.liveBytesPeak);
         schedulerLivePeak =
             std::max(schedulerLivePeak, other.schedulerLivePeak);
-        segmentsEmitted += other.segmentsEmitted;
     }
 };
 

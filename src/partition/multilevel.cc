@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <numeric>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "common/thread_pool.hh"
-#include "core/compile_path.hh"
 #include "graph/matching.hh"
-#include "partition/coarsen.hh"
 
 namespace dcmbqc
 {
@@ -25,6 +21,43 @@ struct CoarseLevel
     /** Map from this level's nodes to the next-coarser level. */
     std::vector<NodeId> toCoarse;
 };
+
+/**
+ * Contract a graph along a matching (`match[u]` = partner of u, or u
+ * itself when unmatched). Coarse ids follow fine-node order.
+ */
+Graph
+contract(const Graph &g, const std::vector<NodeId> &match,
+         std::vector<NodeId> &to_coarse)
+{
+    const NodeId n = g.numNodes();
+    to_coarse.assign(n, invalidNode);
+    NodeId next = 0;
+    for (NodeId u = 0; u < n; ++u) {
+        if (to_coarse[u] != invalidNode)
+            continue;
+        const NodeId partner = match[u];
+        to_coarse[u] = next;
+        if (partner != u)
+            to_coarse[partner] = next;
+        ++next;
+    }
+
+    Graph coarse(next);
+    std::vector<int> weights(next, 0);
+    for (NodeId u = 0; u < n; ++u)
+        weights[to_coarse[u]] += g.nodeWeight(u);
+    for (NodeId cu = 0; cu < next; ++cu)
+        coarse.setNodeWeight(cu, weights[cu]);
+
+    for (const auto &e : g.edges()) {
+        const NodeId cu = to_coarse[e.u];
+        const NodeId cv = to_coarse[e.v];
+        if (cu != cv)
+            coarse.addEdge(cu, cv, e.weight, /*merge_parallel=*/true);
+    }
+    return coarse;
+}
 
 /**
  * Greedy graph-growing initial partition of the coarsest graph.
@@ -231,25 +264,12 @@ MultilevelPartitioner::partition(const Graph &g) const
     const NodeId coarsen_target = std::max<NodeId>(
         static_cast<NodeId>(config_.coarsenTargetPerPart) * k, 2 * k);
 
-    // One pool shared across all contraction levels; worker count
-    // only changes wall clock, never the coarse graphs (the merge in
-    // contractMatching is order-invariant by construction).
-    std::unique_ptr<ThreadPool> pool;
-    if (compilePathConfig().parallelPartition) {
-        const int workers = config_.numWorkers > 0
-            ? config_.numWorkers
-            : ThreadPool::defaultNumThreads();
-        if (workers > 1)
-            pool = std::make_unique<ThreadPool>(workers);
-    }
-
     while (levels.back().graph.numNodes() > coarsen_target) {
         const Graph &current = levels.back().graph;
         std::vector<NodeId> match;
         heavyEdgeMatching(current, rng, match);
         std::vector<NodeId> to_coarse;
-        Graph coarse =
-            contractMatching(current, match, to_coarse, pool.get());
+        Graph coarse = contract(current, match, to_coarse);
         if (coarse.numNodes() >=
             static_cast<NodeId>(0.95 * current.numNodes())) {
             break; // matching stagnated (e.g., star graphs)

@@ -49,15 +49,6 @@ struct MultilevelConfig
 
     /** RNG seed for matching and initial-partition randomization. */
     std::uint64_t seed = 1;
-
-    /**
-     * Workers for the parallel coarsening contraction (<= 0 uses the
-     * hardware default). The contraction merge is order-invariant,
-     * so the partition is byte-identical for every worker count; the
-     * knob only trades wall clock. Ignored when
-     * `compilePathConfig().parallelPartition` is off.
-     */
-    int numWorkers = 0;
 };
 
 /**

@@ -204,7 +204,7 @@ struct ServiceJob
      * this ingest bound, and (with `streamProgress`) stream
      * window-granular Progress frames between pass boundaries.
      * Execution knob only — the reply artifact is byte-identical for
-     * every window size. 0 = monolithic ingest (v4).
+     * every window size. 0 = unwindowed ingest (v4).
      */
     std::uint32_t window = 0;
 };

@@ -49,7 +49,8 @@ rebuildLsp(const CompileOptions &options, const Graph &g,
     const DcMbqcConfig config = options.build().value();
     return buildLayerSchedulingProblem(g, deps, part, config.numQpus,
                                        config.grid, config.order,
-                                       config.kmax);
+                                       config.kmax)
+        .value();
 }
 
 } // namespace test

@@ -2,9 +2,8 @@
  * @file
  * Tests of the pass-based public API: options validation and the
  * Status/Expected error channel (no aborts on caller mistakes),
- * entry-point coverage, equivalence of the deprecated shims with
- * the driver, observer hooks, seed plumbing, and batch-compilation
- * determinism.
+ * entry-point coverage, observer hooks, seed plumbing, and
+ * batch-compilation determinism.
  */
 
 #include <gtest/gtest.h>
@@ -15,10 +14,8 @@
 #include "api/api.hh"
 #include "api/cancellation.hh"
 #include "circuit/generators.hh"
-#include "core/lsp_builder.hh"
 #include "mbqc/dependency.hh"
 #include "mbqc/pattern_builder.hh"
-#include "photonic/grid.hh"
 
 namespace dcmbqc
 {
@@ -128,6 +125,29 @@ TEST(CompileRequestApi, RejectsCyclicDependencyGraph)
     EXPECT_EQ(report.status().code(), StatusCode::InvalidArgument);
     EXPECT_NE(report.status().message().find("cycle"),
               std::string::npos);
+}
+
+TEST(CompileRequestApi, NodeTooLargeForTheGridIsInvalidArgument)
+{
+    // QAOA-100 has nodes whose degree exceeds what an empty 7x7
+    // layer can host: both pipelines must answer with a Status.
+    const CompilerDriver driver(CompileOptions().numQpus(4).gridSize(7));
+    const auto request = CompileRequest::fromCircuit(makeQaoaMaxcut(100));
+
+    auto report = driver.compile(request);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), StatusCode::InvalidArgument);
+    EXPECT_NE(report.status().message().find("does not fit on an "
+                                             "empty 7x7 layer"),
+              std::string::npos)
+        << report.status().toString();
+
+    auto baseline = driver.compileBaseline(request);
+    ASSERT_FALSE(baseline.ok());
+    EXPECT_EQ(baseline.status().code(), StatusCode::InvalidArgument);
+    EXPECT_NE(baseline.status().message().find("7x7"),
+              std::string::npos)
+        << baseline.status().toString();
 }
 
 TEST(CompilerDriverApi, InvalidOptionsSurfaceAtCompileTime)
@@ -240,54 +260,6 @@ TEST(CompilerDriverApi, ObserverSeesEveryPassInOrder)
     EXPECT_EQ(observer.order.size(), report->stages.size());
     for (std::size_t i = 0; i < observer.order.size(); ++i)
         EXPECT_EQ(observer.order[i], report->stages[i].pass);
-}
-
-// --- Shim equivalence -----------------------------------------------------
-
-TEST(CompilerDriverApi, ShimMatchesDriverOnQft)
-{
-    const Circuit circuit = makeQft(8);
-    const Pattern pattern = buildPattern(circuit);
-    const Digraph deps = realTimeDependencyGraph(pattern);
-    const int grid = gridSizeForQubits(8);
-
-    DcMbqcConfig config;
-    config.numQpus = 4;
-    config.grid.size = grid;
-
-    // Old entry point (deprecated shim).
-    const auto old_result =
-        DcMbqcCompiler(config).compile(pattern.graph(), deps);
-
-    // New driver with identical options.
-    auto report =
-        CompilerDriver(CompileOptions::fromConfig(config))
-            .compile(CompileRequest::fromGraph(pattern.graph(), deps));
-    ASSERT_TRUE(report.ok());
-    const auto &new_result = report->result();
-
-    EXPECT_EQ(old_result.executionTime(),
-              new_result.executionTime());
-    EXPECT_EQ(old_result.requiredLifetime(),
-              new_result.requiredLifetime());
-    EXPECT_EQ(old_result.partition.assignment(),
-              new_result.partition.assignment());
-    EXPECT_EQ(old_result.numConnectors, new_result.numConnectors);
-
-    // Baseline shim vs driver baseline.
-    SingleQpuConfig base_config;
-    base_config.grid.size = grid;
-    const auto old_base =
-        compileBaseline(pattern.graph(), deps, base_config);
-    auto base_report =
-        CompilerDriver(CompileOptions::fromConfig(base_config))
-            .compileBaseline(
-                CompileRequest::fromGraph(pattern.graph(), deps));
-    ASSERT_TRUE(base_report.ok());
-    EXPECT_EQ(old_base.executionTime(),
-              base_report->baselineResult().executionTime());
-    EXPECT_EQ(old_base.requiredLifetime(),
-              base_report->baselineResult().requiredLifetime());
 }
 
 // --- Batch compilation ----------------------------------------------------

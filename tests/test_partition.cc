@@ -1,15 +1,14 @@
 /**
  * @file
  * Tests for the partitioning substrate: cut/imbalance metrics,
- * modularity, the multilevel k-way partitioner, Louvain community
- * detection, and Algorithm 2 (adaptive graph partitioning).
+ * modularity, the multilevel k-way partitioner, and Algorithm 2
+ * (adaptive graph partitioning).
  */
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
 #include "partition/adaptive.hh"
-#include "partition/louvain.hh"
 #include "partition/modularity.hh"
 #include "partition/multilevel.hh"
 #include "partition/partitioning.hh"
@@ -186,28 +185,6 @@ TEST(RefineBoundary, ImprovesBadPartition)
     for (int i = 0; i < 8; ++i)
         refineBoundaryPass(g, p, 11);
     EXPECT_LT(p.cutWeight(g), before);
-}
-
-TEST(Louvain, RecoversPlantedCommunities)
-{
-    const Graph g = cliqueRing(5, 8);
-    const auto p = louvain(g);
-    // All nodes of one clique must share a community.
-    for (int c = 0; c < 5; ++c)
-        for (int i = 1; i < 8; ++i)
-            EXPECT_EQ(p.part(c * 8), p.part(c * 8 + i)) << c << ":" << i;
-    EXPECT_GT(modularity(g, p), 0.6);
-}
-
-TEST(Louvain, ModularityBeatsSingletons)
-{
-    const Graph g = randomGraph(120, 300, 8);
-    const auto p = louvain(g);
-    std::vector<int> singletons(g.numNodes());
-    for (NodeId u = 0; u < g.numNodes(); ++u)
-        singletons[u] = u;
-    EXPECT_GE(modularity(g, p),
-              modularity(g, Partitioning(singletons, g.numNodes())));
 }
 
 TEST(Adaptive, FindsCommunityAlignedPartition)

@@ -3,9 +3,10 @@
  * End-to-end tests of the dcmbqcd compile service: a real
  * ServiceServer on a Unix-domain socket driven through ServiceClient.
  * Covers result parity with the in-process driver, the hot-cache and
- * probe/fetch fast paths, streamed progress, execution jobs,
- * concurrent clients getting bit-identical schedules, admission
- * control under a burst, deadline enforcement, and graceful drain.
+ * probe/fetch fast paths, streamed progress, execution jobs, a
+ * failing request leaving the server serving, concurrent clients
+ * getting bit-identical schedules, admission control under a burst,
+ * deadline enforcement, and graceful drain.
  */
 
 #include <gtest/gtest.h>
@@ -262,6 +263,29 @@ TEST(ServiceServerApi, BaselineJobWithBackendsRejected)
     auto result = h.client.compile(job);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::InvalidArgument);
+}
+
+TEST(ServiceServerApi, OversizedNodeFailsTheRequestNotTheServer)
+{
+    Harness h(basicConfig("oversized"));
+    // QAOA-100 has nodes too large for an empty 7x7 layer.
+    ServiceJob oversized;
+    oversized.request =
+        CompileRequest::fromCircuit(makeQaoaMaxcut(100), "qaoa-100");
+    oversized.config.numQpus = 4;
+    oversized.config.grid.size = 7;
+
+    auto rejected = h.client.compile(oversized);
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_EQ(rejected.status().code(), StatusCode::InvalidArgument);
+
+    auto healthy = h.client.compile(qftJob(6, "after-oversized"));
+    ASSERT_TRUE(healthy.ok()) << healthy.status().toString();
+
+    auto stats = h.client.stats();
+    ASSERT_TRUE(stats.ok()) << stats.status().toString();
+    EXPECT_EQ(stats->failed, 1u);
+    EXPECT_EQ(stats->succeeded, 1u);
 }
 
 TEST(ServiceServerApi, ConcurrentClientsGetBitIdenticalSchedules)

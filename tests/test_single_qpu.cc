@@ -2,7 +2,8 @@
  * @file
  * Tests for the single-QPU compiler: every node placed exactly once,
  * layer capacity respected, ordering strategies are dependency
- * consistent, and bigger grids compile to fewer layers.
+ * consistent, bigger grids compile to fewer layers, and a node too
+ * large for the grid is a Status, not an abort.
  */
 
 #include <gtest/gtest.h>
@@ -36,8 +37,10 @@ compileCircuit(const Circuit &c, int grid_size,
     config.grid.size = grid_size;
     config.grid.resourceState = type;
     config.order = order;
-    result.schedule = SingleQpuCompiler(config).compile(
+    auto schedule = SingleQpuCompiler(config).compile(
         result.pattern.graph(), result.deps);
+    EXPECT_TRUE(schedule.ok()) << schedule.status().toString();
+    result.schedule = std::move(schedule).value();
     return result;
 }
 
@@ -146,7 +149,8 @@ TEST(SingleQpu, EmptyGraphCompilesToNothing)
     SingleQpuConfig config;
     config.grid.size = 7;
     const auto schedule = SingleQpuCompiler(config).compile(g, deps);
-    EXPECT_EQ(schedule.executionTime(), 0);
+    ASSERT_TRUE(schedule.ok());
+    EXPECT_EQ(schedule->executionTime(), 0);
 }
 
 TEST(SingleQpu, SingleNodeGraph)
@@ -156,8 +160,27 @@ TEST(SingleQpu, SingleNodeGraph)
     SingleQpuConfig config;
     config.grid.size = 3;
     const auto schedule = SingleQpuCompiler(config).compile(g, deps);
-    EXPECT_EQ(schedule.executionTime(), 1);
-    EXPECT_EQ(schedule.nodeLayer[0], 0);
+    ASSERT_TRUE(schedule.ok());
+    EXPECT_EQ(schedule->executionTime(), 1);
+    EXPECT_EQ(schedule->nodeLayer[0], 0);
+}
+
+TEST(SingleQpu, OversizedNodeIsInvalidArgument)
+{
+    // A star whose hub needs more fused cells than a 3x3 grid has.
+    Graph g(40);
+    for (NodeId leaf = 1; leaf < 40; ++leaf)
+        g.addEdge(0, leaf);
+    Digraph deps(40);
+    SingleQpuConfig config;
+    config.grid.size = 3;
+    const auto schedule = SingleQpuCompiler(config).compile(g, deps);
+    ASSERT_FALSE(schedule.ok());
+    EXPECT_EQ(schedule.status().code(), StatusCode::InvalidArgument);
+    EXPECT_NE(schedule.status().message().find("node 0 of degree 39"),
+              std::string::npos)
+        << schedule.status().toString();
+    EXPECT_NE(schedule.status().message().find("3x3"), std::string::npos);
 }
 
 TEST(SingleQpu, DeterministicOutput)

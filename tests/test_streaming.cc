@@ -1,14 +1,14 @@
 /**
  * @file
- * Tests of the streaming compilation core: the windowed pattern
- * builder and segment-emitting list scheduler against their
- * monolithic oracles (bit-identical artifacts for every window
- * size), the deterministic parallel kernels (coarsening contraction,
- * Louvain move rounds, per-QPU local compiles) across worker counts,
- * stream-entry requests through the driver and the cache-key
- * aliasing between a stream and its materialized circuit, window
- * validation through the Status channel, and mid-stream cancellation
- * leaving no partial cache entries.
+ * Tests of the streaming compilation core: the settled-prefix pattern
+ * builder and the list scheduler give the same bytes for every window
+ * size (window 0, one window over the whole input, is the oracle),
+ * window checkpoints fire and abort as documented, per-QPU local
+ * compiles are worker-count invariant (one worker is the oracle),
+ * stream-entry requests match their materialized circuits through
+ * the driver and alias them in the cache, window validation goes
+ * through the Status channel, and mid-stream cancellation leaves no
+ * partial cache entries.
  */
 
 #include <gtest/gtest.h>
@@ -25,50 +25,16 @@
 #include "circuit/generators.hh"
 #include "circuit/huge_generators.hh"
 #include "circuit/transpile.hh"
-#include "common/rng.hh"
-#include "common/thread_pool.hh"
-#include "core/compile_path.hh"
 #include "core/list_scheduler.hh"
 #include "core/lsp_builder.hh"
-#include "core/streaming_schedule.hh"
-#include "graph/graph.hh"
 #include "mbqc/dependency.hh"
 #include "mbqc/pattern_builder.hh"
-#include "mbqc/streaming_builder.hh"
-#include "partition/coarsen.hh"
-#include "partition/louvain.hh"
 #include "serialize/codecs.hh"
 
 namespace dcmbqc
 {
 namespace
 {
-
-/** Restores the process-default compile path on scope exit. */
-struct PathGuard
-{
-    ~PathGuard() { resetCompilePathConfig(); }
-};
-
-void
-useStreamingPaths()
-{
-    CompilePathConfig &config = compilePathConfig();
-    config.streamingFrontEnd = true;
-    config.streamingScheduler = true;
-    config.parallelLocal = true;
-    config.parallelPartition = true;
-}
-
-void
-useReferencePaths()
-{
-    CompilePathConfig &config = compilePathConfig();
-    config.streamingFrontEnd = false;
-    config.streamingScheduler = false;
-    config.parallelLocal = false;
-    config.parallelPartition = false;
-}
 
 const std::vector<std::uint32_t> &
 windowCorpus()
@@ -93,32 +59,16 @@ circuitCorpus()
     return corpus;
 }
 
-Graph
-randomGraph(int n, int edges, std::uint64_t seed)
-{
-    Graph g(n);
-    Rng rng(seed);
-    int added = 0;
-    while (added < edges) {
-        const NodeId u = static_cast<NodeId>(
-            rng.uniformInt(static_cast<std::uint64_t>(n)));
-        const NodeId v = static_cast<NodeId>(
-            rng.uniformInt(static_cast<std::uint64_t>(n)));
-        if (u == v || g.hasEdge(u, v))
-            continue;
-        g.addEdge(u, v);
-        ++added;
-    }
-    return g;
-}
-
-// --- Windowed pattern builder vs the monolithic oracle ---------------------
+// --- Pattern builder: window invariance -----------------------------------
 
 TEST(StreamingPatternBuilder, BitIdenticalForEveryWindowSize)
 {
     for (const Circuit &circuit : circuitCorpus()) {
+        // All three entry points feed the same builder; only the
+        // chunking of the input differs.
         const auto oracle =
             encodePatternArtifact(buildPattern(transpileToJCz(circuit)));
+        EXPECT_EQ(encodePatternArtifact(buildPattern(circuit)), oracle);
         for (std::uint32_t window : windowCorpus()) {
             SCOPED_TRACE(circuit.name() + " window=" +
                          std::to_string(window));
@@ -176,65 +126,117 @@ TEST(StreamingPatternBuilder, WindowEventsReportSettledProgress)
               static_cast<std::uint64_t>(circuit.numGates()));
 }
 
-// --- Segment-emitting scheduler vs the monolithic slot loop ----------------
+// --- List scheduler: window invariance and checkpoints --------------------
 
-TEST(StreamingScheduler, BitIdenticalSegmentsCoverTimeline)
+/** QFT-16 on 4 QPUs with a round-robin partition. */
+LayerSchedulingProblem
+qftLsp()
 {
-    const Circuit circuit = makeQft(8);
-    const Pattern pattern = buildPattern(transpileToJCz(circuit));
+    const Pattern pattern = buildPattern(makeQft(16));
     const Digraph deps = realTimeDependencyGraph(pattern);
-    auto config = CompileOptions().numQpus(4).gridSize(7).build();
-    ASSERT_TRUE(config.ok());
+    const DcMbqcConfig config =
+        CompileOptions().numQpus(4).gridSize(7).build().value();
     std::vector<int> assign(pattern.graph().numNodes());
     for (NodeId u = 0; u < pattern.graph().numNodes(); ++u)
         assign[u] = static_cast<int>(u) % 4;
-    const Partitioning part(assign, 4);
-    const LayerSchedulingProblem lsp = buildLayerSchedulingProblem(
-        pattern.graph(), deps, part, 4, config->grid, config->order,
-        config->kmax);
+    return buildLayerSchedulingProblem(pattern.graph(), deps,
+                                       Partitioning(assign, 4), 4,
+                                       config.grid, config.order,
+                                       config.kmax)
+        .value();
+}
 
-    const auto oracle =
-        encodeScheduleArtifact(listScheduleDefault(lsp));
-
-    std::vector<double> main_priority(lsp.mainTasks().size());
-    for (std::size_t i = 0; i < main_priority.size(); ++i)
-        main_priority[i] = lsp.mainTasks()[i].index;
-    std::vector<double> sync_priority(lsp.syncTasks().size());
-    for (std::size_t k = 0; k < sync_priority.size(); ++k) {
-        const auto &sync = lsp.syncTasks()[k];
-        sync_priority[k] = 0.5 * (lsp.mainTasks()[sync.taskA].index +
-                                  lsp.mainTasks()[sync.taskB].index);
-    }
+TEST(StreamingScheduler, WindowsCheckpointWithoutChangingTheSchedule)
+{
+    const LayerSchedulingProblem lsp = qftLsp();
+    const Schedule whole = listScheduleDefault(lsp);
+    const auto oracle = encodeScheduleArtifact(whole);
+    const std::uint64_t total =
+        lsp.mainTasks().size() + lsp.syncTasks().size();
+    ASSERT_GT(whole.makespan, 64);
 
     for (std::uint32_t window : windowCorpus()) {
         SCOPED_TRACE("window=" + std::to_string(window));
-        std::vector<ScheduleSegment> segments;
-        auto streamed = listScheduleStreamed(
-            lsp, main_priority, sync_priority, std::nullopt,
-            StreamWindow{window}, {},
-            [&](const ScheduleSegment &segment) {
-                segments.push_back(segment);
-            });
-        ASSERT_TRUE(streamed.ok()) << streamed.status().toString();
-        EXPECT_EQ(encodeScheduleArtifact(*streamed), oracle);
+        std::vector<WindowEvent> events;
+        StreamStats stats;
+        auto windowed = listScheduleDefault(
+            lsp, StreamWindow{window},
+            [&](const WindowEvent &event) {
+                events.push_back(event);
+                return Status::okStatus();
+            },
+            &stats);
+        ASSERT_TRUE(windowed.ok()) << windowed.status().toString();
+        EXPECT_EQ(encodeScheduleArtifact(*windowed), oracle);
 
-        // Segments tile [0, makespan) contiguously and carry every
-        // main-task start exactly once.
-        ASSERT_FALSE(segments.empty());
-        EXPECT_EQ(segments.front().beginSlot, 0);
-        std::size_t mains = 0;
-        for (std::size_t i = 0; i < segments.size(); ++i) {
-            if (i > 0)
-                EXPECT_EQ(segments[i].beginSlot,
-                          segments[i - 1].endSlot);
-            mains += segments[i].mainStarts.size();
+        // One event per closed window: every `window` slots, plus the
+        // end of the makespan (the only event for window 0).
+        const std::size_t expected = window == 0
+            ? 1
+            : (whole.makespan + window - 1) / window;
+        ASSERT_EQ(events.size(), expected);
+        EXPECT_EQ(stats.windows, expected);
+        EXPECT_EQ(stats.schedulerLivePeak, lsp.syncTasks().size());
+        std::uint64_t previous = 0;
+        for (std::size_t i = 0; i < events.size(); ++i) {
+            EXPECT_EQ(events[i].index, static_cast<std::uint32_t>(i));
+            EXPECT_GE(events[i].settled, previous);
+            EXPECT_EQ(events[i].total, total);
+            previous = events[i].settled;
         }
-        EXPECT_EQ(segments.back().endSlot, streamed->makespan);
-        EXPECT_EQ(mains, lsp.mainTasks().size());
+        EXPECT_EQ(events.back().settled, total);
+
+        // A checkpoint that refuses aborts the run with its status.
+        int fired = 0;
+        auto aborted = listScheduleDefault(
+            lsp, StreamWindow{window}, [&](const WindowEvent &) {
+                ++fired;
+                return Status::cancelled("stop the scheduler");
+            });
+        ASSERT_FALSE(aborted.ok());
+        EXPECT_EQ(aborted.status().code(), StatusCode::Cancelled);
+        EXPECT_EQ(fired, 1);
     }
 }
 
-// --- Driver: streaming paths vs the reference oracle -----------------------
+TEST(StreamingScheduler, MidPassCancellationAbortsScheduleList)
+{
+    // Cancel from the first ScheduleList window: the next checkpoint
+    // aborts the pass, which reports the Cancelled status.
+    CancellationToken token;
+    struct CancelInScheduler : PassObserver
+    {
+        CancellationToken *token = nullptr;
+        Status scheduleStatus;
+        void
+        onWindow(const std::string &, const Pass &pass,
+                 const WindowEvent &) override
+        {
+            if (std::string(pass.name()) == "ScheduleList")
+                token->cancel();
+        }
+        void
+        onPassEnd(const std::string &, const Pass &pass,
+                  const StageReport &report) override
+        {
+            if (std::string(pass.name()) == "ScheduleList")
+                scheduleStatus = report.status;
+        }
+    } observer;
+    observer.token = &token;
+
+    CompilerDriver driver(
+        CompileOptions().numQpus(2).gridSize(7).window(1));
+    driver.addObserver(&observer);
+    auto request = CompileRequest::fromCircuit(makeQft(8));
+    request.withCancellation(&token);
+    auto cancelled = driver.compile(request);
+    ASSERT_FALSE(cancelled.ok());
+    EXPECT_EQ(cancelled.status().code(), StatusCode::Cancelled);
+    EXPECT_EQ(observer.scheduleStatus.code(), StatusCode::Cancelled);
+}
+
+// --- Driver: window invariance ------------------------------------------
 
 /** Semantic payload of one distributed compile, for comparison. */
 struct CompileFingerprint
@@ -267,42 +269,35 @@ fingerprint(const CompileReport &report)
     return print;
 }
 
-TEST(StreamingDriver, MatchesReferenceOracleForEveryWindow)
+TEST(StreamingDriver, WindowedCompileMatchesWindowZero)
 {
-    PathGuard guard;
     const Circuit circuit = makeQft(8);
-
-    useReferencePaths();
-    auto reference =
+    auto whole =
         CompilerDriver(
             CompileOptions().numQpus(2).gridSize(7).seed(3))
             .compile(CompileRequest::fromCircuit(circuit));
-    ASSERT_TRUE(reference.ok()) << reference.status().toString();
-    const CompileFingerprint oracle = fingerprint(*reference);
+    ASSERT_TRUE(whole.ok()) << whole.status().toString();
+    const CompileFingerprint oracle = fingerprint(*whole);
 
-    useStreamingPaths();
     for (std::uint32_t window : windowCorpus()) {
         SCOPED_TRACE("window=" + std::to_string(window));
         CompileOptions options;
         options.numQpus(2).gridSize(7).seed(3);
         if (window > 0)
             options.window(static_cast<int>(window));
-        auto streamed = CompilerDriver(options).compile(
+        auto windowed = CompilerDriver(options).compile(
             CompileRequest::fromCircuit(circuit));
-        ASSERT_TRUE(streamed.ok()) << streamed.status().toString();
-        EXPECT_TRUE(fingerprint(*streamed) == oracle);
+        ASSERT_TRUE(windowed.ok()) << windowed.status().toString();
+        EXPECT_TRUE(fingerprint(*windowed) == oracle);
         if (window > 0) {
-            EXPECT_GE(streamed->streaming.windows, 1u);
-            EXPECT_GT(streamed->streaming.opsStreamed, 0u);
+            EXPECT_GE(windowed->streaming.windows, 1u);
+            EXPECT_GT(windowed->streaming.opsStreamed, 0u);
         }
     }
 }
 
 TEST(StreamingDriver, StreamEntryMatchesCircuitEntry)
 {
-    PathGuard guard;
-    useStreamingPaths();
-
     const auto stream = makeDeepQaoaStream(8, 3);
     const Circuit materialized = stream->materialize();
 
@@ -324,25 +319,6 @@ TEST(StreamingDriver, StreamEntryMatchesCircuitEntry)
     EXPECT_GT(from_stream->streaming.frontierNodePeak, 0u);
     // getrusage-backed peak RSS is available on the CI platforms.
     EXPECT_GT(from_stream->peakRssBytes, 0u);
-}
-
-TEST(StreamingDriver, StreamEntryWorksOnReferencePathToo)
-{
-    PathGuard guard;
-    const auto stream = makeGraphStateStream(3, 4);
-    const auto options = CompileOptions().numQpus(2).gridSize(7).seed(2);
-
-    useStreamingPaths();
-    auto streamed = CompilerDriver(options).compile(
-        CompileRequest::fromCircuitStream(stream));
-    ASSERT_TRUE(streamed.ok()) << streamed.status().toString();
-
-    useReferencePaths();
-    auto reference = CompilerDriver(options).compile(
-        CompileRequest::fromCircuitStream(stream));
-    ASSERT_TRUE(reference.ok()) << reference.status().toString();
-
-    EXPECT_TRUE(fingerprint(*streamed) == fingerprint(*reference));
 }
 
 // --- Cache interaction -----------------------------------------------------
@@ -371,8 +347,6 @@ TEST(StreamingCache, StreamAliasesItsMaterializedCircuit)
 
 TEST(StreamingCache, WindowIsExcludedFromTheCacheKey)
 {
-    PathGuard guard;
-    useStreamingPaths();
     auto cache = std::make_shared<CompileCache>();
     const Circuit circuit = makeQft(6);
 
@@ -400,9 +374,6 @@ TEST(StreamingCache, WindowIsExcludedFromTheCacheKey)
 
 TEST(StreamingCache, MidStreamCancellationLeavesNoPartialEntries)
 {
-    PathGuard guard;
-    useStreamingPaths();
-
     const std::string dir =
         ::testing::TempDir() + "dcmbqc_stream_cancel_ut";
     std::filesystem::remove_all(dir);
@@ -481,66 +452,11 @@ TEST(StreamingValidation, NullOrEmptyStreamsAreRejected)
     EXPECT_EQ(empty_status.code(), StatusCode::InvalidArgument);
 }
 
-// --- Deterministic parallel kernels ----------------------------------------
-
-TEST(ParallelKernels, ContractionMatchesSequentialForAnyWorkerCount)
-{
-    // Large enough that the chunked path actually engages
-    // (2 * kContractChunk = 131072 edges).
-    const Graph g = randomGraph(5000, 200000, 17);
-    std::vector<NodeId> match(g.numNodes());
-    for (NodeId u = 0; u < g.numNodes(); ++u)
-        match[u] = (u % 2 == 0 && u + 1 < g.numNodes()) ? u + 1
-            : (u % 2 == 1 ? u - 1 : u);
-
-    std::vector<NodeId> to_coarse_seq;
-    const Graph sequential =
-        contractMatching(g, match, to_coarse_seq, nullptr);
-    const auto oracle = encodeGraphArtifact(sequential);
-
-    for (int workers : {2, 4, 8}) {
-        SCOPED_TRACE("workers=" + std::to_string(workers));
-        ThreadPool pool(workers);
-        std::vector<NodeId> to_coarse;
-        const Graph parallel =
-            contractMatching(g, match, to_coarse, &pool);
-        EXPECT_EQ(encodeGraphArtifact(parallel), oracle);
-        EXPECT_EQ(to_coarse, to_coarse_seq);
-    }
-}
-
-TEST(ParallelKernels, LouvainIsWorkerCountInvariant)
-{
-    PathGuard guard;
-    compilePathConfig().parallelPartition = true;
-
-    const std::vector<Graph> corpus = {
-        randomGraph(120, 600, 8),
-        randomGraph(200, 900, 21),
-        buildPattern(transpileToJCz(makeQft(8))).graph(),
-    };
-    for (std::size_t i = 0; i < corpus.size(); ++i) {
-        SCOPED_TRACE("graph=" + std::to_string(i));
-        LouvainConfig base;
-        base.numWorkers = 1;
-        const auto oracle = louvain(corpus[i], base).assignment();
-        for (int workers : {2, 4, 8}) {
-            SCOPED_TRACE("workers=" + std::to_string(workers));
-            LouvainConfig config;
-            config.numWorkers = workers;
-            EXPECT_EQ(louvain(corpus[i], config).assignment(),
-                      oracle);
-        }
-    }
-}
+// --- Deterministic parallel local compiles --------------------------------
 
 TEST(ParallelKernels, LocalCompileIsWorkerCountInvariant)
 {
-    PathGuard guard;
-    compilePathConfig().parallelLocal = true;
-
-    const Pattern pattern =
-        buildPattern(transpileToJCz(makeQft(8)));
+    const Pattern pattern = buildPattern(makeQft(8));
     const Digraph deps = realTimeDependencyGraph(pattern);
     auto config = CompileOptions().numQpus(4).gridSize(7).build();
     ASSERT_TRUE(config.ok());
@@ -549,26 +465,23 @@ TEST(ParallelKernels, LocalCompileIsWorkerCountInvariant)
         assign[u] = static_cast<int>(u) % 4;
     const Partitioning part(assign, 4);
 
-    // Sequential oracle (flag off), then the parallel path across
-    // worker counts: identical local schedules and final schedule.
-    compilePathConfig().parallelLocal = false;
+    // One worker compiles the QPUs sequentially: the oracle.
     std::vector<LocalSchedule> locals_seq;
-    const LayerSchedulingProblem oracle_lsp =
-        buildLayerSchedulingProblem(pattern.graph(), deps, part, 4,
-                                    config->grid, config->order,
-                                    config->kmax, &locals_seq);
+    const auto oracle_lsp = buildLayerSchedulingProblem(
+        pattern.graph(), deps, part, 4, config->grid, config->order,
+        config->kmax, &locals_seq, /*num_workers=*/1);
+    ASSERT_TRUE(oracle_lsp.ok()) << oracle_lsp.status().toString();
     const auto oracle =
-        encodeScheduleArtifact(listScheduleDefault(oracle_lsp));
+        encodeScheduleArtifact(listScheduleDefault(*oracle_lsp));
 
-    compilePathConfig().parallelLocal = true;
-    for (int workers : {1, 2, 4, 8}) {
+    for (int workers : {2, 4, 8}) {
         SCOPED_TRACE("workers=" + std::to_string(workers));
         std::vector<LocalSchedule> locals;
-        const LayerSchedulingProblem lsp =
-            buildLayerSchedulingProblem(
-                pattern.graph(), deps, part, 4, config->grid,
-                config->order, config->kmax, &locals, workers);
-        EXPECT_EQ(encodeScheduleArtifact(listScheduleDefault(lsp)),
+        const auto lsp = buildLayerSchedulingProblem(
+            pattern.graph(), deps, part, 4, config->grid,
+            config->order, config->kmax, &locals, workers);
+        ASSERT_TRUE(lsp.ok()) << lsp.status().toString();
+        EXPECT_EQ(encodeScheduleArtifact(listScheduleDefault(*lsp)),
                   oracle);
         ASSERT_EQ(locals.size(), locals_seq.size());
         for (std::size_t q = 0; q < locals.size(); ++q)
