@@ -46,7 +46,8 @@ class SettledPrefixBuilder
 {
   public:
     explicit SettledPrefixBuilder(int num_qubits)
-        : cur_(static_cast<std::size_t>(num_qubits))
+        : cur_(static_cast<std::size_t>(num_qubits)),
+          wire_entries_(static_cast<std::size_t>(num_qubits))
     {
         for (QubitId w = 0; w < num_qubits; ++w)
             cur_[w] = pattern_.addNode(w);
@@ -56,17 +57,17 @@ class SettledPrefixBuilder
     feed(const JOp &op)
     {
         if (op.kind == JOp::Kind::CZ) {
-            toggle(cur_[op.q0], cur_[op.q1]);
+            toggle(cur_[op.q0], op.q0, cur_[op.q1], op.q1);
             return;
         }
         const NodeId m = cur_[op.q0];
         const NodeId n = pattern_.addNode(op.q0);
-        toggle(m, n);
+        toggle(m, op.q0, n, op.q0);
         // J(alpha) measures the old node at -alpha; flow f(m)=n.
         pattern_.setMeasurement(m, -op.angle, n);
         cur_[op.q0] = n;
         // m left the frontier: every pair touching it is settled.
-        retire(m);
+        retire(op.q0);
         drain();
     }
 
@@ -87,7 +88,6 @@ class SettledPrefixBuilder
         for (auto &entry : pending_)
             entry.frozen = true;
         live_keys_.clear();
-        node_entries_.clear();
         drain();
         DCMBQC_ASSERT(pending_.empty(),
                       "pattern builder left pending edges");
@@ -108,13 +108,13 @@ class SettledPrefixBuilder
         return cur_.size() * sizeof(NodeId) +
                pending_.size() * sizeof(PendingEdge) +
                live_keys_.size() * map_entry +
-               node_entries_.size() * map_entry +
+               wire_entries_.size() * sizeof(wire_entries_[0]) +
                node_positions_ * sizeof(std::uint64_t);
     }
 
   private:
     void
-    toggle(NodeId a, NodeId b)
+    toggle(NodeId a, QubitId wa, NodeId b, QubitId wb)
     {
         const std::uint64_t key = pairKey(a, b);
         auto it = live_keys_.find(key);
@@ -124,19 +124,17 @@ class SettledPrefixBuilder
         }
         const std::uint64_t pos = base_ + pending_.size();
         live_keys_.emplace(key, pos);
-        node_entries_[a].push_back(pos);
-        node_entries_[b].push_back(pos);
+        wire_entries_[wa].push_back(pos);
+        wire_entries_[wb].push_back(pos);
         node_positions_ += 2;
         pending_.push_back({a, b, true, false});
     }
 
     void
-    retire(NodeId m)
+    retire(QubitId w)
     {
-        auto it = node_entries_.find(m);
-        if (it == node_entries_.end())
-            return;
-        for (const std::uint64_t pos : it->second) {
+        std::vector<std::uint64_t> &entries = wire_entries_[w];
+        for (const std::uint64_t pos : entries) {
             if (pos < base_)
                 continue; // already emitted via the other endpoint
             PendingEdge &entry = pending_[pos - base_];
@@ -145,8 +143,8 @@ class SettledPrefixBuilder
             entry.frozen = true;
             live_keys_.erase(pairKey(entry.a, entry.b));
         }
-        node_positions_ -= it->second.size();
-        node_entries_.erase(it);
+        node_positions_ -= entries.size();
+        entries.clear();
     }
 
     void
@@ -174,9 +172,11 @@ class SettledPrefixBuilder
     /** pairKey -> absolute position of the still-toggleable entry. */
     std::unordered_map<std::uint64_t, std::uint64_t> live_keys_;
 
-    /** Frontier node -> positions of its not-yet-frozen entries. */
-    std::unordered_map<NodeId, std::vector<std::uint64_t>>
-        node_entries_;
+    /**
+     * Wire -> positions of the entries touching its current node
+     * (each frontier node is the current node of exactly one wire).
+     */
+    std::vector<std::vector<std::uint64_t>> wire_entries_;
     std::uint64_t node_positions_ = 0;
 };
 
