@@ -198,7 +198,10 @@ generateNeighbor(const LayerSchedulingProblem &lsp,
                                       current.mainStart.end());
     std::vector<double> sync_priority(current.syncStart.begin(),
                                       current.syncStart.end());
-    return listSchedule(lsp, main_priority, sync_priority, pin);
+    // One whole-run window and no checkpoint: cannot fail.
+    return listSchedule(lsp, main_priority, sync_priority, pin,
+                        StreamWindow{})
+        .value();
 }
 
 Schedule

@@ -44,18 +44,6 @@ defaultPriorities(const LayerSchedulingProblem &lsp,
 
 } // namespace
 
-Schedule
-listSchedule(const LayerSchedulingProblem &lsp,
-             const std::vector<double> &main_priority,
-             const std::vector<double> &sync_priority,
-             const std::optional<TaskPin> &pin)
-{
-    // One whole-run window and no checkpoint: cannot fail.
-    return listSchedule(lsp, main_priority, sync_priority, pin,
-                        StreamWindow{})
-        .value();
-}
-
 Expected<Schedule>
 listSchedule(const LayerSchedulingProblem &lsp,
              const std::vector<double> &main_priority,
@@ -285,7 +273,10 @@ listScheduleDefault(const LayerSchedulingProblem &lsp)
     std::vector<double> main_priority;
     std::vector<double> sync_priority;
     defaultPriorities(lsp, main_priority, sync_priority);
-    return listSchedule(lsp, main_priority, sync_priority);
+    // One whole-run window and no checkpoint: cannot fail.
+    return listSchedule(lsp, main_priority, sync_priority, std::nullopt,
+                        StreamWindow{})
+        .value();
 }
 
 Expected<Schedule>

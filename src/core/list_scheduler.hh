@@ -62,12 +62,6 @@ Expected<Schedule> listSchedule(const LayerSchedulingProblem &lsp,
                                 const WindowCheckpoint &checkpoint = {},
                                 StreamStats *stats = nullptr);
 
-/** The same loop with no checkpoint (BDIR's rescheduling primitive). */
-Schedule listSchedule(const LayerSchedulingProblem &lsp,
-                      const std::vector<double> &main_priority,
-                      const std::vector<double> &sync_priority,
-                      const std::optional<TaskPin> &pin = std::nullopt);
-
 /** List scheduling with the paper's default priorities. */
 Schedule listScheduleDefault(const LayerSchedulingProblem &lsp);
 

@@ -134,7 +134,7 @@ TEST(ListScheduler, PinMovesTask)
     pin.isMain = false;
     pin.task = 0;
     pin.slot = 9;
-    const auto s = listSchedule(lsp, mp, sp, pin);
+    const auto s = listSchedule(lsp, mp, sp, pin, StreamWindow{}).value();
     EXPECT_TRUE(validateSchedule(lsp, s));
     EXPECT_GE(s.syncStart[0], 9);
 }
@@ -154,7 +154,7 @@ TEST(ListScheduler, PinMainRespectsOrder)
     pin.isMain = true;
     pin.task = 2; // QPU 0, index 2
     pin.slot = 0;
-    const auto s = listSchedule(lsp, mp, sp, pin);
+    const auto s = listSchedule(lsp, mp, sp, pin, StreamWindow{}).value();
     EXPECT_TRUE(validateSchedule(lsp, s));
     EXPECT_EQ(s.mainStart[2], 2);
 }
@@ -167,7 +167,7 @@ TEST(ListScheduler, PinMainToLateSlot)
     pin.isMain = true;
     pin.task = 1;
     pin.slot = 10;
-    const auto s = listSchedule(lsp, mp, {}, pin);
+    const auto s = listSchedule(lsp, mp, {}, pin, StreamWindow{}).value();
     EXPECT_TRUE(validateSchedule(lsp, s));
     EXPECT_EQ(s.mainStart[1], 10);
     // Successor tasks must still come after.
