@@ -6,11 +6,12 @@
  * persisted artifacts fails here instead of silently orphaning
  * users' files.
  *
- * The corpus is also the byte contract of the compiler: a fresh
- * compile of the canonical program must re-encode to exactly the
- * checked-in bytes, and the request's cache key must not move. Only
- * `report.dcmb` is decode-only (it predates pattern retention, so a
- * fresh report is larger).
+ * The corpus is also the byte contract of the compiler and the
+ * execution backends: a fresh compile (and run) of the canonical
+ * program must re-encode to exactly the checked-in bytes, and the
+ * request's cache key must not move. Only `report.dcmb` is
+ * decode-only (it predates pattern retention, so a fresh report is
+ * larger).
  *
  * Regenerate with  DCMBQC_REGEN_GOLDEN=1 ./test_golden  after an
  * *intentional*, version-bumped format change (wall-clock fields are
@@ -86,15 +87,13 @@ goldenReport()
 }
 
 /**
- * An ExecResult sampled explicitly through the shot prefix tree
- * (full fast kernel stack forced on, so a reference-default build
- * regenerates the same bytes). Wall-clock zeroed for determinism.
+ * The stabilizer run behind `exec_shot_tree.dcmb`, sampled under
+ * whatever kernel config is current. Wall-clock zeroed for
+ * determinism.
  */
 ExecResult
-goldenShotTreeResult()
+goldenStabilizerResult()
 {
-    simKernelConfig() = {/*packedTableau=*/true, /*shotTree=*/true,
-                         SvKernel::Auto, /*fuseGates=*/true};
     ExecOptions options;
     options.backend = "stabilizer";
     options.shots = 64;
@@ -104,12 +103,53 @@ goldenShotTreeResult()
         ExecProgram::fromCircuit(
             makeRandomCliffordCircuit(4, 12, 7), "golden-tree"),
         options);
-    resetSimKernelConfig();
     if (!result.ok())
-        panic("golden shot-tree run failed: ",
+        panic("golden stabilizer run failed: ",
               result.status().toString());
     result->wallMillis = 0.0;
     return std::move(result.value());
+}
+
+/**
+ * The stabilizer run sampled explicitly through the shot prefix tree
+ * (full fast kernel stack forced on, so a reference-default build
+ * regenerates the same bytes).
+ */
+ExecResult
+goldenShotTreeResult()
+{
+    simKernelConfig() = {/*packedTableau=*/true, /*shotTree=*/true,
+                         SvKernel::Auto, /*fuseGates=*/true};
+    ExecResult result = goldenStabilizerResult();
+    resetSimKernelConfig();
+    return result;
+}
+
+/**
+ * The canonical program sampled on mc-loss at a 1 us cycle, slow
+ * enough that some shots lose a photon and others complete, so both
+ * count keys carry weight. Wall-clock zeroed for determinism.
+ */
+ExecResult
+goldenMcLossResult()
+{
+    ExecOptions exec;
+    exec.backend = "mc-loss";
+    exec.shots = 256;
+    exec.seed = 9;
+    exec.numThreads = 1;
+    exec.lossModel.cyclePeriodNs = 1000.0;
+    auto report = CompilerDriver(goldenOptions())
+                      .compileAndExecute(
+                          CompileRequest::fromCircuit(
+                              goldenCircuit(), "golden"),
+                          exec);
+    if (!report.ok())
+        panic("golden mc-loss run failed: ",
+              report.status().toString());
+    ExecResult result = std::move(report->executions[0]);
+    result.wallMillis = 0.0;
+    return result;
 }
 
 /**
@@ -147,6 +187,8 @@ regenerate()
          encodeExecResultArtifact(report.executions[0])},
         {"exec_shot_tree.dcmb",
          encodeExecResultArtifact(goldenShotTreeResult())},
+        {"exec_mc_loss.dcmb",
+         encodeExecResultArtifact(goldenMcLossResult())},
     };
     for (const Entry &entry : entries) {
         const Status saved =
@@ -291,6 +333,39 @@ TEST_F(GoldenCorpus, FreshEncodesMatchTheCheckedInBytes)
               load("local_schedule.dcmb"));
     EXPECT_EQ(encodeExecResultArtifact(report.executions[0]),
               load("exec_result.dcmb"));
+    EXPECT_EQ(encodeExecResultArtifact(goldenMcLossResult()),
+              load("exec_mc_loss.dcmb"));
+}
+
+TEST_F(GoldenCorpus, McLossFixtureExercisesBothOutcomes)
+{
+    auto decoded =
+        decodeExecResultArtifact(load("exec_mc_loss.dcmb"));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().toString();
+    EXPECT_EQ(decoded->backend, "mc-loss");
+    EXPECT_EQ(decoded->shots, 256);
+    EXPECT_GT(decoded->completedShots, 0);
+    EXPECT_GT(decoded->lostShots, 0);
+    EXPECT_EQ(decoded->counts.at("success"), decoded->completedShots);
+    EXPECT_EQ(decoded->counts.at("loss"), decoded->lostShots);
+}
+
+TEST_F(GoldenCorpus, ReferenceKernelsReproduceTheFixtures)
+{
+    // The scalar tableau, naive per-shot replay and the portable
+    // amplitude kernel are the oracles of the fast stack: selected
+    // in-process, they must sample the same bytes the default stack
+    // wrote.
+    simKernelConfig() = {/*packedTableau=*/false, /*shotTree=*/false,
+                         SvKernel::Portable, /*fuseGates=*/false};
+    const CompileReport report = goldenReport();
+    const ExecResult stabilizer = goldenStabilizerResult();
+    resetSimKernelConfig();
+
+    EXPECT_EQ(encodeExecResultArtifact(report.executions[0]),
+              load("exec_result.dcmb"));
+    EXPECT_EQ(encodeExecResultArtifact(stabilizer),
+              load("exec_shot_tree.dcmb"));
 }
 
 TEST_F(GoldenCorpus, CacheKeyIsPinned)
