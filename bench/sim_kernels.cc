@@ -9,11 +9,8 @@
  * tableau + shot tree + SIMD + fusion) vs full reference stack
  * (scalar + naive replay + portable + unfused) on the stabilizer
  * backend (gate: >= 3x). The shot tree's isolated contribution vs
- * the naive per-shot replay is reported as its own row, ungated; a
- * statevector tree row runs on a small corpus (dense amplitudes cap
- * the feasible qubit count) where per-decision state copies roughly
- * cancel the prefix reuse. Results are mirrored to
- * BENCH_sim_kernels.json.
+ * the naive per-shot replay is reported as its own row, ungated.
+ * Results are mirrored to BENCH_sim_kernels.json.
  */
 
 #include <chrono>
@@ -100,25 +97,19 @@ rowOpRate(const Graph &g, const std::vector<PauliString> &queries)
 
 /**
  * A 64-circuit random Clifford corpus from the same generator
- * family tests/test_differential.cc pins. `scale_qubits` picks the
- * register size: the gated stabilizer run uses 24-39 qubits at
- * depth 3n, where per-shot cost is tableau kernel work and the
- * resulting patterns have the long deterministic segments the shot
- * tree shares; the statevector row uses 2-5 qubits, the largest
- * dense corpus that stays affordable.
+ * family tests/test_differential.cc pins, at 24-39 qubits and depth
+ * 3n: per-shot cost is tableau kernel work, and the resulting
+ * patterns have the long deterministic segments the shot tree
+ * shares.
  */
 std::vector<ExecProgram>
-corpusPrograms(bool scale_qubits)
+corpusPrograms()
 {
     std::vector<ExecProgram> programs;
     programs.reserve(64);
     for (std::uint64_t seed = 0; seed < 64; ++seed) {
-        const int qubits = scale_qubits
-            ? 24 + static_cast<int>(seed % 16)
-            : 2 + static_cast<int>(seed % 4);
-        const int gates = scale_qubits
-            ? 3 * qubits + static_cast<int>(seed % 11)
-            : 8 + static_cast<int>(seed % 13);
+        const int qubits = 24 + static_cast<int>(seed % 16);
+        const int gates = 3 * qubits + static_cast<int>(seed % 11);
         programs.push_back(ExecProgram::fromCircuit(
             makeRandomCliffordCircuit(qubits, gates, 4000 + seed),
             "corpus-" + std::to_string(seed)));
@@ -240,7 +231,7 @@ main()
     // backend, shots/sec over the whole 64-circuit corpus. The
     // naive-replay rate under otherwise-fast kernels is measured
     // once more so the shot tree's own contribution is visible.
-    const std::vector<ExecProgram> corpus = corpusPrograms(true);
+    const std::vector<ExecProgram> corpus = corpusPrograms();
     const SimKernelConfig reference{false, false, SvKernel::Portable,
                                     false};
     const SimKernelConfig naive{true, false, SvKernel::Auto, true};
@@ -284,29 +275,6 @@ main()
     json.key("referenceRate").value(naive_rate);
     json.key("optimizedRate").value(fast_rate);
     json.key("speedup").value(fast_rate / naive_rate);
-    json.key("gated").value(false);
-    json.endObject();
-
-    // Ungated: statevector shot tree on the small corpus. Dense
-    // amplitude states make per-decision copies as expensive as
-    // recomputation, so ~1x is the expected, honest result here.
-    const std::vector<ExecProgram> small = corpusPrograms(false);
-    const double sv_naive =
-        corpusShotsPerSec(small, "statevector", kShots, naive);
-    const double sv_tree =
-        corpusShotsPerSec(small, "statevector", kShots, fast);
-    table.row()
-        .cell("shot tree, statevector (shots/s)")
-        .cell(sv_naive, 0)
-        .cell(sv_tree, 0)
-        .cell(sv_tree / sv_naive, 2);
-    json.beginObject();
-    json.key("kernel").value("shot_tree_statevector");
-    json.key("corpusCircuits").value(static_cast<int>(small.size()));
-    json.key("shotsPerCircuit").value(kShots);
-    json.key("referenceRate").value(sv_naive);
-    json.key("optimizedRate").value(sv_tree);
-    json.key("speedup").value(sv_tree / sv_naive);
     json.key("gated").value(false);
     json.endObject();
 

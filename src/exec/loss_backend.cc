@@ -1,14 +1,11 @@
 #include "exec/loss_backend.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <numeric>
 #include <optional>
 
 #include "common/rng.hh"
 #include "noise/analysis.hh"
 #include "noise/model.hh"
-#include "sim/loss_analysis.hh"
 
 namespace dcmbqc
 {
@@ -72,16 +69,6 @@ schedulePhotonTimes(const DcMbqcResult &result, NodeId num_nodes)
     return times;
 }
 
-Graph
-intraQpuEdges(const Graph &g, const DcMbqcResult &result)
-{
-    Graph local(g.numNodes());
-    for (const auto &e : g.edges())
-        if (result.partition.part(e.u) == result.partition.part(e.v))
-            local.addEdge(e.u, e.v, e.weight);
-    return local;
-}
-
 BackendCapabilities
 MonteCarloLossBackend::capabilities() const
 {
@@ -93,23 +80,19 @@ MonteCarloLossBackend::capabilities() const
 namespace
 {
 
-/** Aggregate per-shot lost-photon counts into the result. */
-void
-finalizeLossResult(ExecResult &result, int shots,
-                   const std::vector<std::int32_t> &lost,
-                   double success_probability)
+/**
+ * The built-in error budget: delay-line storage loss under
+ * `ExecOptions::lossModel`, which charges intra-QPU storage only.
+ */
+NoiseConfig
+delayLineConfig(const LossModel &loss)
 {
-    for (const std::int32_t lost_here : lost) {
-        if (lost_here > 0) {
-            ++result.lostShots;
-            result.lostPhotons += lost_here;
-        }
-    }
-    result.completedShots = shots - result.lostShots;
-    result.counts["success"] = result.completedShots;
-    result.counts["loss"] = result.lostShots;
-    result.probabilities["success"] = success_probability;
-    result.probabilities["loss"] = 1.0 - success_probability;
+    NoiseConfig config;
+    config.add("delay-line",
+               {{"attenuation_db_per_km", loss.attenuationDbPerKm},
+                {"cycle_period_ns", loss.cyclePeriodNs},
+                {"speed_fraction", loss.speedFraction}});
+    return config;
 }
 
 } // namespace
@@ -141,6 +124,9 @@ MonteCarloLossBackend::run(const ExecProgram &program,
             "mc-loss requires a compiled schedule or a baseline");
     }
 
+    // The caller's config when it charges anything, else the
+    // built-in delay-line budget. Only a supplied config is named in
+    // the notes, so default results keep their bytes.
     std::optional<NoiseModel> model;
     if (options.noise) {
         auto built = buildNoiseModel(*options.noise);
@@ -149,55 +135,28 @@ MonteCarloLossBackend::run(const ExecProgram &program,
         if (!built->vacuous())
             model = std::move(built.value());
     }
+    const bool supplied = model.has_value();
+    if (!supplied) {
+        auto built = buildNoiseModel(delayLineConfig(options.lossModel));
+        if (!built.ok())
+            return built.status();
+        model = std::move(built.value());
+    }
 
     ExecResult result;
     result.threads = resolveThreads(options.numThreads, options.shots);
 
-    if (!model) {
-        // Legacy storage-only path, bit-identical to the pre-noise
-        // backend: intra-QPU edges only (connector storage is
-        // tau_remote, bounded by the scheduler), one bernoulli per
-        // photon in node order.
-        const Graph local = program.hasSchedule()
-            ? intraQpuEdges(program.graph(), program.schedule())
-            : program.graph();
-        const LossAnalysis analysis = analyzeLoss(
-            local, program.deps(), times, options.lossModel);
-        result.analyticSuccessProbability =
-            analysis.successProbability;
-        result.maxStorageCycles = analysis.maxStorageCycles;
-        result.meanStorageCycles = analysis.meanStorageCycles;
-
-        std::vector<double> loss_prob(analysis.storageCycles.size());
-        for (std::size_t u = 0; u < loss_prob.size(); ++u)
-            loss_prob[u] = options.lossModel.lossProbability(
-                analysis.storageCycles[u]);
-
-        std::vector<std::int32_t> lost(options.shots, 0);
-        forEachShot(options.shots, result.threads, [&](int shot) {
-            Rng rng(shotSeed(options.seed, shot));
-            std::int32_t lost_here = 0;
-            for (const double p : loss_prob)
-                if (rng.bernoulli(p))
-                    ++lost_here;
-            lost[shot] = lost_here;
-        });
-        finalizeLossResult(result, options.shots, lost,
-                           analysis.successProbability);
-        return result;
-    }
-
-    // Mechanism path: every registered mechanism samples over the
-    // program's exposure. Cut edges charge connector insertion loss
-    // and tau_remote storage to both endpoints — the storage the
-    // legacy path deliberately ignored — plus per-fusion failure.
+    // Every mechanism samples over the program's exposure. Cut edges
+    // mark connector photons and charge their tau_remote storage,
+    // which only the connector mechanism prices.
     const NoiseExposure exposure = buildExposure(
         program.graph(), program.deps(), times, assignment);
     const NoiseAnalysis analysis = analyzeNoise(exposure, *model);
     result.analyticSuccessProbability = analysis.successProbability;
     result.maxStorageCycles = analysis.maxStorageCycles;
     result.meanStorageCycles = analysis.meanStorageCycles;
-    result.notes.push_back("noise model: " + model->describe());
+    if (supplied)
+        result.notes.push_back("noise model: " + model->describe());
 
     // Independent per-site loss excludes correlated mechanisms:
     // those sample through their own hook below, and their analytic
@@ -211,6 +170,11 @@ MonteCarloLossBackend::run(const ExecProgram &program,
         site_loss[u] = std::min(1.0, std::max(0.0, 1.0 - survival));
     }
     const bool has_correlated = model->hasCorrelated();
+    // Fusion draws are the last use of a shot's stream, so skipping
+    // them when no fusion can fail changes no sampled value.
+    const bool edge_loss =
+        std::any_of(analysis.edgeLoss.begin(), analysis.edgeLoss.end(),
+                    [](double p) { return p > 0.0; });
 
     std::vector<std::int32_t> lost(options.shots, 0);
     forEachShot(options.shots, result.threads, [&](int shot) {
@@ -234,13 +198,23 @@ MonteCarloLossBackend::run(const ExecProgram &program,
             lost_here = static_cast<std::int32_t>(
                 std::count(mask.begin(), mask.end(), char(1)));
         }
-        for (const double p : analysis.edgeLoss)
-            if (rng.bernoulli(p))
-                ++lost_here;
+        if (edge_loss)
+            for (const double p : analysis.edgeLoss)
+                if (rng.bernoulli(p))
+                    ++lost_here;
         lost[shot] = lost_here;
     });
-    finalizeLossResult(result, options.shots, lost,
-                       analysis.successProbability);
+    for (const std::int32_t lost_here : lost) {
+        if (lost_here > 0) {
+            ++result.lostShots;
+            result.lostPhotons += lost_here;
+        }
+    }
+    result.completedShots = options.shots - result.lostShots;
+    result.counts["success"] = result.completedShots;
+    result.counts["loss"] = result.lostShots;
+    result.probabilities["success"] = analysis.successProbability;
+    result.probabilities["loss"] = 1.0 - analysis.successProbability;
     return result;
 }
 

@@ -1,13 +1,16 @@
 /**
  * @file
- * Monte-Carlo photon-loss execution backend: samples delay-line loss
- * over a *compiled distributed schedule*. Per-photon storage
- * durations are reconstructed from the schedule (fusee waits on
+ * Monte-Carlo photon-loss execution backend: samples photon loss
+ * over a *compiled distributed schedule*. Per-photon exposure is
+ * reconstructed from the schedule by `buildExposure` (fusee waits on
  * intra-QPU edges + measuree waits from the dependency recurrence,
- * exactly Algorithm 1's accounting), each shot then draws an
- * independent survival trial per photon from photonic/loss_model.
- * Reports the sampled survival rate alongside the analytic success
- * probability so drift between the two flags a modelling bug.
+ * exactly Algorithm 1's accounting; cut edges mark connector
+ * photons), and each shot draws a survival trial per photon and per
+ * fusion from one `NoiseModel`: the caller's `ExecOptions::noise`
+ * when it charges anything, else a built-in `delay-line` config
+ * whose parameters come from `ExecOptions::lossModel`. Reports the
+ * sampled survival rate alongside the analytic success probability
+ * so drift between the two flags a modelling bug.
  */
 
 #ifndef DCMBQC_EXEC_LOSS_BACKEND_HH
@@ -44,9 +47,6 @@ class MonteCarloLossBackend : public ExecutionBackend
  */
 Expected<std::vector<TimeSlot>>
 schedulePhotonTimes(const DcMbqcResult &result, NodeId num_nodes);
-
-/** The intra-QPU restriction of `g` under the result's partition. */
-Graph intraQpuEdges(const Graph &g, const DcMbqcResult &result);
 
 } // namespace dcmbqc
 

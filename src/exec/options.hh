@@ -58,18 +58,22 @@ struct ExecOptions
      */
     bool applyByproducts = true;
 
-    /** Delay-line loss model used by the Monte-Carlo loss backend. */
+    /**
+     * Delay-line loss model of the mc-loss backend's built-in
+     * config: one `delay-line` mechanism with these three parameters,
+     * sampled whenever `noise` is absent or vacuous.
+     */
     LossModel lossModel;
 
     /**
      * Pluggable noise configuration (src/noise/). When set and
      * non-vacuous, the mc-loss backend samples every configured
-     * mechanism instead of intra-QPU storage loss only, and the
-     * simulator backends inject the loss / outcome-flip channels.
-     * When absent (or vacuous) every backend is bit-identical to a
-     * run without this field. validate() resolves the config against
-     * the mechanism registry and rejects unknown mechanisms or
-     * out-of-domain parameters.
+     * mechanism in place of its built-in `delay-line` config, and
+     * the simulator backends inject the loss / outcome-flip
+     * channels. When absent (or vacuous) every backend is
+     * bit-identical to a run without this field. validate() resolves
+     * the config against the mechanism registry and rejects unknown
+     * mechanisms or out-of-domain parameters.
      */
     std::optional<NoiseConfig> noise;
 

@@ -5,7 +5,11 @@
  * replay; the deterministic evolution between decisions (graph-state
  * prep, entangling, conjugation, deterministic measurements) is
  * computed once per distinct outcome prefix and shared by every shot
- * that follows the same prefix, instead of once per shot.
+ * that follows the same prefix, instead of once per shot. The
+ * stabilizer and schedule backends sample through it
+ * (exec/stabilizer_replay.hh); the statevector backend does not,
+ * because copying a dense amplitude vector at every decision costs
+ * more than the prefix it saves.
  *
  * Determinism contract: a shot's outcome depends only on its own RNG
  * stream and the (deterministic) stepper — node caching changes
@@ -199,9 +203,10 @@ class ShotTree
 };
 
 /**
- * The pre-tree behavior: replay the full shot start to finish with
- * no sharing. Consumes the RNG identically to ShotTree::run — this
- * IS the naive backend shot loop, expressed through the stepper.
+ * Naive per-shot replay: the full shot start to finish with no
+ * sharing. Consumes the RNG identically to ShotTree::run; it is the
+ * tree's test oracle and the path taken when
+ * SimKernelConfig::shotTree is off.
  */
 template <class Stepper>
 typename Stepper::Result

@@ -2,14 +2,9 @@
 
 #include <cmath>
 
-#include <optional>
-
 #include "common/rng.hh"
 #include "exec/noise_channel.hh"
-#include "exec/shot_tree.hh"
-#include "sim/kernel_config.hh"
 #include "sim/pattern_runner.hh"
-#include "sim/pattern_stepper.hh"
 #include "sim/statevector.hh"
 
 namespace dcmbqc
@@ -68,14 +63,18 @@ StatevectorBackend::run(const ExecProgram &program,
     // stream, so an inactive channel changes nothing.
     std::vector<std::string> outcomes(options.shots);
     std::vector<std::int32_t> lost(options.shots, 0);
-    const SvPatternStepper stepper(pattern, options.applyByproducts);
-    std::optional<ShotTree<SvPatternStepper>> tree;
-    if (simKernelConfig().shotTree)
-        tree.emplace(stepper);
     forEachShot(options.shots, result.threads, [&](int shot) {
         Rng rng(shotSeed(options.seed, shot));
-        std::string bits = tree ? tree->run(rng).bits
-                                : runShotNaive(stepper, rng).bits;
+        PatternRunResult run =
+            runPattern(pattern, rng, options.applyByproducts);
+        StateVector &state = run.outputState;
+        std::string bits(wires, '0');
+        for (int w = 0; w < wires; ++w) {
+            // Wire w is simulator qubit w; removal shifts the rest
+            // down, so the front qubit is always the next wire.
+            if (state.measureZAndRemove(0, rng).outcome)
+                bits[w] = '1';
+        }
         if (channel->active()) {
             Rng noise_rng(shotSeed(options.seed, shot) ^
                           kNoiseStreamSalt);

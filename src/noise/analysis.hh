@@ -39,9 +39,9 @@ struct NoiseExposure
 /**
  * Exposure of a schedule given per-photon generation times.
  *
- * Intra-QPU storage follows the Algorithm 1 accounting of
- * sim/loss_analysis (fusee waits charged to the earlier photon of
- * each same-part pair, measuree waits from the MTime recurrence).
+ * Intra-QPU storage follows the Algorithm 1 accounting (fusee waits
+ * charged to the earlier photon of each same-part pair, measuree
+ * waits from the MTime recurrence).
  * Cut edges mark both endpoints as connector photons and charge the
  * generation gap |t_u - t_v| to the earlier photon's connector-side
  * storage — the sync-layer placement is not retained in a
@@ -80,7 +80,7 @@ struct NoiseAnalysis
     /** Per-fusion loss probability (sampling), edge order. */
     std::vector<double> edgeLoss;
 
-    /** Max / mean intra-QPU storage (reporting parity w/ legacy). */
+    /** Max / mean intra-QPU storage, as mc-loss reports them. */
     int maxStorageCycles = 0;
     double meanStorageCycles = 0.0;
 };

@@ -112,8 +112,8 @@ class DelayLineMechanism final : public TabledMechanism
 /**
  * Loss on the connector path of a cut edge: a fixed insertion loss
  * per connector photon plus delay-line attenuation over the photon's
- * wait for its connection layer (the tau_remote storage the legacy
- * mc-loss backend never charged).
+ * wait for its connection layer (the tau_remote storage that
+ * `delay-line` does not charge).
  */
 class ConnectorMechanism final : public TabledMechanism
 {

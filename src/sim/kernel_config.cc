@@ -10,17 +10,10 @@ SimKernelConfig
 defaults()
 {
     SimKernelConfig config;
-#ifdef DCMBQC_SIM_REFERENCE
-    config.packedTableau = false;
-    config.shotTree = false;
-    config.svKernel = SvKernel::Portable;
-    config.fuseGates = false;
-#else
     config.packedTableau = true;
     config.shotTree = true;
     config.svKernel = SvKernel::Auto;
     config.fuseGates = true;
-#endif
     return config;
 }
 

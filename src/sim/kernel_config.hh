@@ -3,14 +3,14 @@
  * Runtime selection of the simulation kernel implementations. The
  * fast paths (bit-packed tableau, AVX2 amplitude kernels, shot
  * prefix tree) are the defaults; the scalar/naive reference paths
- * stay alive as the test oracle and are selected either per process
- * via this config or as the build default with the CMake option
- * -DDCMBQC_SIM_REFERENCE=ON (which defines DCMBQC_SIM_REFERENCE).
+ * stay alive as test oracles, selected per process through this
+ * config.
  *
  * Every pair of paths is bit-identical by contract — same outcomes,
- * same probabilities, same serialized artifacts — which is what
- * tests/test_sim_kernels.cc pins. The config exists so one binary
- * can run both sides of that equivalence.
+ * same probabilities, same serialized artifacts — which
+ * tests/test_sim_kernels.cc, tests/test_differential.cc and the
+ * golden corpus pin. The config exists so one binary can run both
+ * sides of that equivalence.
  */
 
 #ifndef DCMBQC_SIM_KERNEL_CONFIG_HH
@@ -46,9 +46,11 @@ struct SimKernelConfig
     bool packedTableau;
 
     /**
-     * Backends share the deterministic shot prefix through the
-     * fork-on-first-measurement tree; false re-runs the full
-     * pattern per shot (the pre-optimization behavior).
+     * The stabilizer and schedule backends share the deterministic
+     * shot prefix through the fork-on-first-measurement tree; false
+     * re-runs the full pattern per shot (`runShotNaive`). The
+     * statevector backend always replays each shot with
+     * `runPattern`.
      */
     bool shotTree;
 
@@ -65,10 +67,10 @@ struct SimKernelConfig
     bool fuseGates;
 };
 
-/** The mutable process-wide config (defaults per build mode). */
+/** The mutable process-wide config (defaults: every fast path). */
 SimKernelConfig &simKernelConfig();
 
-/** Reset to the build-mode defaults (test teardown helper). */
+/** Reset to the defaults (test teardown helper). */
 void resetSimKernelConfig();
 
 } // namespace dcmbqc

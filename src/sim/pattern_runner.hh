@@ -4,8 +4,9 @@
  * full runtime byproduct tracking (flow corrections), exactly as a
  * photonic MBQC machine would: nodes are created lazily, entangled,
  * measured at the adapted angle (-1)^{sx} theta + sz*pi, and
- * destroyed. Used to validate that compiled patterns reproduce the
- * original circuit.
+ * destroyed. The statevector backend samples every shot through
+ * it, and tests use it as the dense oracle that compiled patterns
+ * reproduce the original circuit.
  */
 
 #ifndef DCMBQC_SIM_PATTERN_RUNNER_HH

@@ -6,8 +6,8 @@
  * (tests/test_sim_kernels.cc) asserts both implementations produce
  * bit-identical outcomes, deterministic/random verdicts, and
  * isStabilizer/anticommutes answers; the execution backends run this
- * class when simKernelConfig().packedTableau is off (the
- * DCMBQC_SIM_REFERENCE build default).
+ * class when a test or bench turns simKernelConfig().packedTableau
+ * off.
  */
 
 #ifndef DCMBQC_SIM_STABILIZER_REFERENCE_HH

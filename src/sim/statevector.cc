@@ -452,46 +452,6 @@ StateVector::measureZAndRemove(int q, Rng &rng, int forced_outcome)
 }
 
 double
-StateVector::prob0XY(int q, double theta) const
-{
-    DCMBQC_ASSERT(q >= 0 && q < numQubits_, "prob0XY: bad qubit ", q);
-    // Mirrors measureXYAndRemove -> measureAndRemove's project(b0,
-    // b1) accumulation term for term so the sum rounds identically.
-    const Amplitude b0 = invSqrt2;
-    const Amplitude b1 = std::exp(iunit * theta) * invSqrt2;
-    const std::size_t stride = static_cast<std::size_t>(1) << q;
-    const std::size_t half = amps_.size() / 2;
-    double prob = 0.0;
-    for (std::size_t r = 0; r < half; ++r) {
-        const std::size_t low = r & (stride - 1);
-        const std::size_t high = (r >> q) << (q + 1);
-        const std::size_t i0 = high | low;
-        const std::size_t i1 = i0 | stride;
-        const Amplitude value =
-            std::conj(b0) * amps_[i0] + std::conj(b1) * amps_[i1];
-        prob += std::norm(value);
-    }
-    return prob;
-}
-
-double
-StateVector::prob0Z(int q) const
-{
-    DCMBQC_ASSERT(q >= 0 && q < numQubits_, "prob0Z: bad qubit ", q);
-    // Mirrors measureZAndRemove's extract(0) accumulation.
-    const std::size_t stride = static_cast<std::size_t>(1) << q;
-    const std::size_t half = amps_.size() / 2;
-    double prob = 0.0;
-    for (std::size_t r = 0; r < half; ++r) {
-        const std::size_t low = r & (stride - 1);
-        const std::size_t high = (r >> q) << (q + 1);
-        const std::size_t idx = high | low;
-        prob += std::norm(amps_[idx]);
-    }
-    return prob;
-}
-
-double
 StateVector::norm() const
 {
     double total = 0.0;

@@ -16,9 +16,9 @@
 #include "api/api.hh"
 #include "circuit/generators.hh"
 #include "noise/analysis.hh"
+#include "photonic/grid.hh"
 #include "serialize/codecs.hh"
 #include "serialize/json.hh"
-#include "sim/loss_analysis.hh"
 
 namespace dcmbqc
 {
@@ -344,33 +344,55 @@ TEST(ExecLossBackend, OncePerRunAnalysisIsHoistedOutOfTheShotLoop)
         ExecProgram::fromRequest(request).withSchedule(
             report->result());
 
-    // Legacy storage-only path: analyzeLoss is the per-run work.
-    ExecOptions legacy;
-    legacy.backend = "mc-loss";
-    legacy.shots = 512;
-    legacy.seed = 6;
-    legacy.lossModel.cyclePeriodNs = 30.0;
-    const long loss_before = analyzeLossCallCount();
-    auto a = executeProgram(program, legacy);
+    // Default run (built-in delay-line config): the schedule-derived
+    // exposure feeds every shot's sampling probabilities but must be
+    // built once per run.
+    ExecOptions plain;
+    plain.backend = "mc-loss";
+    plain.shots = 512;
+    plain.seed = 6;
+    plain.lossModel.cyclePeriodNs = 30.0;
+    long exposure_before = buildExposureCallCount();
+    auto a = executeProgram(program, plain);
     ASSERT_TRUE(a.ok()) << a.status().toString();
-    EXPECT_EQ(analyzeLossCallCount() - loss_before, 1);
+    EXPECT_EQ(buildExposureCallCount() - exposure_before, 1);
 
-    // Mechanism path: the schedule-derived exposure feeds every
-    // shot's sampling probabilities but must be built once per run.
-    // The correlated mechanism also exercises the per-worker mask
-    // reuse in the shot loop.
-    ExecOptions noisy = legacy;
+    // A supplied config takes the same path. The correlated
+    // mechanism also exercises the per-worker mask reuse in the shot
+    // loop.
+    ExecOptions noisy = plain;
     NoiseConfig noise;
     noise.add("connector", {{"insertion_loss_db", 1.0}})
         .add("correlated-burst",
              {{"burst_rate", 0.02}, {"burst_width", 3.0}});
     noisy.noise = noise;
-    const long exposure_before = buildExposureCallCount();
+    exposure_before = buildExposureCallCount();
     auto b = executeProgram(program, noisy);
     ASSERT_TRUE(b.ok()) << b.status().toString();
     EXPECT_EQ(buildExposureCallCount() - exposure_before, 1);
     EXPECT_EQ(b->shots, 512);
     EXPECT_EQ(b->completedShots + b->lostShots, b->shots);
+}
+
+TEST(ExecLossBackend, CertainPhotonLossIsAResultNotAnAbort)
+{
+    // A 10 ms cycle passes ExecOptions::validate(), but one cycle of
+    // storage then costs ~400 dB and survival rounds to exactly 0.
+    // The run must report certain loss instead of aborting.
+    const CompilerDriver driver(
+        CompileOptions().numQpus(2).gridSize(gridSizeForQubits(8)));
+    ExecOptions exec;
+    exec.backend = "mc-loss";
+    exec.shots = 16;
+    exec.lossModel.cyclePeriodNs = 1e7;
+    auto report = driver.compileAndExecute(
+        CompileRequest::fromCircuit(makeQft(8), "certain-loss"), exec);
+    ASSERT_TRUE(report.ok()) << report.status().toString();
+    ASSERT_EQ(report->executions.size(), 1u);
+    const ExecResult &result = report->executions[0];
+    EXPECT_EQ(result.analyticSuccessProbability, 0.0);
+    EXPECT_EQ(result.completedShots, 0);
+    EXPECT_EQ(result.lostShots, 16);
 }
 
 TEST(ExecDriver, CompileAndExecuteRecordsStagesAndStatistics)

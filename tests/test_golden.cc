@@ -88,7 +88,8 @@ goldenReport()
 
 /**
  * The stabilizer run behind `exec_shot_tree.dcmb`, sampled under
- * whatever kernel config is current. Wall-clock zeroed for
+ * whatever kernel config is current — by default the full fast
+ * stack, shot prefix tree included. Wall-clock zeroed for
  * determinism.
  */
 ExecResult
@@ -108,21 +109,6 @@ goldenStabilizerResult()
               result.status().toString());
     result->wallMillis = 0.0;
     return std::move(result.value());
-}
-
-/**
- * The stabilizer run sampled explicitly through the shot prefix tree
- * (full fast kernel stack forced on, so a reference-default build
- * regenerates the same bytes).
- */
-ExecResult
-goldenShotTreeResult()
-{
-    simKernelConfig() = {/*packedTableau=*/true, /*shotTree=*/true,
-                         SvKernel::Auto, /*fuseGates=*/true};
-    ExecResult result = goldenStabilizerResult();
-    resetSimKernelConfig();
-    return result;
 }
 
 /**
@@ -186,7 +172,7 @@ regenerate()
         {"exec_result.dcmb",
          encodeExecResultArtifact(report.executions[0])},
         {"exec_shot_tree.dcmb",
-         encodeExecResultArtifact(goldenShotTreeResult())},
+         encodeExecResultArtifact(goldenStabilizerResult())},
         {"exec_mc_loss.dcmb",
          encodeExecResultArtifact(goldenMcLossResult())},
     };
@@ -392,7 +378,7 @@ TEST_F(GoldenCorpus, ShotTreeExecResultFixtureIsByteStable)
     EXPECT_EQ(decoded->shots, 64);
     EXPECT_EQ(decoded->completedShots, decoded->shots);
 
-    const ExecResult fresh = goldenShotTreeResult();
+    const ExecResult fresh = goldenStabilizerResult();
     EXPECT_EQ(encodeExecResultArtifact(fresh), bytes);
 }
 

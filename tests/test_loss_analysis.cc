@@ -1,8 +1,10 @@
 /**
  * @file
- * Tests for the program-level photon-loss analysis: per-photon
- * storage accounting, consistency with Algorithm 1, the analytic
- * success probability, and the Monte-Carlo cross-check.
+ * Tests for the program-level photon-loss analysis under the
+ * delay-line model (`buildExposure` + `analyzeNoise`): per-photon
+ * storage accounting, consistency with Algorithm 1, and the analytic
+ * success probability. Sampled survival is checked against it in
+ * tests/test_differential.cc.
  */
 
 #include <gtest/gtest.h>
@@ -15,8 +17,8 @@
 #include "core/lsp_builder.hh"
 #include "mbqc/dependency.hh"
 #include "mbqc/pattern_builder.hh"
+#include "noise/analysis.hh"
 #include "photonic/grid.hh"
-#include "sim/loss_analysis.hh"
 
 namespace dcmbqc
 {
@@ -25,18 +27,39 @@ namespace
 
 using test::compileBase;
 
+/** The delay-line mechanism alone at 0.2 dB/km and the given clock. */
+NoiseModel
+delayLine(double cycle_period_ns)
+{
+    NoiseConfig config;
+    config.add("delay-line", {{"cycle_period_ns", cycle_period_ns}});
+    auto model = buildNoiseModel(config);
+    EXPECT_TRUE(model.ok()) << model.status().toString();
+    return std::move(model.value());
+}
+
+/** Single-QPU exposure of `g` scored against `model`. */
+NoiseAnalysis
+singleQpuAnalysis(const Graph &g, const Digraph &deps,
+                  const std::vector<TimeSlot> &node_time,
+                  const NoiseModel &model)
+{
+    return analyzeNoise(buildExposure(g, deps, node_time, nullptr),
+                        model);
+}
+
 TEST(LossAnalysis, FuseeStorageChargedToEarlierPhoton)
 {
     Graph g(2);
     g.addEdge(0, 1);
     Digraph deps(2);
-    const LossModel model{0.2, 10.0};
-    const auto a = analyzeLoss(g, deps, {3, 10}, model);
-    EXPECT_EQ(a.storageCycles[0], 7);
+    const auto exposure = buildExposure(g, deps, {3, 10}, nullptr);
+    EXPECT_EQ(exposure.sites[0].storageCycles, 7);
     // Photon 1 still waits one cycle for its (dependency-free)
     // measurement per Algorithm 1.
-    EXPECT_EQ(a.storageCycles[1], 1);
-    EXPECT_EQ(a.maxStorageCycles, 7);
+    EXPECT_EQ(exposure.sites[1].storageCycles, 1);
+    EXPECT_EQ(analyzeNoise(exposure, delayLine(10.0)).maxStorageCycles,
+              7);
 }
 
 TEST(LossAnalysis, MaxEqualsRequiredLifetime)
@@ -54,9 +77,9 @@ TEST(LossAnalysis, MaxEqualsRequiredLifetime)
     for (NodeId u = 0; u < pattern.numNodes(); ++u)
         node_time[u] = baseline.schedule.nodePhysicalTime(u);
 
-    const LossModel model{0.2, 1.0};
     const auto a =
-        analyzeLoss(pattern.graph(), deps, node_time, model);
+        singleQpuAnalysis(pattern.graph(), deps, node_time,
+                          delayLine(1.0));
     EXPECT_EQ(a.maxStorageCycles, baseline.requiredLifetime());
     EXPECT_GT(a.successProbability, 0.0);
     EXPECT_LE(a.successProbability, 1.0);
@@ -68,8 +91,9 @@ TEST(LossAnalysis, SuccessProbabilityIsSurvivalProduct)
     Graph g(2);
     g.addEdge(0, 1);
     Digraph deps(2);
+    const auto a =
+        singleQpuAnalysis(g, deps, {0, 500}, delayLine(100.0));
     const LossModel model{0.2, 100.0};
-    const auto a = analyzeLoss(g, deps, {0, 500}, model);
     const double expected = model.survivalProbability(500) *
         model.survivalProbability(1);
     EXPECT_NEAR(a.successProbability, expected, 1e-12);
@@ -87,24 +111,11 @@ TEST(LossAnalysis, SlowerClockLowersSuccess)
     for (NodeId u = 0; u < pattern.numNodes(); ++u)
         node_time[u] = baseline.schedule.nodePhysicalTime(u);
 
-    const auto fast = analyzeLoss(pattern.graph(), deps, node_time,
-                                  LossModel{0.2, 1.0});
-    const auto slow = analyzeLoss(pattern.graph(), deps, node_time,
-                                  LossModel{0.2, 100.0});
+    const auto fast = singleQpuAnalysis(pattern.graph(), deps,
+                                        node_time, delayLine(1.0));
+    const auto slow = singleQpuAnalysis(pattern.graph(), deps,
+                                        node_time, delayLine(100.0));
     EXPECT_GT(fast.successProbability, slow.successProbability);
-}
-
-TEST(LossAnalysis, MonteCarloMatchesAnalytic)
-{
-    Graph g(3);
-    g.addEdge(0, 1);
-    g.addEdge(1, 2);
-    Digraph deps(3);
-    const LossModel model{0.2, 100.0};
-    const auto a = analyzeLoss(g, deps, {0, 200, 400}, model);
-    Rng rng(31);
-    const double mc = sampleSuccessProbability(a, model, rng, 20000);
-    EXPECT_NEAR(mc, a.successProbability, 0.02);
 }
 
 TEST(LossAnalysis, DistributionImprovesSuccessProbability)
@@ -136,13 +147,15 @@ TEST(LossAnalysis, DistributionImprovesSuccessProbability)
         dc_time[u] =
             dc.schedule.mainStart[lsp.taskOfNode(u)] * lsp.plRatio();
 
-    const LossModel model{0.2, 20.0};
+    const NoiseModel model = delayLine(20.0);
     const auto base_loss =
-        analyzeLoss(pattern.graph(), deps, base_time, model);
-    // Distributed: intra-QPU edges only; connectors excluded here
-    // (their storage is tau_remote, bounded by the scheduler).
-    const auto dc_loss =
-        analyzeLoss(lsp.localEdges(), deps, dc_time, model);
+        singleQpuAnalysis(pattern.graph(), deps, base_time, model);
+    // Distributed: delay-line charges intra-QPU storage only; the
+    // connectors' tau_remote storage is bounded by the scheduler.
+    const auto dc_loss = analyzeNoise(
+        buildExposure(pattern.graph(), deps, dc_time,
+                      &dc.partition.assignment()),
+        model);
     EXPECT_GT(dc_loss.successProbability,
               base_loss.successProbability);
 }

@@ -288,6 +288,33 @@ TEST(ServiceServerApi, OversizedNodeFailsTheRequestNotTheServer)
     EXPECT_EQ(stats->succeeded, 1u);
 }
 
+TEST(ServiceServerApi, CertainPhotonLossIsAnsweredAndServingContinues)
+{
+    Harness h(basicConfig("certain-loss"));
+    // At a 10 ms cycle every stored photon's survival rounds to 0.
+    ServiceJob doomed = qftJob(8, "certain-loss");
+    ExecOptions exec;
+    exec.backend = "mc-loss";
+    exec.shots = 16;
+    exec.lossModel.cyclePeriodNs = 1e7;
+    doomed.backends = {exec};
+
+    auto answered = h.client.compile(doomed);
+    ASSERT_TRUE(answered.ok()) << answered.status().toString();
+    ASSERT_EQ(answered->report.executions.size(), 1u);
+    const ExecResult &result = answered->report.executions[0];
+    EXPECT_EQ(result.analyticSuccessProbability, 0.0);
+    EXPECT_EQ(result.completedShots, 0);
+
+    auto healthy = h.client.compile(qftJob(6, "after-certain-loss"));
+    ASSERT_TRUE(healthy.ok()) << healthy.status().toString();
+
+    auto stats = h.client.stats();
+    ASSERT_TRUE(stats.ok()) << stats.status().toString();
+    EXPECT_EQ(stats->failed, 0u);
+    EXPECT_EQ(stats->succeeded, 2u);
+}
+
 TEST(ServiceServerApi, ConcurrentClientsGetBitIdenticalSchedules)
 {
     ServiceConfig config = basicConfig("concurrent");

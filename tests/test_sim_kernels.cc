@@ -5,8 +5,9 @@
  * deterministic/random verdicts, isStabilizer/anticommutes on random
  * PauliStrings, 200+ seeded circuits), the AVX2 amplitude kernel
  * against the portable kernel to exact ULP, the shot prefix tree
- * against the naive per-shot loop under identical seeds, and
- * thread-count invariance of the tree-based shot scheduler. Every
+ * against the naive per-shot loop under identical seeds on the
+ * stabilizer and schedule backends, and thread-count invariance of
+ * the tree-based shot scheduler. Every
  * fast path must be *bit-identical* to its reference — these tests
  * use EXPECT_EQ / memcmp, never tolerances, except for gate fusion
  * which documents its ~ULP reassociation error explicitly.
@@ -325,8 +326,7 @@ TEST(SimKernels, ShotTreeMatchesNaivePerShotSampling)
     const ExecProgram program = compiledCliffordProgram(21);
     const SimKernelConfig naive{true, false, SvKernel::Auto, true};
     const SimKernelConfig tree{true, true, SvKernel::Auto, true};
-    for (const char *backend :
-         {"statevector", "stabilizer", "schedule"}) {
+    for (const char *backend : {"stabilizer", "schedule"}) {
         SCOPED_TRACE(backend);
         const ExecResult a =
             runBackend(program, backend, 200, 17, 2, naive);
@@ -346,8 +346,7 @@ TEST(SimKernels, ShotTreeIsThreadCountInvariant)
     // result of any shot, so 1, 3, and 8 workers must agree exactly.
     const ExecProgram program = compiledCliffordProgram(22);
     const SimKernelConfig tree{true, true, SvKernel::Auto, true};
-    for (const char *backend :
-         {"statevector", "stabilizer", "schedule"}) {
+    for (const char *backend : {"stabilizer", "schedule"}) {
         SCOPED_TRACE(backend);
         const ExecResult serial =
             runBackend(program, backend, 128, 5, 1, tree);
@@ -363,23 +362,18 @@ TEST(SimKernels, ShotTreeIsThreadCountInvariant)
     }
 }
 
-TEST(SimKernels, ReferenceBuildDefaultsFollowTheMacro)
+TEST(SimKernels, ResetRestoresTheFastStackDefaults)
 {
-    // One binary runs both sides of the equivalence: the build mode
-    // only moves the *defaults*, which resetSimKernelConfig restores.
+    // One binary runs both sides of the equivalence; tests select
+    // the oracles per process and resetSimKernelConfig restores the
+    // fast stack.
+    simKernelConfig() = {false, false, SvKernel::Portable, false};
     resetSimKernelConfig();
     const SimKernelConfig &config = simKernelConfig();
-#if defined(DCMBQC_SIM_REFERENCE)
-    EXPECT_FALSE(config.packedTableau);
-    EXPECT_FALSE(config.shotTree);
-    EXPECT_EQ(config.svKernel, SvKernel::Portable);
-    EXPECT_FALSE(config.fuseGates);
-#else
     EXPECT_TRUE(config.packedTableau);
     EXPECT_TRUE(config.shotTree);
     EXPECT_EQ(config.svKernel, SvKernel::Auto);
     EXPECT_TRUE(config.fuseGates);
-#endif
 }
 
 } // namespace
