@@ -7,10 +7,10 @@
  * against the portable kernel to exact ULP, the shot prefix tree
  * against the naive per-shot loop under identical seeds on the
  * stabilizer and schedule backends, and thread-count invariance of
- * the tree-based shot scheduler. Every
- * fast path must be *bit-identical* to its reference — these tests
- * use EXPECT_EQ / memcmp, never tolerances, except for gate fusion
- * which documents its ~ULP reassociation error explicitly.
+ * the tree-based shot scheduler. Every fast path must be
+ * *bit-identical* to its reference — these tests use EXPECT_EQ /
+ * memcmp, never tolerances, except for gate fusion which documents
+ * its ~ULP reassociation error explicitly.
  */
 
 #include <gtest/gtest.h>
