@@ -10,8 +10,9 @@
  * execution backends: a fresh compile (and run) of the canonical
  * program must re-encode to exactly the checked-in bytes, and the
  * request's cache key must not move. Only `report.dcmb` is
- * decode-only (it predates pattern retention, so a fresh report is
- * larger).
+ * decode-only: it predates pattern retention, so it stays as the
+ * proof that such reports still decode, and the regenerator never
+ * rewrites it. `report_retained.dcmb` pins a fresh report's bytes.
  *
  * Regenerate with  DCMBQC_REGEN_GOLDEN=1 ./test_golden  after an
  * *intentional*, version-bumped format change (wall-clock fields are
@@ -168,7 +169,7 @@ regenerate()
         {"local_schedule.dcmb",
          encodeLocalScheduleArtifact(
              report.result().localSchedules[0])},
-        {"report.dcmb", encodeCompileReportArtifact(report)},
+        {"report_retained.dcmb", encodeCompileReportArtifact(report)},
         {"exec_result.dcmb",
          encodeExecResultArtifact(report.executions[0])},
         {"exec_shot_tree.dcmb",
@@ -321,6 +322,21 @@ TEST_F(GoldenCorpus, FreshEncodesMatchTheCheckedInBytes)
               load("exec_result.dcmb"));
     EXPECT_EQ(encodeExecResultArtifact(goldenMcLossResult()),
               load("exec_mc_loss.dcmb"));
+    EXPECT_EQ(encodeCompileReportArtifact(report),
+              load("report_retained.dcmb"));
+}
+
+TEST_F(GoldenCorpus, RetainedReportReencodesToItsOwnBytes)
+{
+    // Decode then encode must be the identity on a report that
+    // carries every section a compile-and-execute writes, the
+    // retained pattern with its embedded X/Z sets included.
+    const auto bytes = load("report_retained.dcmb");
+    auto decoded = decodeCompileReportArtifact(bytes);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().toString();
+    ASSERT_TRUE(decoded->pattern.has_value());
+    ASSERT_EQ(decoded->executions.size(), 1u);
+    EXPECT_EQ(encodeCompileReportArtifact(*decoded), bytes);
 }
 
 TEST_F(GoldenCorpus, McLossFixtureExercisesBothOutcomes)
