@@ -10,6 +10,28 @@ Graph::Graph(NodeId num_nodes)
 {
 }
 
+Graph::Graph(std::vector<int> node_weights, std::vector<Edge> edges)
+    : nodeWeights_(std::move(node_weights)),
+      adjacency_(nodeWeights_.size()), edges_(std::move(edges))
+{
+    const NodeId n = numNodes();
+    std::vector<int> degree(n, 0);
+    for (const Edge &e : edges_) {
+        DCMBQC_ASSERT(e.u >= 0 && e.u < n && e.v >= 0 && e.v < n &&
+                          e.u != e.v,
+                      "Graph: bad edge (", e.u, ", ", e.v, ")");
+        ++degree[e.u];
+        ++degree[e.v];
+    }
+    for (NodeId u = 0; u < n; ++u)
+        adjacency_[u].reserve(degree[u]);
+    for (EdgeId e = 0; e < numEdges(); ++e) {
+        const Edge &edge = edges_[e];
+        adjacency_[edge.u].push_back({edge.v, e, edge.weight});
+        adjacency_[edge.v].push_back({edge.u, e, edge.weight});
+    }
+}
+
 NodeId
 Graph::addNode(int weight)
 {

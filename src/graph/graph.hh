@@ -50,6 +50,15 @@ class Graph
     /** Construct with a fixed number of isolated nodes. */
     explicit Graph(NodeId num_nodes);
 
+    /**
+     * Construct from node weights and an edge list: the graph that
+     * adding the nodes and then calling addEdge(e.u, e.v, e.weight)
+     * for each edge in order gives, adjacency order included, with
+     * each adjacency list allocated once at its exact size. Edge
+     * endpoints must be distinct nodes in range.
+     */
+    Graph(std::vector<int> node_weights, std::vector<Edge> edges);
+
     /** Append a new isolated node and return its id. */
     NodeId addNode(int weight = 1);
 

@@ -7,6 +7,21 @@
 namespace dcmbqc
 {
 
+Pattern::Pattern(Graph graph, std::vector<double> angles,
+                 std::vector<NodeId> flow, std::vector<QubitId> wires,
+                 std::vector<NodeId> measurement_order,
+                 std::vector<NodeId> outputs)
+    : graph_(std::move(graph)), angles_(std::move(angles)),
+      flow_(std::move(flow)), wires_(std::move(wires)),
+      measurementOrder_(std::move(measurement_order)),
+      outputs_(std::move(outputs))
+{
+    const auto n = static_cast<std::size_t>(graph_.numNodes());
+    DCMBQC_ASSERT(angles_.size() == n && flow_.size() == n &&
+                      wires_.size() == n,
+                  "Pattern: per-node parts disagree with the graph");
+}
+
 NodeId
 Pattern::addNode(QubitId wire)
 {

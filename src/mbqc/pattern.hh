@@ -31,6 +31,19 @@ class Pattern
   public:
     Pattern() = default;
 
+    /**
+     * Assemble a pattern from its parts as the artifact decoder
+     * reads them: per-node angles, flow successors and wires, the
+     * measured nodes in measurement order, and the outputs. Equal to
+     * building the same pattern with addNode, addEdge,
+     * setMeasurement and setOutputs; the caller has checked that the
+     * parts are consistent.
+     */
+    Pattern(Graph graph, std::vector<double> angles,
+            std::vector<NodeId> flow, std::vector<QubitId> wires,
+            std::vector<NodeId> measurement_order,
+            std::vector<NodeId> outputs);
+
     /** The graph state's entanglement graph. */
     const Graph &graph() const { return graph_; }
     Graph &mutableGraph() { return graph_; }

@@ -1,7 +1,5 @@
 #include "serialize/binary.hh"
 
-#include <cstring>
-
 namespace dcmbqc
 {
 
@@ -17,48 +15,6 @@ fnv1a64(const std::uint8_t *data, std::size_t size, std::uint64_t seed)
 }
 
 void
-BinaryWriter::writeU16(std::uint16_t value)
-{
-    bytes_.push_back(static_cast<std::uint8_t>(value));
-    bytes_.push_back(static_cast<std::uint8_t>(value >> 8));
-}
-
-void
-BinaryWriter::writeU32(std::uint32_t value)
-{
-    for (int shift = 0; shift < 32; shift += 8)
-        bytes_.push_back(static_cast<std::uint8_t>(value >> shift));
-}
-
-void
-BinaryWriter::writeU64(std::uint64_t value)
-{
-    for (int shift = 0; shift < 64; shift += 8)
-        bytes_.push_back(static_cast<std::uint8_t>(value >> shift));
-}
-
-void
-BinaryWriter::writeI32(std::int32_t value)
-{
-    writeU32(static_cast<std::uint32_t>(value));
-}
-
-void
-BinaryWriter::writeI64(std::int64_t value)
-{
-    writeU64(static_cast<std::uint64_t>(value));
-}
-
-void
-BinaryWriter::writeF64(double value)
-{
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(value), "double is 64-bit");
-    std::memcpy(&bits, &value, sizeof(bits));
-    writeU64(bits);
-}
-
-void
 BinaryWriter::writeString(const std::string &value)
 {
     writeU32(static_cast<std::uint32_t>(value.size()));
@@ -69,16 +25,22 @@ void
 BinaryWriter::writeI32Vector(const std::vector<std::int32_t> &values)
 {
     writeU32(static_cast<std::uint32_t>(values.size()));
-    for (std::int32_t v : values)
-        writeI32(v);
+    std::uint8_t *out = grow(4 * values.size());
+    for (std::int32_t v : values) {
+        detail::storeLittle(out, static_cast<std::uint32_t>(v));
+        out += 4;
+    }
 }
 
 void
 BinaryWriter::writeF64Vector(const std::vector<double> &values)
 {
     writeU32(static_cast<std::uint32_t>(values.size()));
-    for (double v : values)
-        writeF64(v);
+    std::uint8_t *out = grow(8 * values.size());
+    for (double v : values) {
+        detail::storeLittle(out, detail::doubleBits(v));
+        out += 8;
+    }
 }
 
 void
@@ -88,95 +50,20 @@ BinaryWriter::writeBytes(const std::uint8_t *data, std::size_t size)
 }
 
 void
-BinaryWriter::patchU64(std::size_t offset, std::uint64_t value)
-{
-    for (int i = 0; i < 8; ++i)
-        bytes_[offset + i] =
-            static_cast<std::uint8_t>(value >> (8 * i));
-}
-
-void
 BinaryReader::fail(const std::string &message)
 {
     if (status_.ok())
         status_ = Status::invalidArgument(message);
 }
 
-bool
-BinaryReader::require(std::size_t bytes)
+void
+BinaryReader::failTruncated(std::size_t bytes)
 {
     if (!status_.ok())
-        return false;
-    if (size_ - pos_ < bytes) {
-        fail("artifact truncated: need " + std::to_string(bytes) +
-             " bytes at offset " + std::to_string(pos_) + ", have " +
-             std::to_string(size_ - pos_));
-        return false;
-    }
-    return true;
-}
-
-std::uint8_t
-BinaryReader::readU8()
-{
-    if (!require(1))
-        return 0;
-    return data_[pos_++];
-}
-
-std::uint16_t
-BinaryReader::readU16()
-{
-    if (!require(2))
-        return 0;
-    std::uint16_t value = 0;
-    for (int i = 0; i < 2; ++i)
-        value = static_cast<std::uint16_t>(
-            value | static_cast<std::uint16_t>(data_[pos_++]) << (8 * i));
-    return value;
-}
-
-std::uint32_t
-BinaryReader::readU32()
-{
-    if (!require(4))
-        return 0;
-    std::uint32_t value = 0;
-    for (int i = 0; i < 4; ++i)
-        value |= static_cast<std::uint32_t>(data_[pos_++]) << (8 * i);
-    return value;
-}
-
-std::uint64_t
-BinaryReader::readU64()
-{
-    if (!require(8))
-        return 0;
-    std::uint64_t value = 0;
-    for (int i = 0; i < 8; ++i)
-        value |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * i);
-    return value;
-}
-
-std::int32_t
-BinaryReader::readI32()
-{
-    return static_cast<std::int32_t>(readU32());
-}
-
-std::int64_t
-BinaryReader::readI64()
-{
-    return static_cast<std::int64_t>(readU64());
-}
-
-double
-BinaryReader::readF64()
-{
-    const std::uint64_t bits = readU64();
-    double value;
-    std::memcpy(&value, &bits, sizeof(value));
-    return value;
+        return;
+    fail("artifact truncated: need " + std::to_string(bytes) +
+         " bytes at offset " + std::to_string(pos_) + ", have " +
+         std::to_string(size_ - pos_));
 }
 
 std::string
@@ -191,25 +78,32 @@ BinaryReader::readString()
     return value;
 }
 
-std::vector<std::int32_t>
-BinaryReader::readI32Vector()
+void
+BinaryReader::readI32Vector(std::vector<std::int32_t> &values)
 {
     const std::uint32_t count = readCount(4);
-    std::vector<std::int32_t> values;
-    values.reserve(count);
-    for (std::uint32_t i = 0; i < count && ok(); ++i)
-        values.push_back(readI32());
-    return values;
+    values.resize(count);
+    if (count == 0)
+        return;
+    const std::uint8_t *in = data_ + pos_;
+    for (std::uint32_t i = 0; i < count; ++i)
+        values[i] = static_cast<std::int32_t>(
+            detail::loadLittle<std::uint32_t>(in + 4 * i));
+    pos_ += 4 * static_cast<std::size_t>(count);
 }
 
 std::vector<double>
 BinaryReader::readF64Vector()
 {
     const std::uint32_t count = readCount(8);
-    std::vector<double> values;
-    values.reserve(count);
-    for (std::uint32_t i = 0; i < count && ok(); ++i)
-        values.push_back(readF64());
+    std::vector<double> values(count);
+    if (count == 0)
+        return values;
+    const std::uint8_t *in = data_ + pos_;
+    for (std::uint32_t i = 0; i < count; ++i)
+        values[i] = detail::bitsDouble(
+            detail::loadLittle<std::uint64_t>(in + 8 * i));
+    pos_ += 8 * static_cast<std::size_t>(count);
     return values;
 }
 

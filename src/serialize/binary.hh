@@ -7,12 +7,17 @@
  * an error Status and turns every subsequent read into a zero-value
  * no-op, so decoders can run to completion and report the failure
  * once through the Expected channel instead of asserting.
+ *
+ * The fixed-width fields are inline: each costs one bounds (or
+ * capacity) check, and the vector fields check once per vector and
+ * then convert the whole run.
  */
 
 #ifndef DCMBQC_SERIALIZE_BINARY_HH
 #define DCMBQC_SERIALIZE_BINARY_HH
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -25,6 +30,48 @@ namespace dcmbqc
 std::uint64_t fnv1a64(const std::uint8_t *data, std::size_t size,
                       std::uint64_t seed = 0xcbf29ce484222325ull);
 
+namespace detail
+{
+
+/** Store `value` little-endian at `out`, whatever the host order. */
+template <typename T>
+inline void
+storeLittle(std::uint8_t *out, T value)
+{
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+        out[i] = static_cast<std::uint8_t>(value >> (8 * i));
+}
+
+/** Load a little-endian `T` from `in`, whatever the host order. */
+template <typename T>
+inline T
+loadLittle(const std::uint8_t *in)
+{
+    T value = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+        value = static_cast<T>(value | static_cast<T>(in[i]) << (8 * i));
+    return value;
+}
+
+inline std::uint64_t
+doubleBits(double value)
+{
+    std::uint64_t bits;
+    static_assert(sizeof(bits) == sizeof(value), "double is 64-bit");
+    std::memcpy(&bits, &value, sizeof(bits));
+    return bits;
+}
+
+inline double
+bitsDouble(std::uint64_t bits)
+{
+    double value;
+    std::memcpy(&value, &bits, sizeof(value));
+    return value;
+}
+
+} // namespace detail
+
 /** Appends little-endian fields to a growable byte buffer. */
 class BinaryWriter
 {
@@ -34,14 +81,20 @@ class BinaryWriter
     std::size_t size() const { return bytes_.size(); }
 
     void writeU8(std::uint8_t value) { bytes_.push_back(value); }
-    void writeU16(std::uint16_t value);
-    void writeU32(std::uint32_t value);
-    void writeU64(std::uint64_t value);
-    void writeI32(std::int32_t value);
-    void writeI64(std::int64_t value);
+    void writeU16(std::uint16_t value) { put(value); }
+    void writeU32(std::uint32_t value) { put(value); }
+    void writeU64(std::uint64_t value) { put(value); }
+    void writeI32(std::int32_t value)
+    {
+        put(static_cast<std::uint32_t>(value));
+    }
+    void writeI64(std::int64_t value)
+    {
+        put(static_cast<std::uint64_t>(value));
+    }
 
     /** IEEE-754 bit pattern, little-endian (stable across hosts). */
-    void writeF64(double value);
+    void writeF64(double value) { put(detail::doubleBits(value)); }
 
     /** u32 byte length + raw bytes. */
     void writeString(const std::string &value);
@@ -54,9 +107,30 @@ class BinaryWriter
     void writeBytes(const std::uint8_t *data, std::size_t size);
 
     /** Patch a previously written u64 in place (size back-fill). */
-    void patchU64(std::size_t offset, std::uint64_t value);
+    void patchU64(std::size_t offset, std::uint64_t value)
+    {
+        detail::storeLittle(bytes_.data() + offset, value);
+    }
 
   private:
+    template <typename T>
+    void
+    put(T value)
+    {
+        std::uint8_t field[sizeof(T)];
+        detail::storeLittle(field, value);
+        bytes_.insert(bytes_.end(), field, field + sizeof(T));
+    }
+
+    /** Append `size` bytes and return where they start. */
+    std::uint8_t *
+    grow(std::size_t size)
+    {
+        const std::size_t at = bytes_.size();
+        bytes_.resize(at + size);
+        return bytes_.data() + at;
+    }
+
     std::vector<std::uint8_t> bytes_;
 };
 
@@ -86,15 +160,38 @@ class BinaryReader
     /** Latch a decoder-level error (corruption found by a codec). */
     void fail(const std::string &message);
 
-    std::uint8_t readU8();
-    std::uint16_t readU16();
-    std::uint32_t readU32();
-    std::uint64_t readU64();
-    std::int32_t readI32();
-    std::int64_t readI64();
-    double readF64();
+    std::uint8_t readU8() { return take<std::uint8_t>(); }
+    std::uint16_t readU16() { return take<std::uint16_t>(); }
+    std::uint32_t readU32() { return take<std::uint32_t>(); }
+    std::uint64_t readU64() { return take<std::uint64_t>(); }
+    std::int32_t
+    readI32()
+    {
+        return static_cast<std::int32_t>(take<std::uint32_t>());
+    }
+    std::int64_t
+    readI64()
+    {
+        return static_cast<std::int64_t>(take<std::uint64_t>());
+    }
+    double readF64() { return detail::bitsDouble(readU64()); }
     std::string readString();
-    std::vector<std::int32_t> readI32Vector();
+
+    std::vector<std::int32_t>
+    readI32Vector()
+    {
+        std::vector<std::int32_t> values;
+        readI32Vector(values);
+        return values;
+    }
+
+    /**
+     * Read a u32-counted i32 vector into `values`, replacing its
+     * contents but keeping its capacity, so a decoder can reuse one
+     * buffer across many lists. Leaves it empty on error.
+     */
+    void readI32Vector(std::vector<std::int32_t> &values);
+
     std::vector<double> readF64Vector();
 
     /**
@@ -113,7 +210,28 @@ class BinaryReader
     std::uint32_t readCount(std::size_t element_size);
 
   private:
-    bool require(std::size_t bytes);
+    bool
+    require(std::size_t bytes)
+    {
+        if (status_.ok() && size_ - pos_ >= bytes)
+            return true;
+        failTruncated(bytes);
+        return false;
+    }
+
+    /** Latch the truncation error of a `require` that failed. */
+    void failTruncated(std::size_t bytes);
+
+    template <typename T>
+    T
+    take()
+    {
+        if (!require(sizeof(T)))
+            return 0;
+        const T value = detail::loadLittle<T>(data_ + pos_);
+        pos_ += sizeof(T);
+        return value;
+    }
 
     const std::uint8_t *data_;
     std::size_t size_;

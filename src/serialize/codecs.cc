@@ -185,39 +185,107 @@ decodeBaselineResult(BinaryReader &reader)
 }
 
 /**
- * The flow-derived X/Z dependency sets, computed without asserts so
- * the decoder can diff them against the embedded copies instead of
- * aborting on corrupted input. Mirrors buildDependencyGraphs().
+ * The flow-derived X (`z_set` false) or Z dependency successors of
+ * node m, in the order buildDependencyGraphs() adds them: measuring
+ * m places X^{s_m} on f(m) and Z^{s_m} on N(f(m)) \ {m}, and arcs
+ * point only to measured nodes. Replaces `out`'s contents.
  */
 void
-flowDependencies(const Pattern &pattern, Digraph &x, Digraph &z)
+dependencySuccessors(const Pattern &pattern, NodeId m, bool z_set,
+                     std::vector<NodeId> &out)
 {
-    const NodeId n = pattern.numNodes();
-    x = Digraph(n);
-    z = Digraph(n);
-    for (NodeId m = 0; m < n; ++m) {
-        if (pattern.isOutput(m))
-            continue;
-        const NodeId succ = pattern.flow(m);
+    out.clear();
+    if (pattern.isOutput(m))
+        return;
+    const NodeId succ = pattern.flow(m);
+    if (!z_set) {
         if (!pattern.isOutput(succ))
-            x.addArc(m, succ);
-        for (const auto &adj : pattern.graph().adjacency(succ)) {
-            const NodeId j = adj.neighbor;
-            if (j == m || pattern.isOutput(j))
-                continue;
-            z.addArc(m, j);
-        }
+            out.push_back(succ);
+        return;
+    }
+    for (const auto &adj : pattern.graph().adjacency(succ)) {
+        const NodeId j = adj.neighbor;
+        if (j != m && !pattern.isOutput(j))
+            out.push_back(j);
     }
 }
 
-bool
-sameDigraph(const Digraph &a, const Digraph &b)
+/** Write the flow-derived X or Z set in the digraph encoding. */
+void
+encodeDependencySet(BinaryWriter &writer, const Pattern &pattern,
+                    bool z_set, std::vector<NodeId> &buffer)
 {
-    if (a.numNodes() != b.numNodes() || a.numArcs() != b.numArcs())
+    writer.writeI32(pattern.numNodes());
+    for (NodeId m = 0; m < pattern.numNodes(); ++m) {
+        dependencySuccessors(pattern, m, z_set, buffer);
+        writer.writeI32Vector(buffer);
+    }
+}
+
+/**
+ * Read an embedded X or Z set (digraph encoding) and compare each
+ * successor list with the flow-derived one as it is read. False once
+ * the reader has failed, a mismatch included.
+ */
+bool
+checkDependencySet(BinaryReader &reader, const Pattern &pattern,
+                   bool z_set, std::vector<NodeId> &stored,
+                   std::vector<NodeId> &derived)
+{
+    const NodeId n = reader.readI32();
+    if (!reader.ok())
         return false;
-    for (NodeId u = 0; u < a.numNodes(); ++u)
-        if (a.successors(u) != b.successors(u))
+    if (n < 0 ||
+        static_cast<std::uint64_t>(n) * 4 > reader.remaining()) {
+        reader.fail("digraph node count " + std::to_string(n) +
+                    " is invalid for the payload size");
+        return false;
+    }
+    NodeId m = 0;
+    for (; m < n && n == pattern.numNodes(); ++m) {
+        reader.readI32Vector(stored);
+        if (!reader.ok())
             return false;
+        dependencySuccessors(pattern, m, z_set, derived);
+        if (stored != derived)
+            break;
+    }
+    if (m == n && n == pattern.numNodes())
+        return true;
+    reader.fail("embedded X/Z dependency sets disagree with the "
+                "decoded causal flow");
+    return false;
+}
+
+/**
+ * True when the X dependencies (m -> f(m), both measured) form no
+ * cycle. Each node has at most one X successor, so the walk from
+ * each node is a chain: it is cyclic exactly when it meets a node of
+ * its own walk.
+ */
+bool
+xDependenciesAcyclic(const Pattern &pattern)
+{
+    const NodeId n = pattern.numNodes();
+    const auto next = [&pattern](NodeId u) {
+        const NodeId succ = pattern.flow(u);
+        return succ != invalidNode && !pattern.isOutput(succ)
+                   ? succ
+                   : invalidNode;
+    };
+    // 0: unvisited, 1: on the current walk, 2: on a finished walk.
+    std::vector<std::uint8_t> state(n, 0);
+    for (NodeId start = 0; start < n; ++start) {
+        NodeId u = start;
+        while (u != invalidNode && state[u] == 0) {
+            state[u] = 1;
+            u = next(u);
+        }
+        if (u != invalidNode && state[u] == 1)
+            return false;
+        for (NodeId v = start; v != u; v = next(v))
+            state[v] = 2;
+    }
     return true;
 }
 
@@ -347,26 +415,26 @@ decodeGraph(BinaryReader &reader)
                     " is invalid for the payload size");
         return {};
     }
-    Graph graph;
+    std::vector<int> weights(n);
     for (NodeId u = 0; u < n; ++u)
-        graph.addNode(reader.readI32());
-    const std::uint32_t edges = reader.readCount(12);
-    for (std::uint32_t i = 0; i < edges && reader.ok(); ++i) {
-        const NodeId u = reader.readI32();
-        const NodeId v = reader.readI32();
-        const int weight = reader.readI32();
-        if (!reader.ok())
-            break;
-        if (u < 0 || u >= n || v < 0 || v >= n || u == v) {
+        weights[u] = reader.readI32();
+    std::vector<Edge> edges(reader.readCount(12));
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+        Edge &e = edges[i];
+        e.u = reader.readI32();
+        e.v = reader.readI32();
+        e.weight = reader.readI32();
+        if (e.u < 0 || e.u >= n || e.v < 0 || e.v >= n || e.u == e.v) {
             reader.fail("graph edge " + std::to_string(i) + " (" +
-                        std::to_string(u) + ", " + std::to_string(v) +
-                        ") is invalid for " + std::to_string(n) +
-                        " nodes");
-            break;
+                        std::to_string(e.u) + ", " +
+                        std::to_string(e.v) + ") is invalid for " +
+                        std::to_string(n) + " nodes");
+            return {};
         }
-        graph.addEdge(u, v, weight);
     }
-    return graph;
+    if (!reader.ok())
+        return {};
+    return Graph(std::move(weights), std::move(edges));
 }
 
 void
@@ -390,8 +458,9 @@ decodeDigraph(BinaryReader &reader)
         return {};
     }
     Digraph digraph(n);
+    std::vector<std::int32_t> succ;
     for (NodeId u = 0; u < n && reader.ok(); ++u) {
-        const std::vector<std::int32_t> succ = reader.readI32Vector();
+        reader.readI32Vector(succ);
         for (NodeId v : succ) {
             if (v < 0 || v >= n) {
                 reader.fail("digraph arc " + std::to_string(u) +
@@ -425,21 +494,20 @@ encodePattern(BinaryWriter &writer, const Pattern &pattern)
     writer.writeI32Vector(pattern.measurementOrder());
     writer.writeI32Vector(pattern.outputs());
 
-    Digraph x, z;
-    flowDependencies(pattern, x, z);
-    encodeDigraph(writer, x);
-    encodeDigraph(writer, z);
+    std::vector<NodeId> buffer;
+    encodeDependencySet(writer, pattern, /*z_set=*/false, buffer);
+    encodeDependencySet(writer, pattern, /*z_set=*/true, buffer);
 }
 
 Pattern
 decodePattern(BinaryReader &reader)
 {
-    const Graph graph = decodeGraph(reader);
-    const std::vector<double> angles = reader.readF64Vector();
-    const std::vector<std::int32_t> flow = reader.readI32Vector();
-    const std::vector<std::int32_t> wires = reader.readI32Vector();
-    const std::vector<std::int32_t> order = reader.readI32Vector();
-    const std::vector<std::int32_t> outputs = reader.readI32Vector();
+    Graph graph = decodeGraph(reader);
+    std::vector<double> angles = reader.readF64Vector();
+    std::vector<std::int32_t> flow = reader.readI32Vector();
+    std::vector<std::int32_t> wires = reader.readI32Vector();
+    std::vector<std::int32_t> order = reader.readI32Vector();
+    std::vector<std::int32_t> outputs = reader.readI32Vector();
     if (!reader.ok())
         return {};
 
@@ -495,33 +563,26 @@ decodePattern(BinaryReader &reader)
                         ")");
             return {};
         }
+        // Only a measurement sets an angle; an unmeasured node keeps
+        // the 0 that Pattern::addNode gives it.
+        if (!measured[u])
+            angles[u] = 0.0;
     }
 
-    Pattern pattern;
-    for (NodeId u = 0; u < n; ++u)
-        pattern.addNode(wires[u]);
-    for (const Edge &e : graph.edges())
-        pattern.mutableGraph().addEdge(e.u, e.v, e.weight);
-    for (NodeId u : order)
-        pattern.setMeasurement(u, angles[u], flow[u]);
-    pattern.setOutputs(
-        std::vector<NodeId>(outputs.begin(), outputs.end()));
+    Pattern pattern(std::move(graph), std::move(angles),
+                    std::move(flow), std::move(wires), std::move(order),
+                    std::move(outputs));
 
     // The embedded X/Z dependency sets must match the flow-derived
     // ones; a mismatch means payload corruption the envelope
     // checksum cannot attribute.
-    const Digraph x_stored = decodeDigraph(reader);
-    const Digraph z_stored = decodeDigraph(reader);
-    if (!reader.ok())
+    std::vector<NodeId> stored, derived;
+    if (!checkDependencySet(reader, pattern, /*z_set=*/false, stored,
+                            derived) ||
+        !checkDependencySet(reader, pattern, /*z_set=*/true, stored,
+                            derived))
         return {};
-    Digraph x, z;
-    flowDependencies(pattern, x, z);
-    if (!sameDigraph(x, x_stored) || !sameDigraph(z, z_stored)) {
-        reader.fail("embedded X/Z dependency sets disagree with the "
-                    "decoded causal flow");
-        return {};
-    }
-    if (!x.isAcyclic()) {
+    if (!xDependenciesAcyclic(pattern)) {
         reader.fail("pattern X-dependency graph is cyclic");
         return {};
     }
