@@ -382,6 +382,15 @@ decodeCircuit(BinaryReader &reader)
                         std::to_string(qubits) + ")");
             break;
         }
+        const bool repeated =
+            (gate.arity() >= 2 && gate.q0 == gate.q1) ||
+            (gate.arity() >= 3 &&
+             (gate.q2 == gate.q0 || gate.q2 == gate.q1));
+        if (repeated) {
+            reader.fail("gate " + std::to_string(i) + " (" +
+                        gate.toString() + ") repeats a qubit");
+            break;
+        }
         circuit.append(gate);
     }
     return circuit;

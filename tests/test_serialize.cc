@@ -405,6 +405,59 @@ TEST(SerializeReject, TrailingBytes)
               std::string::npos);
 }
 
+/**
+ * A checksum-valid 3-qubit circuit artifact holding `h q0` and then
+ * `gate`, written field by field because Circuit::append refuses a
+ * malformed gate.
+ */
+std::vector<std::uint8_t>
+circuitArtifactWith(const Gate &gate)
+{
+    Gate h;
+    h.kind = GateKind::H;
+    h.q0 = 0;
+    BinaryWriter writer;
+    writer.writeI32(3);
+    writer.writeString("crafted");
+    writer.writeU32(2);
+    for (const Gate &g : {h, gate}) {
+        writer.writeU8(static_cast<std::uint8_t>(g.kind));
+        writer.writeI32(g.q0);
+        writer.writeI32(g.q1);
+        writer.writeI32(g.q2);
+        writer.writeF64(g.angle);
+    }
+    return sealArtifact(ArtifactKind::Circuit, writer.bytes());
+}
+
+TEST(SerializeReject, GateWithRepeatedQubits)
+{
+    // Each gate addresses qubits in range, so only the distinctness
+    // check stands between it and Circuit::append's assertion.
+    Gate cz;
+    cz.kind = GateKind::CZ;
+    cz.q0 = 2;
+    cz.q1 = 2;
+    Gate ccx;
+    ccx.kind = GateKind::CCX;
+    ccx.q0 = 0;
+    ccx.q1 = 1;
+    ccx.q2 = 0;
+    for (const Gate &gate : {cz, ccx}) {
+        auto decoded = decodeCircuitArtifact(circuitArtifactWith(gate));
+        ASSERT_FALSE(decoded.ok()) << gate.toString();
+        EXPECT_EQ(decoded.status().code(), StatusCode::InvalidArgument);
+        EXPECT_NE(decoded.status().message().find("gate 1 (" +
+                                                  gate.toString()),
+                  std::string::npos)
+            << decoded.status().message();
+    }
+
+    // The same bytes with distinct qubits decode.
+    ccx.q2 = 2;
+    EXPECT_TRUE(decodeCircuitArtifact(circuitArtifactWith(ccx)).ok());
+}
+
 // --- JSON ------------------------------------------------------------------
 
 TEST(SerializeJson, WritersEmitKeyFields)
