@@ -44,6 +44,9 @@ ExecProgram::fromRequest(const CompileRequest &request)
     switch (request.entryPoint()) {
       case CompileRequest::EntryPoint::Circuit:
         return fromCircuit(request.circuit(), request.label());
+      case CompileRequest::EntryPoint::CircuitStream:
+        return fromCircuit(request.stream().materialize(),
+                           request.label());
       case CompileRequest::EntryPoint::Pattern:
         return fromPattern(request.pattern(), request.label());
       case CompileRequest::EntryPoint::Graph:

@@ -59,6 +59,7 @@ scoreSchedule(const CompileRequest &request,
         deps = &deps_storage;
         break;
       case CompileRequest::EntryPoint::Circuit:
+      case CompileRequest::EntryPoint::CircuitStream:
         if (!report.pattern)
             return Status::internal(
                 "portfolio candidate retained no pattern to score");
@@ -127,6 +128,16 @@ PortfolioRacer::race(const CompileRequest &request) const
             return model.status();
     }
 
+    // Candidates compile concurrently and a stream has one cursor,
+    // so a streamed request races as its materialized circuit: the
+    // two compile to the same schedules under the same cache key.
+    std::optional<CompileRequest> drained;
+    if (request.entryPoint() ==
+        CompileRequest::EntryPoint::CircuitStream)
+        drained = CompileRequest::fromCircuit(
+            request.stream().materialize(), request.label());
+    const CompileRequest &source = drained ? *drained : request;
+
     const int k = std::max(1, config_.candidates);
     const std::vector<Strategy> strategies =
         StrategySpace(base_).enumerate(k);
@@ -152,7 +163,7 @@ PortfolioRacer::race(const CompileRequest &request) const
                     std::chrono::steady_clock::now();
                 if (parent && parent->cancelled())
                     slot.token.cancel();
-                CompileRequest candidate = request;
+                CompileRequest candidate = source;
                 candidate.withCancellation(&slot.token);
                 const CompilerDriver driver(strategies[i].options);
                 auto report = driver.compile(candidate);

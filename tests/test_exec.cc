@@ -15,6 +15,7 @@
 
 #include "api/api.hh"
 #include "circuit/generators.hh"
+#include "circuit/huge_generators.hh"
 #include "noise/analysis.hh"
 #include "photonic/grid.hh"
 #include "serialize/codecs.hh"
@@ -249,6 +250,31 @@ TEST(ExecDispatch, ScheduleBackendRejectsNonCliffordPatterns)
               StatusCode::FailedPrecondition);
     EXPECT_NE(report.status().message().find("Clifford"),
               std::string::npos);
+}
+
+TEST(ExecDispatch, StreamedRequestRunsAsItsMaterializedCircuit)
+{
+    const auto stream = makeGraphStateStream(3, 3);
+    const Circuit circuit = stream->materialize();
+    const ExecProgram streamed = ExecProgram::fromRequest(
+        CompileRequest::fromCircuitStream(stream));
+    const ExecProgram direct = ExecProgram::fromCircuit(circuit);
+    EXPECT_EQ(streamed.label(), direct.label());
+    ASSERT_TRUE(streamed.hasPattern());
+    EXPECT_EQ(encodePatternArtifact(streamed.pattern()),
+              encodePatternArtifact(direct.pattern()));
+    EXPECT_EQ(encodeDigraphArtifact(streamed.deps()),
+              encodeDigraphArtifact(direct.deps()));
+
+    ExecOptions options;
+    options.backend = "stabilizer";
+    options.shots = 16;
+    options.seed = 4;
+    auto a = executeProgram(streamed, options);
+    auto b = executeProgram(direct, options);
+    ASSERT_TRUE(a.ok()) << a.status().toString();
+    ASSERT_TRUE(b.ok()) << b.status().toString();
+    EXPECT_EQ(a->counts, b->counts);
 }
 
 TEST(ExecStatevector, CountsCoverAllShotsAndProbabilitiesNormalize)

@@ -17,6 +17,7 @@
 #include "api/cancellation.hh"
 #include "cache/compile_cache.hh"
 #include "circuit/generators.hh"
+#include "circuit/huge_generators.hh"
 #include "portfolio/racer.hh"
 #include "portfolio/strategy.hh"
 #include "serialize/codecs.hh"
@@ -121,6 +122,24 @@ TEST(PortfolioDriver, RaceAttachesReportAndNeverLosesToDefault)
         [](const StageReport &s) { return s.pass == "Portfolio"; });
     ASSERT_NE(stage, report->stages.end());
     EXPECT_NE(stage->note.find("winner"), std::string::npos);
+}
+
+TEST(PortfolioDriver, RaceOverAStreamedInputScoresItsCandidates)
+{
+    // A streamed entry is scored from the pattern its compile
+    // retains, exactly as a circuit entry is.
+    const CompilerDriver driver(baseOptions().portfolio(2));
+    auto report = driver.compile(CompileRequest::fromCircuitStream(
+        makeGraphStateStream(6, 6)));
+    ASSERT_TRUE(report.ok()) << report.status().toString();
+    ASSERT_TRUE(report->portfolio.has_value());
+    const PortfolioReport &race = *report->portfolio;
+    ASSERT_EQ(race.candidates.size(), 2u);
+    ASSERT_TRUE(race.candidates[0].status.ok())
+        << race.candidates[0].status.toString();
+    ASSERT_GE(race.winnerIndex, 0);
+    EXPECT_GE(race.candidates[race.winnerIndex].logSurvival,
+              race.candidates[0].logSurvival);
 }
 
 TEST(PortfolioDriver, RacesAreDeterministic)
