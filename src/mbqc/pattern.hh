@@ -46,7 +46,6 @@ class Pattern
 
     /** The graph state's entanglement graph. */
     const Graph &graph() const { return graph_; }
-    Graph &mutableGraph() { return graph_; }
 
     NodeId numNodes() const { return graph_.numNodes(); }
 

@@ -247,8 +247,17 @@ checkDependencySet(BinaryReader &reader, const Pattern &pattern,
         if (!reader.ok())
             return false;
         dependencySuccessors(pattern, m, z_set, derived);
-        if (stored != derived)
-            break;
+        if (stored == derived)
+            continue;
+        for (NodeId v : stored) {
+            if (v < 0 || v >= n) {
+                reader.fail("digraph arc " + std::to_string(m) +
+                            " -> " + std::to_string(v) +
+                            " is out of range");
+                return false;
+            }
+        }
+        break;
     }
     if (m == n && n == pattern.numNodes())
         return true;
@@ -572,8 +581,9 @@ decodePattern(BinaryReader &reader)
                         ")");
             return {};
         }
-        // Only a measurement sets an angle; an unmeasured node keeps
-        // the 0 that Pattern::addNode gives it.
+        // A pattern node weighs 1 and only a measurement sets its
+        // angle, as Pattern::addNode and setMeasurement build it.
+        graph.setNodeWeight(u, 1);
         if (!measured[u])
             angles[u] = 0.0;
     }
