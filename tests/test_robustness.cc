@@ -1,0 +1,280 @@
+/**
+ * @file
+ * Robustness: no input may abort the process. Artifact part: the
+ * payload of every golden fixture is mutated (a bit flip, a byte
+ * set to 0x00 or 0xff, a truncation, an appended byte), each
+ * mutation is re-sealed with a valid checksum so it gets past the
+ * envelope, and the fixture's own decoder reads it. The only
+ * allowed outcomes are a decoded value or a non-OK Status.
+ *
+ * Each fixture's cases run in a forked child, so an abort or a
+ * crash fails the test and names the fixture and the mutation
+ * instead of killing the test runner.
+ */
+
+#include <gtest/gtest.h>
+
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <random>
+#include <string>
+#include <vector>
+
+#include "serialize/artifact.hh"
+#include "serialize/codecs.hh"
+
+#ifndef DCMBQC_GOLDEN_DIR
+#define DCMBQC_GOLDEN_DIR "tests/golden"
+#endif
+
+namespace dcmbqc
+{
+namespace
+{
+
+constexpr int kCasesPerFixture = 3000;
+
+/** One payload mutation. */
+struct Mutation
+{
+    enum class Kind
+    {
+        FlipBit,
+        SetZero,
+        SetOnes,
+        Truncate,
+        Append,
+    };
+
+    Kind kind = Kind::FlipBit;
+    /** Byte to change, or the length to truncate to. */
+    std::size_t offset = 0;
+    /** Bit index (mod 8) to flip, or the byte to append. */
+    std::uint8_t value = 0;
+};
+
+/** Mutation `index` of a fixture, from its own seeded stream. */
+Mutation
+drawMutation(std::uint64_t fixture_seed, int index, std::size_t size)
+{
+    std::mt19937_64 rng(fixture_seed * 1000003u +
+                        static_cast<std::uint64_t>(index));
+    Mutation m;
+    const std::uint64_t span = std::max<std::size_t>(size, 1);
+    m.kind = static_cast<Mutation::Kind>(rng() % 5);
+    m.offset = static_cast<std::size_t>(rng() % span);
+    m.value = static_cast<std::uint8_t>(rng());
+    if (size == 0)
+        m.kind = Mutation::Kind::Append;
+    return m;
+}
+
+std::vector<std::uint8_t>
+applyMutation(std::vector<std::uint8_t> payload, const Mutation &m)
+{
+    switch (m.kind) {
+      case Mutation::Kind::FlipBit:
+        payload[m.offset] ^=
+            static_cast<std::uint8_t>(1u << (m.value % 8));
+        break;
+      case Mutation::Kind::SetZero:
+        payload[m.offset] = 0x00;
+        break;
+      case Mutation::Kind::SetOnes:
+        payload[m.offset] = 0xff;
+        break;
+      case Mutation::Kind::Truncate:
+        payload.resize(m.offset);
+        break;
+      case Mutation::Kind::Append:
+        payload.push_back(m.value);
+        break;
+    }
+    return payload;
+}
+
+std::string
+describe(const Mutation &m)
+{
+    const std::string at = std::to_string(m.offset);
+    switch (m.kind) {
+      case Mutation::Kind::FlipBit:
+        return "flip bit " + std::to_string(m.value % 8) +
+            " of payload byte " + at;
+      case Mutation::Kind::SetZero:
+        return "set payload byte " + at + " to 0x00";
+      case Mutation::Kind::SetOnes:
+        return "set payload byte " + at + " to 0xff";
+      case Mutation::Kind::Truncate:
+        return "truncate the payload to " + at + " bytes";
+      case Mutation::Kind::Append:
+        return "append byte " + std::to_string(m.value);
+    }
+    return "?";
+}
+
+template <typename T>
+Status
+statusOf(const Expected<T> &decoded)
+{
+    return decoded.ok() ? Status::okStatus() : decoded.status();
+}
+
+/** Decode with the decoder of the artifact's kind. */
+Status
+decodeAs(ArtifactKind kind, const std::vector<std::uint8_t> &bytes)
+{
+    switch (kind) {
+      case ArtifactKind::Circuit:
+        return statusOf(decodeCircuitArtifact(bytes));
+      case ArtifactKind::Graph:
+        return statusOf(decodeGraphArtifact(bytes));
+      case ArtifactKind::Digraph:
+        return statusOf(decodeDigraphArtifact(bytes));
+      case ArtifactKind::Pattern:
+        return statusOf(decodePatternArtifact(bytes));
+      case ArtifactKind::Config:
+        return statusOf(decodeConfigArtifact(bytes));
+      case ArtifactKind::LocalSchedule:
+        return statusOf(decodeLocalScheduleArtifact(bytes));
+      case ArtifactKind::Schedule:
+        return statusOf(decodeScheduleArtifact(bytes));
+      case ArtifactKind::CompileReport:
+        return statusOf(decodeCompileReportArtifact(bytes));
+      case ArtifactKind::ExecResult:
+        return statusOf(decodeExecResultArtifact(bytes));
+      case ArtifactKind::NoiseConfig:
+        return statusOf(decodeNoiseConfigArtifact(bytes));
+    }
+    return Status::internal("unknown artifact kind");
+}
+
+std::vector<std::filesystem::path>
+goldenFixtures()
+{
+    std::vector<std::filesystem::path> files;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(DCMBQC_GOLDEN_DIR))
+        if (entry.path().extension() == ".dcmb")
+            files.push_back(entry.path());
+    std::sort(files.begin(), files.end());
+    return files;
+}
+
+/** What the child reports before each case, and once at the end. */
+struct Progress
+{
+    std::int32_t index;
+    std::int32_t decoded;
+};
+
+/** Child exit code: a re-sealed mutation failed the envelope check. */
+constexpr int kEnvelopeRejected = 2;
+
+/**
+ * Child body: run every case of one fixture, reporting progress on
+ * `fd`. Never returns.
+ */
+[[noreturn]] void
+runCases(int fd, ArtifactKind kind,
+         const std::vector<std::uint8_t> &payload, std::uint64_t seed)
+{
+    Progress progress{0, 0};
+    for (int i = 0; i < kCasesPerFixture; ++i) {
+        progress.index = i;
+        if (::write(fd, &progress, sizeof(progress)) !=
+            static_cast<ssize_t>(sizeof(progress)))
+            ::_exit(1);
+        const auto bytes = sealArtifact(
+            kind,
+            applyMutation(payload,
+                          drawMutation(seed, i, payload.size())));
+        if (!openArtifact(bytes).ok())
+            ::_exit(kEnvelopeRejected);
+        if (decodeAs(kind, bytes).ok())
+            ++progress.decoded;
+    }
+    progress.index = kCasesPerFixture;
+    if (::write(fd, &progress, sizeof(progress)) !=
+        static_cast<ssize_t>(sizeof(progress)))
+        ::_exit(1);
+    ::_exit(0);
+}
+
+TEST(ArtifactRobustness, MutatedFixturesDecodeOrFailWithAStatus)
+{
+    const auto fixtures = goldenFixtures();
+    ASSERT_GE(fixtures.size(), 12u)
+        << "golden corpus not found under " << DCMBQC_GOLDEN_DIR;
+
+    for (const auto &path : fixtures) {
+        const std::string name = path.filename().string();
+        SCOPED_TRACE(name);
+        // Seeded by name, so adding a fixture moves no other case.
+        const std::uint64_t seed = fnv1a64(
+            reinterpret_cast<const std::uint8_t *>(name.data()),
+            name.size());
+        auto bytes = loadArtifactFile(path.string());
+        ASSERT_TRUE(bytes.ok()) << bytes.status().toString();
+        auto view = openArtifact(*bytes);
+        ASSERT_TRUE(view.ok()) << view.status().toString();
+        const ArtifactKind kind = view->kind;
+        const std::vector<std::uint8_t> payload(
+            view->payload, view->payload + view->payloadSize);
+        ASSERT_TRUE(decodeAs(kind, *bytes).ok());
+
+        int fds[2];
+        ASSERT_EQ(::pipe(fds), 0);
+        std::fflush(nullptr);
+        const pid_t child = ::fork();
+        ASSERT_GE(child, 0);
+        if (child == 0) {
+            ::close(fds[0]);
+            runCases(fds[1], kind, payload, seed);
+        }
+        ::close(fds[1]);
+        Progress last{-1, 0};
+        Progress record;
+        while (::read(fds[0], &record, sizeof(record)) ==
+               static_cast<ssize_t>(sizeof(record)))
+            last = record;
+        ::close(fds[0]);
+        int status = 0;
+        ASSERT_EQ(::waitpid(child, &status, 0), child);
+
+        const bool clean = WIFEXITED(status) && WEXITSTATUS(status) == 0;
+        if (!clean) {
+            std::string how = WIFSIGNALED(status)
+                ? "was killed by signal " +
+                    std::to_string(WTERMSIG(status))
+                : "exited with code " +
+                    std::to_string(WEXITSTATUS(status));
+            if (WIFEXITED(status) &&
+                WEXITSTATUS(status) == kEnvelopeRejected)
+                how += " (a re-sealed mutation failed the envelope)";
+            const std::string mutation =
+                last.index >= 0 && last.index < kCasesPerFixture
+                ? describe(drawMutation(seed, last.index,
+                                        payload.size()))
+                : "no case";
+            ADD_FAILURE() << name << ": the decoder child " << how
+                          << " on case " << last.index << " ("
+                          << mutation << ")";
+            continue;
+        }
+        EXPECT_EQ(last.index, kCasesPerFixture);
+        std::printf("[ robust   ] %-22s %s: %d mutations, %d decoded, "
+                    "%d rejected\n",
+                    name.c_str(), artifactKindName(kind),
+                    kCasesPerFixture, last.decoded,
+                    kCasesPerFixture - last.decoded);
+    }
+}
+
+} // namespace
+} // namespace dcmbqc
