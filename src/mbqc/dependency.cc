@@ -13,24 +13,40 @@ buildDependencyGraphs(const Pattern &pattern)
     const NodeId n = pattern.numNodes();
     DependencyGraphs deps{Digraph(n), Digraph(n)};
 
+    std::vector<NodeId> succ;
     for (NodeId m = 0; m < n; ++m) {
-        if (pattern.isOutput(m))
-            continue;
-        const NodeId succ = pattern.flow(m);
-        // X correction on the flow successor.
-        if (!pattern.isOutput(succ))
-            deps.xDeps.addArc(m, succ);
-        // Z corrections on the successor's other neighbors.
-        for (const auto &adj : pattern.graph().adjacency(succ)) {
-            const NodeId j = adj.neighbor;
-            if (j == m || pattern.isOutput(j))
-                continue;
+        dependencySuccessors(pattern, m, /*z_set=*/false, succ);
+        for (NodeId j : succ)
+            deps.xDeps.addArc(m, j);
+        dependencySuccessors(pattern, m, /*z_set=*/true, succ);
+        for (NodeId j : succ)
             deps.zDeps.addArc(m, j);
-        }
     }
 
     DCMBQC_ASSERT(deps.xDeps.isAcyclic(), "X-dependency graph cyclic");
     return deps;
+}
+
+void
+dependencySuccessors(const Pattern &pattern, NodeId m, bool z_set,
+                     std::vector<NodeId> &out)
+{
+    out.clear();
+    if (pattern.isOutput(m))
+        return;
+    const NodeId succ = pattern.flow(m);
+    if (!z_set) {
+        // X correction on the flow successor.
+        if (!pattern.isOutput(succ))
+            out.push_back(succ);
+        return;
+    }
+    // Z corrections on the successor's other neighbors.
+    for (const auto &adj : pattern.graph().adjacency(succ)) {
+        const NodeId j = adj.neighbor;
+        if (j != m && !pattern.isOutput(j))
+            out.push_back(j);
+    }
 }
 
 bool

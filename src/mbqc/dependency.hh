@@ -36,6 +36,15 @@ struct DependencyGraphs
 DependencyGraphs buildDependencyGraphs(const Pattern &pattern);
 
 /**
+ * The X (`z_set` false) or Z dependency successors of node m, in the
+ * order buildDependencyGraphs() adds m's arcs; empty for an output.
+ * Replaces `out`'s contents. Asserts nothing, so the artifact codec
+ * can derive the sets it writes and checks.
+ */
+void dependencySuccessors(const Pattern &pattern, NodeId m, bool z_set,
+                          std::vector<NodeId> &out);
+
+/**
  * True when theta is a multiple of pi/2: the measurement is a Pauli
  * measurement, and an X byproduct only flips the sign of a Clifford
  * angle onto an equivalent basis (outcome relabeling), so no

@@ -106,12 +106,6 @@ class BinaryWriter
     /** Raw bytes, no length prefix (for nested payloads). */
     void writeBytes(const std::uint8_t *data, std::size_t size);
 
-    /** Patch a previously written u64 in place (size back-fill). */
-    void patchU64(std::size_t offset, std::uint64_t value)
-    {
-        detail::storeLittle(bytes_.data() + offset, value);
-    }
-
   private:
     template <typename T>
     void

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "mbqc/dependency.hh"
 #include "noise/mechanism.hh"
 
 namespace dcmbqc
@@ -184,32 +185,6 @@ decodeBaselineResult(BinaryReader &reader)
     return result;
 }
 
-/**
- * The flow-derived X (`z_set` false) or Z dependency successors of
- * node m, in the order buildDependencyGraphs() adds them: measuring
- * m places X^{s_m} on f(m) and Z^{s_m} on N(f(m)) \ {m}, and arcs
- * point only to measured nodes. Replaces `out`'s contents.
- */
-void
-dependencySuccessors(const Pattern &pattern, NodeId m, bool z_set,
-                     std::vector<NodeId> &out)
-{
-    out.clear();
-    if (pattern.isOutput(m))
-        return;
-    const NodeId succ = pattern.flow(m);
-    if (!z_set) {
-        if (!pattern.isOutput(succ))
-            out.push_back(succ);
-        return;
-    }
-    for (const auto &adj : pattern.graph().adjacency(succ)) {
-        const NodeId j = adj.neighbor;
-        if (j != m && !pattern.isOutput(j))
-            out.push_back(j);
-    }
-}
-
 /** Write the flow-derived X or Z set in the digraph encoding. */
 void
 encodeDependencySet(BinaryWriter &writer, const Pattern &pattern,
@@ -241,14 +216,17 @@ checkDependencySet(BinaryReader &reader, const Pattern &pattern,
                     " is invalid for the payload size");
         return false;
     }
-    NodeId m = 0;
-    for (; m < n && n == pattern.numNodes(); ++m) {
+    bool same = n == pattern.numNodes();
+    for (NodeId m = 0; same && m < n; ++m) {
         reader.readI32Vector(stored);
         if (!reader.ok())
             return false;
         dependencySuccessors(pattern, m, z_set, derived);
         if (stored == derived)
             continue;
+        same = false;
+        // An arc that leaves the graph keeps the digraph codec's
+        // diagnosis.
         for (NodeId v : stored) {
             if (v < 0 || v >= n) {
                 reader.fail("digraph arc " + std::to_string(m) +
@@ -257,13 +235,11 @@ checkDependencySet(BinaryReader &reader, const Pattern &pattern,
                 return false;
             }
         }
-        break;
     }
-    if (m == n && n == pattern.numNodes())
-        return true;
-    reader.fail("embedded X/Z dependency sets disagree with the "
-                "decoded causal flow");
-    return false;
+    if (!same)
+        reader.fail("embedded X/Z dependency sets disagree with the "
+                    "decoded causal flow");
+    return same;
 }
 
 /**
