@@ -188,12 +188,13 @@ decodeBaselineResult(BinaryReader &reader)
 /** Write the flow-derived X or Z set in the digraph encoding. */
 void
 encodeDependencySet(BinaryWriter &writer, const Pattern &pattern,
-                    bool z_set, std::vector<NodeId> &buffer)
+                    bool z_set)
 {
+    std::vector<NodeId> successors;
     writer.writeI32(pattern.numNodes());
     for (NodeId m = 0; m < pattern.numNodes(); ++m) {
-        dependencySuccessors(pattern, m, z_set, buffer);
-        writer.writeI32Vector(buffer);
+        dependencySuccessors(pattern, m, z_set, successors);
+        writer.writeI32Vector(successors);
     }
 }
 
@@ -204,8 +205,7 @@ encodeDependencySet(BinaryWriter &writer, const Pattern &pattern,
  */
 bool
 checkDependencySet(BinaryReader &reader, const Pattern &pattern,
-                   bool z_set, std::vector<NodeId> &stored,
-                   std::vector<NodeId> &derived)
+                   bool z_set)
 {
     const NodeId n = reader.readI32();
     if (!reader.ok())
@@ -216,6 +216,7 @@ checkDependencySet(BinaryReader &reader, const Pattern &pattern,
                     " is invalid for the payload size");
         return false;
     }
+    std::vector<NodeId> stored, derived;
     bool same = n == pattern.numNodes();
     for (NodeId m = 0; same && m < n; ++m) {
         reader.readI32Vector(stored);
@@ -488,9 +489,8 @@ encodePattern(BinaryWriter &writer, const Pattern &pattern)
     writer.writeI32Vector(pattern.measurementOrder());
     writer.writeI32Vector(pattern.outputs());
 
-    std::vector<NodeId> buffer;
-    encodeDependencySet(writer, pattern, /*z_set=*/false, buffer);
-    encodeDependencySet(writer, pattern, /*z_set=*/true, buffer);
+    encodeDependencySet(writer, pattern, /*z_set=*/false);
+    encodeDependencySet(writer, pattern, /*z_set=*/true);
 }
 
 Pattern
@@ -571,11 +571,8 @@ decodePattern(BinaryReader &reader)
     // The embedded X/Z dependency sets must match the flow-derived
     // ones; a mismatch means payload corruption the envelope
     // checksum cannot attribute.
-    std::vector<NodeId> stored, derived;
-    if (!checkDependencySet(reader, pattern, /*z_set=*/false, stored,
-                            derived) ||
-        !checkDependencySet(reader, pattern, /*z_set=*/true, stored,
-                            derived))
+    if (!checkDependencySet(reader, pattern, /*z_set=*/false) ||
+        !checkDependencySet(reader, pattern, /*z_set=*/true))
         return {};
     if (!xDependenciesAcyclic(pattern)) {
         reader.fail("pattern X-dependency graph is cyclic");
