@@ -2,16 +2,23 @@
  * @file
  * Tests for the partitioning substrate: cut/imbalance metrics,
  * modularity, the multilevel k-way partitioner, and Algorithm 2
- * (adaptive graph partitioning).
+ * (adaptive graph partitioning). The pins at the end fix the exact
+ * partitions of graphs large enough to coarsen, so a rewrite of the
+ * partitioner's internals cannot move artifact bytes unnoticed.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "circuit/generators.hh"
 #include "common/rng.hh"
+#include "mbqc/pattern_builder.hh"
 #include "partition/adaptive.hh"
 #include "partition/modularity.hh"
 #include "partition/multilevel.hh"
 #include "partition/partitioning.hh"
+#include "serialize/binary.hh"
 
 namespace dcmbqc
 {
@@ -219,6 +226,156 @@ TEST(Adaptive, TerminatesOnStagnation)
     cfg.maxIterations = 64;
     const auto result = adaptivePartition(g, cfg);
     EXPECT_LT(result.probes, 64);
+}
+
+/** FNV-1a of the assignment's in-memory `int` values. */
+std::uint64_t
+assignmentHash(const Partitioning &p)
+{
+    return fnv1a64(
+        reinterpret_cast<const std::uint8_t *>(p.assignment().data()),
+        p.assignment().size() * sizeof(int));
+}
+
+std::uint64_t
+bitsOf(double x)
+{
+    std::uint64_t bits;
+    std::memcpy(&bits, &x, sizeof(bits));
+    return bits;
+}
+
+/**
+ * randomGraph with node weights in [1, 4] and edge weights in
+ * [1, 5], so coarsening merges weights and matching breaks ties on
+ * combined node weight.
+ */
+Graph
+weightedRandomGraph()
+{
+    const Graph plain = randomGraph(600, 1800, 77);
+    Rng rng(78);
+    std::vector<int> node_weights(plain.numNodes());
+    for (int &w : node_weights)
+        w = 1 + static_cast<int>(rng.uniformInt(4));
+    std::vector<Edge> edges = plain.edges();
+    for (Edge &e : edges)
+        e.weight = 1 + static_cast<int>(rng.uniformInt(5));
+    return Graph(std::move(node_weights), std::move(edges));
+}
+
+/** The exact outcome of one adaptive search. */
+struct AdaptivePin
+{
+    const char *name;
+    int k;
+    std::uint64_t assignmentHash;
+    int probes;
+    int cutEdges;
+    double alphaAtBest;
+    std::uint64_t modularityBits;
+};
+
+void
+expectAdaptivePin(const Graph &g, const AdaptivePin &pin)
+{
+    SCOPED_TRACE(pin.name);
+    AdaptiveConfig cfg;
+    cfg.k = pin.k;
+    const AdaptiveResult r = adaptivePartition(g, cfg);
+    EXPECT_EQ(assignmentHash(r.best), pin.assignmentHash);
+    EXPECT_EQ(r.probes, pin.probes);
+    EXPECT_EQ(r.cutEdges, pin.cutEdges);
+    EXPECT_EQ(r.alphaAtBest, pin.alphaAtBest);
+    EXPECT_EQ(bitsOf(r.modularity), pin.modularityBits);
+}
+
+TEST(PartitionPins, AdaptiveOnTableIIPatternGraphs)
+{
+    struct Program
+    {
+        Circuit circuit;
+        AdaptivePin pin;
+    };
+    // VQE-36 on 8 parts runs the full 256-probe budget. The alphas
+    // are 1.02 and 1.02 * 1.02 as the search computes them.
+    const double gamma1 = 0x1.051eb851eb852p+0;
+    const double gamma2 = 0x1.0a57a786c2268p+0;
+    const Program programs[] = {
+        {makeVqe(36),
+         {"VQE-36/k8", 8, 0x747c6c0971b29305ull, 256, 237, gamma2,
+          0x3fe8a57a4ca85bfcull}},
+        {makeQaoaMaxcut(36, 7),
+         {"QAOA-36/k8", 8, 0xb18de6fdb41100f4ull, 3, 187, gamma1,
+          0x3fe9b5f60fae9c78ull}},
+        {makeQft(36),
+         {"QFT-36/k4", 4, 0x9886988d01ad3505ull, 2, 80, 1.0,
+          0x3fe7a9a5bc98b622ull}},
+        {makeRippleCarryAdder(100),
+         {"RCA-100/k8", 8, 0xefdabbf2264c6c13ull, 2, 61, gamma1,
+          0x3feb7f84a54be8afull}},
+    };
+    for (const Program &program : programs)
+        expectAdaptivePin(buildPattern(program.circuit).graph(),
+                          program.pin);
+}
+
+TEST(PartitionPins, AdaptiveOnWeightedRandomGraph)
+{
+    expectAdaptivePin(weightedRandomGraph(),
+                      {"weighted random/k4", 4, 0x1b508b1efd6e20d6ull, 2,
+                       786, 1.0, 0x3fd9064e4a255e84ull});
+}
+
+/** The exact outcome of one multilevel run without the slab. */
+struct MultilevelPin
+{
+    double alpha;
+    std::uint64_t seed;
+    std::uint64_t assignmentHash;
+    long long cutWeight;
+};
+
+void
+expectMultilevelPin(const Graph &g, int k, const MultilevelPin &pin)
+{
+    SCOPED_TRACE("alpha " + std::to_string(pin.alpha) + ", seed " +
+                 std::to_string(pin.seed));
+    MultilevelConfig cfg;
+    cfg.k = k;
+    cfg.alpha = pin.alpha;
+    cfg.seed = pin.seed;
+    cfg.useSequentialCandidate = false;
+    const Partitioning p = MultilevelPartitioner(cfg).partition(g);
+    EXPECT_EQ(assignmentHash(p), pin.assignmentHash);
+    EXPECT_EQ(p.cutWeight(g), pin.cutWeight);
+}
+
+TEST(PartitionPins, MultilevelOnQft36)
+{
+    // The slab wins both probes of QFT-36/k4's adaptive search, so
+    // only these runs show the multilevel result on it. The seeds
+    // are the first two probes' seeds.
+    const Graph g = buildPattern(makeQft(36)).graph();
+    const MultilevelPin pins[] = {
+        {1.0, 1, 0x8b6dc5cb0a88d764ull, 153},
+        {1.0, 1 + 0x9e37, 0x09d3524c3b84c8f7ull, 143},
+        {1.0404, 1, 0x897d4646ea0984a4ull, 93},
+        {1.0404, 1 + 0x9e37, 0x15461e6b34c0a527ull, 106},
+    };
+    for (const MultilevelPin &pin : pins)
+        expectMultilevelPin(g, 4, pin);
+}
+
+TEST(PartitionPins, MultilevelOnWeightedRandomGraph)
+{
+    const Graph g = weightedRandomGraph();
+    const MultilevelPin pins[] = {
+        {1.0, 1, 0x1b508b1efd6e20d6ull, 1966},
+        {1.0404, 1 + 0x9e37, 0xa8c6c9e0a9de8a06ull, 1866},
+    };
+    for (const MultilevelPin &pin : pins)
+        expectMultilevelPin(g, 4, pin);
 }
 
 } // namespace
