@@ -41,32 +41,11 @@ Graph::addNode(int weight)
 }
 
 EdgeId
-Graph::addEdge(NodeId u, NodeId v, int weight, bool merge_parallel)
+Graph::addEdge(NodeId u, NodeId v, int weight)
 {
     DCMBQC_ASSERT(u >= 0 && u < numNodes(), "addEdge: bad u=", u);
     DCMBQC_ASSERT(v >= 0 && v < numNodes(), "addEdge: bad v=", v);
     DCMBQC_ASSERT(u != v, "addEdge: self loop at ", u);
-
-    if (merge_parallel) {
-        // Scan the smaller adjacency list for an existing edge.
-        NodeId probe = adjacency_[u].size() <= adjacency_[v].size() ? u : v;
-        NodeId other = probe == u ? v : u;
-        for (auto &adj : adjacency_[probe]) {
-            if (adj.neighbor == other) {
-                EdgeId e = adj.edge;
-                edges_[e].weight += weight;
-                adj.weight += weight;
-                // Fix the mirror entry.
-                for (auto &mirror : adjacency_[other]) {
-                    if (mirror.edge == e) {
-                        mirror.weight += weight;
-                        break;
-                    }
-                }
-                return e;
-            }
-        }
-    }
 
     EdgeId e = static_cast<EdgeId>(edges_.size());
     edges_.push_back({u, v, weight});

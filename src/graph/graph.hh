@@ -1,9 +1,8 @@
 /**
  * @file
  * Undirected weighted graph. This is the representation used for
- * MBQC graph states, computation graphs (nodes = resource units,
- * edges = fusions, as in OneQ), and the partitioner's coarsened
- * graphs.
+ * MBQC graph states and computation graphs (nodes = resource units,
+ * edges = fusions, as in OneQ).
  */
 
 #ifndef DCMBQC_GRAPH_GRAPH_HH
@@ -38,9 +37,7 @@ struct Edge
  *
  * Node weights default to 1 and represent resource units for
  * workload balancing; edge weights default to 1 and represent fusion
- * multiplicity after coarsening. Parallel edges are merged by
- * addEdge() when requested via mergeParallel (the partitioner's
- * coarsening relies on this).
+ * multiplicity.
  */
 class Graph
 {
@@ -65,13 +62,9 @@ class Graph
     /**
      * Add an undirected edge between u and v.
      *
-     * @param merge_parallel When true and an edge (u, v) already
-     *        exists, add the weight to it instead of creating a
-     *        parallel edge (linear scan of u's adjacency).
-     * @return The edge id (existing id when merged).
+     * @return The new edge's id.
      */
-    EdgeId addEdge(NodeId u, NodeId v, int weight = 1,
-                   bool merge_parallel = false);
+    EdgeId addEdge(NodeId u, NodeId v, int weight = 1);
 
     /** True when an edge between u and v exists (scans adjacency). */
     bool hasEdge(NodeId u, NodeId v) const;

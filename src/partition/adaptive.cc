@@ -31,12 +31,13 @@ adaptivePartition(const Graph &g, const AdaptiveConfig &config,
     double score_best = noise ? -HUGE_VAL : -1.0;
     double previous_q = -1.0;
 
+    MultilevelSearch search(g);
     for (int iter = 0; iter < config.maxIterations; ++iter) {
         MultilevelConfig ml;
         ml.k = config.k;
         ml.alpha = alpha;
         ml.seed = config.seed + static_cast<std::uint64_t>(iter) * 0x9e37;
-        Partitioning p = MultilevelPartitioner(ml).partition(g);
+        Partitioning p = search.partition(ml);
         const double q = modularity(g, p);
         ++result.probes;
 

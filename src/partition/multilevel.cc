@@ -5,8 +5,6 @@
 #include <numeric>
 
 #include "common/logging.hh"
-#include "common/rng.hh"
-#include "graph/matching.hh"
 
 namespace dcmbqc
 {
@@ -14,49 +12,31 @@ namespace dcmbqc
 namespace
 {
 
-/** One level of the coarsening hierarchy. */
-struct CoarseLevel
-{
-    Graph graph;
-    /** Map from this level's nodes to the next-coarser level. */
-    std::vector<NodeId> toCoarse;
-};
-
 /**
- * Contract a graph along a matching (`match[u]` = partner of u, or u
- * itself when unmatched). Coarse ids follow fine-node order.
+ * Slab candidates kept per search. Algorithm 2 walks alpha up and
+ * down a short ladder, so a few caps recur; the bound keeps a long
+ * walk on a huge graph from holding one assignment per probe.
  */
-Graph
-contract(const Graph &g, const std::vector<NodeId> &match,
-         std::vector<NodeId> &to_coarse)
+constexpr std::size_t kMaxSlabs = 8;
+
+/** part_weight[p] = node weight assigned to part p. */
+void
+partWeights(const FlatGraph &g, const std::vector<int> &assign,
+            std::vector<long long> &part_weight)
 {
-    const NodeId n = g.numNodes();
-    to_coarse.assign(n, invalidNode);
-    NodeId next = 0;
-    for (NodeId u = 0; u < n; ++u) {
-        if (to_coarse[u] != invalidNode)
-            continue;
-        const NodeId partner = match[u];
-        to_coarse[u] = next;
-        if (partner != u)
-            to_coarse[partner] = next;
-        ++next;
-    }
+    std::fill(part_weight.begin(), part_weight.end(), 0);
+    for (NodeId u = 0; u < g.numNodes(); ++u)
+        part_weight[assign[u]] += g.nodeWeights[u];
+}
 
-    Graph coarse(next);
-    std::vector<int> weights(next, 0);
-    for (NodeId u = 0; u < n; ++u)
-        weights[to_coarse[u]] += g.nodeWeight(u);
-    for (NodeId cu = 0; cu < next; ++cu)
-        coarse.setNodeWeight(cu, weights[cu]);
-
-    for (const auto &e : g.edges()) {
-        const NodeId cu = to_coarse[e.u];
-        const NodeId cv = to_coarse[e.v];
-        if (cu != cv)
-            coarse.addEdge(cu, cv, e.weight, /*merge_parallel=*/true);
-    }
-    return coarse;
+long long
+cutWeight(const FlatGraph &g, const std::vector<int> &assign)
+{
+    long long cut = 0;
+    for (const Edge &e : g.edges)
+        if (assign[e.u] != assign[e.v])
+            cut += e.weight;
+    return cut;
 }
 
 /**
@@ -64,20 +44,22 @@ contract(const Graph &g, const std::vector<NodeId> &match,
  * Grows k regions by BFS from random seeds, then assigns leftovers
  * to the lightest part among their neighbors.
  */
-Partitioning
-initialPartition(const Graph &g, int k, long long max_part_weight,
-                 Rng &rng)
+void
+initialPartition(const FlatGraph &g, long long max_part_weight,
+                 Rng &rng, std::vector<NodeId> &seeds,
+                 std::vector<NodeId> &queue, std::vector<int> &assign,
+                 std::vector<long long> &part_weight)
 {
     const NodeId n = g.numNodes();
-    std::vector<int> assign(n, -1);
-    std::vector<long long> part_weight(k, 0);
+    const int k = static_cast<int>(part_weight.size());
+    assign.assign(n, -1);
+    std::fill(part_weight.begin(), part_weight.end(), 0);
 
-    std::vector<NodeId> seeds(n);
+    seeds.resize(n);
     std::iota(seeds.begin(), seeds.end(), 0);
     rng.shuffle(seeds);
 
     std::size_t seed_cursor = 0;
-    std::vector<NodeId> queue;
     for (int p = 0; p < k; ++p) {
         // Find an unassigned seed.
         while (seed_cursor < seeds.size() && assign[seeds[seed_cursor]] >= 0)
@@ -88,18 +70,18 @@ initialPartition(const Graph &g, int k, long long max_part_weight,
         queue.clear();
         queue.push_back(start);
         assign[start] = p;
-        part_weight[p] += g.nodeWeight(start);
+        part_weight[p] += g.nodeWeights[start];
         std::size_t head = 0;
         while (head < queue.size() && part_weight[p] < max_part_weight) {
-            NodeId u = queue[head++];
-            for (const auto &adj : g.adjacency(u)) {
-                const NodeId v = adj.neighbor;
+            const NodeId u = queue[head++];
+            for (int a = g.arcBegin[u]; a < g.arcBegin[u + 1]; ++a) {
+                const NodeId v = g.arcs[a].neighbor;
                 if (assign[v] >= 0)
                     continue;
-                if (part_weight[p] + g.nodeWeight(v) > max_part_weight)
+                if (part_weight[p] + g.nodeWeights[v] > max_part_weight)
                     continue;
                 assign[v] = p;
-                part_weight[p] += g.nodeWeight(v);
+                part_weight[p] += g.nodeWeights[v];
                 queue.push_back(v);
             }
         }
@@ -111,8 +93,8 @@ initialPartition(const Graph &g, int k, long long max_part_weight,
         if (assign[u] >= 0)
             continue;
         int best_part = -1;
-        for (const auto &adj : g.adjacency(u)) {
-            const int p = assign[adj.neighbor];
+        for (int a = g.arcBegin[u]; a < g.arcBegin[u + 1]; ++a) {
+            const int p = assign[g.arcs[a].neighbor];
             if (p >= 0 && (best_part < 0 ||
                            part_weight[p] < part_weight[best_part])) {
                 best_part = p;
@@ -124,41 +106,41 @@ initialPartition(const Graph &g, int k, long long max_part_weight,
                 part_weight.begin());
         }
         assign[u] = best_part;
-        part_weight[best_part] += g.nodeWeight(u);
+        part_weight[best_part] += g.nodeWeights[u];
     }
-
-    return Partitioning(std::move(assign), k);
 }
 
 /**
  * Force every part below max_part_weight by moving nodes out of
  * overweight parts (cheapest cut penalty first), even at negative
  * gain. Needed because greedy initial partitioning can overfill the
- * part that absorbs leftovers.
+ * part that absorbs leftovers. `conn` is k-sized scratch.
  */
 void
-rebalancePass(const Graph &g, Partitioning &p, long long max_part_weight)
+rebalance(const FlatGraph &g, std::vector<int> &assign,
+          std::vector<long long> &part_weight,
+          std::vector<long long> &conn, long long max_part_weight)
 {
-    const int k = p.numParts();
-    auto part_weight = p.partWeights(g);
+    const NodeId n = g.numNodes();
+    const int k = static_cast<int>(part_weight.size());
 
     for (int from = 0; from < k; ++from) {
-        int guard = g.numNodes() + 1;
+        int guard = n + 1;
         while (part_weight[from] > max_part_weight && guard-- > 0) {
             // Pick the node of `from` whose move is cheapest.
             NodeId best_node = invalidNode;
             int best_part = -1;
             long long best_penalty = 0;
-            for (NodeId u = 0; u < g.numNodes(); ++u) {
-                if (p.part(u) != from)
+            for (NodeId u = 0; u < n; ++u) {
+                if (assign[u] != from)
                     continue;
-                std::vector<long long> conn(k, 0);
-                for (const auto &adj : g.adjacency(u))
-                    conn[p.part(adj.neighbor)] += adj.weight;
+                std::fill(conn.begin(), conn.end(), 0);
+                for (int a = g.arcBegin[u]; a < g.arcBegin[u + 1]; ++a)
+                    conn[assign[g.arcs[a].neighbor]] += g.arcs[a].weight;
                 for (int q = 0; q < k; ++q) {
                     if (q == from)
                         continue;
-                    if (part_weight[q] + g.nodeWeight(u) >
+                    if (part_weight[q] + g.nodeWeights[u] >
                         max_part_weight)
                         continue;
                     const long long penalty = conn[from] - conn[q];
@@ -172,33 +154,34 @@ rebalancePass(const Graph &g, Partitioning &p, long long max_part_weight)
             }
             if (best_node == invalidNode)
                 break; // every other part is full; give up
-            p.setPart(best_node, best_part);
-            part_weight[from] -= g.nodeWeight(best_node);
-            part_weight[best_part] += g.nodeWeight(best_node);
+            assign[best_node] = best_part;
+            part_weight[from] -= g.nodeWeights[best_node];
+            part_weight[best_part] += g.nodeWeights[best_node];
         }
     }
 }
 
-} // namespace
-
+/**
+ * One FM-style boundary refinement sweep over `assign`, keeping
+ * `part_weight` current. `conn` is k-sized scratch.
+ *
+ * @return Total cut-weight improvement achieved by the sweep.
+ */
 long long
-refineBoundaryPass(const Graph &g, Partitioning &p,
-                   long long max_part_weight)
+refineSweep(const FlatGraph &g, std::vector<int> &assign,
+            std::vector<long long> &part_weight,
+            std::vector<long long> &conn, long long max_part_weight)
 {
-    const int k = p.numParts();
-    auto part_weight = p.partWeights(g);
+    const int k = static_cast<int>(part_weight.size());
     long long total_gain = 0;
 
-    // Per-node connectivity to each part, computed lazily.
-    std::vector<long long> conn(k, 0);
-
     for (NodeId u = 0; u < g.numNodes(); ++u) {
-        const int from = p.part(u);
+        const int from = assign[u];
         bool boundary = false;
         std::fill(conn.begin(), conn.end(), 0);
-        for (const auto &adj : g.adjacency(u)) {
-            const int q = p.part(adj.neighbor);
-            conn[q] += adj.weight;
+        for (int a = g.arcBegin[u]; a < g.arcBegin[u + 1]; ++a) {
+            const int q = assign[g.arcs[a].neighbor];
+            conn[q] += g.arcs[a].weight;
             if (q != from)
                 boundary = true;
         }
@@ -210,7 +193,7 @@ refineBoundaryPass(const Graph &g, Partitioning &p,
         for (int q = 0; q < k; ++q) {
             if (q == from)
                 continue;
-            if (part_weight[q] + g.nodeWeight(u) > max_part_weight)
+            if (part_weight[q] + g.nodeWeights[u] > max_part_weight)
                 continue;
             const long long gain = conn[q] - conn[from];
             if (gain > best_gain ||
@@ -221,83 +204,335 @@ refineBoundaryPass(const Graph &g, Partitioning &p,
             }
         }
         if (best_part != from && best_gain > 0) {
-            p.setPart(u, best_part);
-            part_weight[from] -= g.nodeWeight(u);
-            part_weight[best_part] += g.nodeWeight(u);
+            assign[u] = best_part;
+            part_weight[from] -= g.nodeWeights[u];
+            part_weight[best_part] += g.nodeWeights[u];
             total_gain += best_gain;
         }
     }
     return total_gain;
 }
 
-MultilevelPartitioner::MultilevelPartitioner(MultilevelConfig config)
-    : config_(std::move(config))
+/** Up to `passes` refinement sweeps, stopping at the first no-gain. */
+void
+refine(const FlatGraph &g, std::vector<int> &assign,
+       std::vector<long long> &part_weight, std::vector<long long> &conn,
+       long long max_part_weight, int passes)
 {
-    DCMBQC_ASSERT(config_.k >= 1, "k must be positive");
-    DCMBQC_ASSERT(config_.alpha >= 1.0, "alpha must be >= 1");
+    for (int pass = 0; pass < passes; ++pass)
+        if (refineSweep(g, assign, part_weight, conn, max_part_weight) ==
+            0)
+            break;
+}
+
+} // namespace
+
+FlatGraph::FlatGraph(const Graph &g) : edges(g.edges())
+{
+    const NodeId n = g.numNodes();
+    nodeWeights.resize(n);
+    arcBegin.resize(n + 1);
+    arcs.reserve(2 * edges.size());
+    for (NodeId u = 0; u < n; ++u) {
+        nodeWeights[u] = g.nodeWeight(u);
+        arcBegin[u] = static_cast<int>(arcs.size());
+        for (const Adjacency &adj : g.adjacency(u))
+            arcs.push_back({adj.neighbor, adj.weight});
+    }
+    arcBegin[n] = static_cast<int>(arcs.size());
+}
+
+int
+heavyEdgeMatching(const FlatGraph &g, Rng &rng, std::vector<NodeId> &match,
+                  std::vector<NodeId> &visit_order)
+{
+    const NodeId n = g.numNodes();
+    match.assign(n, invalidNode);
+    visit_order.resize(n);
+    std::iota(visit_order.begin(), visit_order.end(), 0);
+    rng.shuffle(visit_order);
+
+    int pairs = 0;
+    for (const NodeId u : visit_order) {
+        if (match[u] != invalidNode)
+            continue;
+        NodeId best = invalidNode;
+        int best_weight = -1;
+        int best_combined = 0;
+        for (int a = g.arcBegin[u]; a < g.arcBegin[u + 1]; ++a) {
+            const FlatGraph::Arc &arc = g.arcs[a];
+            if (match[arc.neighbor] != invalidNode)
+                continue;
+            const int combined =
+                g.nodeWeights[u] + g.nodeWeights[arc.neighbor];
+            if (arc.weight > best_weight ||
+                (arc.weight == best_weight && combined < best_combined)) {
+                best = arc.neighbor;
+                best_weight = arc.weight;
+                best_combined = combined;
+            }
+        }
+        if (best != invalidNode) {
+            match[u] = best;
+            match[best] = u;
+            ++pairs;
+        } else {
+            match[u] = u;
+        }
+    }
+    return pairs;
+}
+
+MultilevelSearch::MultilevelSearch(const Graph &g)
+    : levels_(1), totalWeight_(g.totalNodeWeight())
+{
+    levels_[0].graph = FlatGraph(g);
+    for (NodeId u = 0; u < g.numNodes(); ++u)
+        maxNodeWeight_ = std::max(maxNodeWeight_, g.nodeWeight(u));
+}
+
+int
+MultilevelSearch::coarsen(NodeId target, Rng &rng)
+{
+    int depth = 0;
+    while (levels_[depth].graph.numNodes() > target) {
+        // Growing levels_ moves every level: take references after.
+        if (levels_.size() < static_cast<std::size_t>(depth) + 2)
+            levels_.resize(depth + 2);
+        Level &fine = levels_[depth];
+        const NodeId n = fine.graph.numNodes();
+        heavyEdgeMatching(fine.graph, rng, match_, visitOrder_);
+
+        // Coarse ids follow fine-node order.
+        fine.toCoarse.assign(n, invalidNode);
+        NodeId next = 0;
+        for (NodeId u = 0; u < n; ++u) {
+            if (fine.toCoarse[u] != invalidNode)
+                continue;
+            fine.toCoarse[u] = next;
+            if (match_[u] != u)
+                fine.toCoarse[match_[u]] = next;
+            ++next;
+        }
+        if (next >= static_cast<NodeId>(0.95 * n))
+            break; // matching stagnated (e.g., star graphs)
+        contract(fine, next, levels_[depth + 1].graph);
+        ++depth;
+    }
+    return depth;
+}
+
+void
+MultilevelSearch::contract(const Level &fine, NodeId coarse_nodes,
+                           FlatGraph &coarse)
+{
+    const FlatGraph &g = fine.graph;
+    const std::vector<NodeId> &to_coarse = fine.toCoarse;
+    const int m = static_cast<int>(g.edges.size());
+
+    coarse.nodeWeights.assign(coarse_nodes, 0);
+    for (NodeId u = 0; u < g.numNodes(); ++u)
+        coarse.nodeWeights[to_coarse[u]] += g.nodeWeights[u];
+
+    // A coarse edge is the first fine edge, in fine edge order,
+    // between two distinct coarse nodes, carrying the summed weight
+    // of all of them. Sort those fine edges by smaller coarse
+    // endpoint, stably, so each bucket lists its edges in order.
+    cursor_.assign(coarse_nodes + 1, 0);
+    for (const Edge &e : g.edges) {
+        const NodeId cu = to_coarse[e.u];
+        const NodeId cv = to_coarse[e.v];
+        if (cu != cv)
+            ++cursor_[std::min(cu, cv) + 1];
+    }
+    for (NodeId c = 0; c < coarse_nodes; ++c)
+        cursor_[c + 1] += cursor_[c];
+    byLow_.resize(cursor_[coarse_nodes]);
+    for (int i = 0; i < m; ++i) {
+        const NodeId cu = to_coarse[g.edges[i].u];
+        const NodeId cv = to_coarse[g.edges[i].v];
+        if (cu != cv)
+            byLow_[cursor_[std::min(cu, cv)]++] = i;
+    }
+
+    // In bucket `lo`, the first fine edge to reach `hi` starts the
+    // pair (lo, hi); stamp_[hi] == lo marks the pair as started.
+    stamp_.assign(coarse_nodes, invalidNode);
+    pairFirst_.resize(coarse_nodes);
+    firstEdge_.assign(m, -1);
+    for (const int i : byLow_) {
+        const NodeId cu = to_coarse[g.edges[i].u];
+        const NodeId cv = to_coarse[g.edges[i].v];
+        const NodeId lo = std::min(cu, cv);
+        const NodeId hi = std::max(cu, cv);
+        if (stamp_[hi] != lo) {
+            stamp_[hi] = lo;
+            pairFirst_[hi] = i;
+        }
+        firstEdge_[i] = pairFirst_[hi];
+    }
+
+    // Coarse edge ids follow the first fine edge of each pair.
+    coarse.edges.clear();
+    coarseEdge_.resize(m);
+    for (int i = 0; i < m; ++i) {
+        const int first = firstEdge_[i];
+        if (first < 0)
+            continue;
+        const Edge &e = g.edges[i];
+        if (first == i) {
+            coarseEdge_[i] = static_cast<int>(coarse.edges.size());
+            coarse.edges.push_back(
+                {to_coarse[e.u], to_coarse[e.v], e.weight});
+        } else {
+            coarse.edges[coarseEdge_[first]].weight += e.weight;
+        }
+    }
+
+    // Each node's arcs in coarse edge order, the order adding the
+    // edges one at a time gives.
+    coarse.arcBegin.assign(coarse_nodes + 1, 0);
+    for (const Edge &e : coarse.edges) {
+        ++coarse.arcBegin[e.u + 1];
+        ++coarse.arcBegin[e.v + 1];
+    }
+    for (NodeId c = 0; c < coarse_nodes; ++c)
+        coarse.arcBegin[c + 1] += coarse.arcBegin[c];
+    cursor_.assign(coarse.arcBegin.begin(), coarse.arcBegin.end());
+    coarse.arcs.resize(2 * coarse.edges.size());
+    for (const Edge &e : coarse.edges) {
+        coarse.arcs[cursor_[e.u]++] = {e.v, e.weight};
+        coarse.arcs[cursor_[e.v]++] = {e.u, e.weight};
+    }
+}
+
+const MultilevelSearch::Slab &
+MultilevelSearch::slab(int k, int refine_passes, long long max_part_weight)
+{
+    for (const Slab &s : slabs_)
+        if (s.k == k && s.refinePasses == refine_passes &&
+            s.maxPartWeight == max_part_weight)
+            return s;
+
+    const FlatGraph &g = levels_[0].graph;
+    const NodeId n = g.numNodes();
+    if (flux_.empty()) {
+        // flux[p] = weight of edges crossing between ids p-1 and p.
+        flux_.assign(n + 1, 0);
+        for (const Edge &e : g.edges) {
+            const NodeId lo = std::min(e.u, e.v);
+            const NodeId hi = std::max(e.u, e.v);
+            flux_[lo + 1] += e.weight;
+            flux_[hi + 1] -= e.weight;
+        }
+        for (NodeId p = 1; p <= n; ++p)
+            flux_[p] += flux_[p - 1];
+
+        prefixWeight_.assign(n + 1, 0);
+        for (NodeId u = 0; u < n; ++u)
+            prefixWeight_[u + 1] = prefixWeight_[u] + g.nodeWeights[u];
+    }
+
+    if (slabs_.size() == kMaxSlabs)
+        slabs_.erase(slabs_.begin());
+    slabs_.push_back({k, refine_passes, max_part_weight, false, 0, {}});
+    Slab &s = slabs_.back();
+
+    // Greedy left-to-right: place boundary b in the window that
+    // keeps every part (including the remaining suffix) within
+    // max_part_weight, at the flux minimum.
+    std::vector<NodeId> cuts;
+    NodeId prev = 0;
+    for (int b = 1; b < k; ++b) {
+        // Window on prefix weight: the finished parts must not
+        // exceed the cap, and the remaining suffix must fit into
+        // the remaining parts.
+        const long long hi_weight = prefixWeight_[prev] + max_part_weight;
+        const long long lo_weight =
+            totalWeight_ - static_cast<long long>(k - b) * max_part_weight;
+        NodeId best = invalidNode;
+        for (NodeId p = prev + 1; p < n; ++p) {
+            if (prefixWeight_[p] > hi_weight)
+                break;
+            if (prefixWeight_[p] < lo_weight)
+                continue;
+            if (best == invalidNode || flux_[p] < flux_[best])
+                best = p;
+        }
+        if (best == invalidNode)
+            return s; // infeasible
+        cuts.push_back(best);
+        prev = best;
+    }
+
+    s.assignment.assign(n, k - 1);
+    NodeId start = 0;
+    for (int b = 0; b < static_cast<int>(cuts.size()); ++b) {
+        std::fill(s.assignment.begin() + start,
+                  s.assignment.begin() + cuts[b], b);
+        start = cuts[b];
+    }
+    partWeight_.assign(k, 0);
+    conn_.assign(k, 0);
+    partWeights(g, s.assignment, partWeight_);
+    refine(g, s.assignment, partWeight_, conn_, max_part_weight,
+           refine_passes);
+    s.cutWeight = cutWeight(g, s.assignment);
+    s.feasible = true;
+    return s;
 }
 
 Partitioning
-MultilevelPartitioner::partition(const Graph &g) const
+MultilevelSearch::partition(const MultilevelConfig &config)
 {
-    const int k = config_.k;
-    if (k == 1 || g.numNodes() == 0)
-        return Partitioning(g.numNodes(), std::max(k, 1));
+    DCMBQC_ASSERT(config.k >= 1, "k must be positive");
+    DCMBQC_ASSERT(config.alpha >= 1.0, "alpha must be >= 1");
+    const int k = config.k;
+    const NodeId n = levels_[0].graph.numNodes();
+    if (k == 1 || n == 0)
+        return Partitioning(n, k);
 
-    Rng rng(config_.seed);
+    Rng rng(config.seed);
 
-    const long long total = g.totalNodeWeight();
-    int max_node_weight = 1;
-    for (NodeId u = 0; u < g.numNodes(); ++u)
-        max_node_weight = std::max(max_node_weight, g.nodeWeight(u));
-    // Allow one max-weight node of slack so a feasible partition
-    // always exists even for alpha = 1.
+    // A share above the total weight caps nothing, so every alpha
+    // >= k gives the same cap; clamping there also keeps the cast
+    // defined for a huge alpha. Allow one max-weight node of slack
+    // so a feasible partition always exists even for alpha = 1.
+    const double total = static_cast<double>(totalWeight_);
+    const double share =
+        std::min(config.alpha * total / static_cast<double>(k), total);
     const long long max_part_weight = std::max<long long>(
-        static_cast<long long>(std::ceil(
-            config_.alpha * static_cast<double>(total) /
-            static_cast<double>(k))) + max_node_weight,
-        max_node_weight);
+        static_cast<long long>(std::ceil(share)) + maxNodeWeight_,
+        maxNodeWeight_);
 
     // --- Coarsening phase ------------------------------------------------
-    std::vector<CoarseLevel> levels;
-    levels.push_back({g, {}});
     const NodeId coarsen_target = std::max<NodeId>(
-        static_cast<NodeId>(config_.coarsenTargetPerPart) * k, 2 * k);
-
-    while (levels.back().graph.numNodes() > coarsen_target) {
-        const Graph &current = levels.back().graph;
-        std::vector<NodeId> match;
-        heavyEdgeMatching(current, rng, match);
-        std::vector<NodeId> to_coarse;
-        Graph coarse = contract(current, match, to_coarse);
-        if (coarse.numNodes() >=
-            static_cast<NodeId>(0.95 * current.numNodes())) {
-            break; // matching stagnated (e.g., star graphs)
-        }
-        levels.back().toCoarse = std::move(to_coarse);
-        levels.push_back({std::move(coarse), {}});
-    }
+        static_cast<NodeId>(config.coarsenTargetPerPart) * k, 2 * k);
+    const int depth = coarsen(coarsen_target, rng);
+    // levels_ does not grow below this point.
 
     // --- Initial partition on the coarsest graph -------------------------
-    Partitioning part =
-        initialPartition(levels.back().graph, k, max_part_weight, rng);
-    rebalancePass(levels.back().graph, part, max_part_weight);
-    for (int pass = 0; pass < config_.refinePasses; ++pass)
-        if (refineBoundaryPass(levels.back().graph, part,
-                               max_part_weight) == 0)
-            break;
+    partWeight_.assign(k, 0);
+    conn_.assign(k, 0);
+    const FlatGraph &coarsest = levels_[depth].graph;
+    initialPartition(coarsest, max_part_weight, rng, visitOrder_, queue_,
+                     assign_, partWeight_);
+    rebalance(coarsest, assign_, partWeight_, conn_, max_part_weight);
+    refine(coarsest, assign_, partWeight_, conn_, max_part_weight,
+           config.refinePasses);
 
     // --- Uncoarsening with refinement -------------------------------------
-    for (std::size_t level = levels.size() - 1; level-- > 0;) {
-        const auto &fine = levels[level];
-        std::vector<int> fine_assign(fine.graph.numNodes());
-        for (NodeId u = 0; u < fine.graph.numNodes(); ++u)
-            fine_assign[u] = part.part(fine.toCoarse[u]);
-        part = Partitioning(std::move(fine_assign), k);
-        rebalancePass(fine.graph, part, max_part_weight);
-        for (int pass = 0; pass < config_.refinePasses; ++pass)
-            if (refineBoundaryPass(fine.graph, part, max_part_weight) == 0)
-                break;
+    for (int level = depth; level-- > 0;) {
+        const Level &fine = levels_[level];
+        const NodeId fine_n = fine.graph.numNodes();
+        fineAssign_.resize(fine_n);
+        for (NodeId u = 0; u < fine_n; ++u)
+            fineAssign_[u] = assign_[fine.toCoarse[u]];
+        assign_.swap(fineAssign_);
+        partWeights(fine.graph, assign_, partWeight_);
+        rebalance(fine.graph, assign_, partWeight_, conn_, max_part_weight);
+        refine(fine.graph, assign_, partWeight_, conn_, max_part_weight,
+               config.refinePasses);
     }
 
     // --- Sequential-slab candidate ----------------------------------------
@@ -305,73 +540,34 @@ MultilevelPartitioner::partition(const Graph &g) const
     // circuit time), so contiguous slabs cut few edges. The cut
     // boundaries snap to low-flux positions (e.g. gate-block
     // boundaries) within the balance window.
-    if (config_.useSequentialCandidate && g.numNodes() > k) {
-        const NodeId n = g.numNodes();
-        // flux[p] = weight of edges crossing between ids p-1 and p.
-        std::vector<long long> flux(n + 1, 0);
-        for (const auto &e : g.edges()) {
-            const NodeId lo = std::min(e.u, e.v);
-            const NodeId hi = std::max(e.u, e.v);
-            flux[lo + 1] += e.weight;
-            flux[hi + 1] -= e.weight;
-        }
-        for (NodeId p = 1; p <= n; ++p)
-            flux[p] += flux[p - 1];
-
-        std::vector<long long> prefix_weight(n + 1, 0);
-        for (NodeId u = 0; u < n; ++u)
-            prefix_weight[u + 1] = prefix_weight[u] + g.nodeWeight(u);
-
-        // Greedy left-to-right: place boundary b in the window that
-        // keeps every part (including the remaining suffix) within
-        // max_part_weight, at the flux minimum.
-        std::vector<NodeId> cuts;
-        NodeId prev = 0;
-        bool feasible = true;
-        for (int b = 1; b < k && feasible; ++b) {
-            // Window on prefix weight: the finished parts must not
-            // exceed the cap, and the remaining suffix must fit into
-            // the remaining parts.
-            const long long hi_weight =
-                prefix_weight[prev] + max_part_weight;
-            const long long lo_weight =
-                total - static_cast<long long>(k - b) * max_part_weight;
-            NodeId best = invalidNode;
-            for (NodeId p = prev + 1; p < n; ++p) {
-                if (prefix_weight[p] > hi_weight)
-                    break;
-                if (prefix_weight[p] < lo_weight)
-                    continue;
-                if (best == invalidNode || flux[p] < flux[best])
-                    best = p;
-            }
-            if (best == invalidNode) {
-                feasible = false;
-                break;
-            }
-            cuts.push_back(best);
-            prev = best;
-        }
-
-        if (feasible) {
-            std::vector<int> slab(n, k - 1);
-            NodeId start = 0;
-            for (int b = 0; b < static_cast<int>(cuts.size()); ++b) {
-                for (NodeId u = start; u < cuts[b]; ++u)
-                    slab[u] = b;
-                start = cuts[b];
-            }
-            Partitioning slab_part(std::move(slab), k);
-            for (int pass = 0; pass < config_.refinePasses; ++pass)
-                if (refineBoundaryPass(g, slab_part,
-                                       max_part_weight) == 0)
-                    break;
-            if (slab_part.cutWeight(g) < part.cutWeight(g))
-                part = std::move(slab_part);
-        }
+    if (config.useSequentialCandidate && n > k) {
+        const Slab &s = slab(k, config.refinePasses, max_part_weight);
+        if (s.feasible &&
+            s.cutWeight < cutWeight(levels_[0].graph, assign_))
+            return Partitioning(s.assignment, k);
     }
+    return Partitioning(std::move(assign_), k);
+}
 
-    return part;
+Partitioning
+MultilevelPartitioner::partition(const Graph &g) const
+{
+    return MultilevelSearch(g).partition(config_);
+}
+
+long long
+refineBoundaryPass(const Graph &g, Partitioning &p,
+                   long long max_part_weight)
+{
+    const FlatGraph flat(g);
+    std::vector<int> assign = p.assignment();
+    std::vector<long long> part_weight(p.numParts());
+    std::vector<long long> conn(p.numParts());
+    partWeights(flat, assign, part_weight);
+    const long long gain =
+        refineSweep(flat, assign, part_weight, conn, max_part_weight);
+    p = Partitioning(std::move(assign), p.numParts());
+    return gain;
 }
 
 } // namespace dcmbqc

@@ -5,13 +5,20 @@
  * graph-growing initial partitioning on the coarsest graph, and
  * FM-style boundary refinement during uncoarsening. This plays the
  * role of the METIS `Partition(G, alpha)` call in Algorithm 2.
+ *
+ * Algorithm 2 partitions one graph once per probe. A
+ * MultilevelSearch flattens the graph once and reuses its coarse
+ * levels, its scratch arrays and the sequential-slab candidate of
+ * each balance cap from probe to probe.
  */
 
 #ifndef DCMBQC_PARTITION_MULTILEVEL_HH
 #define DCMBQC_PARTITION_MULTILEVEL_HH
 
 #include <cstdint>
+#include <vector>
 
+#include "common/rng.hh"
 #include "graph/graph.hh"
 #include "partition/partitioning.hh"
 
@@ -28,7 +35,8 @@ struct MultilevelConfig
      * Balance constraint: max part weight <= alpha * (total / k).
      * alpha = 1 requests a perfectly balanced partition (a slack of
      * one maximum node weight is always tolerated so a feasible
-     * solution exists).
+     * solution exists). Every alpha >= k allows a single part to
+     * hold the whole graph, so they all give the alpha = k result.
      */
     double alpha = 1.0;
 
@@ -52,17 +60,143 @@ struct MultilevelConfig
 };
 
 /**
- * Multilevel k-way partitioner.
+ * A graph in the partitioner's working layout: node weights, the
+ * edge list in id order, and all adjacency in one array, node u's
+ * arcs at [arcBegin[u], arcBegin[u + 1]).
+ */
+struct FlatGraph
+{
+    /** One adjacency entry. */
+    struct Arc
+    {
+        NodeId neighbor;
+        int weight;
+    };
+
+    std::vector<int> nodeWeights;
+    std::vector<Edge> edges;
+    std::vector<int> arcBegin;
+    std::vector<Arc> arcs;
+
+    FlatGraph() = default;
+
+    /** A copy of g, each adjacency list in g's order. */
+    explicit FlatGraph(const Graph &g);
+
+    NodeId
+    numNodes() const
+    {
+        return static_cast<NodeId>(nodeWeights.size());
+    }
+};
+
+/**
+ * Greedy heavy-edge matching, the coarsening step.
+ *
+ * Visits nodes in a random order; each unmatched node is matched to
+ * the unmatched neighbor with maximum edge weight (ties broken by
+ * smaller combined node weight to keep coarse nodes balanced, then
+ * by adjacency order).
+ *
+ * @param match Out: match[u] = partner of u, or u itself when
+ *        unmatched.
+ * @param visit_order Scratch for the visiting order.
+ * @return Number of matched pairs.
+ */
+int heavyEdgeMatching(const FlatGraph &g, Rng &rng,
+                      std::vector<NodeId> &match,
+                      std::vector<NodeId> &visit_order);
+
+/**
+ * The multilevel partitioner run repeatedly on one graph, as
+ * Algorithm 2's probes do. The graph is flattened once; coarse
+ * levels and scratch arrays are reused by every call, and the
+ * refined slab candidate is computed once per (k, refinePasses,
+ * balance cap).
+ */
+class MultilevelSearch
+{
+  public:
+    explicit MultilevelSearch(const Graph &g);
+
+    /**
+     * Partition the graph into config.k parts under the balance
+     * constraint. Deterministic for a fixed config (seed included).
+     */
+    Partitioning partition(const MultilevelConfig &config);
+
+  private:
+    /** One level of the coarsening hierarchy. */
+    struct Level
+    {
+        FlatGraph graph;
+        /** Map from this level's nodes to the next-coarser level. */
+        std::vector<NodeId> toCoarse;
+    };
+
+    /** The refined sequential-slab candidate under one cap. */
+    struct Slab
+    {
+        int k;
+        int refinePasses;
+        long long maxPartWeight;
+        /** False when no slab fits the cap. */
+        bool feasible;
+        long long cutWeight;
+        std::vector<int> assignment;
+    };
+
+    /**
+     * Coarsen from levels_[0] until the target node count or until
+     * matching stagnates. @return Index of the coarsest level.
+     */
+    int coarsen(NodeId target, Rng &rng);
+
+    /** Build `coarse` from `fine` along fine.toCoarse. */
+    void contract(const Level &fine, NodeId coarse_nodes,
+                  FlatGraph &coarse);
+
+    const Slab &slab(int k, int refine_passes, long long max_part_weight);
+
+    /** levels_[0] is the input graph; deeper entries are reused. */
+    std::vector<Level> levels_;
+    long long totalWeight_ = 0;
+    int maxNodeWeight_ = 1;
+
+    /** Edge weight crossing each id position; slab boundaries. */
+    std::vector<long long> flux_;
+    std::vector<long long> prefixWeight_;
+    std::vector<Slab> slabs_;
+
+    // Scratch, sized on first use and reused by every call.
+    std::vector<NodeId> match_;
+    std::vector<NodeId> visitOrder_;
+    std::vector<NodeId> queue_;
+    std::vector<int> cursor_;
+    std::vector<int> byLow_;
+    std::vector<NodeId> stamp_;
+    std::vector<int> pairFirst_;
+    std::vector<int> firstEdge_;
+    std::vector<int> coarseEdge_;
+    std::vector<int> assign_;
+    std::vector<int> fineAssign_;
+    std::vector<long long> partWeight_;
+    std::vector<long long> conn_;
+};
+
+/**
+ * Multilevel k-way partitioner for a single call; Algorithm 2 keeps
+ * a MultilevelSearch across its probes instead.
  */
 class MultilevelPartitioner
 {
   public:
-    explicit MultilevelPartitioner(MultilevelConfig config);
+    explicit MultilevelPartitioner(MultilevelConfig config)
+        : config_(std::move(config))
+    {
+    }
 
-    /**
-     * Partition the graph into k parts under the balance constraint.
-     * Deterministic for a fixed config (seed included).
-     */
+    /** MultilevelSearch(g).partition(config()). */
     Partitioning partition(const Graph &g) const;
 
     const MultilevelConfig &config() const { return config_; }
@@ -72,8 +206,8 @@ class MultilevelPartitioner
 };
 
 /**
- * One FM-style boundary refinement sweep used both inside the
- * multilevel scheme and exposed for testing.
+ * One FM-style boundary refinement sweep, the one the multilevel
+ * scheme runs, exposed for testing.
  *
  * Moves boundary nodes to the neighboring part with the highest
  * positive gain while keeping every part below max_part_weight.

@@ -12,7 +12,7 @@
 #include "graph/algorithms.hh"
 #include "graph/digraph.hh"
 #include "graph/graph.hh"
-#include "graph/matching.hh"
+#include "partition/multilevel.hh"
 
 namespace dcmbqc
 {
@@ -55,19 +55,6 @@ TEST(Graph, AddNodesAndEdges)
     EXPECT_FALSE(g.hasEdge(0, 2));
     EXPECT_EQ(g.degree(0), 1);
     EXPECT_EQ(g.degree(2), 0);
-}
-
-TEST(Graph, MergeParallelEdges)
-{
-    Graph g(2);
-    const auto e1 = g.addEdge(0, 1, 2, true);
-    const auto e2 = g.addEdge(0, 1, 3, true);
-    EXPECT_EQ(e1, e2);
-    EXPECT_EQ(g.numEdges(), 1);
-    EXPECT_EQ(g.edge(e1).weight, 5);
-    EXPECT_EQ(g.weightedDegree(0), 5);
-    // Mirror adjacency must also carry the merged weight.
-    EXPECT_EQ(g.adjacency(1)[0].weight, 5);
 }
 
 TEST(Graph, WeightsAndTotals)
@@ -207,8 +194,9 @@ TEST(Matching, MatchesDisjointPairs)
 {
     const Graph g = pathGraph(8);
     Rng rng(3);
-    std::vector<NodeId> match;
-    const int pairs = heavyEdgeMatching(g, rng, match);
+    std::vector<NodeId> match, visit_order;
+    const int pairs =
+        heavyEdgeMatching(FlatGraph(g), rng, match, visit_order);
     EXPECT_GE(pairs, 2);
     for (NodeId u = 0; u < 8; ++u) {
         ASSERT_GE(match[u], 0);
@@ -224,8 +212,8 @@ TEST(Matching, PrefersHeavyEdges)
     g.addEdge(0, 1, 1);
     g.addEdge(1, 2, 100);
     Rng rng(5);
-    std::vector<NodeId> match;
-    heavyEdgeMatching(g, rng, match);
+    std::vector<NodeId> match, visit_order;
+    heavyEdgeMatching(FlatGraph(g), rng, match, visit_order);
     EXPECT_EQ(match[1], 2);
     EXPECT_EQ(match[0], 0);
 }
@@ -235,8 +223,8 @@ TEST(Matching, IsolatedNodesSelfMatched)
     Graph g(3);
     g.addEdge(0, 1);
     Rng rng(7);
-    std::vector<NodeId> match;
-    heavyEdgeMatching(g, rng, match);
+    std::vector<NodeId> match, visit_order;
+    heavyEdgeMatching(FlatGraph(g), rng, match, visit_order);
     EXPECT_EQ(match[2], 2);
 }
 
