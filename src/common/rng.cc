@@ -62,11 +62,12 @@ Rng::uniformInt(std::uint64_t bound)
 {
     if (bound == 0)
         return 0;
-    // Rejection sampling on the top of the range to remove modulo bias.
-    const std::uint64_t threshold = (0 - bound) % bound;
+    // Rejection sampling on the top of the range to remove modulo
+    // bias: reject draws below 2^64 mod bound. That threshold is
+    // below bound, so a draw >= bound is kept without computing it.
     for (;;) {
-        std::uint64_t r = next();
-        if (r >= threshold)
+        const std::uint64_t r = next();
+        if (r >= bound || r >= (0 - bound) % bound)
             return r % bound;
     }
 }

@@ -60,6 +60,41 @@ TEST(Rng, UniformIntBounds)
     EXPECT_EQ(seen.size(), 10u); // every value hit
 }
 
+/** uniformInt as first written: the threshold computed up front. */
+std::uint64_t
+referenceUniformInt(Rng &rng, std::uint64_t bound)
+{
+    if (bound == 0)
+        return 0;
+    const std::uint64_t threshold = (0 - bound) % bound;
+    for (;;) {
+        std::uint64_t r = rng.next();
+        if (r >= threshold)
+            return r % bound;
+    }
+}
+
+TEST(Rng, UniformIntMatchesReferenceLoop)
+{
+    // 2^63 + 1 rejects about half its draws, so the slow path runs.
+    const std::uint64_t bounds[] = {
+        1, 2, 3, 7, 1000, (1ull << 32) - 1, (1ull << 32) + 1, 1ull << 63,
+        (1ull << 63) + 1, 3ull << 62, ~0ull};
+    for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+        for (const std::uint64_t bound : bounds) {
+            Rng fast(seed);
+            Rng reference(seed);
+            for (int i = 0; i < 32; ++i)
+                ASSERT_EQ(fast.uniformInt(bound),
+                          referenceUniformInt(reference, bound))
+                    << "seed " << seed << ", bound " << bound
+                    << ", draw " << i;
+            // Both consumed the same number of raw draws.
+            ASSERT_EQ(fast.next(), reference.next());
+        }
+    }
+}
+
 TEST(Rng, UniformRangeInclusive)
 {
     Rng rng(11);
