@@ -177,16 +177,16 @@ refineSweep(const FlatGraph &g, std::vector<int> &assign,
 
     for (NodeId u = 0; u < g.numNodes(); ++u) {
         const int from = assign[u];
-        bool boundary = false;
+        const int begin = g.arcBegin[u];
+        const int end = g.arcBegin[u + 1];
+        int a = begin;
+        while (a < end && assign[g.arcs[a].neighbor] == from)
+            ++a;
+        if (a == end)
+            continue; // not a boundary node
         std::fill(conn.begin(), conn.end(), 0);
-        for (int a = g.arcBegin[u]; a < g.arcBegin[u + 1]; ++a) {
-            const int q = assign[g.arcs[a].neighbor];
-            conn[q] += g.arcs[a].weight;
-            if (q != from)
-                boundary = true;
-        }
-        if (!boundary)
-            continue;
+        for (a = begin; a < end; ++a)
+            conn[assign[g.arcs[a].neighbor]] += g.arcs[a].weight;
 
         int best_part = from;
         long long best_gain = 0;
@@ -338,22 +338,20 @@ MultilevelSearch::contract(const Level &fine, NodeId coarse_nodes,
     // between two distinct coarse nodes, carrying the summed weight
     // of all of them. Sort those fine edges by smaller coarse
     // endpoint, stably, so each bucket lists its edges in order.
+    ends_.resize(m);
     cursor_.assign(coarse_nodes + 1, 0);
-    for (const Edge &e : g.edges) {
-        const NodeId cu = to_coarse[e.u];
-        const NodeId cv = to_coarse[e.v];
-        if (cu != cv)
-            ++cursor_[std::min(cu, cv) + 1];
+    for (int i = 0; i < m; ++i) {
+        const Edge &e = g.edges[i];
+        ends_[i] = {to_coarse[e.u], to_coarse[e.v], e.weight};
+        if (ends_[i].u != ends_[i].v)
+            ++cursor_[std::min(ends_[i].u, ends_[i].v) + 1];
     }
     for (NodeId c = 0; c < coarse_nodes; ++c)
         cursor_[c + 1] += cursor_[c];
     byLow_.resize(cursor_[coarse_nodes]);
-    for (int i = 0; i < m; ++i) {
-        const NodeId cu = to_coarse[g.edges[i].u];
-        const NodeId cv = to_coarse[g.edges[i].v];
-        if (cu != cv)
-            byLow_[cursor_[std::min(cu, cv)]++] = i;
-    }
+    for (int i = 0; i < m; ++i)
+        if (ends_[i].u != ends_[i].v)
+            byLow_[cursor_[std::min(ends_[i].u, ends_[i].v)]++] = i;
 
     // In bucket `lo`, the first fine edge to reach `hi` starts the
     // pair (lo, hi); stamp_[hi] == lo marks the pair as started.
@@ -361,10 +359,8 @@ MultilevelSearch::contract(const Level &fine, NodeId coarse_nodes,
     pairFirst_.resize(coarse_nodes);
     firstEdge_.assign(m, -1);
     for (const int i : byLow_) {
-        const NodeId cu = to_coarse[g.edges[i].u];
-        const NodeId cv = to_coarse[g.edges[i].v];
-        const NodeId lo = std::min(cu, cv);
-        const NodeId hi = std::max(cu, cv);
+        const NodeId lo = std::min(ends_[i].u, ends_[i].v);
+        const NodeId hi = std::max(ends_[i].u, ends_[i].v);
         if (stamp_[hi] != lo) {
             stamp_[hi] = lo;
             pairFirst_[hi] = i;
@@ -377,15 +373,11 @@ MultilevelSearch::contract(const Level &fine, NodeId coarse_nodes,
     coarseEdge_.resize(m);
     for (int i = 0; i < m; ++i) {
         const int first = firstEdge_[i];
-        if (first < 0)
-            continue;
-        const Edge &e = g.edges[i];
         if (first == i) {
             coarseEdge_[i] = static_cast<int>(coarse.edges.size());
-            coarse.edges.push_back(
-                {to_coarse[e.u], to_coarse[e.v], e.weight});
-        } else {
-            coarse.edges[coarseEdge_[first]].weight += e.weight;
+            coarse.edges.push_back(ends_[i]);
+        } else if (first >= 0) {
+            coarse.edges[coarseEdge_[first]].weight += ends_[i].weight;
         }
     }
 

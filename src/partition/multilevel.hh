@@ -172,6 +172,7 @@ class MultilevelSearch
     std::vector<NodeId> match_;
     std::vector<NodeId> visitOrder_;
     std::vector<NodeId> queue_;
+    std::vector<Edge> ends_;
     std::vector<int> cursor_;
     std::vector<int> byLow_;
     std::vector<NodeId> stamp_;
