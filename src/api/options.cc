@@ -1,5 +1,6 @@
 #include "api/options.hh"
 
+#include <cmath>
 #include <sstream>
 
 #include "cache/compile_cache.hh"
@@ -165,6 +166,19 @@ CompileOptions::window(int gates_per_window)
     return *this;
 }
 
+namespace
+{
+
+std::string
+got(double x)
+{
+    std::ostringstream out;
+    out << " (got " << x << ")";
+    return out.str();
+}
+
+} // namespace
+
 Status
 CompileOptions::validate() const
 {
@@ -196,20 +210,28 @@ CompileOptions::validate() const
     if (config_.grid.plRatio < 1)
         complain("plRatio must be >= 1 (got " +
                  std::to_string(config_.grid.plRatio) + ")");
-    if (config_.partition.epsilonQ < 0.0)
-        complain("epsilonQ must be >= 0");
-    if (config_.partition.alphaMax < 1.0)
-        complain("alphaMax must be >= 1");
-    if (config_.partition.gamma <= 1.0)
-        complain("gamma must exceed 1");
-    if (config_.partition.maxIterations < 1)
+    // Each floating-point check is written so that NaN fails it.
+    const auto &partition = config_.partition;
+    if (!(std::isfinite(partition.epsilonQ) && partition.epsilonQ >= 0.0))
+        complain("epsilonQ must be finite and >= 0" +
+                 got(partition.epsilonQ));
+    if (!(std::isfinite(partition.alphaMax) && partition.alphaMax >= 1.0))
+        complain("alphaMax must be finite and >= 1" +
+                 got(partition.alphaMax));
+    if (!(std::isfinite(partition.gamma) && partition.gamma > 1.0))
+        complain("gamma must be finite and exceed 1" +
+                 got(partition.gamma));
+    if (partition.maxIterations < 1)
         complain("partition maxIterations must be >= 1");
-    if (config_.bdir.initialTemperature <= 0.0)
-        complain("BDIR initial temperature must be positive");
-    if (config_.bdir.coolingRate <= 0.0 ||
-        config_.bdir.coolingRate >= 1.0)
-        complain("BDIR cooling rate must lie in (0, 1)");
-    if (config_.bdir.maxIterations < 0)
+    const auto &bdir = config_.bdir;
+    if (!(std::isfinite(bdir.initialTemperature) &&
+          bdir.initialTemperature > 0.0))
+        complain("bdirInitialTemperature must be finite and positive" +
+                 got(bdir.initialTemperature));
+    if (!(bdir.coolingRate > 0.0 && bdir.coolingRate < 1.0))
+        complain("bdirCoolingRate must lie in (0, 1)" +
+                 got(bdir.coolingRate));
+    if (bdir.maxIterations < 0)
         complain("BDIR maxIterations must be >= 0");
     if (portfolio_ < 1 || portfolio_ > 64)
         complain("portfolio candidates must lie in [1, 64] (got " +

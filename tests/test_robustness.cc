@@ -1,14 +1,20 @@
 /**
  * @file
- * Robustness: no input may abort the process. Artifact part: the
- * payload of every golden fixture is mutated (a bit flip, a byte
- * set to 0x00 or 0xff, a truncation, an appended byte), each
- * mutation is re-sealed with a valid checksum so it gets past the
- * envelope, and the fixture's own decoder reads it. The only
- * allowed outcomes are a decoded value or a non-OK Status.
+ * Robustness: no input may abort the process.
  *
- * Each fixture's cases run in a forked child, so an abort or a
- * crash fails the test and names the fixture and the mutation
+ * Artifact part: the payload of every golden fixture is mutated (a
+ * bit flip, a byte set to 0x00 or 0xff, a truncation, an appended
+ * byte), each mutation is re-sealed with a valid checksum so it gets
+ * past the envelope, and the fixture's own decoder reads it. The
+ * only allowed outcomes are a decoded value or a non-OK Status.
+ *
+ * Config part: each floating-point field of the partitioner and
+ * BDIR config is set to NaN, +-infinity, 0, -1 and 1e300, and a
+ * QFT-8 compile on 2 QPUs runs with it. The only allowed outcomes
+ * are a compiled report or a non-OK Status.
+ *
+ * Each fixture's cases, and each config case, run in a forked
+ * child, so an abort or a crash fails the test and names the case
  * instead of killing the test runner.
  */
 
@@ -18,13 +24,18 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "api/api.hh"
+#include "circuit/generators.hh"
 #include "serialize/artifact.hh"
 #include "serialize/codecs.hh"
 
@@ -274,6 +285,81 @@ TEST(ArtifactRobustness, MutatedFixturesDecodeOrFailWithAStatus)
                     kCasesPerFixture, last.decoded,
                     kCasesPerFixture - last.decoded);
     }
+}
+
+/** One config case: the fields it sets, with their values. */
+struct ConfigCase
+{
+    std::string name;
+    CompileOptions options;
+};
+
+std::vector<ConfigCase>
+configCases()
+{
+    using Setter = CompileOptions &(CompileOptions::*)(double);
+    const std::pair<const char *, Setter> fields[] = {
+        {"epsilonQ", &CompileOptions::epsilonQ},
+        {"alphaMax", &CompileOptions::alphaMax},
+        {"gamma", &CompileOptions::gamma},
+        {"bdirInitialTemperature", &CompileOptions::bdirInitialTemperature},
+        {"bdirCoolingRate", &CompileOptions::bdirCoolingRate},
+    };
+    const double values[] = {std::numeric_limits<double>::quiet_NaN(),
+                             HUGE_VAL, -HUGE_VAL, 0.0, -1.0, 1e300};
+    const auto base = [] { return CompileOptions().numQpus(2); };
+
+    std::vector<ConfigCase> cases;
+    for (const auto &[field, set] : fields) {
+        for (const double value : values) {
+            std::ostringstream name;
+            name << field << " = " << value;
+            ConfigCase c{name.str(), base()};
+            (c.options.*set)(value);
+            cases.push_back(std::move(c));
+        }
+    }
+    // Probe 1 of this search runs the partitioner at alpha = 1e300.
+    cases.push_back({"alphaMax = gamma = 1e300",
+                     base().alphaMax(1e300).gamma(1e300)});
+    return cases;
+}
+
+/** Child exit code: the compile returned a non-OK Status. */
+constexpr int kCompileRejected = 3;
+
+TEST(ConfigRobustness, ExtremeFloatingFieldsCompileOrFailWithAStatus)
+{
+    const CompileRequest request =
+        CompileRequest::fromCircuit(makeQft(8), "qft-8");
+    int compiled = 0;
+    int rejected = 0;
+    for (const ConfigCase &c : configCases()) {
+        std::fflush(nullptr);
+        const pid_t child = ::fork();
+        ASSERT_GE(child, 0);
+        if (child == 0) {
+            const auto report = CompilerDriver(c.options).compile(request);
+            ::_exit(report.ok() ? 0 : kCompileRejected);
+        }
+        int status = 0;
+        ASSERT_EQ(::waitpid(child, &status, 0), child);
+        if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
+            ++compiled;
+        } else if (WIFEXITED(status) &&
+                   WEXITSTATUS(status) == kCompileRejected) {
+            ++rejected;
+        } else {
+            ADD_FAILURE() << c.name << ": the compile child "
+                          << (WIFSIGNALED(status)
+                                  ? "was killed by signal " +
+                                      std::to_string(WTERMSIG(status))
+                                  : "exited with code " +
+                                      std::to_string(WEXITSTATUS(status)));
+        }
+    }
+    std::printf("[ robust   ] config: %d cases, %d compiled, %d rejected\n",
+                compiled + rejected, compiled, rejected);
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -284,6 +285,31 @@ TEST(ServiceServerApi, OversizedNodeFailsTheRequestNotTheServer)
     EXPECT_EQ(rejected.status().code(), StatusCode::InvalidArgument);
 
     auto healthy = h.client.compile(qftJob(6, "after-oversized"));
+    ASSERT_TRUE(healthy.ok()) << healthy.status().toString();
+
+    auto stats = h.client.stats();
+    ASSERT_TRUE(stats.ok()) << stats.status().toString();
+    EXPECT_EQ(stats->failed, 1u);
+    EXPECT_EQ(stats->succeeded, 1u);
+}
+
+TEST(ServiceServerApi, NanConfigFailsTheRequestNotTheServer)
+{
+    Harness h(basicConfig("nan-gamma"));
+    // Nothing range-checks a decoded config before validation, and
+    // every comparison with NaN is false.
+    ServiceJob nan_gamma = qftJob(6, "nan-gamma");
+    nan_gamma.config.partition.gamma =
+        std::numeric_limits<double>::quiet_NaN();
+
+    auto rejected = h.client.compile(nan_gamma);
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_EQ(rejected.status().code(), StatusCode::InvalidConfig);
+    EXPECT_NE(rejected.status().message().find("gamma"),
+              std::string::npos)
+        << rejected.status().message();
+
+    auto healthy = h.client.compile(qftJob(6, "after-nan-gamma"));
     ASSERT_TRUE(healthy.ok()) << healthy.status().toString();
 
     auto stats = h.client.stats();
