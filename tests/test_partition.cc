@@ -180,6 +180,20 @@ TEST(Multilevel, DeterministicForSeed)
     EXPECT_EQ(a.assignment(), b.assignment());
 }
 
+TEST(Multilevel, HugeAlphaGivesTheAlphaKPartition)
+{
+    // Every alpha >= k lets one part hold the whole graph, so the
+    // cap stops mattering; 1e300 must not overflow it either.
+    const Graph g = buildPattern(makeQft(36)).graph();
+    MultilevelConfig cfg;
+    cfg.k = 4;
+    cfg.alpha = 4.0;
+    const auto at_k = MultilevelPartitioner(cfg).partition(g);
+    cfg.alpha = 1e300;
+    const auto huge = MultilevelPartitioner(cfg).partition(g);
+    EXPECT_EQ(huge.assignment(), at_k.assignment());
+}
+
 TEST(RefineBoundary, ImprovesBadPartition)
 {
     const Graph g = cliqueRing(2, 10);
