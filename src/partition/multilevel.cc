@@ -354,37 +354,36 @@ MultilevelSearch::contract(const Level &fine, NodeId coarse_nodes,
             byLow_[cursor_[std::min(ends_[i].u, ends_[i].v)]++] = i;
 
     // In bucket `lo`, the first fine edge to reach `hi` starts the
-    // pair (lo, hi); stamp_[hi] == lo marks the pair as started.
+    // pair (lo, hi); stamp_[hi] == lo marks the pair as started. A
+    // later fine edge of the pair adds its weight to the first and
+    // is then marked as inside a coarse node.
     stamp_.assign(coarse_nodes, invalidNode);
     pairFirst_.resize(coarse_nodes);
-    firstEdge_.assign(m, -1);
+    int pairs = 0;
     for (const int i : byLow_) {
-        const NodeId lo = std::min(ends_[i].u, ends_[i].v);
-        const NodeId hi = std::max(ends_[i].u, ends_[i].v);
+        Edge &e = ends_[i];
+        const NodeId lo = std::min(e.u, e.v);
+        const NodeId hi = std::max(e.u, e.v);
         if (stamp_[hi] != lo) {
             stamp_[hi] = lo;
             pairFirst_[hi] = i;
-        }
-        firstEdge_[i] = pairFirst_[hi];
-    }
-
-    // Coarse edge ids follow the first fine edge of each pair.
-    coarse.edges.clear();
-    coarseEdge_.resize(m);
-    for (int i = 0; i < m; ++i) {
-        const int first = firstEdge_[i];
-        if (first == i) {
-            coarseEdge_[i] = static_cast<int>(coarse.edges.size());
-            coarse.edges.push_back(ends_[i]);
-        } else if (first >= 0) {
-            coarse.edges[coarseEdge_[first]].weight += ends_[i].weight;
+            ++pairs;
+        } else {
+            ends_[pairFirst_[hi]].weight += e.weight;
+            e.v = e.u;
         }
     }
 
-    // Each node's arcs in coarse edge order, the order adding the
-    // edges one at a time gives.
+    // Coarse edge ids follow the first fine edge of each pair; each
+    // node's arcs follow coarse edge ids, the order adding the edges
+    // one at a time gives.
+    coarse.edges.resize(pairs);
     coarse.arcBegin.assign(coarse_nodes + 1, 0);
-    for (const Edge &e : coarse.edges) {
+    int next = 0;
+    for (const Edge &e : ends_) {
+        if (e.u == e.v)
+            continue;
+        coarse.edges[next++] = e;
         ++coarse.arcBegin[e.u + 1];
         ++coarse.arcBegin[e.v + 1];
     }

@@ -177,8 +177,6 @@ class MultilevelSearch
     std::vector<int> byLow_;
     std::vector<NodeId> stamp_;
     std::vector<int> pairFirst_;
-    std::vector<int> firstEdge_;
-    std::vector<int> coarseEdge_;
     std::vector<int> assign_;
     std::vector<int> fineAssign_;
     std::vector<long long> partWeight_;
