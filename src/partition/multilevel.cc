@@ -220,8 +220,7 @@ refine(const FlatGraph &g, std::vector<int> &assign,
        long long max_part_weight, int passes)
 {
     for (int pass = 0; pass < passes; ++pass)
-        if (refineSweep(g, assign, part_weight, conn, max_part_weight) ==
-            0)
+        if (refineSweep(g, assign, part_weight, conn, max_part_weight) == 0)
             break;
 }
 

@@ -5,11 +5,6 @@
  * graph-growing initial partitioning on the coarsest graph, and
  * FM-style boundary refinement during uncoarsening. This plays the
  * role of the METIS `Partition(G, alpha)` call in Algorithm 2.
- *
- * Algorithm 2 partitions one graph once per probe. A
- * MultilevelSearch flattens the graph once and reuses its coarse
- * levels, its scratch arrays and the sequential-slab candidate of
- * each balance cap from probe to probe.
  */
 
 #ifndef DCMBQC_PARTITION_MULTILEVEL_HH
