@@ -319,7 +319,7 @@ configCases()
             cases.push_back(std::move(c));
         }
     }
-    // Probe 1 of this search runs the partitioner at alpha = 1e300.
+    // The search's second probe runs the partitioner at alpha = 1e300.
     cases.push_back({"alphaMax = gamma = 1e300",
                      base().alphaMax(1e300).gamma(1e300)});
     return cases;
