@@ -18,6 +18,7 @@
 #include "circuit/huge_generators.hh"
 #include "noise/analysis.hh"
 #include "photonic/grid.hh"
+#include "serialize/binary.hh"
 #include "serialize/codecs.hh"
 #include "serialize/json.hh"
 
@@ -572,6 +573,48 @@ TEST(ExecSerialize, ReportWithExecutionsRoundTrips)
                          decoded->executions[0]);
     const std::string json = toJson(*decoded);
     EXPECT_NE(json.find("\"executions\""), std::string::npos);
+}
+
+// --- Output pins -------------------------------------------------------------
+
+TEST(ExecPins, StabilizerAndScheduleResultBytes)
+{
+    // Both backends prepare the graph state from its adjacency; the
+    // bytes must not depend on the thread count either.
+    const std::pair<const char *, std::uint64_t> pins[] = {
+        {"stabilizer", 0x17d1125481f825b6ull},
+        {"schedule", 0xf35f87cf119df589ull},
+    };
+    std::vector<ExecOptions> runs;
+    for (const auto &pin : pins) {
+        for (int threads : {1, 4}) {
+            ExecOptions options;
+            options.backend = pin.first;
+            options.shots = 64;
+            options.seed = 5;
+            options.numThreads = threads;
+            runs.push_back(options);
+        }
+    }
+    auto report =
+        CompilerDriver(CompileOptions().numQpus(4).gridSize(7).seed(1))
+            .compileAndExecute(
+                CompileRequest::fromCircuit(
+                    makeRandomCliffordCircuit(24, 120, 3), "clifford-24"),
+                runs);
+    ASSERT_TRUE(report.ok()) << report.status().toString();
+    ASSERT_EQ(report->executions.size(), runs.size());
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        SCOPED_TRACE(runs[i].backend + " threads=" +
+                     std::to_string(runs[i].numThreads));
+        // Wall time and thread count are not result content.
+        ExecResult result = report->executions[i];
+        result.wallMillis = 0.0;
+        result.threads = 1;
+        const std::vector<std::uint8_t> bytes =
+            encodeExecResultArtifact(result);
+        EXPECT_EQ(fnv1a64(bytes.data(), bytes.size()), pins[i / 2].second);
+    }
 }
 
 } // namespace

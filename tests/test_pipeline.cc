@@ -4,7 +4,11 @@
  * pass-based `CompilerDriver`: structural invariants of the
  * distributed schedule, the headline property that distribution
  * reduces execution time and required lifetime on mid-size
- * programs, and baseline consistency.
+ * programs, and baseline consistency. The pins at the end fix the
+ * exact output of two Table II compiles large enough to route,
+ * defer fusions and run BDIR on a real grid, so a rewrite of any
+ * pass that reads graph adjacency cannot move artifact bytes
+ * unnoticed.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +20,8 @@
 #include "mbqc/dependency.hh"
 #include "mbqc/pattern_builder.hh"
 #include "photonic/grid.hh"
+#include "serialize/binary.hh"
+#include "serialize/codecs.hh"
 
 namespace dcmbqc
 {
@@ -222,6 +228,78 @@ TEST(Pipeline, StageReportCoversAllPasses)
         EXPECT_TRUE(stage.status.ok()) << stage.pass;
         EXPECT_GE(stage.millis, 0.0) << stage.pass;
     }
+}
+
+// --- Output pins ------------------------------------------------------------
+
+/** FNV-1a of one value's payload encoding. */
+template <typename T>
+std::uint64_t
+payloadHash(const T &value, void (*encode)(BinaryWriter &, const T &))
+{
+    BinaryWriter writer;
+    encode(writer, value);
+    return fnv1a64(writer.bytes().data(), writer.bytes().size());
+}
+
+/** The exact outcome of one distributed compile. */
+struct ResultPin
+{
+    const char *name;
+    Circuit circuit;
+    int qpus;
+    std::vector<std::uint64_t> localScheduleHashes;
+    std::uint64_t scheduleHash;
+    int makespan;
+    int lifetime;
+    int connectors;
+    /** RefineBdir's note, which carries the accepted-move count. */
+    const char *bdirNote;
+};
+
+void
+expectResultPin(const ResultPin &pin)
+{
+    SCOPED_TRACE(pin.name);
+    auto report = CompilerDriver(CompileOptions()
+                                     .numQpus(pin.qpus)
+                                     .gridSize(19)
+                                     .useBdir(true)
+                                     .seed(1))
+                      .compile(CompileRequest::fromCircuit(pin.circuit));
+    ASSERT_TRUE(report.ok()) << report.status().toString();
+    const DcMbqcResult &result = report->result();
+    std::vector<std::uint64_t> local_hashes;
+    for (const LocalSchedule &local : result.localSchedules)
+        local_hashes.push_back(payloadHash(local, &encodeLocalSchedule));
+    EXPECT_EQ(local_hashes, pin.localScheduleHashes);
+    EXPECT_EQ(payloadHash(result.schedule, &encodeSchedule),
+              pin.scheduleHash);
+    EXPECT_EQ(result.executionTime(), pin.makespan);
+    EXPECT_EQ(result.requiredLifetime(), pin.lifetime);
+    EXPECT_EQ(result.numConnectors, pin.connectors);
+    ASSERT_EQ(report->stages.back().pass, "RefineBdir");
+    EXPECT_EQ(report->stages.back().note, pin.bdirNote);
+}
+
+TEST(PipelinePins, Qft100On4Qpus)
+{
+    expectResultPin({"QFT-100/4", makeQft(100), 4,
+                     {0x52543772e52a3761ull, 0x2140fcfa6fab587dull,
+                      0xfa1e4894111bde06ull, 0x504383dadefdf50eull},
+                     0x5dcb9dab19aadde5ull, 1076, 990, 210,
+                     "lifetime 990 -> 990 cycles (0 accepted moves)"});
+}
+
+TEST(PipelinePins, Vqe100On8Qpus)
+{
+    expectResultPin({"VQE-100/8", makeVqe(100), 8,
+                     {0x63e050ea83f39888ull, 0xefe686863428d5c9ull,
+                      0xbb7c3d3f923071a1ull, 0x80fad2bcfd30975cull,
+                      0x4196a39a01f2ff39ull, 0x7d583a908d4a29a7ull,
+                      0x4fff25dd7186fc1full, 0x1fec6d6907733439ull},
+                     0x84ae72ca82184b4dull, 280, 232, 614,
+                     "lifetime 236 -> 232 cycles (20 accepted moves)"});
 }
 
 } // namespace

@@ -29,6 +29,7 @@
 #include "core/lsp_builder.hh"
 #include "mbqc/dependency.hh"
 #include "mbqc/pattern_builder.hh"
+#include "serialize/binary.hh"
 #include "serialize/codecs.hh"
 
 namespace dcmbqc
@@ -509,6 +510,32 @@ TEST(HugeGenerators, StreamsAreReplayableAndSized)
         EXPECT_EQ(static_cast<std::uint64_t>(first.numGates()),
                   stream->totalGates());
         EXPECT_EQ(first.numQubits(), stream->numQubits());
+    }
+}
+
+// --- Output pins -------------------------------------------------------------
+
+TEST(StreamPatternPins, ArtifactBytesOfTheStreamFamilies)
+{
+    // Edge order and the embedded X/Z sets both follow adjacency, so
+    // these fix the pattern graph's layout on each huge family.
+    struct Pin
+    {
+        std::shared_ptr<CircuitStream> stream;
+        std::uint64_t artifactHash;
+    };
+    const Pin pins[] = {
+        {makeGraphStateStream(20, 20), 0x19386b0fe46b7836ull},
+        {makeDeepQaoaStream(16, 4), 0xa0db1982d12c9f7cull},
+        {makeRandomCliffordTStream(16, 2000), 0xda7b15841ebb3b88ull},
+    };
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(pin.stream->name());
+        auto pattern = buildPatternStreamed(*pin.stream, StreamWindow{64});
+        ASSERT_TRUE(pattern.ok()) << pattern.status().toString();
+        const std::vector<std::uint8_t> bytes =
+            encodePatternArtifact(*pattern);
+        EXPECT_EQ(fnv1a64(bytes.data(), bytes.size()), pin.artifactHash);
     }
 }
 
