@@ -34,8 +34,7 @@ BM_MultilevelPartition(benchmark::State &state)
     MultilevelConfig config;
     config.k = static_cast<int>(state.range(0));
     for (auto _ : state) {
-        auto part =
-            MultilevelPartitioner(config).partition(p.pattern.graph());
+        auto part = MultilevelSearch(p.pattern.graph()).partition(config);
         benchmark::DoNotOptimize(part);
     }
 }

@@ -11,8 +11,10 @@
  * diverge. Results are mirrored to BENCH_noise_sweep.json.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <set>
 #include <string>
 
 #include "bench/bench_common.hh"
@@ -219,19 +221,18 @@ main()
         const int instances = 24;
         for (std::uint64_t seed = 1;
              seed <= static_cast<std::uint64_t>(instances); ++seed) {
-            Graph g(32);
-            Rng edges(seed * 7919);
-            int added = 0;
-            while (added < 64) {
+            Rng rng_edges(seed * 7919);
+            std::vector<Edge> edges;
+            std::set<std::pair<NodeId, NodeId>> seen;
+            while (edges.size() < 64) {
                 const NodeId u =
-                    static_cast<NodeId>(edges.uniformInt(32));
+                    static_cast<NodeId>(rng_edges.uniformInt(32));
                 const NodeId v =
-                    static_cast<NodeId>(edges.uniformInt(32));
-                if (u == v || g.hasEdge(u, v))
-                    continue;
-                g.addEdge(u, v);
-                ++added;
+                    static_cast<NodeId>(rng_edges.uniformInt(32));
+                if (u != v && seen.insert(std::minmax(u, v)).second)
+                    edges.push_back({u, v});
             }
+            const Graph g(32, std::move(edges));
             AdaptiveConfig config;
             config.k = 4;
             config.seed = seed;

@@ -13,8 +13,10 @@
  * Results are mirrored to BENCH_sim_kernels.json.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -60,17 +62,20 @@ Graph
 rowOpGraph()
 {
     constexpr NodeId n = 512;
-    Graph g(n);
-    for (NodeId u = 0; u < n; ++u)
-        g.addEdge(u, (u + 1) % n);
+    std::vector<Edge> edges;
+    std::set<std::pair<NodeId, NodeId>> seen;
+    for (NodeId u = 0; u < n; ++u) {
+        edges.push_back({u, (u + 1) % n});
+        seen.insert(std::minmax(u, (u + 1) % n));
+    }
     Rng chords(17);
     for (int extra = 0; extra < 2 * n; ++extra) {
         const NodeId u = static_cast<NodeId>(chords.uniformInt(n));
         const NodeId v = static_cast<NodeId>(chords.uniformInt(n));
-        if (u != v && !g.hasEdge(u, v))
-            g.addEdge(u, v);
+        if (u != v && seen.insert(std::minmax(u, v)).second)
+            edges.push_back({u, v});
     }
-    return g;
+    return Graph(n, std::move(edges));
 }
 
 /**

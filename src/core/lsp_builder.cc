@@ -94,11 +94,11 @@ buildLayerSchedulingProblem(const Graph &g, const Digraph &deps,
         *local_out = std::move(locals);
 
     // --- Connectors / synchronization tasks --------------------------
-    Graph local_edges(g.numNodes());
+    std::vector<Edge> local_edges;
     std::vector<SyncTask> sync_tasks;
     for (const auto &e : g.edges()) {
         if (part.part(e.u) == part.part(e.v)) {
-            local_edges.addEdge(e.u, e.v, e.weight);
+            local_edges.push_back(e);
         } else {
             SyncTask sync;
             sync.taskA = task_of_node[e.u];
@@ -109,10 +109,10 @@ buildLayerSchedulingProblem(const Graph &g, const Digraph &deps,
         }
     }
 
-    return LayerSchedulingProblem(std::move(main_tasks),
-                                  std::move(sync_tasks),
-                                  std::move(local_edges), deps,
-                                  num_qpus, kmax, grid.plRatio);
+    return LayerSchedulingProblem(
+        std::move(main_tasks), std::move(sync_tasks),
+        Graph(g.numNodes(), std::move(local_edges)), deps, num_qpus, kmax,
+        grid.plRatio);
 }
 
 } // namespace dcmbqc

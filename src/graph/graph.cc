@@ -1,65 +1,50 @@
 #include "graph/graph.hh"
 
+#include <algorithm>
+#include <numeric>
+
 #include "common/logging.hh"
 
 namespace dcmbqc
 {
 
-Graph::Graph(NodeId num_nodes)
-    : nodeWeights_(num_nodes, 1), adjacency_(num_nodes)
+Graph::Graph(NodeId num_nodes, std::vector<Edge> edges)
+    : Graph(std::vector<int>(num_nodes, 1), std::move(edges))
 {
 }
 
 Graph::Graph(std::vector<int> node_weights, std::vector<Edge> edges)
-    : nodeWeights_(std::move(node_weights)),
-      adjacency_(nodeWeights_.size()), edges_(std::move(edges))
+    : nodeWeights_(std::move(node_weights)), edges_(std::move(edges)),
+      arcBegin_(nodeWeights_.size() + 1, 0)
 {
     const NodeId n = numNodes();
-    std::vector<int> degree(n, 0);
     for (const Edge &e : edges_) {
         DCMBQC_ASSERT(e.u >= 0 && e.u < n && e.v >= 0 && e.v < n &&
                           e.u != e.v,
                       "Graph: bad edge (", e.u, ", ", e.v, ")");
-        ++degree[e.u];
-        ++degree[e.v];
+        ++arcBegin_[e.u + 1];
+        ++arcBegin_[e.v + 1];
     }
-    for (NodeId u = 0; u < n; ++u)
-        adjacency_[u].reserve(degree[u]);
-    for (EdgeId e = 0; e < numEdges(); ++e) {
-        const Edge &edge = edges_[e];
-        adjacency_[edge.u].push_back({edge.v, e, edge.weight});
-        adjacency_[edge.v].push_back({edge.u, e, edge.weight});
+    std::partial_sum(arcBegin_.begin(), arcBegin_.end(), arcBegin_.begin());
+
+    // arcBegin_[u] is u's fill cursor, which ends where u + 1's arcs
+    // begin; shifting the cursors up one node restores the offsets.
+    arcs_.resize(arcBegin_[n]);
+    for (const Edge &e : edges_) {
+        arcs_[arcBegin_[e.u]++] = {e.v, e.weight};
+        arcs_[arcBegin_[e.v]++] = {e.u, e.weight};
     }
-}
-
-NodeId
-Graph::addNode(int weight)
-{
-    nodeWeights_.push_back(weight);
-    adjacency_.emplace_back();
-    return static_cast<NodeId>(nodeWeights_.size() - 1);
-}
-
-EdgeId
-Graph::addEdge(NodeId u, NodeId v, int weight)
-{
-    DCMBQC_ASSERT(u >= 0 && u < numNodes(), "addEdge: bad u=", u);
-    DCMBQC_ASSERT(v >= 0 && v < numNodes(), "addEdge: bad v=", v);
-    DCMBQC_ASSERT(u != v, "addEdge: self loop at ", u);
-
-    EdgeId e = static_cast<EdgeId>(edges_.size());
-    edges_.push_back({u, v, weight});
-    adjacency_[u].push_back({v, e, weight});
-    adjacency_[v].push_back({u, e, weight});
-    return e;
+    for (NodeId u = n - 1; u > 0; --u)
+        arcBegin_[u] = arcBegin_[u - 1];
+    arcBegin_[0] = 0;
 }
 
 bool
 Graph::hasEdge(NodeId u, NodeId v) const
 {
-    const NodeId probe = adjacency_[u].size() <= adjacency_[v].size() ? u : v;
+    const NodeId probe = degree(u) <= degree(v) ? u : v;
     const NodeId other = probe == u ? v : u;
-    for (const auto &adj : adjacency_[probe])
+    for (const Adjacency &adj : adjacency(probe))
         if (adj.neighbor == other)
             return true;
     return false;
@@ -87,7 +72,7 @@ long long
 Graph::weightedDegree(NodeId u) const
 {
     long long total = 0;
-    for (const auto &adj : adjacency_[u])
+    for (const Adjacency &adj : adjacency(u))
         total += adj.weight;
     return total;
 }
@@ -106,22 +91,23 @@ Graph::inducedSubgraph(const std::vector<NodeId> &nodes,
                        std::vector<NodeId> *to_sub) const
 {
     std::vector<NodeId> map(numNodes(), invalidNode);
-    Graph sub(static_cast<NodeId>(nodes.size()));
+    std::vector<int> weights(nodes.size());
     for (std::size_t i = 0; i < nodes.size(); ++i) {
         DCMBQC_ASSERT(map[nodes[i]] == invalidNode,
                       "duplicate node in subgraph selection");
         map[nodes[i]] = static_cast<NodeId>(i);
-        sub.setNodeWeight(static_cast<NodeId>(i), nodeWeight(nodes[i]));
+        weights[i] = nodeWeight(nodes[i]);
     }
-    for (const auto &e : edges_) {
+    std::vector<Edge> edges;
+    for (const Edge &e : edges_) {
         const NodeId su = map[e.u];
         const NodeId sv = map[e.v];
         if (su != invalidNode && sv != invalidNode)
-            sub.addEdge(su, sv, e.weight);
+            edges.push_back({su, sv, e.weight});
     }
     if (to_sub)
         *to_sub = std::move(map);
-    return sub;
+    return Graph(std::move(weights), std::move(edges));
 }
 
 } // namespace dcmbqc

@@ -8,7 +8,7 @@
 #ifndef DCMBQC_GRAPH_GRAPH_HH
 #define DCMBQC_GRAPH_GRAPH_HH
 
-#include <utility>
+#include <cstddef>
 #include <vector>
 
 #include "common/types.hh"
@@ -16,11 +16,10 @@
 namespace dcmbqc
 {
 
-/** One endpoint record in an adjacency list. */
+/** One arc of a node's adjacency: the neighbor and the edge weight. */
 struct Adjacency
 {
     NodeId neighbor;
-    EdgeId edge;
     int weight;
 };
 
@@ -29,42 +28,53 @@ struct Edge
 {
     NodeId u;
     NodeId v;
-    int weight;
+    int weight = 1;
 };
 
 /**
- * Undirected graph with integer node and edge weights.
+ * Undirected graph with integer node and edge weights, built once
+ * from its node weights and edge list.
  *
- * Node weights default to 1 and represent resource units for
- * workload balancing; edge weights default to 1 and represent fusion
- * multiplicity.
+ * Node weights represent resource units for workload balancing;
+ * edge weights represent fusion multiplicity. The layout is
+ * compressed sparse rows, METIS's `xadj`/`adjncy`/`adjwgt`
+ * (Karypis-Kumar [32]): the edge list in id order, and every node's
+ * arcs in one array, node u's at [arcBegin_[u], arcBegin_[u + 1]).
+ * Each node's arcs follow edge ids, the order that artifact bytes
+ * and the partitioner's tie-breaks depend on.
  */
 class Graph
 {
   public:
+    /** A node's arcs, in edge-id order. */
+    class Arcs
+    {
+      public:
+        Arcs(const Adjacency *begin, const Adjacency *end)
+            : begin_(begin), end_(end)
+        {
+        }
+
+        const Adjacency *begin() const { return begin_; }
+        const Adjacency *end() const { return end_; }
+        std::size_t size() const { return end_ - begin_; }
+        const Adjacency &operator[](std::size_t i) const { return begin_[i]; }
+
+      private:
+        const Adjacency *begin_;
+        const Adjacency *end_;
+    };
+
     Graph() = default;
 
-    /** Construct with a fixed number of isolated nodes. */
-    explicit Graph(NodeId num_nodes);
+    /** Nodes of weight 1 and the given edges. */
+    explicit Graph(NodeId num_nodes, std::vector<Edge> edges = {});
 
     /**
-     * Construct from node weights and an edge list: the graph that
-     * adding the nodes and then calling addEdge(e.u, e.v, e.weight)
-     * for each edge in order gives, adjacency order included, with
-     * each adjacency list allocated once at its exact size. Edge
-     * endpoints must be distinct nodes in range.
+     * Construct from node weights and an edge list; edge i gets id
+     * i. Edge endpoints must be distinct nodes in range.
      */
     Graph(std::vector<int> node_weights, std::vector<Edge> edges);
-
-    /** Append a new isolated node and return its id. */
-    NodeId addNode(int weight = 1);
-
-    /**
-     * Add an undirected edge between u and v.
-     *
-     * @return The new edge's id.
-     */
-    EdgeId addEdge(NodeId u, NodeId v, int weight = 1);
 
     /** True when an edge between u and v exists (scans adjacency). */
     bool hasEdge(NodeId u, NodeId v) const;
@@ -84,17 +94,15 @@ class Graph
     const Edge &edge(EdgeId e) const { return edges_[e]; }
     const std::vector<Edge> &edges() const { return edges_; }
 
-    /** Adjacency of node u (neighbor, edge id, weight triples). */
-    const std::vector<Adjacency> &adjacency(NodeId u) const
+    /** Arcs of node u (neighbor, weight pairs). */
+    Arcs
+    adjacency(NodeId u) const
     {
-        return adjacency_[u];
+        return {arcs_.data() + arcBegin_[u], arcs_.data() + arcBegin_[u + 1]};
     }
 
     /** Unweighted degree of node u. */
-    int degree(NodeId u) const
-    {
-        return static_cast<int>(adjacency_[u].size());
-    }
+    int degree(NodeId u) const { return arcBegin_[u + 1] - arcBegin_[u]; }
 
     /** Sum of incident edge weights of node u. */
     long long weightedDegree(NodeId u) const;
@@ -109,15 +117,17 @@ class Graph
      *        be numbered in the result.
      * @param to_sub Optional out-map from original id to subgraph id
      *        (invalidNode for nodes outside the subgraph).
-     * @return The induced subgraph; node i corresponds to nodes[i].
+     * @return The induced subgraph; node i corresponds to nodes[i],
+     *         and its edges keep their relative order.
      */
     Graph inducedSubgraph(const std::vector<NodeId> &nodes,
                           std::vector<NodeId> *to_sub = nullptr) const;
 
   private:
     std::vector<int> nodeWeights_;
-    std::vector<std::vector<Adjacency>> adjacency_;
     std::vector<Edge> edges_;
+    std::vector<int> arcBegin_;
+    std::vector<Adjacency> arcs_;
 };
 
 } // namespace dcmbqc

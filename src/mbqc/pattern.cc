@@ -1,7 +1,5 @@
 #include "mbqc/pattern.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace dcmbqc
@@ -20,34 +18,6 @@ Pattern::Pattern(Graph graph, std::vector<double> angles,
     DCMBQC_ASSERT(angles_.size() == n && flow_.size() == n &&
                       wires_.size() == n,
                   "Pattern: per-node parts disagree with the graph");
-}
-
-NodeId
-Pattern::addNode(QubitId wire)
-{
-    const NodeId id = graph_.addNode();
-    angles_.push_back(0.0);
-    flow_.push_back(invalidNode);
-    wires_.push_back(wire);
-    return id;
-}
-
-void
-Pattern::setMeasurement(NodeId u, double theta, NodeId flow_successor)
-{
-    DCMBQC_ASSERT(u >= 0 && u < numNodes(), "setMeasurement: bad node");
-    DCMBQC_ASSERT(flow_successor >= 0 && flow_successor < numNodes(),
-                  "setMeasurement: bad flow successor");
-    DCMBQC_ASSERT(flow_[u] == invalidNode, "node measured twice: ", u);
-    angles_[u] = theta;
-    flow_[u] = flow_successor;
-    measurementOrder_.push_back(u);
-}
-
-void
-Pattern::setOutputs(std::vector<NodeId> outputs)
-{
-    outputs_ = std::move(outputs);
 }
 
 void

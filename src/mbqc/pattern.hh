@@ -32,12 +32,11 @@ class Pattern
     Pattern() = default;
 
     /**
-     * Assemble a pattern from its parts as the artifact decoder
-     * reads them: per-node angles, flow successors and wires, the
-     * measured nodes in measurement order, and the outputs. Equal to
-     * building the same pattern with addNode, addEdge,
-     * setMeasurement and setOutputs; the caller has checked that the
-     * parts are consistent.
+     * Assemble a pattern from its parts: the graph, per-node angles,
+     * flow successors and wires, the measured nodes in measurement
+     * order, and the outputs. The pattern builder and the artifact
+     * decoder both build patterns this way; the caller has checked
+     * that the parts are consistent (validate() re-checks them).
      */
     Pattern(Graph graph, std::vector<double> angles,
             std::vector<NodeId> flow, std::vector<QubitId> wires,
@@ -72,12 +71,6 @@ class Pattern
 
     /** Number of circuit wires (logical qubits). */
     int numWires() const { return static_cast<int>(outputs_.size()); }
-
-    // Mutators used by PatternBuilder ------------------------------------
-    NodeId addNode(QubitId wire);
-    void addEdge(NodeId u, NodeId v) { graph_.addEdge(u, v); }
-    void setMeasurement(NodeId u, double theta, NodeId flow_successor);
-    void setOutputs(std::vector<NodeId> outputs);
 
     /** Internal consistency checks (flow, angles, orders). */
     void validate() const;

@@ -50,7 +50,7 @@ class SettledPrefixBuilder
           wire_entries_(static_cast<std::size_t>(num_qubits))
     {
         for (QubitId w = 0; w < num_qubits; ++w)
-            cur_[w] = pattern_.addNode(w);
+            cur_[w] = addNode(w);
     }
 
     void
@@ -61,10 +61,12 @@ class SettledPrefixBuilder
             return;
         }
         const NodeId m = cur_[op.q0];
-        const NodeId n = pattern_.addNode(op.q0);
+        const NodeId n = addNode(op.q0);
         toggle(m, op.q0, n, op.q0);
         // J(alpha) measures the old node at -alpha; flow f(m)=n.
-        pattern_.setMeasurement(m, -op.angle, n);
+        angles_[m] = -op.angle;
+        flow_[m] = n;
+        measurementOrder_.push_back(m);
         cur_[op.q0] = n;
         // m left the frontier: every pair touching it is settled.
         retire(op.q0);
@@ -91,9 +93,12 @@ class SettledPrefixBuilder
         drain();
         DCMBQC_ASSERT(pending_.empty(),
                       "pattern builder left pending edges");
-        pattern_.setOutputs(cur_);
-        pattern_.validate();
-        return std::move(pattern_);
+        const auto n = static_cast<NodeId>(wires_.size());
+        Pattern pattern(Graph(n, std::move(edges_)), std::move(angles_),
+                        std::move(flow_), std::move(wires_),
+                        std::move(measurementOrder_), std::move(cur_));
+        pattern.validate();
+        return pattern;
     }
 
     std::uint64_t pendingEdges() const { return pending_.size(); }
@@ -113,6 +118,16 @@ class SettledPrefixBuilder
     }
 
   private:
+    /** A fresh unmeasured node on `wire`. */
+    NodeId
+    addNode(QubitId wire)
+    {
+        angles_.push_back(0.0);
+        flow_.push_back(invalidNode);
+        wires_.push_back(wire);
+        return static_cast<NodeId>(wires_.size() - 1);
+    }
+
     void
     toggle(NodeId a, QubitId wa, NodeId b, QubitId wb)
     {
@@ -153,13 +168,20 @@ class SettledPrefixBuilder
         while (!pending_.empty() && pending_.front().frozen) {
             const PendingEdge &entry = pending_.front();
             if (entry.on)
-                pattern_.addEdge(entry.a, entry.b);
+                edges_.push_back({entry.a, entry.b});
             pending_.pop_front();
             ++base_;
         }
     }
 
-    Pattern pattern_;
+    // The pattern's parts, in node-id and edge-id order.
+    std::vector<Edge> edges_;
+    std::vector<double> angles_;
+    std::vector<NodeId> flow_;
+    std::vector<QubitId> wires_;
+    std::vector<NodeId> measurementOrder_;
+
+    /** Each wire's current (frontier) node; the outputs at the end. */
     std::vector<NodeId> cur_;
 
     /** Scratch for the lowering of one gate. */

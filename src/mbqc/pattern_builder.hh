@@ -13,7 +13,7 @@
  * endpoint is retired by a J measurement: no later op can toggle it
  * again, so its final on/off state is known mid-program. Settled
  * pairs are emitted from the queue front only, which fixes the
- * `Graph::addEdge` order (and therefore the artifact bytes)
+ * pattern graph's edge order (and therefore the artifact bytes)
  * independently of how the input is chunked. Live state is bounded
  * by the open frontier (one current node per wire plus the
  * still-toggleable pairs), not by program length.

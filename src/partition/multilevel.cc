@@ -21,19 +21,19 @@ constexpr std::size_t kMaxSlabs = 8;
 
 /** part_weight[p] = node weight assigned to part p. */
 void
-partWeights(const FlatGraph &g, const std::vector<int> &assign,
+partWeights(const Graph &g, const std::vector<int> &assign,
             std::vector<long long> &part_weight)
 {
     std::fill(part_weight.begin(), part_weight.end(), 0);
     for (NodeId u = 0; u < g.numNodes(); ++u)
-        part_weight[assign[u]] += g.nodeWeights[u];
+        part_weight[assign[u]] += g.nodeWeight(u);
 }
 
 long long
-cutWeight(const FlatGraph &g, const std::vector<int> &assign)
+cutWeight(const Graph &g, const std::vector<int> &assign)
 {
     long long cut = 0;
-    for (const Edge &e : g.edges)
+    for (const Edge &e : g.edges())
         if (assign[e.u] != assign[e.v])
             cut += e.weight;
     return cut;
@@ -45,7 +45,7 @@ cutWeight(const FlatGraph &g, const std::vector<int> &assign)
  * to the lightest part among their neighbors.
  */
 void
-initialPartition(const FlatGraph &g, long long max_part_weight,
+initialPartition(const Graph &g, long long max_part_weight,
                  Rng &rng, std::vector<NodeId> &seeds,
                  std::vector<NodeId> &queue, std::vector<int> &assign,
                  std::vector<long long> &part_weight)
@@ -70,18 +70,18 @@ initialPartition(const FlatGraph &g, long long max_part_weight,
         queue.clear();
         queue.push_back(start);
         assign[start] = p;
-        part_weight[p] += g.nodeWeights[start];
+        part_weight[p] += g.nodeWeight(start);
         std::size_t head = 0;
         while (head < queue.size() && part_weight[p] < max_part_weight) {
             const NodeId u = queue[head++];
-            for (int a = g.arcBegin[u]; a < g.arcBegin[u + 1]; ++a) {
-                const NodeId v = g.arcs[a].neighbor;
+            for (const Adjacency &arc : g.adjacency(u)) {
+                const NodeId v = arc.neighbor;
                 if (assign[v] >= 0)
                     continue;
-                if (part_weight[p] + g.nodeWeights[v] > max_part_weight)
+                if (part_weight[p] + g.nodeWeight(v) > max_part_weight)
                     continue;
                 assign[v] = p;
-                part_weight[p] += g.nodeWeights[v];
+                part_weight[p] += g.nodeWeight(v);
                 queue.push_back(v);
             }
         }
@@ -93,8 +93,8 @@ initialPartition(const FlatGraph &g, long long max_part_weight,
         if (assign[u] >= 0)
             continue;
         int best_part = -1;
-        for (int a = g.arcBegin[u]; a < g.arcBegin[u + 1]; ++a) {
-            const int p = assign[g.arcs[a].neighbor];
+        for (const Adjacency &arc : g.adjacency(u)) {
+            const int p = assign[arc.neighbor];
             if (p >= 0 && (best_part < 0 ||
                            part_weight[p] < part_weight[best_part])) {
                 best_part = p;
@@ -106,7 +106,7 @@ initialPartition(const FlatGraph &g, long long max_part_weight,
                 part_weight.begin());
         }
         assign[u] = best_part;
-        part_weight[best_part] += g.nodeWeights[u];
+        part_weight[best_part] += g.nodeWeight(u);
     }
 }
 
@@ -117,7 +117,7 @@ initialPartition(const FlatGraph &g, long long max_part_weight,
  * part that absorbs leftovers. `conn` is k-sized scratch.
  */
 void
-rebalance(const FlatGraph &g, std::vector<int> &assign,
+rebalance(const Graph &g, std::vector<int> &assign,
           std::vector<long long> &part_weight,
           std::vector<long long> &conn, long long max_part_weight)
 {
@@ -135,13 +135,12 @@ rebalance(const FlatGraph &g, std::vector<int> &assign,
                 if (assign[u] != from)
                     continue;
                 std::fill(conn.begin(), conn.end(), 0);
-                for (int a = g.arcBegin[u]; a < g.arcBegin[u + 1]; ++a)
-                    conn[assign[g.arcs[a].neighbor]] += g.arcs[a].weight;
+                for (const Adjacency &arc : g.adjacency(u))
+                    conn[assign[arc.neighbor]] += arc.weight;
                 for (int q = 0; q < k; ++q) {
                     if (q == from)
                         continue;
-                    if (part_weight[q] + g.nodeWeights[u] >
-                        max_part_weight)
+                    if (part_weight[q] + g.nodeWeight(u) > max_part_weight)
                         continue;
                     const long long penalty = conn[from] - conn[q];
                     if (best_node == invalidNode ||
@@ -155,8 +154,8 @@ rebalance(const FlatGraph &g, std::vector<int> &assign,
             if (best_node == invalidNode)
                 break; // every other part is full; give up
             assign[best_node] = best_part;
-            part_weight[from] -= g.nodeWeights[best_node];
-            part_weight[best_part] += g.nodeWeights[best_node];
+            part_weight[from] -= g.nodeWeight(best_node);
+            part_weight[best_part] += g.nodeWeight(best_node);
         }
     }
 }
@@ -168,7 +167,7 @@ rebalance(const FlatGraph &g, std::vector<int> &assign,
  * @return Total cut-weight improvement achieved by the sweep.
  */
 long long
-refineSweep(const FlatGraph &g, std::vector<int> &assign,
+refineSweep(const Graph &g, std::vector<int> &assign,
             std::vector<long long> &part_weight,
             std::vector<long long> &conn, long long max_part_weight)
 {
@@ -177,23 +176,22 @@ refineSweep(const FlatGraph &g, std::vector<int> &assign,
 
     for (NodeId u = 0; u < g.numNodes(); ++u) {
         const int from = assign[u];
-        const int begin = g.arcBegin[u];
-        const int end = g.arcBegin[u + 1];
-        int a = begin;
-        while (a < end && assign[g.arcs[a].neighbor] == from)
-            ++a;
-        if (a == end)
+        const Graph::Arcs arcs = g.adjacency(u);
+        if (std::all_of(arcs.begin(), arcs.end(),
+                        [&](const Adjacency &arc) {
+                            return assign[arc.neighbor] == from;
+                        }))
             continue; // not a boundary node
         std::fill(conn.begin(), conn.end(), 0);
-        for (a = begin; a < end; ++a)
-            conn[assign[g.arcs[a].neighbor]] += g.arcs[a].weight;
+        for (const Adjacency &arc : arcs)
+            conn[assign[arc.neighbor]] += arc.weight;
 
         int best_part = from;
         long long best_gain = 0;
         for (int q = 0; q < k; ++q) {
             if (q == from)
                 continue;
-            if (part_weight[q] + g.nodeWeights[u] > max_part_weight)
+            if (part_weight[q] + g.nodeWeight(u) > max_part_weight)
                 continue;
             const long long gain = conn[q] - conn[from];
             if (gain > best_gain ||
@@ -205,8 +203,8 @@ refineSweep(const FlatGraph &g, std::vector<int> &assign,
         }
         if (best_part != from && best_gain > 0) {
             assign[u] = best_part;
-            part_weight[from] -= g.nodeWeights[u];
-            part_weight[best_part] += g.nodeWeights[u];
+            part_weight[from] -= g.nodeWeight(u);
+            part_weight[best_part] += g.nodeWeight(u);
             total_gain += best_gain;
         }
     }
@@ -215,7 +213,7 @@ refineSweep(const FlatGraph &g, std::vector<int> &assign,
 
 /** Up to `passes` refinement sweeps, stopping at the first no-gain. */
 void
-refine(const FlatGraph &g, std::vector<int> &assign,
+refine(const Graph &g, std::vector<int> &assign,
        std::vector<long long> &part_weight, std::vector<long long> &conn,
        long long max_part_weight, int passes)
 {
@@ -226,23 +224,8 @@ refine(const FlatGraph &g, std::vector<int> &assign,
 
 } // namespace
 
-FlatGraph::FlatGraph(const Graph &g) : edges(g.edges())
-{
-    const NodeId n = g.numNodes();
-    nodeWeights.resize(n);
-    arcBegin.resize(n + 1);
-    arcs.reserve(2 * edges.size());
-    for (NodeId u = 0; u < n; ++u) {
-        nodeWeights[u] = g.nodeWeight(u);
-        arcBegin[u] = static_cast<int>(arcs.size());
-        for (const Adjacency &adj : g.adjacency(u))
-            arcs.push_back({adj.neighbor, adj.weight});
-    }
-    arcBegin[n] = static_cast<int>(arcs.size());
-}
-
 int
-heavyEdgeMatching(const FlatGraph &g, Rng &rng, std::vector<NodeId> &match,
+heavyEdgeMatching(const Graph &g, Rng &rng, std::vector<NodeId> &match,
                   std::vector<NodeId> &visit_order)
 {
     const NodeId n = g.numNodes();
@@ -258,12 +241,10 @@ heavyEdgeMatching(const FlatGraph &g, Rng &rng, std::vector<NodeId> &match,
         NodeId best = invalidNode;
         int best_weight = -1;
         int best_combined = 0;
-        for (int a = g.arcBegin[u]; a < g.arcBegin[u + 1]; ++a) {
-            const FlatGraph::Arc &arc = g.arcs[a];
+        for (const Adjacency &arc : g.adjacency(u)) {
             if (match[arc.neighbor] != invalidNode)
                 continue;
-            const int combined =
-                g.nodeWeights[u] + g.nodeWeights[arc.neighbor];
+            const int combined = g.nodeWeight(u) + g.nodeWeight(arc.neighbor);
             if (arc.weight > best_weight ||
                 (arc.weight == best_weight && combined < best_combined)) {
                 best = arc.neighbor;
@@ -283,9 +264,8 @@ heavyEdgeMatching(const FlatGraph &g, Rng &rng, std::vector<NodeId> &match,
 }
 
 MultilevelSearch::MultilevelSearch(const Graph &g)
-    : levels_(1), totalWeight_(g.totalNodeWeight())
+    : input_(&g), levels_(1), totalWeight_(g.totalNodeWeight())
 {
-    levels_[0].graph = FlatGraph(g);
     for (NodeId u = 0; u < g.numNodes(); ++u)
         maxNodeWeight_ = std::max(maxNodeWeight_, g.nodeWeight(u));
 }
@@ -294,44 +274,44 @@ int
 MultilevelSearch::coarsen(NodeId target, Rng &rng)
 {
     int depth = 0;
-    while (levels_[depth].graph.numNodes() > target) {
+    while (graph(depth).numNodes() > target) {
         // Growing levels_ moves every level: take references after.
         if (levels_.size() < static_cast<std::size_t>(depth) + 2)
             levels_.resize(depth + 2);
-        Level &fine = levels_[depth];
-        const NodeId n = fine.graph.numNodes();
-        heavyEdgeMatching(fine.graph, rng, match_, visitOrder_);
+        const Graph &fine = graph(depth);
+        std::vector<NodeId> &to_coarse = levels_[depth].toCoarse;
+        const NodeId n = fine.numNodes();
+        heavyEdgeMatching(fine, rng, match_, visitOrder_);
 
         // Coarse ids follow fine-node order.
-        fine.toCoarse.assign(n, invalidNode);
+        to_coarse.assign(n, invalidNode);
         NodeId next = 0;
         for (NodeId u = 0; u < n; ++u) {
-            if (fine.toCoarse[u] != invalidNode)
+            if (to_coarse[u] != invalidNode)
                 continue;
-            fine.toCoarse[u] = next;
+            to_coarse[u] = next;
             if (match_[u] != u)
-                fine.toCoarse[match_[u]] = next;
+                to_coarse[match_[u]] = next;
             ++next;
         }
         if (next >= static_cast<NodeId>(0.95 * n))
             break; // matching stagnated (e.g., star graphs)
-        contract(fine, next, levels_[depth + 1].graph);
+        levels_[depth + 1].graph = contract(fine, to_coarse, next);
         ++depth;
     }
     return depth;
 }
 
-void
-MultilevelSearch::contract(const Level &fine, NodeId coarse_nodes,
-                           FlatGraph &coarse)
+Graph
+MultilevelSearch::contract(const Graph &fine,
+                           const std::vector<NodeId> &to_coarse,
+                           NodeId coarse_nodes)
 {
-    const FlatGraph &g = fine.graph;
-    const std::vector<NodeId> &to_coarse = fine.toCoarse;
-    const int m = static_cast<int>(g.edges.size());
+    const int m = static_cast<int>(fine.numEdges());
 
-    coarse.nodeWeights.assign(coarse_nodes, 0);
-    for (NodeId u = 0; u < g.numNodes(); ++u)
-        coarse.nodeWeights[to_coarse[u]] += g.nodeWeights[u];
+    std::vector<int> node_weights(coarse_nodes, 0);
+    for (NodeId u = 0; u < fine.numNodes(); ++u)
+        node_weights[to_coarse[u]] += fine.nodeWeight(u);
 
     // A coarse edge is the first fine edge, in fine edge order,
     // between two distinct coarse nodes, carrying the summed weight
@@ -340,7 +320,7 @@ MultilevelSearch::contract(const Level &fine, NodeId coarse_nodes,
     ends_.resize(m);
     cursor_.assign(coarse_nodes + 1, 0);
     for (int i = 0; i < m; ++i) {
-        const Edge &e = g.edges[i];
+        const Edge &e = fine.edge(i);
         ends_[i] = {to_coarse[e.u], to_coarse[e.v], e.weight};
         if (ends_[i].u != ends_[i].v)
             ++cursor_[std::min(ends_[i].u, ends_[i].v) + 1];
@@ -373,27 +353,13 @@ MultilevelSearch::contract(const Level &fine, NodeId coarse_nodes,
         }
     }
 
-    // Coarse edge ids follow the first fine edge of each pair; each
-    // node's arcs follow coarse edge ids, the order adding the edges
-    // one at a time gives.
-    coarse.edges.resize(pairs);
-    coarse.arcBegin.assign(coarse_nodes + 1, 0);
-    int next = 0;
-    for (const Edge &e : ends_) {
-        if (e.u == e.v)
-            continue;
-        coarse.edges[next++] = e;
-        ++coarse.arcBegin[e.u + 1];
-        ++coarse.arcBegin[e.v + 1];
-    }
-    for (NodeId c = 0; c < coarse_nodes; ++c)
-        coarse.arcBegin[c + 1] += coarse.arcBegin[c];
-    cursor_.assign(coarse.arcBegin.begin(), coarse.arcBegin.end());
-    coarse.arcs.resize(2 * coarse.edges.size());
-    for (const Edge &e : coarse.edges) {
-        coarse.arcs[cursor_[e.u]++] = {e.v, e.weight};
-        coarse.arcs[cursor_[e.v]++] = {e.u, e.weight};
-    }
+    // Coarse edge ids follow the first fine edge of each pair.
+    std::vector<Edge> edges;
+    edges.reserve(pairs);
+    for (const Edge &e : ends_)
+        if (e.u != e.v)
+            edges.push_back(e);
+    return Graph(std::move(node_weights), std::move(edges));
 }
 
 const MultilevelSearch::Slab &
@@ -404,12 +370,12 @@ MultilevelSearch::slab(int k, int refine_passes, long long max_part_weight)
             s.maxPartWeight == max_part_weight)
             return s;
 
-    const FlatGraph &g = levels_[0].graph;
+    const Graph &g = *input_;
     const NodeId n = g.numNodes();
     if (flux_.empty()) {
         // flux[p] = weight of edges crossing between ids p-1 and p.
         flux_.assign(n + 1, 0);
-        for (const Edge &e : g.edges) {
+        for (const Edge &e : g.edges()) {
             const NodeId lo = std::min(e.u, e.v);
             const NodeId hi = std::max(e.u, e.v);
             flux_[lo + 1] += e.weight;
@@ -420,7 +386,7 @@ MultilevelSearch::slab(int k, int refine_passes, long long max_part_weight)
 
         prefixWeight_.assign(n + 1, 0);
         for (NodeId u = 0; u < n; ++u)
-            prefixWeight_[u + 1] = prefixWeight_[u] + g.nodeWeights[u];
+            prefixWeight_[u + 1] = prefixWeight_[u] + g.nodeWeight(u);
     }
 
     if (slabs_.size() == kMaxSlabs)
@@ -478,7 +444,7 @@ MultilevelSearch::partition(const MultilevelConfig &config)
     DCMBQC_ASSERT(config.k >= 1, "k must be positive");
     DCMBQC_ASSERT(config.alpha >= 1.0, "alpha must be >= 1");
     const int k = config.k;
-    const NodeId n = levels_[0].graph.numNodes();
+    const NodeId n = input_->numNodes();
     if (k == 1 || n == 0)
         return Partitioning(n, k);
 
@@ -504,7 +470,7 @@ MultilevelSearch::partition(const MultilevelConfig &config)
     // --- Initial partition on the coarsest graph -------------------------
     partWeight_.assign(k, 0);
     conn_.assign(k, 0);
-    const FlatGraph &coarsest = levels_[depth].graph;
+    const Graph &coarsest = graph(depth);
     initialPartition(coarsest, max_part_weight, rng, visitOrder_, queue_,
                      assign_, partWeight_);
     rebalance(coarsest, assign_, partWeight_, conn_, max_part_weight);
@@ -513,15 +479,15 @@ MultilevelSearch::partition(const MultilevelConfig &config)
 
     // --- Uncoarsening with refinement -------------------------------------
     for (int level = depth; level-- > 0;) {
-        const Level &fine = levels_[level];
-        const NodeId fine_n = fine.graph.numNodes();
-        fineAssign_.resize(fine_n);
-        for (NodeId u = 0; u < fine_n; ++u)
-            fineAssign_[u] = assign_[fine.toCoarse[u]];
+        const Graph &fine = graph(level);
+        const std::vector<NodeId> &to_coarse = levels_[level].toCoarse;
+        fineAssign_.resize(fine.numNodes());
+        for (NodeId u = 0; u < fine.numNodes(); ++u)
+            fineAssign_[u] = assign_[to_coarse[u]];
         assign_.swap(fineAssign_);
-        partWeights(fine.graph, assign_, partWeight_);
-        rebalance(fine.graph, assign_, partWeight_, conn_, max_part_weight);
-        refine(fine.graph, assign_, partWeight_, conn_, max_part_weight,
+        partWeights(fine, assign_, partWeight_);
+        rebalance(fine, assign_, partWeight_, conn_, max_part_weight);
+        refine(fine, assign_, partWeight_, conn_, max_part_weight,
                config.refinePasses);
     }
 
@@ -532,30 +498,22 @@ MultilevelSearch::partition(const MultilevelConfig &config)
     // boundaries) within the balance window.
     if (config.useSequentialCandidate && n > k) {
         const Slab &s = slab(k, config.refinePasses, max_part_weight);
-        if (s.feasible &&
-            s.cutWeight < cutWeight(levels_[0].graph, assign_))
+        if (s.feasible && s.cutWeight < cutWeight(*input_, assign_))
             return Partitioning(s.assignment, k);
     }
     return Partitioning(std::move(assign_), k);
-}
-
-Partitioning
-MultilevelPartitioner::partition(const Graph &g) const
-{
-    return MultilevelSearch(g).partition(config_);
 }
 
 long long
 refineBoundaryPass(const Graph &g, Partitioning &p,
                    long long max_part_weight)
 {
-    const FlatGraph flat(g);
     std::vector<int> assign = p.assignment();
     std::vector<long long> part_weight(p.numParts());
     std::vector<long long> conn(p.numParts());
-    partWeights(flat, assign, part_weight);
+    partWeights(g, assign, part_weight);
     const long long gain =
-        refineSweep(flat, assign, part_weight, conn, max_part_weight);
+        refineSweep(g, assign, part_weight, conn, max_part_weight);
     p = Partitioning(std::move(assign), p.numParts());
     return gain;
 }

@@ -55,37 +55,6 @@ struct MultilevelConfig
 };
 
 /**
- * A graph in the partitioner's working layout: node weights, the
- * edge list in id order, and all adjacency in one array, node u's
- * arcs at [arcBegin[u], arcBegin[u + 1]).
- */
-struct FlatGraph
-{
-    /** One adjacency entry. */
-    struct Arc
-    {
-        NodeId neighbor;
-        int weight;
-    };
-
-    std::vector<int> nodeWeights;
-    std::vector<Edge> edges;
-    std::vector<int> arcBegin;
-    std::vector<Arc> arcs;
-
-    FlatGraph() = default;
-
-    /** A copy of g, each adjacency list in g's order. */
-    explicit FlatGraph(const Graph &g);
-
-    NodeId
-    numNodes() const
-    {
-        return static_cast<NodeId>(nodeWeights.size());
-    }
-};
-
-/**
  * Greedy heavy-edge matching, the coarsening step.
  *
  * Visits nodes in a random order; each unmatched node is matched to
@@ -98,21 +67,22 @@ struct FlatGraph
  * @param visit_order Scratch for the visiting order.
  * @return Number of matched pairs.
  */
-int heavyEdgeMatching(const FlatGraph &g, Rng &rng,
+int heavyEdgeMatching(const Graph &g, Rng &rng,
                       std::vector<NodeId> &match,
                       std::vector<NodeId> &visit_order);
 
 /**
- * The multilevel partitioner run repeatedly on one graph, as
- * Algorithm 2's probes do. The graph is flattened once; coarse
- * levels and scratch arrays are reused by every call, and the
- * refined slab candidate is computed once per (k, refinePasses,
- * balance cap).
+ * The multilevel k-way partitioner, run repeatedly on one graph as
+ * Algorithm 2's probes do. The caller's graph is the finest level
+ * and must outlive the search; scratch arrays are reused by every
+ * call, and the refined slab candidate is computed once per (k,
+ * refinePasses, balance cap).
  */
 class MultilevelSearch
 {
   public:
     explicit MultilevelSearch(const Graph &g);
+    MultilevelSearch(Graph &&) = delete;
 
     /**
      * Partition the graph into config.k parts under the balance
@@ -124,7 +94,8 @@ class MultilevelSearch
     /** One level of the coarsening hierarchy. */
     struct Level
     {
-        FlatGraph graph;
+        /** The coarse graph; unused at level 0, the input. */
+        Graph graph;
         /** Map from this level's nodes to the next-coarser level. */
         std::vector<NodeId> toCoarse;
     };
@@ -141,19 +112,27 @@ class MultilevelSearch
         std::vector<int> assignment;
     };
 
+    /** The graph at `level`: the input at level 0. */
+    const Graph &
+    graph(int level) const
+    {
+        return level == 0 ? *input_ : levels_[level].graph;
+    }
+
     /**
-     * Coarsen from levels_[0] until the target node count or until
+     * Coarsen from the input until the target node count or until
      * matching stagnates. @return Index of the coarsest level.
      */
     int coarsen(NodeId target, Rng &rng);
 
-    /** Build `coarse` from `fine` along fine.toCoarse. */
-    void contract(const Level &fine, NodeId coarse_nodes,
-                  FlatGraph &coarse);
+    /** The graph `fine` contracts to along `to_coarse`. */
+    Graph contract(const Graph &fine, const std::vector<NodeId> &to_coarse,
+                   NodeId coarse_nodes);
 
     const Slab &slab(int k, int refine_passes, long long max_part_weight);
 
-    /** levels_[0] is the input graph; deeper entries are reused. */
+    const Graph *input_;
+    /** Entry d holds level d's map and, below the input, its graph. */
     std::vector<Level> levels_;
     long long totalWeight_ = 0;
     int maxNodeWeight_ = 1;
@@ -176,27 +155,6 @@ class MultilevelSearch
     std::vector<int> fineAssign_;
     std::vector<long long> partWeight_;
     std::vector<long long> conn_;
-};
-
-/**
- * Multilevel k-way partitioner for a single call; Algorithm 2 keeps
- * a MultilevelSearch across its probes instead.
- */
-class MultilevelPartitioner
-{
-  public:
-    explicit MultilevelPartitioner(MultilevelConfig config)
-        : config_(std::move(config))
-    {
-    }
-
-    /** MultilevelSearch(g).partition(config()). */
-    Partitioning partition(const Graph &g) const;
-
-    const MultilevelConfig &config() const { return config_; }
-
-  private:
-    MultilevelConfig config_;
 };
 
 /**

@@ -558,7 +558,7 @@ decodePattern(BinaryReader &reader)
             return {};
         }
         // A pattern node weighs 1 and only a measurement sets its
-        // angle, as Pattern::addNode and setMeasurement build it.
+        // angle, as the pattern builder makes it.
         graph.setNodeWeight(u, 1);
         if (!measured[u])
             angles[u] = 0.0;

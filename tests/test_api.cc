@@ -103,8 +103,7 @@ TEST(CompileRequestApi, RejectsEmptyCircuit)
 
 TEST(CompileRequestApi, RejectsGraphDepsSizeMismatch)
 {
-    Graph g(4);
-    g.addEdge(0, 1);
+    Graph g(4, {{0, 1}});
     Digraph deps(3);
     auto report = CompilerDriver().compile(
         CompileRequest::fromGraph(g, deps));
@@ -114,8 +113,7 @@ TEST(CompileRequestApi, RejectsGraphDepsSizeMismatch)
 
 TEST(CompileRequestApi, RejectsCyclicDependencyGraph)
 {
-    Graph g(2);
-    g.addEdge(0, 1);
+    Graph g(2, {{0, 1}});
     Digraph deps(2);
     deps.addArc(0, 1);
     deps.addArc(1, 0);

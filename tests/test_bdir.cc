@@ -33,9 +33,8 @@ bottleneckInstance()
     // A benign nearby sync.
     syncs.push_back({5, 17, 5, 17});
 
-    Graph local(24);
     // Fusee pair within QPU0 spanning layers 0 and 11.
-    local.addEdge(0, 11);
+    Graph local(24, {{0, 11}});
     Digraph deps(24);
     return LayerSchedulingProblem(std::move(mains), std::move(syncs),
                                   std::move(local), std::move(deps), 2,
@@ -125,8 +124,7 @@ TEST(Bdir, HandlesInstanceWithoutSyncs)
     std::vector<MainTask> mains;
     for (int j = 0; j < 6; ++j)
         mains.push_back({0, j, {static_cast<NodeId>(j)}});
-    Graph local(6);
-    local.addEdge(0, 5);
+    Graph local(6, {{0, 5}});
     Digraph deps(6);
     LayerSchedulingProblem lsp(std::move(mains), {}, std::move(local),
                                std::move(deps), 1, 4);

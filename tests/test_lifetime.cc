@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <set>
 
 #include "common/rng.hh"
 #include "core/lifetime.hh"
@@ -21,8 +22,7 @@ namespace
 TEST(Lifetime, FuseeSpanOnly)
 {
     // Two nodes fused across 5 layers, no dependencies.
-    Graph g(2);
-    g.addEdge(0, 1);
+    const Graph g(2, {{0, 1}});
     Digraph deps(2);
     const auto r = computeLifetime(g, deps, {0, 5});
     EXPECT_EQ(r.tauFusee, 5);
@@ -75,10 +75,7 @@ TEST(Lifetime, MTimeRecurrenceWithMultipleParents)
 
 TEST(Lifetime, PaperAlgorithmPart1IsMaxAbsSpan)
 {
-    Graph g(4);
-    g.addEdge(0, 1);
-    g.addEdge(1, 2);
-    g.addEdge(2, 3);
+    const Graph g(4, {{0, 1}, {1, 2}, {2, 3}});
     Digraph deps(4);
     const auto r = computeLifetime(g, deps, {7, 3, 9, 9});
     EXPECT_EQ(r.tauFusee, 6); // |3 - 9|
@@ -88,8 +85,7 @@ TEST(Lifetime, RemoveesContributeNothing)
 {
     // A removee is just absent from both the fusee graph and deps:
     // the metric only charges what is passed in.
-    Graph g(3);
-    g.addEdge(0, 1);
+    const Graph g(3, {{0, 1}});
     Digraph deps(3);
     const auto with_far_removee = computeLifetime(g, deps, {0, 1, 999});
     EXPECT_EQ(with_far_removee.tauFusee, 1);
@@ -102,7 +98,8 @@ TEST(Lifetime, BruteForceCrossCheck)
     Rng rng(42);
     for (int trial = 0; trial < 20; ++trial) {
         const int n = 30;
-        Graph g(n);
+        std::vector<Edge> edges;
+        std::set<std::pair<NodeId, NodeId>> seen;
         Digraph deps(n);
         std::vector<TimeSlot> time(n);
         for (int u = 0; u < n; ++u)
@@ -112,11 +109,12 @@ TEST(Lifetime, BruteForceCrossCheck)
             NodeId v = static_cast<NodeId>(rng.uniformInt(n));
             if (u == v)
                 continue;
-            if (!g.hasEdge(u, v))
-                g.addEdge(u, v);
+            if (seen.insert(std::minmax(u, v)).second)
+                edges.push_back({u, v});
             if (u < v && rng.bernoulli(0.5))
                 deps.addArc(u, v); // u<v keeps it acyclic
         }
+        const Graph g(n, std::move(edges));
 
         // Reference: recursive MTime.
         std::vector<int> memo(n, -1);

@@ -50,8 +50,7 @@ singleQpuAnalysis(const Graph &g, const Digraph &deps,
 
 TEST(LossAnalysis, FuseeStorageChargedToEarlierPhoton)
 {
-    Graph g(2);
-    g.addEdge(0, 1);
+    Graph g(2, {{0, 1}});
     Digraph deps(2);
     const auto exposure = buildExposure(g, deps, {3, 10}, nullptr);
     EXPECT_EQ(exposure.sites[0].storageCycles, 7);
@@ -88,8 +87,7 @@ TEST(LossAnalysis, MaxEqualsRequiredLifetime)
 
 TEST(LossAnalysis, SuccessProbabilityIsSurvivalProduct)
 {
-    Graph g(2);
-    g.addEdge(0, 1);
+    Graph g(2, {{0, 1}});
     Digraph deps(2);
     const auto a =
         singleQpuAnalysis(g, deps, {0, 500}, delayLine(100.0));

@@ -31,9 +31,7 @@ tinyInstance(int kmax = 2)
     std::vector<SyncTask> syncs(1);
     syncs[0] = {1, 2, 2, 3};
 
-    Graph local(6);
-    local.addEdge(0, 1);
-    local.addEdge(4, 5);
+    Graph local(6, {{0, 1}, {4, 5}});
     // The cut edge 2-3 is deliberately absent from local edges.
 
     Digraph deps(6);

@@ -13,9 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <set>
 
 #include "api/api.hh"
 #include "cache/cache_key.hh"
@@ -278,8 +280,7 @@ TEST(NoiseAnalysis, CutEdgesChargeConnectorStorageToBothEndpoints)
     // storage was dropped entirely — only intra-QPU fusee waits were
     // charged. buildExposure must mark both endpoints and charge the
     // generation gap to the earlier photon.
-    Graph g(2);
-    g.addEdge(0, 1);
+    Graph g(2, {{0, 1}});
     Digraph deps(2);
     const std::vector<TimeSlot> node_time = {3, 10};
     const std::vector<int> assignment = {0, 1};
@@ -518,21 +519,20 @@ TEST(NoiseCompile, NoiseAwarePartitionNeverSurvivesWorse)
     Rng rng(123);
     bool found_strict_improvement = false;
     for (std::uint64_t seed = 1; seed <= 24; ++seed) {
-        Graph g(32);
         // Random sparse graph: community structure weak enough that
         // modularity and cut-survival disagree on some seeds.
-        Rng edges(seed * 7919);
-        int added = 0;
-        while (added < 64) {
+        Rng rng_edges(seed * 7919);
+        std::vector<Edge> edges;
+        std::set<std::pair<NodeId, NodeId>> seen;
+        while (edges.size() < 64) {
             const NodeId u =
-                static_cast<NodeId>(edges.uniformInt(32));
+                static_cast<NodeId>(rng_edges.uniformInt(32));
             const NodeId v =
-                static_cast<NodeId>(edges.uniformInt(32));
-            if (u == v || g.hasEdge(u, v))
-                continue;
-            g.addEdge(u, v);
-            ++added;
+                static_cast<NodeId>(rng_edges.uniformInt(32));
+            if (u != v && seen.insert(std::minmax(u, v)).second)
+                edges.push_back({u, v});
         }
+        const Graph g(32, std::move(edges));
         AdaptiveConfig config;
         config.k = 4;
         config.seed = seed;
@@ -563,17 +563,16 @@ TEST(NoiseCompile, NoiseAwarePartitionNeverSurvivesWorse)
 
 TEST(NoiseCompile, BlindModeIsBitIdenticalToTheLegacyPartitioner)
 {
-    Graph g(24);
-    Rng edges(42);
-    int added = 0;
-    while (added < 48) {
-        const NodeId u = static_cast<NodeId>(edges.uniformInt(24));
-        const NodeId v = static_cast<NodeId>(edges.uniformInt(24));
-        if (u == v || g.hasEdge(u, v))
-            continue;
-        g.addEdge(u, v);
-        ++added;
+    Rng rng_edges(42);
+    std::vector<Edge> edges;
+    std::set<std::pair<NodeId, NodeId>> seen;
+    while (edges.size() < 48) {
+        const NodeId u = static_cast<NodeId>(rng_edges.uniformInt(24));
+        const NodeId v = static_cast<NodeId>(rng_edges.uniformInt(24));
+        if (u != v && seen.insert(std::minmax(u, v)).second)
+            edges.push_back({u, v});
     }
+    const Graph g(24, std::move(edges));
     AdaptiveConfig config;
     config.k = 3;
     config.seed = 7;

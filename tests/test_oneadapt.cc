@@ -88,8 +88,7 @@ TEST(OneAdapt, RefreshCountFormula)
 {
     // Hand instance: one edge spanning 25 layers with cap 10 needs
     // ceil(25/10) - 1 = 2 refreshes.
-    Graph g(2);
-    g.addEdge(0, 1);
+    Graph g(2, {{0, 1}});
     Digraph deps(2);
     LocalSchedule schedule;
     schedule.grid.size = 5;

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <set>
 
 #include "circuit/generators.hh"
 #include "common/rng.hh"
@@ -29,41 +31,36 @@ namespace
 Graph
 cliqueRing(int k, int m)
 {
-    Graph g(k * m);
+    std::vector<Edge> edges;
     for (int c = 0; c < k; ++c) {
         const int base = c * m;
         for (int i = 0; i < m; ++i)
             for (int j = i + 1; j < m; ++j)
-                g.addEdge(base + i, base + j);
+                edges.push_back({base + i, base + j});
         const int next = ((c + 1) % k) * m;
-        g.addEdge(base, next);
+        edges.push_back({base, next});
     }
-    return g;
+    return Graph(k * m, std::move(edges));
 }
 
 Graph
-randomGraph(int n, int edges, std::uint64_t seed)
+randomGraph(int n, int num_edges, std::uint64_t seed)
 {
-    Graph g(n);
     Rng rng(seed);
-    int added = 0;
-    while (added < edges) {
+    std::vector<Edge> edges;
+    std::set<std::pair<NodeId, NodeId>> seen;
+    while (static_cast<int>(edges.size()) < num_edges) {
         const NodeId u = static_cast<NodeId>(rng.uniformInt(n));
         const NodeId v = static_cast<NodeId>(rng.uniformInt(n));
-        if (u == v || g.hasEdge(u, v))
-            continue;
-        g.addEdge(u, v);
-        ++added;
+        if (u != v && seen.insert(std::minmax(u, v)).second)
+            edges.push_back({u, v});
     }
-    return g;
+    return Graph(n, std::move(edges));
 }
 
 TEST(Partitioning, CutAndWeights)
 {
-    Graph g(4);
-    g.addEdge(0, 1, 2);
-    g.addEdge(1, 2, 3);
-    g.addEdge(2, 3, 4);
+    Graph g(4, {{0, 1, 2}, {1, 2, 3}, {2, 3, 4}});
     Partitioning p({0, 0, 1, 1}, 2);
     EXPECT_EQ(p.cutWeight(g), 3);
     EXPECT_EQ(p.numCutEdges(g), 1);
@@ -113,7 +110,7 @@ TEST(Multilevel, BalancedBisection)
     MultilevelConfig cfg;
     cfg.k = 2;
     cfg.alpha = 1.0;
-    const auto p = MultilevelPartitioner(cfg).partition(g);
+    const auto p = MultilevelSearch(g).partition(cfg);
     EXPECT_EQ(p.numParts(), 2);
     // Perfect split: one clique per part, cut = 2 ring edges.
     EXPECT_LE(p.cutWeight(g), 4);
@@ -125,7 +122,7 @@ TEST(Multilevel, FourWayOnCliqueRing)
     const Graph g = cliqueRing(4, 16);
     MultilevelConfig cfg;
     cfg.k = 4;
-    const auto p = MultilevelPartitioner(cfg).partition(g);
+    const auto p = MultilevelSearch(g).partition(cfg);
     EXPECT_LE(p.imbalance(g), 1.15);
     EXPECT_LE(p.cutWeight(g), 10);
 }
@@ -137,7 +134,7 @@ TEST(Multilevel, RespectsBalanceOnRandomGraph)
         MultilevelConfig cfg;
         cfg.k = k;
         cfg.alpha = 1.0;
-        const auto p = MultilevelPartitioner(cfg).partition(g);
+        const auto p = MultilevelSearch(g).partition(cfg);
         // One max-weight node of slack is tolerated by design.
         EXPECT_LE(p.imbalance(g), 1.0 + (1.0 * k) / 300 + 0.05)
             << "k=" << k;
@@ -149,7 +146,7 @@ TEST(Multilevel, CutBeatsRandomAssignment)
     const Graph g = cliqueRing(8, 12);
     MultilevelConfig cfg;
     cfg.k = 8;
-    const auto p = MultilevelPartitioner(cfg).partition(g);
+    const auto p = MultilevelSearch(g).partition(cfg);
 
     Rng rng(5);
     std::vector<int> random_assign(g.numNodes());
@@ -165,7 +162,7 @@ TEST(Multilevel, SinglePartTrivial)
     const Graph g = cliqueRing(2, 5);
     MultilevelConfig cfg;
     cfg.k = 1;
-    const auto p = MultilevelPartitioner(cfg).partition(g);
+    const auto p = MultilevelSearch(g).partition(cfg);
     EXPECT_EQ(p.cutWeight(g), 0);
 }
 
@@ -175,8 +172,8 @@ TEST(Multilevel, DeterministicForSeed)
     MultilevelConfig cfg;
     cfg.k = 4;
     cfg.seed = 99;
-    const auto a = MultilevelPartitioner(cfg).partition(g);
-    const auto b = MultilevelPartitioner(cfg).partition(g);
+    const auto a = MultilevelSearch(g).partition(cfg);
+    const auto b = MultilevelSearch(g).partition(cfg);
     EXPECT_EQ(a.assignment(), b.assignment());
 }
 
@@ -188,9 +185,9 @@ TEST(Multilevel, HugeAlphaGivesTheAlphaKPartition)
     MultilevelConfig cfg;
     cfg.k = 4;
     cfg.alpha = 4.0;
-    const auto at_k = MultilevelPartitioner(cfg).partition(g);
+    const auto at_k = MultilevelSearch(g).partition(cfg);
     cfg.alpha = 1e300;
-    const auto huge = MultilevelPartitioner(cfg).partition(g);
+    const auto huge = MultilevelSearch(g).partition(cfg);
     EXPECT_EQ(huge.assignment(), at_k.assignment());
 }
 
@@ -360,7 +357,7 @@ expectMultilevelPin(const Graph &g, int k, const MultilevelPin &pin)
     cfg.alpha = pin.alpha;
     cfg.seed = pin.seed;
     cfg.useSequentialCandidate = false;
-    const Partitioning p = MultilevelPartitioner(cfg).partition(g);
+    const Partitioning p = MultilevelSearch(g).partition(cfg);
     EXPECT_EQ(assignmentHash(p), pin.assignmentHash);
     EXPECT_EQ(p.cutWeight(g), pin.cutWeight);
 }

@@ -152,14 +152,7 @@ TEST(SimKernels, PackedGraphStateStabilizersMatchScalar)
 {
     // Graph-state generators K_i = X_i prod_{j in N(i)} Z_j must be
     // accepted by both implementations, and rejected when signed.
-    Graph g(6);
-    g.addEdge(0, 1);
-    g.addEdge(1, 2);
-    g.addEdge(2, 3);
-    g.addEdge(3, 4);
-    g.addEdge(4, 5);
-    g.addEdge(5, 0);
-    g.addEdge(0, 3);
+    Graph g(6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}, {0, 3}});
     StabilizerSim packed(6);
     ScalarStabilizerSim scalar(6);
     packed.prepareGraphState(g);

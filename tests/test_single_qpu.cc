@@ -168,9 +168,10 @@ TEST(SingleQpu, SingleNodeGraph)
 TEST(SingleQpu, OversizedNodeIsInvalidArgument)
 {
     // A star whose hub needs more fused cells than a 3x3 grid has.
-    Graph g(40);
+    std::vector<Edge> edges;
     for (NodeId leaf = 1; leaf < 40; ++leaf)
-        g.addEdge(0, leaf);
+        edges.push_back({0, leaf});
+    const Graph g(40, std::move(edges));
     Digraph deps(40);
     SingleQpuConfig config;
     config.grid.size = 3;

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "common/rng.hh"
 #include "graph/graph.hh"
 #include "sim/stabilizer.hh"
@@ -117,10 +120,10 @@ TEST(Stabilizer, MeasureXBasis)
 Graph
 ringGraph(int n)
 {
-    Graph g(n);
+    std::vector<Edge> edges;
     for (NodeId u = 0; u < n; ++u)
-        g.addEdge(u, (u + 1) % n);
-    return g;
+        edges.push_back({u, (u + 1) % n});
+    return Graph(n, std::move(edges));
 }
 
 TEST(Stabilizer, GraphStateStabilizersRing)
@@ -138,13 +141,15 @@ TEST(Stabilizer, GraphStateStabilizersRandomLarge)
 {
     Rng rng(5);
     const int n = 64;
-    Graph g(n);
+    std::vector<Edge> edges;
+    std::set<std::pair<NodeId, NodeId>> seen;
     for (int e = 0; e < 150; ++e) {
         NodeId u = static_cast<NodeId>(rng.uniformInt(n));
         NodeId v = static_cast<NodeId>(rng.uniformInt(n));
-        if (u != v && !g.hasEdge(u, v))
-            g.addEdge(u, v);
+        if (u != v && seen.insert(std::minmax(u, v)).second)
+            edges.push_back({u, v});
     }
+    const Graph g(n, std::move(edges));
     StabilizerSim sim(n);
     sim.prepareGraphState(g);
     for (NodeId i = 0; i < n; ++i)
