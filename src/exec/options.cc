@@ -1,5 +1,6 @@
 #include "exec/options.hh"
 
+#include <cmath>
 #include <sstream>
 
 #include "exec/backend.hh"
@@ -7,6 +8,19 @@
 
 namespace dcmbqc
 {
+
+namespace
+{
+
+std::string
+got(double x)
+{
+    std::ostringstream out;
+    out << " (got " << x << ")";
+    return out.str();
+}
+
+} // namespace
 
 Status
 ExecOptions::validate() const
@@ -38,13 +52,21 @@ ExecOptions::validate() const
         complain("unknown backend '" + backend + "' (expected " +
                  known + ")");
     }
-    if (lossModel.attenuationDbPerKm < 0.0)
-        complain("loss model attenuation must be >= 0 dB/km");
-    if (lossModel.cyclePeriodNs <= 0.0)
-        complain("loss model cycle period must be positive");
-    if (lossModel.speedFraction <= 0.0 ||
-        lossModel.speedFraction > 1.0)
-        complain("loss model speed fraction must lie in (0, 1]");
+    // Each floating-point check is written so that NaN fails it.
+    const LossModel &loss = lossModel;
+    if (!(std::isfinite(loss.attenuationDbPerKm) &&
+          loss.attenuationDbPerKm >= 0.0))
+        complain("loss model attenuation lossModel.attenuationDbPerKm "
+                 "must be finite and >= 0 dB/km" +
+                 got(loss.attenuationDbPerKm));
+    if (!(std::isfinite(loss.cyclePeriodNs) && loss.cyclePeriodNs > 0.0))
+        complain("loss model cycle period lossModel.cyclePeriodNs must "
+                 "be finite and positive" +
+                 got(loss.cyclePeriodNs));
+    if (!(loss.speedFraction > 0.0 && loss.speedFraction <= 1.0))
+        complain("loss model speed fraction lossModel.speedFraction "
+                 "must lie in (0, 1]" +
+                 got(loss.speedFraction));
     if (noise) {
         const auto model = buildNoiseModel(*noise);
         if (!model.ok())

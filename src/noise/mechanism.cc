@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <mutex>
+#include <sstream>
 
 #include "photonic/loss_model.hh"
 
@@ -11,6 +12,37 @@ namespace dcmbqc
 
 namespace
 {
+
+/**
+ * INVALID_CONFIG for a parameter outside its range, naming the
+ * value. Callers write each range check so that NaN fails it.
+ */
+Status
+outOfRange(const std::string &what, double value)
+{
+    std::ostringstream out;
+    out << what << " (got " << value << ")";
+    return Status::invalidConfig(out.str());
+}
+
+/** The delay-line loss parameters, checked for `mechanism`. */
+Status
+checkLossModel(const std::string &mechanism, const LossModel &model)
+{
+    if (!(std::isfinite(model.attenuationDbPerKm) &&
+          model.attenuationDbPerKm >= 0.0))
+        return outOfRange(mechanism + ": attenuation_db_per_km must be "
+                                      "finite and >= 0",
+                          model.attenuationDbPerKm);
+    if (!(std::isfinite(model.cyclePeriodNs) && model.cyclePeriodNs > 0.0))
+        return outOfRange(mechanism +
+                              ": cycle_period_ns must be finite and positive",
+                          model.cyclePeriodNs);
+    if (!(model.speedFraction > 0.0 && model.speedFraction <= 1.0))
+        return outOfRange(mechanism + ": speed_fraction must lie in (0, 1]",
+                          model.speedFraction);
+    return Status::okStatus();
+}
 
 /**
  * Shared parameter-table plumbing: concrete mechanisms declare their
@@ -87,16 +119,7 @@ class DelayLineMechanism final : public TabledMechanism
     Status
     validate() const override
     {
-        if (model_.attenuationDbPerKm < 0.0)
-            return Status::invalidConfig(
-                "delay-line: attenuation_db_per_km must be >= 0");
-        if (model_.cyclePeriodNs <= 0.0)
-            return Status::invalidConfig(
-                "delay-line: cycle_period_ns must be positive");
-        if (model_.speedFraction <= 0.0 || model_.speedFraction > 1.0)
-            return Status::invalidConfig(
-                "delay-line: speed_fraction must lie in (0, 1]");
-        return Status::okStatus();
+        return checkLossModel(name(), model_);
     }
 
     const LossModel &lossModel() const { return model_; }
@@ -149,19 +172,11 @@ class ConnectorMechanism final : public TabledMechanism
     Status
     validate() const override
     {
-        if (insertionLossDb_ < 0.0)
-            return Status::invalidConfig(
-                "connector: insertion_loss_db must be >= 0");
-        if (model_.attenuationDbPerKm < 0.0)
-            return Status::invalidConfig(
-                "connector: attenuation_db_per_km must be >= 0");
-        if (model_.cyclePeriodNs <= 0.0)
-            return Status::invalidConfig(
-                "connector: cycle_period_ns must be positive");
-        if (model_.speedFraction <= 0.0 || model_.speedFraction > 1.0)
-            return Status::invalidConfig(
-                "connector: speed_fraction must lie in (0, 1]");
-        return Status::okStatus();
+        if (!(std::isfinite(insertionLossDb_) && insertionLossDb_ >= 0.0))
+            return outOfRange(
+                "connector: insertion_loss_db must be finite and >= 0",
+                insertionLossDb_);
+        return checkLossModel(name(), model_);
     }
 
   protected:
@@ -203,9 +218,12 @@ class FusionMechanism final : public TabledMechanism
     Status
     validate() const override
     {
-        if (failureRate_ < 0.0 || failureRate_ >= 1.0)
-            return Status::invalidConfig(
-                "fusion: failure_rate must lie in [0, 1)");
+        if (!(failureRate_ >= 0.0 && failureRate_ < 1.0))
+            return outOfRange("fusion: failure_rate must lie in [0, 1)",
+                              failureRate_);
+        if (!std::isfinite(remoteOnly_))
+            return outOfRange("fusion: remote_only must be finite",
+                              remoteOnly_);
         return Status::okStatus();
     }
 
@@ -277,12 +295,14 @@ class CorrelatedBurstMechanism final : public TabledMechanism
     Status
     validate() const override
     {
-        if (burstRate_ < 0.0 || burstRate_ > 1.0)
-            return Status::invalidConfig(
-                "correlated-burst: burst_rate must lie in [0, 1]");
-        if (burstWidth_ < 0.0)
-            return Status::invalidConfig(
-                "correlated-burst: burst_width must be >= 0");
+        if (!(burstRate_ >= 0.0 && burstRate_ <= 1.0))
+            return outOfRange(
+                "correlated-burst: burst_rate must lie in [0, 1]",
+                burstRate_);
+        if (!(std::isfinite(burstWidth_) && burstWidth_ >= 0.0))
+            return outOfRange(
+                "correlated-burst: burst_width must be finite and >= 0",
+                burstWidth_);
         return Status::okStatus();
     }
 
@@ -316,9 +336,10 @@ class DepolarizingMechanism final : public TabledMechanism
     Status
     validate() const override
     {
-        if (probability_ < 0.0 || probability_ > 0.5)
-            return Status::invalidConfig(
-                "depolarizing: probability must lie in [0, 0.5]");
+        if (!(probability_ >= 0.0 && probability_ <= 0.5))
+            return outOfRange(
+                "depolarizing: probability must lie in [0, 0.5]",
+                probability_);
         return Status::okStatus();
     }
 

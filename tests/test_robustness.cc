@@ -13,9 +13,15 @@
  * QFT-8 compile on 2 QPUs runs with it. The only allowed outcomes
  * are a compiled report or a non-OK Status.
  *
- * Each fixture's cases, and each config case, run in a forked
- * child, so an abort or a crash fails the test and names the case
- * instead of killing the test runner.
+ * Exec part: each floating-point field of the execution loss model
+ * and of every noise mechanism is set to NaN and +-infinity, and
+ * QFT-8 on 2 QPUs runs on `mc-loss` with it. Every case must come
+ * back as INVALID_CONFIG naming the field; a result computed from a
+ * non-finite parameter is a confident wrong answer.
+ *
+ * Each fixture's cases, and each config and exec case, run in a
+ * forked child, so an abort or a crash fails the test and names the
+ * case instead of killing the test runner.
  */
 
 #include <gtest/gtest.h>
@@ -360,6 +366,105 @@ TEST(ConfigRobustness, ExtremeFloatingFieldsCompileOrFailWithAStatus)
     }
     std::printf("[ robust   ] config: %d cases, %d compiled, %d rejected\n",
                 compiled + rejected, compiled, rejected);
+}
+
+/** One exec case: the options it runs with and the field it breaks. */
+struct ExecCase
+{
+    std::string name;
+    std::string field;
+    ExecOptions options;
+};
+
+std::vector<ExecCase>
+execCases()
+{
+    const double values[] = {std::numeric_limits<double>::quiet_NaN(),
+                             HUGE_VAL, -HUGE_VAL};
+    const auto base = [] {
+        ExecOptions options;
+        options.backend = "mc-loss";
+        options.shots = 16;
+        return options;
+    };
+    const std::pair<const char *, double LossModel::*> loss_fields[] = {
+        {"lossModel.attenuationDbPerKm", &LossModel::attenuationDbPerKm},
+        {"lossModel.cyclePeriodNs", &LossModel::cyclePeriodNs},
+        {"lossModel.speedFraction", &LossModel::speedFraction},
+    };
+    const std::pair<const char *, const char *> noise_fields[] = {
+        {"delay-line", "attenuation_db_per_km"},
+        {"delay-line", "cycle_period_ns"},
+        {"delay-line", "speed_fraction"},
+        {"connector", "insertion_loss_db"},
+        {"connector", "attenuation_db_per_km"},
+        {"connector", "cycle_period_ns"},
+        {"connector", "speed_fraction"},
+        {"fusion", "failure_rate"},
+        {"fusion", "remote_only"},
+        {"correlated-burst", "burst_rate"},
+        {"correlated-burst", "burst_width"},
+        {"depolarizing", "probability"},
+    };
+
+    std::vector<ExecCase> cases;
+    for (const double value : values) {
+        for (const auto &[field, member] : loss_fields) {
+            std::ostringstream name;
+            name << field << " = " << value;
+            ExecCase c{name.str(), field, base()};
+            c.options.lossModel.*member = value;
+            cases.push_back(std::move(c));
+        }
+        for (const auto &[mechanism, param] : noise_fields) {
+            std::ostringstream name;
+            name << mechanism << "." << param << " = " << value;
+            ExecCase c{name.str(), param, base()};
+            c.options.noise = NoiseConfig().add(mechanism, {{param, value}});
+            cases.push_back(std::move(c));
+        }
+    }
+    return cases;
+}
+
+/** Child exit codes: the run was accepted, or failed another way. */
+constexpr int kExecAccepted = 4;
+constexpr int kExecOtherStatus = 5;
+
+TEST(ExecRobustness, NonFiniteExecAndNoiseFieldsAreInvalidConfig)
+{
+    const CompileRequest request =
+        CompileRequest::fromCircuit(makeQft(8), "qft-8");
+    const CompilerDriver driver(CompileOptions().numQpus(2));
+    for (const ExecCase &c : execCases()) {
+        std::fflush(nullptr);
+        const pid_t child = ::fork();
+        ASSERT_GE(child, 0);
+        if (child == 0) {
+            const auto report = driver.compileAndExecute(request, c.options);
+            if (report.ok())
+                ::_exit(kExecAccepted);
+            const Status &status = report.status();
+            const bool named =
+                status.code() == StatusCode::InvalidConfig &&
+                status.message().find(c.field) != std::string::npos;
+            ::_exit(named ? 0 : kExecOtherStatus);
+        }
+        int status = 0;
+        ASSERT_EQ(::waitpid(child, &status, 0), child);
+        if (WIFEXITED(status) && WEXITSTATUS(status) == 0)
+            continue;
+        std::string how;
+        if (WIFSIGNALED(status))
+            how = "was killed by signal " + std::to_string(WTERMSIG(status));
+        else if (WEXITSTATUS(status) == kExecAccepted)
+            how = "returned a result";
+        else if (WEXITSTATUS(status) == kExecOtherStatus)
+            how = "failed without an INVALID_CONFIG naming " + c.field;
+        else
+            how = "exited with code " + std::to_string(WEXITSTATUS(status));
+        ADD_FAILURE() << c.name << ": the exec child " << how;
+    }
 }
 
 } // namespace

@@ -318,6 +318,34 @@ TEST(ServiceServerApi, NanConfigFailsTheRequestNotTheServer)
     EXPECT_EQ(stats->succeeded, 1u);
 }
 
+TEST(ServiceServerApi, NanExecOptionFailsTheRequestNotTheServer)
+{
+    Harness h(basicConfig("nan-cycle"));
+    // A NaN cycle period passes every ordered comparison, so without
+    // a finite check mc-loss answers with a NaN survival probability.
+    ServiceJob nan_cycle = qftJob(8, "nan-cycle");
+    ExecOptions exec;
+    exec.backend = "mc-loss";
+    exec.shots = 16;
+    exec.lossModel.cyclePeriodNs = std::numeric_limits<double>::quiet_NaN();
+    nan_cycle.backends = {exec};
+
+    auto rejected = h.client.compile(nan_cycle);
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_EQ(rejected.status().code(), StatusCode::InvalidConfig);
+    EXPECT_NE(rejected.status().message().find("cyclePeriodNs"),
+              std::string::npos)
+        << rejected.status().message();
+
+    auto healthy = h.client.compile(qftJob(6, "after-nan-cycle"));
+    ASSERT_TRUE(healthy.ok()) << healthy.status().toString();
+
+    auto stats = h.client.stats();
+    ASSERT_TRUE(stats.ok()) << stats.status().toString();
+    EXPECT_EQ(stats->failed, 1u);
+    EXPECT_EQ(stats->succeeded, 1u);
+}
+
 TEST(ServiceServerApi, RepeatedGateQubitFailsTheRequestNotTheServer)
 {
     Harness h(basicConfig("repeated-qubit"));
