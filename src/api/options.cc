@@ -166,19 +166,6 @@ CompileOptions::window(int gates_per_window)
     return *this;
 }
 
-namespace
-{
-
-std::string
-got(double x)
-{
-    std::ostringstream out;
-    out << " (got " << x << ")";
-    return out.str();
-}
-
-} // namespace
-
 Status
 CompileOptions::validate() const
 {
@@ -214,23 +201,23 @@ CompileOptions::validate() const
     const auto &partition = config_.partition;
     if (!(std::isfinite(partition.epsilonQ) && partition.epsilonQ >= 0.0))
         complain("epsilonQ must be finite and >= 0" +
-                 got(partition.epsilonQ));
+                 gotValue(partition.epsilonQ));
     if (!(std::isfinite(partition.alphaMax) && partition.alphaMax >= 1.0))
         complain("alphaMax must be finite and >= 1" +
-                 got(partition.alphaMax));
+                 gotValue(partition.alphaMax));
     if (!(std::isfinite(partition.gamma) && partition.gamma > 1.0))
         complain("gamma must be finite and exceed 1" +
-                 got(partition.gamma));
+                 gotValue(partition.gamma));
     if (partition.maxIterations < 1)
         complain("partition maxIterations must be >= 1");
     const auto &bdir = config_.bdir;
     if (!(std::isfinite(bdir.initialTemperature) &&
           bdir.initialTemperature > 0.0))
         complain("bdirInitialTemperature must be finite and positive" +
-                 got(bdir.initialTemperature));
+                 gotValue(bdir.initialTemperature));
     if (!(bdir.coolingRate > 0.0 && bdir.coolingRate < 1.0))
         complain("bdirCoolingRate must lie in (0, 1)" +
-                 got(bdir.coolingRate));
+                 gotValue(bdir.coolingRate));
     if (bdir.maxIterations < 0)
         complain("BDIR maxIterations must be >= 0");
     if (portfolio_ < 1 || portfolio_ > 64)

@@ -1,5 +1,7 @@
 #include "api/status.hh"
 
+#include <sstream>
+
 namespace dcmbqc
 {
 
@@ -19,6 +21,14 @@ statusCodeName(StatusCode code)
       case StatusCode::Unavailable: return "UNAVAILABLE";
     }
     return "UNKNOWN";
+}
+
+std::string
+gotValue(double value)
+{
+    std::ostringstream out;
+    out << " (got " << value << ")";
+    return out.str();
 }
 
 std::string

@@ -55,6 +55,9 @@ enum class StatusCode
 /** Short stable name of a status code ("OK", "INVALID_CONFIG"...). */
 const char *statusCodeName(StatusCode code);
 
+/** " (got x)": a rejected value, to end an INVALID_CONFIG message. */
+std::string gotValue(double value);
+
 /**
  * Result of an API call that can fail: a code plus a human-readable
  * message. Default-constructed Status is OK.

@@ -9,19 +9,6 @@
 namespace dcmbqc
 {
 
-namespace
-{
-
-std::string
-got(double x)
-{
-    std::ostringstream out;
-    out << " (got " << x << ")";
-    return out.str();
-}
-
-} // namespace
-
 Status
 ExecOptions::validate() const
 {
@@ -58,15 +45,15 @@ ExecOptions::validate() const
           loss.attenuationDbPerKm >= 0.0))
         complain("loss model attenuation lossModel.attenuationDbPerKm "
                  "must be finite and >= 0 dB/km" +
-                 got(loss.attenuationDbPerKm));
+                 gotValue(loss.attenuationDbPerKm));
     if (!(std::isfinite(loss.cyclePeriodNs) && loss.cyclePeriodNs > 0.0))
         complain("loss model cycle period lossModel.cyclePeriodNs must "
                  "be finite and positive" +
-                 got(loss.cyclePeriodNs));
+                 gotValue(loss.cyclePeriodNs));
     if (!(loss.speedFraction > 0.0 && loss.speedFraction <= 1.0))
         complain("loss model speed fraction lossModel.speedFraction "
                  "must lie in (0, 1]" +
-                 got(loss.speedFraction));
+                 gotValue(loss.speedFraction));
     if (noise) {
         const auto model = buildNoiseModel(*noise);
         if (!model.ok())

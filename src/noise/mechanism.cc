@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <mutex>
-#include <sstream>
 
 #include "photonic/loss_model.hh"
 
@@ -14,33 +13,26 @@ namespace
 {
 
 /**
- * INVALID_CONFIG for a parameter outside its range, naming the
- * value. Callers write each range check so that NaN fails it.
+ * The delay-line loss parameters, checked for `mechanism`. Here and
+ * in every validate() below, each check is written so that NaN fails
+ * it, and names the parameter and the rejected value.
  */
-Status
-outOfRange(const std::string &what, double value)
-{
-    std::ostringstream out;
-    out << what << " (got " << value << ")";
-    return Status::invalidConfig(out.str());
-}
-
-/** The delay-line loss parameters, checked for `mechanism`. */
 Status
 checkLossModel(const std::string &mechanism, const LossModel &model)
 {
     if (!(std::isfinite(model.attenuationDbPerKm) &&
           model.attenuationDbPerKm >= 0.0))
-        return outOfRange(mechanism + ": attenuation_db_per_km must be "
-                                      "finite and >= 0",
-                          model.attenuationDbPerKm);
+        return Status::invalidConfig(
+            mechanism + ": attenuation_db_per_km must be finite and >= 0" +
+            gotValue(model.attenuationDbPerKm));
     if (!(std::isfinite(model.cyclePeriodNs) && model.cyclePeriodNs > 0.0))
-        return outOfRange(mechanism +
-                              ": cycle_period_ns must be finite and positive",
-                          model.cyclePeriodNs);
+        return Status::invalidConfig(
+            mechanism + ": cycle_period_ns must be finite and positive" +
+            gotValue(model.cyclePeriodNs));
     if (!(model.speedFraction > 0.0 && model.speedFraction <= 1.0))
-        return outOfRange(mechanism + ": speed_fraction must lie in (0, 1]",
-                          model.speedFraction);
+        return Status::invalidConfig(
+            mechanism + ": speed_fraction must lie in (0, 1]" +
+            gotValue(model.speedFraction));
     return Status::okStatus();
 }
 
@@ -173,9 +165,9 @@ class ConnectorMechanism final : public TabledMechanism
     validate() const override
     {
         if (!(std::isfinite(insertionLossDb_) && insertionLossDb_ >= 0.0))
-            return outOfRange(
-                "connector: insertion_loss_db must be finite and >= 0",
-                insertionLossDb_);
+            return Status::invalidConfig(
+                "connector: insertion_loss_db must be finite and >= 0" +
+                gotValue(insertionLossDb_));
         return checkLossModel(name(), model_);
     }
 
@@ -219,11 +211,13 @@ class FusionMechanism final : public TabledMechanism
     validate() const override
     {
         if (!(failureRate_ >= 0.0 && failureRate_ < 1.0))
-            return outOfRange("fusion: failure_rate must lie in [0, 1)",
-                              failureRate_);
+            return Status::invalidConfig(
+                "fusion: failure_rate must lie in [0, 1)" +
+                gotValue(failureRate_));
         if (!std::isfinite(remoteOnly_))
-            return outOfRange("fusion: remote_only must be finite",
-                              remoteOnly_);
+            return Status::invalidConfig(
+                "fusion: remote_only must be finite" +
+                gotValue(remoteOnly_));
         return Status::okStatus();
     }
 
@@ -296,13 +290,13 @@ class CorrelatedBurstMechanism final : public TabledMechanism
     validate() const override
     {
         if (!(burstRate_ >= 0.0 && burstRate_ <= 1.0))
-            return outOfRange(
-                "correlated-burst: burst_rate must lie in [0, 1]",
-                burstRate_);
+            return Status::invalidConfig(
+                "correlated-burst: burst_rate must lie in [0, 1]" +
+                gotValue(burstRate_));
         if (!(std::isfinite(burstWidth_) && burstWidth_ >= 0.0))
-            return outOfRange(
-                "correlated-burst: burst_width must be finite and >= 0",
-                burstWidth_);
+            return Status::invalidConfig(
+                "correlated-burst: burst_width must be finite and >= 0" +
+                gotValue(burstWidth_));
         return Status::okStatus();
     }
 
@@ -337,9 +331,9 @@ class DepolarizingMechanism final : public TabledMechanism
     validate() const override
     {
         if (!(probability_ >= 0.0 && probability_ <= 0.5))
-            return outOfRange(
-                "depolarizing: probability must lie in [0, 0.5]",
-                probability_);
+            return Status::invalidConfig(
+                "depolarizing: probability must lie in [0, 0.5]" +
+                gotValue(probability_));
         return Status::okStatus();
     }
 
