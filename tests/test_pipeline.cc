@@ -249,29 +249,55 @@ struct ResultPin
     Circuit circuit;
     int qpus;
     std::vector<std::uint64_t> localScheduleHashes;
+    /** Per QPU, so a routing change fails with a readable count. */
+    std::vector<long long> routingFusions;
+    std::vector<int> layers;
     std::uint64_t scheduleHash;
     int makespan;
     int lifetime;
     int connectors;
     /** RefineBdir's note, which carries the accepted-move count. */
     const char *bdirNote;
+    /** Compile under the CI smoke step's noise config. */
+    bool noiseAware = false;
 };
+
+/** The CI smoke step's noise.json: connector-heavy loss. */
+NoiseConfig
+smokeNoiseConfig()
+{
+    NoiseConfig noise;
+    noise.add("delay-line")
+        .add("connector", {{"insertion_loss_db", 1.5}})
+        .add("fusion");
+    return noise;
+}
 
 void
 expectResultPin(const ResultPin &pin)
 {
     SCOPED_TRACE(pin.name);
-    auto report = CompilerDriver(CompileOptions()
-                                     .numQpus(pin.qpus)
-                                     .gridSize(19)
-                                     .useBdir(true)
-                                     .seed(1))
-                      .compile(CompileRequest::fromCircuit(pin.circuit));
+    auto options = CompileOptions()
+                       .numQpus(pin.qpus)
+                       .gridSize(19)
+                       .useBdir(true)
+                       .seed(1);
+    if (pin.noiseAware)
+        options.noise(smokeNoiseConfig());
+    auto report = CompilerDriver(options).compile(
+        CompileRequest::fromCircuit(pin.circuit));
     ASSERT_TRUE(report.ok()) << report.status().toString();
     const DcMbqcResult &result = report->result();
     std::vector<std::uint64_t> local_hashes;
-    for (const LocalSchedule &local : result.localSchedules)
+    std::vector<long long> routing_fusions;
+    std::vector<int> layers;
+    for (const LocalSchedule &local : result.localSchedules) {
         local_hashes.push_back(payloadHash(local, &encodeLocalSchedule));
+        routing_fusions.push_back(local.routingFusions);
+        layers.push_back(static_cast<int>(local.layers.size()));
+    }
+    EXPECT_EQ(routing_fusions, pin.routingFusions);
+    EXPECT_EQ(layers, pin.layers);
     EXPECT_EQ(local_hashes, pin.localScheduleHashes);
     EXPECT_EQ(payloadHash(result.schedule, &encodeSchedule),
               pin.scheduleHash);
@@ -287,6 +313,8 @@ TEST(PipelinePins, Qft100On4Qpus)
     expectResultPin({"QFT-100/4", makeQft(100), 4,
                      {0x52543772e52a3761ull, 0x2140fcfa6fab587dull,
                       0xfa1e4894111bde06ull, 0x504383dadefdf50eull},
+                     {54252, 54947, 54448, 54013},
+                     {220, 229, 223, 223},
                      0x5dcb9dab19aadde5ull, 1076, 990, 210,
                      "lifetime 990 -> 990 cycles (0 accepted moves)"});
 }
@@ -298,8 +326,52 @@ TEST(PipelinePins, Vqe100On8Qpus)
                       0xbb7c3d3f923071a1ull, 0x80fad2bcfd30975cull,
                       0x4196a39a01f2ff39ull, 0x7d583a908d4a29a7ull,
                       0x4fff25dd7186fc1full, 0x1fec6d6907733439ull},
+                     {344, 925, 1254, 552, 1150, 2217, 5131, 7563},
+                     {14, 16, 22, 19, 17, 19, 31, 33},
                      0x84ae72ca82184b4dull, 280, 232, 614,
                      "lifetime 236 -> 232 cycles (20 accepted moves)"});
+}
+
+TEST(PipelinePins, Qft100On8Qpus)
+{
+    expectResultPin({"QFT-100/8", makeQft(100), 8,
+                     {0x30abdf7a587922d9ull, 0xeac99c25882951b0ull,
+                      0x62a241b114d760daull, 0x59753ab1db985221ull,
+                      0xa23e014c1ce4ef65ull, 0xac4bacafb6aa419eull,
+                      0x643c2f340b5581aaull, 0xe3c4ff407012c97aull},
+                     {26788, 27606, 27499, 26636, 27683, 27107, 25271,
+                      27739},
+                     {115, 112, 115, 112, 112, 112, 105, 117},
+                     0x061c7e7afd48c38aull, 780, 526, 411,
+                     "lifetime 553 -> 526 cycles (1 accepted moves)"});
+}
+
+TEST(PipelinePins, Qaoa100On4Qpus)
+{
+    // The circuit `dcmbqc compile --family qaoa --seed 1` builds.
+    expectResultPin({"QAOA-100/4", makeQaoaMaxcut(100, 1), 4,
+                     {0x9521828812438ca3ull, 0x751c8855781ddef3ull,
+                      0x327963c30d6413bcull, 0x19c55699504767bcull},
+                     {339, 439, 1408, 6036},
+                     {45, 38, 36, 45},
+                     0xd2502f332c1bab98ull, 400, 336, 317,
+                     "lifetime 354 -> 336 cycles (7 accepted moves)"});
+}
+
+TEST(PipelinePins, Qaoa100On4QpusNoiseAware)
+{
+    // The noise-aware partition search picks the noise-blind
+    // partition here, so the local schedules match the pin above;
+    // only RefineBdir's objective moves the schedule.
+    expectResultPin({"QAOA-100/4 noise-aware", makeQaoaMaxcut(100, 1), 4,
+                     {0x9521828812438ca3ull, 0x751c8855781ddef3ull,
+                      0x327963c30d6413bcull, 0x19c55699504767bcull},
+                     {339, 439, 1408, 6036},
+                     {45, 38, 36, 45},
+                     0xfdb7a7cda26e5624ull, 400, 348, 317,
+                     "lifetime 354 -> 348 cycles (19 accepted moves, "
+                     "noise-aware objective)",
+                     true});
 }
 
 } // namespace
