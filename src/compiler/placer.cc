@@ -93,22 +93,21 @@ LayerGrid::touch(int cell)
         undoLog_.push_back({cell, state_[cell], routingLeft_[cell]});
 }
 
-std::vector<int>
-LayerGrid::neighbors(int cell) const
+int
+LayerGrid::neighbors(int cell, int out[4]) const
 {
     const int x = cell / size_;
     const int y = cell % size_;
-    std::vector<int> result;
-    result.reserve(4);
+    int count = 0;
     if (x > 0)
-        result.push_back(cell - size_);
+        out[count++] = cell - size_;
     if (x + 1 < size_)
-        result.push_back(cell + size_);
+        out[count++] = cell + size_;
     if (y > 0)
-        result.push_back(cell - 1);
+        out[count++] = cell - 1;
     if (y + 1 < size_)
-        result.push_back(cell + 1);
-    return result;
+        out[count++] = cell + 1;
+    return count;
 }
 
 int
@@ -160,10 +159,13 @@ LayerGrid::placeNode(int degree)
 
     // Grow the super-cell over free neighbors (BFS frontier).
     std::size_t frontier = 0;
+    int nbs[4];
     while (static_cast<int>(super.size()) < cells_needed) {
         bool grown = false;
         for (; frontier < super.size() && !grown; ++frontier) {
-            for (int nb : neighbors(super[frontier])) {
+            const int count = neighbors(super[frontier], nbs);
+            for (int i = 0; i < count; ++i) {
+                const int nb = nbs[i];
                 if (state_[nb] == CellState::Free) {
                     touch(nb);
                     state_[nb] = CellState::Compute;
@@ -198,15 +200,17 @@ LayerGrid::route(const std::vector<int> &from, const std::vector<int> &to)
                 return 0;
 
     // BFS from all `from` cells to any `to` cell through cells with
-    // remaining routing capacity.
-    std::vector<int> parent(state_.size(), -2);
-    std::vector<int> queue;
-    std::vector<char> is_target(state_.size(), 0);
+    // remaining routing capacity. The scratch is clean on entry.
+    if (parent_.empty()) {
+        parent_.assign(state_.size(), -2);
+        isTarget_.assign(state_.size(), 0);
+    }
+    queue_.clear();
     for (int b : to)
-        is_target[b] = 1;
+        isTarget_[b] = 1;
     for (int a : from) {
-        parent[a] = -1;
-        queue.push_back(a);
+        parent_[a] = -1;
+        queue_.push_back(a);
     }
 
     auto passable = [&](int cell) {
@@ -218,28 +222,31 @@ LayerGrid::route(const std::vector<int> &from, const std::vector<int> &to)
 
     int found = -1;
     std::size_t head = 0;
-    while (head < queue.size() && found < 0) {
-        const int cell = queue[head++];
-        for (int nb : neighbors(cell)) {
-            if (parent[nb] != -2)
+    int nbs[4];
+    while (head < queue_.size() && found < 0) {
+        const int cell = queue_[head++];
+        const int count = neighbors(cell, nbs);
+        for (int i = 0; i < count; ++i) {
+            const int nb = nbs[i];
+            if (parent_[nb] != -2)
                 continue;
-            if (is_target[nb]) {
-                parent[nb] = cell;
+            if (isTarget_[nb]) {
+                parent_[nb] = cell;
                 found = cell; // last intermediate before target
                 break;
             }
             if (!passable(nb))
                 continue;
-            parent[nb] = cell;
-            queue.push_back(nb);
+            parent_[nb] = cell;
+            queue_.push_back(nb);
         }
     }
-    if (found < 0)
-        return std::nullopt;
 
-    // Walk back from `found` to a source cell, consuming capacity.
+    // Walk back from `found` to a source cell, consuming capacity
+    // (no step when the search failed).
     int used = 0;
-    for (int cell = found; parent[cell] != -1; cell = parent[cell]) {
+    for (int cell = found; cell >= 0 && parent_[cell] != -1;
+         cell = parent_[cell]) {
         touch(cell);
         if (state_[cell] == CellState::Free) {
             state_[cell] = CellState::Routing;
@@ -252,6 +259,17 @@ LayerGrid::route(const std::vector<int> &from, const std::vector<int> &to)
         }
         ++used;
     }
+
+    // Only queued cells (the sources among them) and `to` cells were
+    // written.
+    for (int cell : queue_)
+        parent_[cell] = -2;
+    for (int b : to) {
+        parent_[b] = -2;
+        isTarget_[b] = 0;
+    }
+    if (found < 0)
+        return std::nullopt;
     return used;
 }
 

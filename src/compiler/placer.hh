@@ -91,6 +91,12 @@ class LayerGrid
      * used routing cells (BFS, 4-neighborhood). Adjacent super-cells
      * route with zero intermediate cells.
      *
+     * The search keeps its scratch (parent links, target marks,
+     * queue) in the grid: allocated by the first search, then reset
+     * after every search, found or not, on just the cells it
+     * touched. So a search costs the cells it visits, not the grid
+     * size. A grid is not shared between threads.
+     *
      * @return Number of intermediate routing cells consumed, or
      *         nullopt when no path exists.
      */
@@ -124,8 +130,14 @@ class LayerGrid
     int txnComputeCells_ = 0;
     int txnRoutingCells_ = 0;
 
+    /** route() scratch: -2 / 0 everywhere between searches. */
+    std::vector<int> parent_;
+    std::vector<char> isTarget_;
+    std::vector<int> queue_;
+
     void touch(int cell);
-    std::vector<int> neighbors(int cell) const;
+    /** Fill `out` up, down, left, right; return the count. */
+    int neighbors(int cell, int out[4]) const;
     int nextFreeCell() const;
 };
 

@@ -2,7 +2,8 @@
  * @file
  * Tests for the per-layer grid state: placement on computation rows
  * with routing lanes, super-cell growth, routing capacity (including
- * the 6-ring double pass-through) and transactional rollback.
+ * the 6-ring double pass-through), transactional rollback, and the
+ * router's search scratch, which must be clean after every search.
  */
 
 #include <gtest/gtest.h>
@@ -188,6 +189,123 @@ TEST(LayerGrid, ClearResetsEverything)
         ASSERT_TRUE(grid.placeNode(1).has_value());
         grid.commitTxn();
     }
+}
+
+/** Super-cells of the nodes `wallInRowZero` places. */
+struct WalledNodes
+{
+    std::vector<int> walled; ///< (0,2): no path reaches it
+    std::vector<int> lower;  ///< (2,4): reachable from (4,0)
+    std::vector<int> bottom; ///< (4,0)
+};
+
+/**
+ * On a 5x5 Star5 grid, fill computation rows 0 and 2 with one-cell
+ * nodes, spend every cell of lane row 1 on one route along it, and
+ * place one more node at (4,0). Row 0 is then walled in, and a
+ * search from (4,0) toward it floods rows 3 and 4 before failing.
+ */
+WalledNodes
+wallInRowZero(LayerGrid &grid)
+{
+    std::vector<std::vector<int>> nodes;
+    grid.beginTxn();
+    for (int i = 0; i < 11; ++i) {
+        auto cells = grid.placeNode(1);
+        EXPECT_TRUE(cells.has_value()) << i;
+        if (!cells)
+            return {};
+        nodes.push_back(*cells);
+    }
+    // (0,0) -> (0,4) can only run along lane row 1.
+    const auto lane = grid.route(nodes[0], nodes[4]);
+    EXPECT_EQ(lane, std::optional<int>(5));
+    grid.commitTxn();
+    EXPECT_EQ(nodes[2], std::vector<int>{2});
+    EXPECT_EQ(nodes[5], std::vector<int>{14});
+    EXPECT_EQ(nodes[10], std::vector<int>{20});
+    return {nodes[2], nodes[5], nodes[10]};
+}
+
+/** What one route and the placement after it produce. */
+struct RouteOutcome
+{
+    std::optional<int> hops;
+    int routingCells = 0;
+    std::optional<std::vector<int>> next;
+};
+
+/** Route (4,0) -> (2,4), then place one more node. */
+RouteOutcome
+routeAndPlace(LayerGrid &grid, const WalledNodes &nodes)
+{
+    RouteOutcome out;
+    grid.beginTxn();
+    out.hops = grid.route(nodes.bottom, nodes.lower);
+    grid.commitTxn();
+    out.routingCells = grid.routingCells();
+    grid.beginTxn();
+    out.next = grid.placeNode(3);
+    grid.commitTxn();
+    return out;
+}
+
+/** The outcome on a fresh grid that never ran a failed search. */
+RouteOutcome
+freshOutcome()
+{
+    LayerGrid fresh(makeSpec(5));
+    const auto nodes = wallInRowZero(fresh);
+    return routeAndPlace(fresh, nodes);
+}
+
+void
+expectSameOutcome(const RouteOutcome &got, const RouteOutcome &want)
+{
+    ASSERT_TRUE(want.hops.has_value());
+    EXPECT_GT(*want.hops, 0);
+    EXPECT_EQ(got.hops, want.hops);
+    EXPECT_EQ(got.routingCells, want.routingCells);
+    EXPECT_EQ(got.next, want.next);
+}
+
+/** Fail a flooding search on `grid`, then route as on a fresh grid. */
+void
+expectFailedSearchLeavesNoTrace(LayerGrid &grid)
+{
+    const auto nodes = wallInRowZero(grid);
+    grid.beginTxn();
+    EXPECT_FALSE(grid.route(nodes.bottom, nodes.walled).has_value());
+    grid.abortTxn();
+    expectSameOutcome(routeAndPlace(grid, nodes), freshOutcome());
+}
+
+TEST(LayerGridScratch, FailedSearchLeavesNoTrace)
+{
+    LayerGrid grid(makeSpec(5));
+    expectFailedSearchLeavesNoTrace(grid);
+}
+
+TEST(LayerGridScratch, CleanAfterClear)
+{
+    LayerGrid grid(makeSpec(5));
+    expectFailedSearchLeavesNoTrace(grid);
+    grid.clear();
+    expectFailedSearchLeavesNoTrace(grid);
+}
+
+TEST(LayerGridScratch, CleanAfterAbort)
+{
+    // The failed search and a successful one both run inside a
+    // transaction that is rolled back.
+    LayerGrid grid(makeSpec(5));
+    const auto nodes = wallInRowZero(grid);
+    grid.beginTxn();
+    EXPECT_TRUE(grid.route(nodes.bottom, nodes.lower).has_value());
+    EXPECT_FALSE(grid.route(nodes.bottom, nodes.walled).has_value());
+    grid.abortTxn();
+    EXPECT_EQ(grid.routingCells(), 5);
+    expectSameOutcome(routeAndPlace(grid, nodes), freshOutcome());
 }
 
 } // namespace
