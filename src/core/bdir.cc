@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <optional>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -39,11 +40,15 @@ nodeTimes(const LayerSchedulingProblem &lsp, const Schedule &schedule)
     return times;
 }
 
-/** FINDBOTTLENECKTASK of Algorithm 3. */
+/**
+ * FINDBOTTLENECKTASK of Algorithm 3. `waits` are the measuree waits
+ * of `node_time` (measureeWaits).
+ */
 Bottleneck
 findBottleneckTask(const LayerSchedulingProblem &lsp,
                    const Schedule &schedule,
-                   const std::vector<TimeSlot> &node_time)
+                   const std::vector<TimeSlot> &node_time,
+                   const std::vector<int> &waits)
 {
     Bottleneck best;
 
@@ -62,7 +67,6 @@ findBottleneckTask(const LayerSchedulingProblem &lsp,
     }
 
     // Measuree waits.
-    const auto waits = measureeWaits(lsp.deps(), node_time);
     for (NodeId u = 0; u < static_cast<NodeId>(waits.size()); ++u) {
         if (waits[u] > best.cost) {
             best.cost = waits[u];
@@ -99,7 +103,8 @@ findBottleneckTask(const LayerSchedulingProblem &lsp,
 TimeSlot
 balancePointForMain(const LayerSchedulingProblem &lsp,
                     const Schedule &schedule,
-                    const std::vector<TimeSlot> &node_time, int task)
+                    const std::vector<TimeSlot> &node_time,
+                    const std::vector<int> &waits, int task)
 {
     // Anchors: |t - a| terms.
     std::vector<TimeSlot> abs_anchors;
@@ -112,24 +117,14 @@ balancePointForMain(const LayerSchedulingProblem &lsp,
     for (NodeId u : lsp.mainTasks()[task].nodes)
         in_task[u] = 1;
 
-    // MTime of the *current* schedule for measuree terms.
-    std::vector<NodeId> order;
-    lsp.deps().topologicalSort(order);
-    std::vector<TimeSlot> mtime(node_time.size());
-    for (NodeId u : order) {
-        TimeSlot t = node_time[u] + 1;
-        for (NodeId v : lsp.deps().predecessors(u))
-            t = std::max(t, mtime[v] + 1);
-        mtime[u] = t;
-    }
-
     for (NodeId u : lsp.mainTasks()[task].nodes) {
         for (const auto &adj : lsp.localEdges().adjacency(u))
             if (!in_task[adj.neighbor])
                 abs_anchors.push_back(node_time[adj.neighbor]);
+        // MTime[p] + 1 of the *current* schedule.
         for (NodeId p : lsp.deps().predecessors(u))
             if (!in_task[p])
-                late_pressure.push_back(mtime[p] + 1);
+                late_pressure.push_back(node_time[p] + waits[p] + 1);
         for (NodeId c : lsp.deps().successors(u))
             if (!in_task[c])
                 early_pressure.push_back(node_time[c] - 2);
@@ -174,7 +169,10 @@ generateNeighbor(const LayerSchedulingProblem &lsp,
                  const Schedule &current)
 {
     const auto node_time = nodeTimes(lsp, current);
-    const auto bottleneck = findBottleneckTask(lsp, current, node_time);
+    const auto waits =
+        measureeWaits(lsp.deps(), node_time, &lsp.depsOrder());
+    const auto bottleneck =
+        findBottleneckTask(lsp, current, node_time, waits);
 
     TaskPin pin;
     if (bottleneck.kind == Bottleneck::Kind::Remote) {
@@ -187,8 +185,8 @@ generateNeighbor(const LayerSchedulingProblem &lsp,
     } else {
         pin.isMain = true;
         pin.task = bottleneck.mainTask;
-        pin.slot =
-            balancePointForMain(lsp, current, node_time, pin.task);
+        pin.slot = balancePointForMain(lsp, current, node_time, waits,
+                                       pin.task);
     }
     if (pin.slot < 0)
         pin.slot = 0;
@@ -222,25 +220,36 @@ bdirOptimize(const LayerSchedulingProblem &lsp, const Schedule &initial,
 
     Schedule current = initial;
     Schedule best = initial;
-    double c_best = costOf(best);
+    const double c_initial = costOf(initial);
+    double c_current = c_initial;
+    double c_best = c_initial;
     double temperature = config.initialTemperature;
 
+    // generateNeighbor draws no random numbers, so the neighbour of
+    // `current` and its cost stay valid until a move is accepted: a
+    // rejected neighbour is kept, not rebuilt and re-scored.
+    std::optional<Schedule> next;
+    double c_next = 0.0;
+    int built = 0;
     int accepted = 0;
     int improved = 0;
     for (int iter = 0; iter < config.maxIterations; ++iter) {
-        Schedule next = generateNeighbor(lsp, current);
-        const double c_current = costOf(current);
-        const double c_new = costOf(next);
-        const double delta = c_new - c_current;
+        if (!next) {
+            next = generateNeighbor(lsp, current);
+            c_next = costOf(*next);
+            ++built;
+        }
+        const double delta = c_next - c_current;
 
         if (delta <= 0.0 ||
             rng.uniform() < std::exp(-delta / temperature)) {
-            current = std::move(next);
+            current = std::move(*next);
+            next.reset();
+            c_current = c_next;
             ++accepted;
         }
-        const double c_cur_now = costOf(current);
-        if (c_cur_now < c_best) {
-            c_best = c_cur_now;
+        if (c_current < c_best) {
+            c_best = c_current;
             best = current;
             ++improved;
         }
@@ -248,12 +257,17 @@ bdirOptimize(const LayerSchedulingProblem &lsp, const Schedule &initial,
     }
 
     if (stats) {
+        // Noise-blind costs are tau_photon already.
+        const auto lifetime = [&](const Schedule &schedule, double c) {
+            return noise ? evaluateSchedule(lsp, schedule).tauPhoton()
+                         : static_cast<int>(c);
+        };
         stats->iterations = config.maxIterations;
+        stats->neighborsBuilt = built;
         stats->acceptedMoves = accepted;
         stats->improvedMoves = improved;
-        stats->initialLifetime =
-            evaluateSchedule(lsp, initial).tauPhoton();
-        stats->finalLifetime = evaluateSchedule(lsp, best).tauPhoton();
+        stats->initialLifetime = lifetime(initial, c_initial);
+        stats->finalLifetime = lifetime(best, c_best);
     }
     return best;
 }

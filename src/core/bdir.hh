@@ -40,10 +40,21 @@ struct BdirConfig
     std::uint64_t seed = 17;
 };
 
-/** Diagnostics of one BDIR run. */
+/**
+ * Diagnostics of one BDIR run. Deterministic for a seed, and kept
+ * out of artifact bytes, cache keys and the RefineBdir stage note.
+ */
 struct BdirStats
 {
     int iterations = 0;
+
+    /**
+     * generateNeighbor calls. A rejected neighbour is kept for the
+     * next iteration, so this is acceptedMoves or acceptedMoves + 1,
+     * not one per iteration: a run that accepts nothing builds one.
+     */
+    int neighborsBuilt = 0;
+
     int acceptedMoves = 0;
     int improvedMoves = 0;
     int initialLifetime = 0;

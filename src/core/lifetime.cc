@@ -8,21 +8,25 @@ namespace dcmbqc
 {
 
 std::vector<int>
-measureeWaits(const Digraph &deps, const std::vector<TimeSlot> &node_time)
+measureeWaits(const Digraph &deps, const std::vector<TimeSlot> &node_time,
+              const std::vector<NodeId> *order)
 {
     DCMBQC_ASSERT(static_cast<NodeId>(node_time.size()) ==
                       deps.numNodes(),
                   "node_time size mismatch");
-    std::vector<NodeId> order;
-    const bool acyclic = deps.topologicalSort(order);
-    DCMBQC_ASSERT(acyclic, "dependency graph must be acyclic");
+    std::vector<NodeId> sorted;
+    if (!order) {
+        const bool acyclic = deps.topologicalSort(sorted);
+        DCMBQC_ASSERT(acyclic, "dependency graph must be acyclic");
+        order = &sorted;
+    }
 
     // MTime[u]: earliest time the measurement of u can be performed.
     // A photon reaches its measurement device one cycle after
     // generation, and basis computation takes one cycle per hop.
     std::vector<TimeSlot> mtime(node_time.size());
     std::vector<int> waits(node_time.size());
-    for (NodeId u : order) {
+    for (NodeId u : *order) {
         TimeSlot t = node_time[u] + 1;
         for (NodeId v : deps.predecessors(u))
             t = std::max(t, mtime[v] + 1);
@@ -34,7 +38,8 @@ measureeWaits(const Digraph &deps, const std::vector<TimeSlot> &node_time)
 
 LifetimeBreakdown
 computeLifetime(const Graph &fusee_edges, const Digraph &deps,
-                const std::vector<TimeSlot> &node_time)
+                const std::vector<TimeSlot> &node_time,
+                const std::vector<NodeId> *order)
 {
     LifetimeBreakdown result;
 
@@ -46,7 +51,7 @@ computeLifetime(const Graph &fusee_edges, const Digraph &deps,
     }
 
     // Part 2: measuree lifetime.
-    for (int w : measureeWaits(deps, node_time))
+    for (int w : measureeWaits(deps, node_time, order))
         result.tauMeasuree = std::max(result.tauMeasuree, w);
 
     return result;

@@ -46,17 +46,24 @@ struct LifetimeBreakdown
  * @param deps Real-time (X-) dependency graph over the same nodes.
  * @param node_time LayerIndex(u) for the monolithic case, or the
  *        start time of u's main task for a distributed schedule.
+ * @param order A topological order of `deps` (an LSP keeps one), or
+ *        null to sort `deps` here.
  */
 LifetimeBreakdown computeLifetime(const Graph &fusee_edges,
                                   const Digraph &deps,
-                                  const std::vector<TimeSlot> &node_time);
+                                  const std::vector<TimeSlot> &node_time,
+                                  const std::vector<NodeId> *order = nullptr);
 
 /**
  * The per-node measuree waiting times MTime[u] - LayerIndex(u) from
- * Algorithm 1 Part 2 (exposed for the refresh pass and tests).
+ * Algorithm 1 Part 2 (exposed for the refresh pass and tests), so
+ * MTime[u] = node_time[u] + wait[u].
+ *
+ * @param order A topological order of `deps`, or null to sort here.
  */
 std::vector<int> measureeWaits(const Digraph &deps,
-                               const std::vector<TimeSlot> &node_time);
+                               const std::vector<TimeSlot> &node_time,
+                               const std::vector<NodeId> *order = nullptr);
 
 } // namespace dcmbqc
 

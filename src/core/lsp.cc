@@ -50,11 +50,10 @@ LayerSchedulingProblem::LayerSchedulingProblem(
     // Within a QPU the release must also be monotone in the layer
     // order so it never conflicts with the order constraint.
     {
-        std::vector<NodeId> order;
-        const bool acyclic = deps_.topologicalSort(order);
+        const bool acyclic = deps_.topologicalSort(depsOrder_);
         DCMBQC_ASSERT(acyclic, "LSP deps cyclic");
         std::vector<int> depth(deps_.numNodes(), 0);
-        for (NodeId u : order)
+        for (NodeId u : depsOrder_)
             for (NodeId v : deps_.successors(u))
                 depth[v] = std::max(depth[v], depth[u] + 1);
 
@@ -110,8 +109,8 @@ evaluateSchedule(const LayerSchedulingProblem &lsp,
         DCMBQC_ASSERT(task >= 0, "node without main task: ", u);
         node_time[u] = schedule.mainStart[task] * pl;
     }
-    const auto local =
-        computeLifetime(lsp.localEdges(), lsp.deps(), node_time);
+    const auto local = computeLifetime(lsp.localEdges(), lsp.deps(),
+                                       node_time, &lsp.depsOrder());
     metrics.tauLocal = local.tauPhoton();
 
     // tau_remote: connector storage between execution layer and

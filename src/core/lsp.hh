@@ -108,6 +108,13 @@ class LayerSchedulingProblem
     const Graph &localEdges() const { return localEdges_; }
     const Digraph &deps() const { return deps_; }
 
+    /**
+     * A topological order of deps(), sorted once on construction.
+     * Hand it to measureeWaits / computeLifetime so evaluating a
+     * schedule does not sort the fixed graph again.
+     */
+    const std::vector<NodeId> &depsOrder() const { return depsOrder_; }
+
   private:
     std::vector<MainTask> mainTasks_;
     std::vector<SyncTask> syncTasks_;
@@ -117,6 +124,7 @@ class LayerSchedulingProblem
     std::vector<TimeSlot> mainRelease_;
     Graph localEdges_;
     Digraph deps_;
+    std::vector<NodeId> depsOrder_;
     int numQpus_ = 1;
     int kmax_ = 4;
     int plRatio_ = 1;

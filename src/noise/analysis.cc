@@ -167,7 +167,8 @@ scheduleLogSurvival(const LayerSchedulingProblem &lsp,
     }
 
     // Measuree storage.
-    const auto waits = measureeWaits(lsp.deps(), node_time);
+    const auto waits =
+        measureeWaits(lsp.deps(), node_time, &lsp.depsOrder());
     for (NodeId u = 0; u < n; ++u)
         sites[u].storageCycles =
             std::max(sites[u].storageCycles, waits[u]);

@@ -2,7 +2,8 @@
  * @file
  * Tests for BDIR (Algorithm 3): the neighborhood generator always
  * produces feasible schedules, the SA loop never returns something
- * worse than its input, and it fixes planted bottlenecks.
+ * worse than its input, it fixes planted bottlenecks, and it builds
+ * a new neighbour only after accepting a move.
  */
 
 #include <gtest/gtest.h>
@@ -41,6 +42,30 @@ bottleneckInstance()
                                   4);
 }
 
+/** Two one-layer QPUs joined by one sync task. */
+LayerSchedulingProblem
+twoLayerSyncInstance()
+{
+    std::vector<MainTask> mains;
+    mains.push_back({0, 0, {0}});
+    mains.push_back({1, 0, {1}});
+    std::vector<SyncTask> syncs;
+    syncs.push_back({0, 1, 0, 1});
+    Graph local(2);
+    Digraph deps(2);
+    return LayerSchedulingProblem(std::move(mains), std::move(syncs),
+                                  std::move(local), std::move(deps), 2,
+                                  4);
+}
+
+/** A neighbour is built first and then only after an accepted move. */
+void
+expectNeighborsPerAcceptedMove(const BdirStats &stats)
+{
+    EXPECT_GE(stats.neighborsBuilt, stats.acceptedMoves);
+    EXPECT_LE(stats.neighborsBuilt, stats.acceptedMoves + 1);
+}
+
 TEST(Bdir, NeighborIsAlwaysFeasible)
 {
     const auto lsp = bottleneckInstance();
@@ -66,6 +91,7 @@ TEST(Bdir, NeverWorseThanInitial)
     EXPECT_EQ(stats.initialLifetime, before);
     EXPECT_EQ(stats.finalLifetime, after);
     EXPECT_TRUE(validateSchedule(lsp, optimized));
+    expectNeighborsPerAcceptedMove(stats);
 }
 
 TEST(Bdir, StatsAreConsistent)
@@ -80,21 +106,14 @@ TEST(Bdir, StatsAreConsistent)
     EXPECT_GE(stats.acceptedMoves, 0);
     EXPECT_LE(stats.acceptedMoves, 15);
     EXPECT_LE(stats.improvedMoves, stats.acceptedMoves);
+    expectNeighborsPerAcceptedMove(stats);
 }
 
 TEST(Bdir, ImprovesPlantedRemoteBottleneck)
 {
     // A hand-built schedule with the sync at a terrible slot: BDIR
     // must find the balance point.
-    std::vector<MainTask> mains;
-    mains.push_back({0, 0, {0}});
-    mains.push_back({1, 0, {1}});
-    std::vector<SyncTask> syncs;
-    syncs.push_back({0, 1, 0, 1});
-    Graph local(2);
-    Digraph deps(2);
-    LayerSchedulingProblem lsp(std::move(mains), std::move(syncs),
-                               std::move(local), std::move(deps), 2, 4);
+    const auto lsp = twoLayerSyncInstance();
 
     Schedule bad;
     bad.mainStart = {0, 0};
@@ -103,8 +122,35 @@ TEST(Bdir, ImprovesPlantedRemoteBottleneck)
     ASSERT_TRUE(validateSchedule(lsp, bad));
     EXPECT_EQ(evaluateSchedule(lsp, bad).tauRemote, 20);
 
-    const auto fixed = bdirOptimize(lsp, bad);
+    BdirStats stats;
+    const auto fixed = bdirOptimize(lsp, bad, {}, &stats);
     EXPECT_LE(evaluateSchedule(lsp, fixed).tauPhoton(), 2);
+    expectNeighborsPerAcceptedMove(stats);
+}
+
+TEST(Bdir, RejectedNeighborIsKept)
+{
+    // The list schedule is optimal (tau 1): both layers at slot 0,
+    // the sync at slot 1. Pinning the sync between them pushes one
+    // layer later, so the only neighbour is worse, and at this
+    // temperature every move is rejected. The loop must score that
+    // one neighbour 20 times, not rebuild it.
+    const auto lsp = twoLayerSyncInstance();
+    const auto initial = listScheduleDefault(lsp);
+    ASSERT_EQ(evaluateSchedule(lsp, initial).tauPhoton(), 1);
+    ASSERT_GT(evaluateSchedule(lsp, generateNeighbor(lsp, initial))
+                  .tauPhoton(),
+              1);
+
+    BdirConfig config;
+    config.initialTemperature = 0.01;
+    BdirStats stats;
+    const auto out = bdirOptimize(lsp, initial, config, &stats);
+    EXPECT_EQ(stats.iterations, 20);
+    EXPECT_EQ(stats.acceptedMoves, 0);
+    EXPECT_EQ(stats.neighborsBuilt, 1);
+    EXPECT_EQ(out.mainStart, initial.mainStart);
+    EXPECT_EQ(out.syncStart, initial.syncStart);
 }
 
 TEST(Bdir, DeterministicForSeed)
@@ -113,10 +159,13 @@ TEST(Bdir, DeterministicForSeed)
     const auto initial = listScheduleDefault(lsp);
     BdirConfig config;
     config.seed = 123;
-    const auto a = bdirOptimize(lsp, initial, config);
-    const auto b = bdirOptimize(lsp, initial, config);
+    BdirStats stats_a, stats_b;
+    const auto a = bdirOptimize(lsp, initial, config, &stats_a);
+    const auto b = bdirOptimize(lsp, initial, config, &stats_b);
     EXPECT_EQ(a.mainStart, b.mainStart);
     EXPECT_EQ(a.syncStart, b.syncStart);
+    EXPECT_EQ(stats_a.neighborsBuilt, stats_b.neighborsBuilt);
+    expectNeighborsPerAcceptedMove(stats_a);
 }
 
 TEST(Bdir, HandlesInstanceWithoutSyncs)
@@ -129,8 +178,10 @@ TEST(Bdir, HandlesInstanceWithoutSyncs)
     LayerSchedulingProblem lsp(std::move(mains), {}, std::move(local),
                                std::move(deps), 1, 4);
     const auto initial = listScheduleDefault(lsp);
-    const auto out = bdirOptimize(lsp, initial);
+    BdirStats stats;
+    const auto out = bdirOptimize(lsp, initial, {}, &stats);
     EXPECT_TRUE(validateSchedule(lsp, out));
+    expectNeighborsPerAcceptedMove(stats);
 }
 
 } // namespace
