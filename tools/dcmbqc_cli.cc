@@ -300,6 +300,10 @@ runCompile(const std::vector<std::string> &args)
     std::string save_circuit, noise_path, stream_family;
     int qubits = 0, qpus = 4, grid = 0, kmax = 4, pl_ratio = 0;
     int portfolio = 1, window = 0, rows = 0, cols = 0, depth = 0;
+    // A given --grid or --pl-ratio is forwarded whatever its value,
+    // so CompileOptions::validate rejects a bad one instead of the
+    // default silently standing in for it.
+    bool grid_given = false, pl_ratio_given = false;
     std::uint64_t stream_gates = 0;
     std::uint64_t seed = 1;
     ResourceStateType state = ResourceStateType::Star5;
@@ -420,6 +424,8 @@ runCompile(const std::vector<std::string> &args)
                              arg.c_str(), v);
                 return 2;
             }
+            grid_given |= slot == &grid;
+            pl_ratio_given |= slot == &pl_ratio;
         }
     }
 
@@ -502,19 +508,17 @@ runCompile(const std::vector<std::string> &args)
     CompileOptions options;
     options.numQpus(baseline ? 1 : qpus)
         .kmax(kmax)
-        .gridSize(grid > 0 ? grid : gridSizeForQubits(input_qubits))
+        .gridSize(grid_given ? grid : gridSizeForQubits(input_qubits))
         .resourceState(state)
         .useBdir(use_bdir)
-        .seed(seed);
-    if (pl_ratio > 0)
+        .seed(seed)
+        .portfolio(portfolio);
+    if (pl_ratio_given)
         options.plRatio(pl_ratio);
-    if (portfolio > 1) {
-        if (baseline)
-            return fail(Status::invalidArgument(
-                "--portfolio needs the distributed pipeline; drop "
-                "--baseline"));
-        options.portfolio(portfolio);
-    }
+    if (baseline && portfolio > 1)
+        return fail(Status::invalidArgument(
+            "--portfolio needs the distributed pipeline; drop "
+            "--baseline"));
     // Set even when negative: the value is vetted by
     // CompileOptions::validate, so a bad --window comes back as one
     // InvalidConfig status instead of a CLI special case.
@@ -736,6 +740,8 @@ runRun(const std::vector<std::string> &args)
     int shots = 256, threads = 0;
     int qpus = 4, grid = 0, kmax = 4, pl_ratio = 0;
     int portfolio = 1;
+    // Forwarded whenever given, as in runCompile.
+    bool grid_given = false, pl_ratio_given = false;
     std::uint64_t seed = 1;
     std::int64_t exec_seed = -1;
     bool exec_seed_set = false;
@@ -842,6 +848,8 @@ runRun(const std::vector<std::string> &args)
                              arg.c_str(), v);
                 return 2;
             }
+            grid_given |= slot == &grid;
+            pl_ratio_given |= slot == &pl_ratio;
         } else if (artifact_path.empty()) {
             artifact_path = arg;
         } else {
@@ -899,19 +907,17 @@ runRun(const std::vector<std::string> &args)
     CompileOptions options;
     options.numQpus(baseline ? 1 : qpus)
         .kmax(kmax)
-        .gridSize(grid > 0 ? grid
-                           : gridSizeForQubits(default_grid_qubits))
+        .gridSize(grid_given ? grid
+                             : gridSizeForQubits(default_grid_qubits))
         .useBdir(use_bdir)
-        .seed(seed);
-    if (pl_ratio > 0)
+        .seed(seed)
+        .portfolio(portfolio);
+    if (pl_ratio_given)
         options.plRatio(pl_ratio);
-    if (portfolio > 1) {
-        if (baseline)
-            return fail(Status::invalidArgument(
-                "--portfolio needs the distributed pipeline; drop "
-                "--baseline"));
-        options.portfolio(portfolio);
-    }
+    if (baseline && portfolio > 1)
+        return fail(Status::invalidArgument(
+            "--portfolio needs the distributed pipeline; drop "
+            "--baseline"));
     if (noise)
         options.noise(*noise);
     std::shared_ptr<CompileCache> cache;
