@@ -20,6 +20,8 @@ measureeWaits(const Digraph &deps, const std::vector<TimeSlot> &node_time,
         DCMBQC_ASSERT(acyclic, "dependency graph must be acyclic");
         order = &sorted;
     }
+    DCMBQC_ASSERT(order->size() == node_time.size(),
+                  "order does not cover the dependency graph");
 
     // MTime[u]: earliest time the measurement of u can be performed.
     // A photon reaches its measurement device one cycle after
