@@ -6,11 +6,11 @@
  * throughput (gate: non-regression; the two are bit-identical, so
  * this is purely a speed check), (3) end-to-end shots/sec over a
  * 64-circuit random Clifford corpus, full optimized stack (packed
- * tableau + shot tree + SIMD + fusion) vs full reference stack
- * (scalar + naive replay + portable + unfused) on the stabilizer
- * backend (gate: >= 3x). The shot tree's isolated contribution vs
- * the naive per-shot replay is reported as its own row, ungated.
- * Results are mirrored to BENCH_sim_kernels.json.
+ * tableau + live-photon window + SIMD + fusion) vs full reference
+ * stack (scalar + full graph state + portable + unfused) on the
+ * stabilizer backend (gate: >= 3x). The window's isolated
+ * contribution vs the full graph state is reported as its own row,
+ * ungated. Results are mirrored to BENCH_sim_kernels.json.
  */
 
 #include <algorithm>
@@ -103,9 +103,10 @@ rowOpRate(const Graph &g, const std::vector<PauliString> &queries)
 /**
  * A 64-circuit random Clifford corpus from the same generator
  * family tests/test_differential.cc pins, at 24-39 qubits and depth
- * 3n: per-shot cost is tableau kernel work, and the resulting
- * patterns have the long deterministic segments the shot tree
- * shares.
+ * 3n: per-shot cost is tableau kernel work. Only 3.1% of a shot's
+ * measurements are deterministic (all of them output measurements),
+ * and the live window averages 32 tableau qubits against 189
+ * pattern nodes.
  */
 std::vector<ExecProgram>
 corpusPrograms()
@@ -234,18 +235,18 @@ main()
     // Gated: the full optimized stack against the full reference
     // stack (the pre-rewrite configuration) on the stabilizer
     // backend, shots/sec over the whole 64-circuit corpus. The
-    // naive-replay rate under otherwise-fast kernels is measured
-    // once more so the shot tree's own contribution is visible.
+    // full-graph-state rate under otherwise-fast kernels is measured
+    // once more so the window's own contribution is visible.
     const std::vector<ExecProgram> corpus = corpusPrograms();
     const SimKernelConfig reference{false, false, SvKernel::Portable,
                                     false};
-    const SimKernelConfig naive{true, false, SvKernel::Auto, true};
+    const SimKernelConfig full_graph{true, false, SvKernel::Auto, true};
     const SimKernelConfig fast{true, true, SvKernel::Auto, true};
     constexpr int kShots = 256;
     const double reference_rate =
         corpusShotsPerSec(corpus, "stabilizer", kShots, reference);
-    const double naive_rate =
-        corpusShotsPerSec(corpus, "stabilizer", kShots, naive);
+    const double full_graph_rate =
+        corpusShotsPerSec(corpus, "stabilizer", kShots, full_graph);
     const double fast_rate =
         corpusShotsPerSec(corpus, "stabilizer", kShots, fast);
     const double corpus_speedup = fast_rate / reference_rate;
@@ -266,20 +267,20 @@ main()
     if (corpus_speedup < 3.0)
         pass = false;
 
-    // Ungated: the shot tree in isolation (packed + SIMD + fusion
-    // held fixed, tree on vs naive replay).
+    // Ungated: the window in isolation (packed + SIMD + fusion held
+    // fixed, window vs full graph state).
     table.row()
-        .cell("shot tree, stabilizer (shots/s)")
-        .cell(naive_rate, 0)
+        .cell("live window, stabilizer (shots/s)")
+        .cell(full_graph_rate, 0)
         .cell(fast_rate, 0)
-        .cell(fast_rate / naive_rate, 2);
+        .cell(fast_rate / full_graph_rate, 2);
     json.beginObject();
-    json.key("kernel").value("shot_tree_stabilizer");
+    json.key("kernel").value("live_window_stabilizer");
     json.key("corpusCircuits").value(static_cast<int>(corpus.size()));
     json.key("shotsPerCircuit").value(kShots);
-    json.key("referenceRate").value(naive_rate);
+    json.key("referenceRate").value(full_graph_rate);
     json.key("optimizedRate").value(fast_rate);
-    json.key("speedup").value(fast_rate / naive_rate);
+    json.key("speedup").value(fast_rate / full_graph_rate);
     json.key("gated").value(false);
     json.endObject();
 

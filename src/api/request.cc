@@ -1,5 +1,7 @@
 #include "api/request.hh"
 
+#include <cmath>
+
 namespace dcmbqc
 {
 
@@ -57,6 +59,14 @@ CompileRequest::validate() const
         if (circuit_->numGates() == 0)
             return Status::invalidArgument(
                 "circuit '" + circuit_->name() + "' has no gates");
+        for (std::size_t i = 0; i < circuit_->gates().size(); ++i) {
+            const Gate &gate = circuit_->gates()[i];
+            if (!std::isfinite(gate.angle))
+                return Status::invalidArgument(
+                    "circuit '" + circuit_->name() + "' gate " +
+                    std::to_string(i) + " (" + gate.toString() +
+                    ") has a non-finite angle");
+        }
         return Status::okStatus();
 
       case EntryPoint::CircuitStream:
@@ -75,7 +85,7 @@ CompileRequest::validate() const
       case EntryPoint::Pattern:
         if (pattern_->numNodes() == 0)
             return Status::invalidArgument("pattern has no nodes");
-        return Status::okStatus();
+        return checkFiniteAngles(*pattern_);
 
       case EntryPoint::Graph:
         if (graph_->numNodes() == 0)
@@ -133,6 +143,17 @@ CompileRequest::stream() const
     if (!stream_)
         panic("CompileRequest::stream() on non-stream entry");
     return *stream_;
+}
+
+Status
+checkFiniteAngles(const Pattern &pattern)
+{
+    for (const NodeId u : pattern.measurementOrder())
+        if (!std::isfinite(pattern.angle(u)))
+            return Status::invalidArgument(
+                "pattern node " + std::to_string(u) +
+                " measures at a non-finite angle");
+    return Status::okStatus();
 }
 
 } // namespace dcmbqc

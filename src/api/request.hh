@@ -132,6 +132,12 @@ class CompileRequest
     std::shared_ptr<CircuitStream> stream_;
 };
 
+/**
+ * INVALID_ARGUMENT naming the first measured node of `pattern` whose
+ * angle is NaN or infinite; OK otherwise.
+ */
+Status checkFiniteAngles(const Pattern &pattern);
+
 } // namespace dcmbqc
 
 #endif // DCMBQC_API_REQUEST_HH

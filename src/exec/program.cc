@@ -109,6 +109,11 @@ ExecProgram::validate() const
         return Status::invalidArgument(
             "pattern covers " + std::to_string(pattern_->numNodes()) +
             " nodes, graph has " + std::to_string(graph_.numNodes()));
+    if (pattern_) {
+        const Status angles = checkFiniteAngles(*pattern_);
+        if (!angles.ok())
+            return angles;
+    }
     if (compiled_) {
         const auto &assignment = compiled_->partition.assignment();
         if (static_cast<NodeId>(assignment.size()) != graph_.numNodes())

@@ -13,34 +13,12 @@
 #include "mbqc/dependency.hh"
 #include "noise/analysis.hh"
 #include "noise/model.hh"
-#include "sim/kernel_config.hh"
-#include "sim/stabilizer.hh"
-#include "sim/stabilizer_reference.hh"
 
 namespace dcmbqc
 {
 
 namespace
 {
-
-constexpr double pi = 3.14159265358979323846;
-
-/** Angle tolerance for the Clifford (multiple of pi/2) test. */
-constexpr double kAngleEpsilon = 1e-9;
-
-/**
- * Quarter-turn index k with theta ~= k*pi/2 (k in [0,4)), or -1 when
- * theta is not a multiple of pi/2 within tolerance.
- */
-int
-quarterTurns(double theta)
-{
-    const double turns = theta / (pi / 2.0);
-    const long long k = std::llround(turns);
-    if (std::fabs(turns - static_cast<double>(k)) > kAngleEpsilon)
-        return -1;
-    return static_cast<int>(((k % 4) + 4) % 4);
-}
 
 /** One sampled shot: output bits plus their exact probability. */
 struct ScheduleShot
@@ -161,19 +139,9 @@ ScheduleBackend::run(const ExecProgram &program,
             " nodes but the program graph has " +
             std::to_string(program.graph().numNodes()));
 
-    std::vector<int> base_turns(n, 0);
-    for (NodeId u = 0; u < n; ++u) {
-        if (pattern.isOutput(u))
-            continue;
-        const int k = quarterTurns(pattern.angle(u));
-        if (k < 0)
-            return Status::failedPrecondition(
-                "schedule backend requires a Clifford pattern: "
-                "node " + std::to_string(u) + " measures at angle " +
-                std::to_string(pattern.angle(u)) +
-                ", not a multiple of pi/2");
-        base_turns[u] = k;
-    }
+    auto base_turns = cliffordBaseTurns(pattern, "schedule");
+    if (!base_turns.ok())
+        return base_turns.status();
 
     // Per-photon generation cycles from the per-QPU timelines; any
     // payload inconsistency (partition/layer/task-count mismatch)
@@ -269,16 +237,9 @@ ScheduleBackend::run(const ExecProgram &program,
                 if (noise_rng.bernoulli(flip_probability))
                     bit = bit == '0' ? '1' : '0';
     };
-    if (simKernelConfig().packedTableau)
-        sampleStabShots<StabilizerSim>(
-            pattern, *order, base_turns, options.applyByproducts,
-            options.shots, result.threads, options.seed,
-            simKernelConfig().shotTree, post);
-    else
-        sampleStabShots<ScalarStabilizerSim>(
-            pattern, *order, base_turns, options.applyByproducts,
-            options.shots, result.threads, options.seed,
-            simKernelConfig().shotTree, post);
+    sampleStabShots(pattern, *order, *base_turns,
+                    options.applyByproducts, options.shots,
+                    result.threads, options.seed, post);
 
     for (ScheduleShot &shot : shots) {
         if (shot.lostPhotons > 0) {

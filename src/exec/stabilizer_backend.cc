@@ -5,34 +5,12 @@
 #include "common/rng.hh"
 #include "exec/noise_channel.hh"
 #include "exec/stabilizer_replay.hh"
-#include "sim/kernel_config.hh"
-#include "sim/stabilizer.hh"
-#include "sim/stabilizer_reference.hh"
 
 namespace dcmbqc
 {
 
 namespace
 {
-
-constexpr double pi = 3.14159265358979323846;
-
-/** Angle tolerance for the Clifford (multiple of pi/2) test. */
-constexpr double kAngleEpsilon = 1e-9;
-
-/**
- * Quarter-turn index k with theta ~= k*pi/2 (k in [0,4)), or -1 when
- * theta is not a multiple of pi/2 within tolerance.
- */
-int
-quarterTurns(double theta)
-{
-    const double turns = theta / (pi / 2.0);
-    const long long k = std::llround(turns);
-    if (std::fabs(turns - static_cast<double>(k)) > kAngleEpsilon)
-        return -1;
-    return static_cast<int>(((k % 4) + 4) % 4);
-}
 
 /** One sampled shot: the output bits plus their exact probability. */
 struct StabShot
@@ -63,22 +41,9 @@ StabilizerBackend::run(const ExecProgram &program,
                        const ExecOptions &options) const
 {
     const Pattern &pattern = program.pattern();
-    const NodeId n = pattern.numNodes();
-
-    std::vector<int> base_turns(n, 0);
-    for (NodeId u = 0; u < n; ++u) {
-        if (pattern.isOutput(u))
-            continue;
-        const int k = quarterTurns(pattern.angle(u));
-        if (k < 0)
-            return Status::failedPrecondition(
-                "stabilizer backend requires a Clifford pattern: "
-                "node " + std::to_string(u) +
-                " measures at angle " +
-                std::to_string(pattern.angle(u)) +
-                ", not a multiple of pi/2");
-        base_turns[u] = k;
-    }
+    auto base_turns = cliffordBaseTurns(pattern, "stabilizer");
+    if (!base_turns.ok())
+        return base_turns.status();
 
     auto channel = NoiseChannel::make(options, pattern.numNodes());
     if (!channel.ok())
@@ -101,16 +66,9 @@ StabilizerBackend::run(const ExecProgram &program,
                 channel->applyFlips(noise_rng, shots[shot].bits);
         }
     };
-    if (simKernelConfig().packedTableau)
-        sampleStabShots<StabilizerSim>(
-            pattern, pattern.measurementOrder(), base_turns,
-            options.applyByproducts, options.shots, result.threads,
-            options.seed, simKernelConfig().shotTree, post);
-    else
-        sampleStabShots<ScalarStabilizerSim>(
-            pattern, pattern.measurementOrder(), base_turns,
-            options.applyByproducts, options.shots, result.threads,
-            options.seed, simKernelConfig().shotTree, post);
+    sampleStabShots(pattern, pattern.measurementOrder(), *base_turns,
+                    options.applyByproducts, options.shots,
+                    result.threads, options.seed, post);
 
     for (StabShot &shot : shots) {
         if (shot.lostPhotons > 0) {

@@ -1,36 +1,95 @@
 /**
  * @file
- * Stepper for replaying a Clifford measurement pattern on a
- * stabilizer tableau in an arbitrary (correction-valid) measurement
- * order — the shared core of the stabilizer and schedule backends,
- * which differ only in the order they pass. Templated over the
- * tableau type so the same shot loop runs the bit-packed
- * StabilizerSim or the scalar ScalarStabilizerSim oracle, selected
- * per run from simKernelConfig().packedTableau.
+ * Replay of a Clifford measurement pattern on a stabilizer tableau
+ * in an arbitrary (correction-valid) measurement order — the shared
+ * core of the stabilizer and schedule backends, which differ only in
+ * the order they pass. Templated over the tableau type so the same
+ * shot loop runs the bit-packed StabilizerSim or the scalar
+ * ScalarStabilizerSim oracle, selected per run from
+ * simKernelConfig().packedTableau.
  *
- * Plugs into ShotTree / runShotNaive (see exec/shot_tree.hh). The
- * decisions are exactly the random measurements: a deterministic
- * measurement consumes no RNG (matching StabilizerSim::measureZ),
- * so the bernoulli(0.5) draw sequence — and therefore every shot —
- * is bit-identical to the historical per-shot replay.
+ * Live window: like the photonic machine, the replay never holds the
+ * whole graph state. A plan built once per run creates each photon
+ * (H, then CZ to its live neighbours) just before the first
+ * measurement that needs it — its own or a neighbour's — and resets
+ * and frees a measured photon's tableau qubit for the next photon,
+ * so the tableau is as wide as the peak number of live photons, not
+ * the whole pattern. Outcomes are those of the full graph state:
+ * every CZ lands before either endpoint is measured and commutes
+ * with everything on other qubits, and a measured qubit is a Z
+ * eigenstate in product with the rest. With
+ * SimKernelConfig::liveWindow off, the plan creates every node in id
+ * order before the first measurement (qubit = node id): the full
+ * graph state, the window's oracle.
+ *
+ * A deterministic measurement consumes no RNG (measureZ), so each
+ * shot draws one bernoulli(0.5) per random measurement, in order,
+ * under either plan.
  */
 
 #ifndef DCMBQC_EXEC_STABILIZER_REPLAY_HH
 #define DCMBQC_EXEC_STABILIZER_REPLAY_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "api/status.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 #include "exec/backend.hh"
-#include "exec/shot_tree.hh"
 #include "mbqc/pattern.hh"
+#include "sim/kernel_config.hh"
 #include "sim/stabilizer.hh"
+#include "sim/stabilizer_reference.hh"
 
 namespace dcmbqc
 {
+
+/**
+ * Base quarter turns k (angle ~= k*pi/2 within 1e-9 turns, k in
+ * [0,4)) of every measured node, 0 for outputs; or
+ * FAILED_PRECONDITION naming `backend` and the first node whose
+ * angle is not such a multiple — NaN and infinities included.
+ */
+Expected<std::vector<int>> cliffordBaseTurns(const Pattern &pattern,
+                                             const std::string &backend);
+
+/** Where and when a replay prepares each photon. */
+struct ReplayPlan
+{
+    /** Tableau qubit of each node. */
+    std::vector<int> qubit;
+
+    /**
+     * Preparation gates on tableau qubits in application order: H
+     * on `first` when `second` < 0, else CZ(first, second).
+     */
+    std::vector<std::pair<int, int>> prep;
+
+    /**
+     * prepEnd[i]: the prep gates applied before measurement i of the
+     * order; the last entry is all of them, before the outputs.
+     */
+    std::vector<std::size_t> prepEnd;
+
+    /** Tableau qubits ever allocated (at least 1). */
+    int width = 1;
+};
+
+/**
+ * Plan a replay of `pattern` in `order`. With `live_window`, each
+ * measurement first creates the measured node and its missing
+ * neighbours, taking the most recently freed qubit (else a new one),
+ * and then frees the measured node's qubit; the nodes no measurement
+ * needed (outputs) are created in id order before the output phase.
+ * Without it, every node is created in id order up front.
+ */
+ReplayPlan planReplay(const Pattern &pattern,
+                      const std::vector<NodeId> &order,
+                      bool live_window);
 
 /** One sampled shot of a stabilizer pattern replay. */
 struct StabReplayResult
@@ -45,187 +104,128 @@ template <class Sim>
 class StabReplayStepper
 {
   public:
-    using Result = StabReplayResult;
-
-    struct State
-    {
-        Sim sim;
-        std::vector<int> sx, sz;
-        std::size_t step = 0; ///< index into the measurement order
-        std::size_t wire = 0; ///< index into the outputs
-        /**
-         * Stopped at a random decision: the conjugation and the
-         * measureX H (or the output byproducts) are already applied.
-         */
-        bool pending = false;
-        Result partial;
-
-        explicit State(int n) : sim(n), sx(n, 0), sz(n, 0) {}
-    };
-
     /** All referents must outlive the stepper. */
     StabReplayStepper(const Pattern &pattern,
                       const std::vector<NodeId> &order,
                       const std::vector<int> &base_turns,
-                      bool apply_byproducts)
+                      bool apply_byproducts, bool live_window)
         : pattern_(&pattern), order_(&order), turns_(&base_turns),
-          applyByproducts_(apply_byproducts)
+          applyByproducts_(apply_byproducts),
+          plan_(planReplay(pattern, order, live_window))
     {
     }
 
-    State root() const
-    {
-        State s(pattern_->numNodes());
-        // Entangling commutes across qubits, so the whole graph
-        // state can be prepared up front; adaptivity lives in the
-        // angles only.
-        s.sim.prepareGraphState(pattern_->graph());
-        s.partial.bits.assign(pattern_->outputs().size(), '0');
-        return s;
-    }
+    /** Tableau qubits each shot simulates. */
+    int width() const { return plan_.width; }
 
-    bool advance(State &s) const
+    /** Sample one shot start to finish; safe to call concurrently. */
+    StabReplayResult run(Rng &rng) const
     {
-        const auto &order = *order_;
-        while (s.step < order.size()) {
-            const NodeId m = order[s.step];
-            if (!s.pending) {
-                // Adapted angle (-1)^{sx} theta + sz*pi, exactly in
-                // integer quarter turns; conjugate by P(-k*pi/2) and
-                // open the measureX H so the pending measurement is
-                // plain Z-basis.
-                const int k =
-                    (((s.sx[m] ? -(*turns_)[m] : (*turns_)[m]) +
-                      (s.sz[m] ? 2 : 0)) % 4 + 4) % 4;
-                switch (k) {
-                  case 1: s.sim.applySdg(m); break;
-                  case 2: s.sim.applyZ(m); break;
-                  case 3: s.sim.applyS(m); break;
-                  default: break;
-                }
-                s.sim.applyH(m);
-                s.pending = true;
+        const Pattern &pattern = *pattern_;
+        const std::vector<NodeId> &order = *order_;
+        const std::vector<int> &qubit = plan_.qubit;
+        Sim sim(plan_.width);
+        std::vector<int> sx(pattern.numNodes(), 0);
+        std::vector<int> sz(pattern.numNodes(), 0);
+        std::size_t gate = 0;
+        const auto prepare = [&](std::size_t end) {
+            for (; gate < end; ++gate) {
+                const auto [a, b] = plan_.prep[gate];
+                if (b < 0)
+                    sim.applyH(a);
+                else
+                    sim.applyCZ(a, b);
             }
-            if (s.sim.zMeasurementIsRandom(m))
-                return false;
-            const StabMeasureResult mr =
-                s.sim.measureZWithOutcome(m, 0);
-            s.sim.applyH(m);
-            s.pending = false;
-            finishMeasure(s, m, mr.outcome);
+        };
+
+        for (std::size_t i = 0; i < order.size(); ++i) {
+            prepare(plan_.prepEnd[i]);
+            const NodeId m = order[i];
+            const int q = qubit[m];
+            // Adapted angle (-1)^{sx} theta + sz*pi, exactly in
+            // integer quarter turns; conjugate by P(-k*pi/2) and H so
+            // the measurement is plain Z-basis.
+            const int k = (((sx[m] ? -(*turns_)[m] : (*turns_)[m]) +
+                            (sz[m] ? 2 : 0)) % 4 + 4) % 4;
+            switch (k) {
+              case 1: sim.applySdg(q); break;
+              case 2: sim.applyZ(q); break;
+              case 3: sim.applyS(q); break;
+              default: break;
+            }
+            sim.applyH(q);
+            if (sim.measureZ(q, rng).outcome) {
+                // Back to |0> for the photon that reuses the qubit.
+                sim.applyX(q);
+                // Flow corrections: X on f(m), Z on N(f(m)) \ {m}.
+                const NodeId succ = pattern.flow(m);
+                sx[succ] ^= 1;
+                for (const auto &adj : pattern.graph().adjacency(succ))
+                    if (adj.neighbor != m)
+                        sz[adj.neighbor] ^= 1;
+            }
         }
+        prepare(plan_.prep.size());
 
-        const auto &outputs = pattern_->outputs();
-        while (s.wire < outputs.size()) {
-            const NodeId o = outputs[s.wire];
-            if (!s.pending) {
-                if (applyByproducts_) {
-                    if (s.sz[o])
-                        s.sim.applyZ(o);
-                    if (s.sx[o])
-                        s.sim.applyX(o);
-                }
-                s.pending = true;
+        const auto &outputs = pattern.outputs();
+        StabReplayResult result;
+        result.bits.assign(outputs.size(), '0');
+        for (std::size_t wire = 0; wire < outputs.size(); ++wire) {
+            const NodeId o = outputs[wire];
+            const int q = qubit[o];
+            if (applyByproducts_) {
+                if (sz[o])
+                    sim.applyZ(q);
+                if (sx[o])
+                    sim.applyX(q);
             }
-            if (s.sim.zMeasurementIsRandom(o))
-                return false;
-            const StabMeasureResult mr =
-                s.sim.measureZWithOutcome(o, 0);
-            s.pending = false;
+            const StabMeasureResult mr = sim.measureZ(q, rng);
             if (mr.outcome)
-                s.partial.bits[s.wire] = '1';
-            ++s.wire;
+                result.bits[wire] = '1';
+            if (!mr.deterministic)
+                ++result.randomOutputs;
         }
-        return true;
-    }
-
-    double prob0(const State &) const { return 0.5; }
-
-    /** Identical RNG use to StabilizerSim::measureZ's random case. */
-    int draw(Rng &rng, double) const
-    {
-        return rng.bernoulli(0.5) ? 1 : 0;
-    }
-
-    void applyOutcome(State &s, int outcome) const
-    {
-        const auto &order = *order_;
-        if (s.step < order.size()) {
-            const NodeId m = order[s.step];
-            s.sim.measureZWithOutcome(m, outcome);
-            s.sim.applyH(m);
-            s.pending = false;
-            finishMeasure(s, m, outcome);
-            return;
-        }
-        const NodeId o = pattern_->outputs()[s.wire];
-        s.sim.measureZWithOutcome(o, outcome);
-        s.pending = false;
-        if (outcome)
-            s.partial.bits[s.wire] = '1';
-        ++s.partial.randomOutputs;
-        ++s.wire;
-    }
-
-    Result result(const State &s) const { return s.partial; }
-
-    std::size_t stateBytes(const State &s) const
-    {
-        return s.sim.footprintWords() * sizeof(std::uint64_t) +
-            (s.sx.size() + s.sz.size()) * sizeof(int) +
-            s.partial.bits.size() + sizeof(State);
+        return result;
     }
 
   private:
-    void finishMeasure(State &s, NodeId m, int outcome) const
-    {
-        if (outcome) {
-            // Flow corrections: X on f(m), Z on N(f(m)) \ {m}.
-            const NodeId succ = pattern_->flow(m);
-            s.sx[succ] ^= 1;
-            for (const auto &adj :
-                 pattern_->graph().adjacency(succ))
-                if (adj.neighbor != m)
-                    s.sz[adj.neighbor] ^= 1;
-        }
-        ++s.step;
-    }
-
     const Pattern *pattern_;
     const std::vector<NodeId> *order_;
     const std::vector<int> *turns_;
     bool applyByproducts_;
+    ReplayPlan plan_;
 };
 
 /**
  * Sample `shots` shots of a Clifford pattern replay over the worker
- * pool, through the shot prefix tree or the naive per-shot loop
- * (bit-identical either way), calling post(shot, result) from the
- * worker that sampled the shot. `post` must be safe to call
- * concurrently for distinct shots.
+ * pool under the current kernel config, one plan shared by every
+ * worker, calling post(shot, result) from the worker that sampled
+ * the shot. `post` must be safe to call concurrently for distinct
+ * shots.
  */
-template <class Sim, class Post>
+template <class Post>
 void
 sampleStabShots(const Pattern &pattern,
                 const std::vector<NodeId> &order,
                 const std::vector<int> &base_turns,
                 bool apply_byproducts, int shots, int threads,
-                std::int64_t seed, bool use_tree, const Post &post)
+                std::int64_t seed, const Post &post)
 {
-    const StabReplayStepper<Sim> stepper(pattern, order, base_turns,
-                                         apply_byproducts);
-    if (use_tree) {
-        ShotTree<StabReplayStepper<Sim>> tree(stepper);
+    const auto sample = [&](const auto &stepper) {
         forEachShot(shots, threads, [&](int shot) {
             Rng rng(shotSeed(seed, shot));
-            post(shot, tree.run(rng));
+            post(shot, stepper.run(rng));
         });
-        return;
-    }
-    forEachShot(shots, threads, [&](int shot) {
-        Rng rng(shotSeed(seed, shot));
-        post(shot, runShotNaive(stepper, rng));
-    });
+    };
+    const SimKernelConfig &config = simKernelConfig();
+    if (config.packedTableau)
+        sample(StabReplayStepper<StabilizerSim>(
+            pattern, order, base_turns, apply_byproducts,
+            config.liveWindow));
+    else
+        sample(StabReplayStepper<ScalarStabilizerSim>(
+            pattern, order, base_turns, apply_byproducts,
+            config.liveWindow));
 }
 
 } // namespace dcmbqc

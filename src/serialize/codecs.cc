@@ -1,6 +1,7 @@
 #include "serialize/codecs.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "mbqc/dependency.hh"
@@ -377,6 +378,11 @@ decodeCircuit(BinaryReader &reader)
                         gate.toString() + ") repeats a qubit");
             break;
         }
+        if (!std::isfinite(gate.angle)) {
+            reader.fail("gate " + std::to_string(i) + " (" +
+                        gate.toString() + ") has a non-finite angle");
+            break;
+        }
         circuit.append(gate);
     }
     return circuit;
@@ -531,6 +537,11 @@ decodePattern(BinaryReader &reader)
             return {};
         }
         measured[u] = 1;
+        if (!std::isfinite(angles[u])) {
+            reader.fail("node " + std::to_string(u) +
+                        " measures at a non-finite angle");
+            return {};
+        }
         if (flow[u] < 0 || flow[u] >= n || !graph.hasEdge(u, flow[u])) {
             reader.fail("flow successor of node " + std::to_string(u) +
                         " is not a graph neighbor");

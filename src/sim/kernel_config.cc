@@ -11,7 +11,7 @@ defaults()
 {
     SimKernelConfig config;
     config.packedTableau = true;
-    config.shotTree = true;
+    config.liveWindow = true;
     config.svKernel = SvKernel::Auto;
     config.fuseGates = true;
     return config;

@@ -1,10 +1,10 @@
 /**
  * @file
  * Runtime selection of the simulation kernel implementations. The
- * fast paths (bit-packed tableau, AVX2 amplitude kernels, shot
- * prefix tree) are the defaults; the scalar/naive reference paths
- * stay alive as test oracles, selected per process through this
- * config.
+ * fast paths (bit-packed tableau, live-photon window, AVX2 amplitude
+ * kernels) are the defaults; the scalar tableau, the full graph
+ * state and the portable kernel stay alive as test oracles, selected
+ * per process through this config.
  *
  * Every pair of paths is bit-identical by contract — same outcomes,
  * same probabilities, same serialized artifacts — which
@@ -46,13 +46,14 @@ struct SimKernelConfig
     bool packedTableau;
 
     /**
-     * The stabilizer and schedule backends share the deterministic
-     * shot prefix through the fork-on-first-measurement tree; false
-     * re-runs the full pattern per shot (`runShotNaive`). The
+     * The stabilizer and schedule backends replay each shot on a
+     * live-photon window, a tableau as wide as the peak number of
+     * live photons; false prepares the whole graph state before the
+     * first measurement (see exec/stabilizer_replay.hh). The
      * statevector backend always replays each shot with
      * `runPattern`.
      */
-    bool shotTree;
+    bool liveWindow;
 
     /** Amplitude kernel selection for StateVector. */
     SvKernel svKernel;

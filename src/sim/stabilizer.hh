@@ -103,8 +103,7 @@ class StabilizerSim
     /**
      * Measure qubit q in Z forcing the outcome when it is random
      * (no RNG consumed); a deterministic measurement ignores
-     * `forced_outcome`. The shot tree uses this to materialize a
-     * chosen branch.
+     * `forced_outcome`. measureZ draws the outcome and calls this.
      */
     StabMeasureResult measureZWithOutcome(int q, int forced_outcome);
 
@@ -134,12 +133,6 @@ class StabilizerSim
 
     /** The canonical graph-state stabilizer K_i of graph g. */
     static PauliString graphStabilizer(const Graph &g, NodeId i);
-
-    /** Approximate footprint in uint64 words (shot-tree budgets). */
-    std::size_t footprintWords() const
-    {
-        return x_.size() + z_.size() + r_.size() / 8 + 8;
-    }
 
   private:
     // Tableau rows 0..n-1: destabilizers; n..2n-1: stabilizers;

@@ -52,8 +52,7 @@ class ScalarStabilizerSim
     /**
      * Measure qubit q in Z forcing the outcome when it is random
      * (no RNG consumed); a deterministic measurement ignores
-     * `forced_outcome`. The shot tree uses this to materialize a
-     * chosen branch.
+     * `forced_outcome`. measureZ draws the outcome and calls this.
      */
     StabMeasureResult measureZWithOutcome(int q, int forced_outcome);
 
@@ -78,13 +77,6 @@ class ScalarStabilizerSim
      * g.numNodes() qubits and be freshly |0...0>.
      */
     void prepareGraphState(const Graph &g);
-
-    /** Approximate footprint in uint64 words (shot-tree budgets). */
-    std::size_t footprintWords() const
-    {
-        const std::size_t rows = 2 * static_cast<std::size_t>(n_) + 1;
-        return rows * (2 * static_cast<std::size_t>(n_) + 1) / 8 + 8;
-    }
 
   private:
     // Tableau rows 0..n-1: destabilizers; n..2n-1: stabilizers;

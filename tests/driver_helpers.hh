@@ -2,7 +2,8 @@
  * @file
  * Shared gtest helpers for compiling through the pass-based
  * `CompilerDriver`: thin wrappers that assert the Status channel is
- * OK and unwrap the result payload.
+ * OK and unwrap the result payload, plus the inputs the angle checks
+ * are tested with.
  */
 
 #ifndef DCMBQC_TESTS_DRIVER_HELPERS_HH
@@ -51,6 +52,35 @@ rebuildLsp(const CompileOptions &options, const Graph &g,
                                        config.grid, config.order,
                                        config.kmax)
         .value();
+}
+
+/** h 0; cz 0 1; rz 1 `angle`; h 1: gate 2 carries the angle. */
+inline Circuit
+rzCircuit(double angle)
+{
+    Circuit circuit(2, "rz");
+    circuit.h(0);
+    circuit.cz(0, 1);
+    circuit.rz(1, angle);
+    circuit.h(1);
+    return circuit;
+}
+
+/** `pattern` with node u measured at `angle` instead. */
+inline Pattern
+withNodeAngle(const Pattern &pattern, NodeId u, double angle)
+{
+    std::vector<double> angles;
+    std::vector<NodeId> flow;
+    std::vector<QubitId> wires;
+    for (NodeId v = 0; v < pattern.numNodes(); ++v) {
+        angles.push_back(v == u ? angle : pattern.angle(v));
+        flow.push_back(pattern.flow(v));
+        wires.push_back(pattern.wire(v));
+    }
+    return Pattern(pattern.graph(), std::move(angles), std::move(flow),
+                   std::move(wires), pattern.measurementOrder(),
+                   pattern.outputs());
 }
 
 } // namespace test

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <thread>
 
 #include "api/api.hh"
@@ -16,6 +17,7 @@
 #include "circuit/generators.hh"
 #include "mbqc/dependency.hh"
 #include "mbqc/pattern_builder.hh"
+#include "driver_helpers.hh"
 
 namespace dcmbqc
 {
@@ -123,6 +125,37 @@ TEST(CompileRequestApi, RejectsCyclicDependencyGraph)
     EXPECT_EQ(report.status().code(), StatusCode::InvalidArgument);
     EXPECT_NE(report.status().message().find("cycle"),
               std::string::npos);
+}
+
+TEST(CompileRequestApi, RejectsNonFiniteCircuitAngle)
+{
+    const auto request = CompileRequest::fromCircuit(
+        test::rzCircuit(std::numeric_limits<double>::quiet_NaN()));
+    const Status status = request.validate();
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::InvalidArgument);
+    EXPECT_NE(status.message().find("gate 2 ("), std::string::npos)
+        << status.message();
+
+    auto report =
+        CompilerDriver(CompileOptions().numQpus(2).gridSize(7))
+            .compile(request);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), StatusCode::InvalidArgument);
+}
+
+TEST(CompileRequestApi, RejectsNonFinitePatternAngle)
+{
+    const Pattern pattern = buildPattern(test::rzCircuit(0.5));
+    const NodeId u = pattern.measurementOrder().back();
+    const auto request = CompileRequest::fromPattern(test::withNodeAngle(
+        pattern, u, std::numeric_limits<double>::infinity()));
+    const Status status = request.validate();
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::InvalidArgument);
+    EXPECT_NE(status.message().find("node " + std::to_string(u)),
+              std::string::npos)
+        << status.message();
 }
 
 TEST(CompileRequestApi, NodeTooLargeForTheGridIsInvalidArgument)

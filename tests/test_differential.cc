@@ -286,26 +286,26 @@ runUnderConfig(const ExecProgram &program, const char *backend,
 /**
  * The kernel-configuration axis: the same 64-circuit corpus the
  * schedule differential runs, executed once per kernel configuration
- * — full reference (scalar tableau, naive shot loop, portable
+ * — full reference (scalar tableau, full graph state, portable
  * amplitudes), packed tableau alone, and the full fast stack — with
  * every configuration required to produce *identical* results: same
  * counts, same exact probability maps (double-equality, not
  * tolerance). This pins the optimization itself, not just backend
- * pairs: a packed-tableau phase bug or a shot-tree RNG drift flips a
- * sampled outcome and fails the EXPECT_EQ on counts.
+ * pairs: a packed-tableau phase bug or a live-window entangling slip
+ * flips a sampled outcome and fails the EXPECT_EQ on counts.
  */
 TEST(Differential, KernelConfigurationsAreBitIdenticalOnTheCorpus)
 {
     const SimKernelConfig reference{/*packedTableau=*/false,
-                                    /*shotTree=*/false,
+                                    /*liveWindow=*/false,
                                     SvKernel::Portable,
                                     /*fuseGates=*/false};
     const SimKernelConfig packed_only{/*packedTableau=*/true,
-                                      /*shotTree=*/false,
+                                      /*liveWindow=*/false,
                                       SvKernel::Portable,
                                       /*fuseGates=*/false};
     const SimKernelConfig fast{/*packedTableau=*/true,
-                               /*shotTree=*/true, SvKernel::Auto,
+                               /*liveWindow=*/true, SvKernel::Auto,
                                /*fuseGates=*/true};
 
     for (std::uint64_t seed = 0; seed < 64; ++seed) {

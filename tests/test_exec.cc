@@ -12,15 +12,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "api/api.hh"
 #include "circuit/generators.hh"
 #include "circuit/huge_generators.hh"
+#include "exec/stabilizer_replay.hh"
+#include "mbqc/pattern_builder.hh"
 #include "noise/analysis.hh"
 #include "photonic/grid.hh"
 #include "serialize/binary.hh"
 #include "serialize/codecs.hh"
 #include "serialize/json.hh"
+#include "driver_helpers.hh"
 
 namespace dcmbqc
 {
@@ -160,6 +164,69 @@ TEST(ExecDispatch, StabilizerRejectsNonCliffordPatterns)
               StatusCode::FailedPrecondition);
     EXPECT_NE(result.status().message().find("Clifford"),
               std::string::npos);
+}
+
+TEST(ExecDispatch, CliffordAngleCheckToleratesRoundingButNotNan)
+{
+    // One check serves both replay backends and names the caller.
+    constexpr double pi = 3.14159265358979323846;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const Pattern pattern = buildPattern(test::rzCircuit(pi / 2));
+    const NodeId u = pattern.measurementOrder().back();
+    // (angle, quarter turns), -1 for a rejected angle.
+    const std::pair<double, int> cases[] = {
+        {0.0, 0}, {pi / 2 + 1e-12, 1}, {pi - 1e-12, 2}, {-pi / 2, 3},
+        {5 * pi / 2, 1}, {pi / 4, -1}, {pi / 2 + 1e-6, -1},
+        {nan, -1}, {inf, -1}, {-inf, -1},
+    };
+    for (const auto &[angle, k] : cases) {
+        SCOPED_TRACE("angle " + std::to_string(angle));
+        auto turns = cliffordBaseTurns(
+            test::withNodeAngle(pattern, u, angle), "schedule");
+        if (k >= 0) {
+            ASSERT_TRUE(turns.ok()) << turns.status().toString();
+            EXPECT_EQ((*turns)[u], k);
+            continue;
+        }
+        ASSERT_FALSE(turns.ok());
+        EXPECT_EQ(turns.status().code(), StatusCode::FailedPrecondition);
+        EXPECT_EQ(turns.status().message().rfind(
+                      "schedule backend requires a Clifford pattern: "
+                      "node " + std::to_string(u),
+                      0),
+                  0u)
+            << turns.status().message();
+    }
+}
+
+TEST(ExecDispatch, NonFiniteAngleIsRejectedBeforeAnyBackendRuns)
+{
+    // Built in process, the NaN reaches the pattern unchecked;
+    // statevector used to abort on it and stabilizer to read it as
+    // 0 quarter turns.
+    const Circuit circuit =
+        test::rzCircuit(std::numeric_limits<double>::quiet_NaN());
+    auto report =
+        CompilerDriver(CompileOptions().numQpus(2).gridSize(7))
+            .compile(CompileRequest::fromCircuit(test::rzCircuit(0.5)));
+    ASSERT_TRUE(report.ok()) << report.status().toString();
+    const ExecProgram program =
+        ExecProgram::fromCircuit(circuit).withSchedule(
+            *report->distributed);
+    for (const char *backend :
+         {"stabilizer", "schedule", "statevector", "mc-loss"}) {
+        SCOPED_TRACE(backend);
+        ExecOptions options;
+        options.backend = backend;
+        options.shots = 16;
+        auto result = executeProgram(program, options);
+        ASSERT_FALSE(result.ok());
+        EXPECT_EQ(result.status().code(), StatusCode::InvalidArgument);
+        EXPECT_NE(result.status().message().find("non-finite angle"),
+                  std::string::npos)
+            << result.status().message();
+    }
 }
 
 TEST(ExecDispatch, PatternBackendsRejectGraphOnlyPrograms)
@@ -579,8 +646,9 @@ TEST(ExecSerialize, ReportWithExecutionsRoundTrips)
 
 TEST(ExecPins, StabilizerAndScheduleResultBytes)
 {
-    // Both backends prepare the graph state from its adjacency; the
-    // bytes must not depend on the thread count either.
+    // Both backends entangle each photon with its live neighbours
+    // in adjacency order; the bytes must not depend on the thread
+    // count either.
     const std::pair<const char *, std::uint64_t> pins[] = {
         {"stabilizer", 0x17d1125481f825b6ull},
         {"schedule", 0xf35f87cf119df589ull},

@@ -90,7 +90,7 @@ goldenReport()
 /**
  * The stabilizer run behind `exec_shot_tree.dcmb`, sampled under
  * whatever kernel config is current — by default the full fast
- * stack, shot prefix tree included. Wall-clock zeroed for
+ * stack, live-photon window included. Wall-clock zeroed for
  * determinism.
  */
 ExecResult
@@ -354,11 +354,11 @@ TEST_F(GoldenCorpus, McLossFixtureExercisesBothOutcomes)
 
 TEST_F(GoldenCorpus, ReferenceKernelsReproduceTheFixtures)
 {
-    // The scalar tableau, naive per-shot replay and the portable
+    // The scalar tableau, the full graph state and the portable
     // amplitude kernel are the oracles of the fast stack: selected
     // in-process, they must sample the same bytes the default stack
     // wrote.
-    simKernelConfig() = {/*packedTableau=*/false, /*shotTree=*/false,
+    simKernelConfig() = {/*packedTableau=*/false, /*liveWindow=*/false,
                          SvKernel::Portable, /*fuseGates=*/false};
     const CompileReport report = goldenReport();
     const ExecResult stabilizer = goldenStabilizerResult();
@@ -383,10 +383,11 @@ TEST_F(GoldenCorpus, CacheKeyIsPinned)
 TEST_F(GoldenCorpus, ShotTreeExecResultFixtureIsByteStable)
 {
     // The checked-in fixture was sampled through the shot prefix
-    // tree; a fresh tree-path run must reproduce it byte for byte.
-    // This is the strongest statement that the kernel rewrite
-    // changed nothing observable: same outcomes, same counts, same
-    // serialized artifact.
+    // tree that the live-photon window replaced (hence its name); a
+    // fresh window run must reproduce it byte for byte. This is the
+    // strongest statement that the kernel rewrites changed nothing
+    // observable: same outcomes, same counts, same serialized
+    // artifact.
     const auto bytes = load("exec_shot_tree.dcmb");
     auto decoded = decodeExecResultArtifact(bytes);
     ASSERT_TRUE(decoded.ok()) << decoded.status().toString();

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "api/api.hh"
 #include "circuit/generators.hh"
 #include "mbqc/dependency.hh"
@@ -456,6 +458,44 @@ TEST(SerializeReject, GateWithRepeatedQubits)
     // The same bytes with distinct qubits decode.
     ccx.q2 = 2;
     EXPECT_TRUE(decodeCircuitArtifact(circuitArtifactWith(ccx)).ok());
+}
+
+TEST(SerializeReject, CircuitGateWithNonFiniteAngle)
+{
+    // NaN fails every ordered comparison: decoded, it compiled, the
+    // stabilizer backend read it as 0 quarter turns and statevector
+    // aborted on a zero-probability branch.
+    for (const double angle : {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()}) {
+        auto decoded = decodeCircuitArtifact(
+            encodeCircuitArtifact(test::rzCircuit(angle)));
+        ASSERT_FALSE(decoded.ok()) << angle;
+        EXPECT_EQ(decoded.status().code(), StatusCode::InvalidArgument);
+        EXPECT_NE(decoded.status().message().find("gate 2 ("),
+                  std::string::npos)
+            << decoded.status().message();
+    }
+    EXPECT_TRUE(decodeCircuitArtifact(
+                    encodeCircuitArtifact(test::rzCircuit(0.5)))
+                    .ok());
+}
+
+TEST(SerializeReject, PatternNodeWithNonFiniteAngle)
+{
+    const Pattern pattern = buildPattern(test::rzCircuit(0.5));
+    const NodeId u = pattern.measurementOrder().back();
+    for (const double angle : {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity()}) {
+        auto decoded = decodePatternArtifact(encodePatternArtifact(
+            test::withNodeAngle(pattern, u, angle)));
+        ASSERT_FALSE(decoded.ok()) << angle;
+        EXPECT_EQ(decoded.status().code(), StatusCode::InvalidArgument);
+        EXPECT_NE(decoded.status().message().find(
+                      "node " + std::to_string(u) + " measures"),
+                  std::string::npos)
+            << decoded.status().message();
+    }
 }
 
 // --- JSON ------------------------------------------------------------------

@@ -27,6 +27,7 @@
 
 #include "api/api.hh"
 #include "circuit/generators.hh"
+#include "serialize/binary.hh"
 #include "service/admission.hh"
 #include "service/client.hh"
 #include "service/server.hh"
@@ -385,6 +386,56 @@ TEST(ServiceServerApi, RepeatedGateQubitFailsTheRequestNotTheServer)
         << reply->status.message();
 
     auto healthy = h.client.compile(qftJob(6, "after-repeated"));
+    ASSERT_TRUE(healthy.ok()) << healthy.status().toString();
+
+    auto stats = h.client.stats();
+    ASSERT_TRUE(stats.ok()) << stats.status().toString();
+    EXPECT_EQ(stats->failed, 1u);
+    EXPECT_EQ(stats->succeeded, 1u);
+}
+
+TEST(ServiceServerApi, NanAngleFailsTheRequestNotTheServer)
+{
+    Harness h(basicConfig("nan-angle"));
+    // A QFT-4 job whose gate 1 (a controlled phase) turns by NaN.
+    // The frame is well formed and checksummed; only the circuit
+    // decoder can refuse it.
+    std::vector<std::uint8_t> payload =
+        encodeServiceJob(qftJob(4, "nan-angle"));
+    const Circuit qft = makeQft(4);
+    ASSERT_EQ(qft.gates()[1].kind, GateKind::CP);
+    // Entry tag, qubit count, name, gate count, then 21-byte gates:
+    // kind, q0, q1, q2, angle.
+    const std::size_t angle1 =
+        1 + 4 + 4 + qft.name().size() + 4 + 21 + 13;
+    BinaryWriter nan;
+    nan.writeF64(std::numeric_limits<double>::quiet_NaN());
+    std::copy(nan.bytes().begin(), nan.bytes().end(),
+              payload.begin() + angle1);
+
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s",
+                  h.server.socketPath().c_str());
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                        sizeof(addr)),
+              0);
+    ASSERT_TRUE(
+        writeFrame(fd, FrameType::CompileRequest, payload).ok());
+    auto frame = readFrame(fd);
+    ::close(fd);
+    ASSERT_TRUE(frame.ok()) << frame.status().toString();
+    ASSERT_EQ(frame->type, FrameType::CompileReply);
+    auto reply = decodeCompileReply(frame->payload);
+    ASSERT_TRUE(reply.ok()) << reply.status().toString();
+    EXPECT_EQ(reply->status.code(), StatusCode::InvalidArgument);
+    EXPECT_NE(reply->status.message().find("gate 1"),
+              std::string::npos)
+        << reply->status.message();
+
+    auto healthy = h.client.compile(qftJob(6, "after-nan-angle"));
     ASSERT_TRUE(healthy.ok()) << healthy.status().toString();
 
     auto stats = h.client.stats();

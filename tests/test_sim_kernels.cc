@@ -4,10 +4,10 @@
  * bit-packed tableau against the scalar reference (outcomes,
  * deterministic/random verdicts, isStabilizer/anticommutes on random
  * PauliStrings, 200+ seeded circuits), the AVX2 amplitude kernel
- * against the portable kernel to exact ULP, the shot prefix tree
- * against the naive per-shot loop under identical seeds on the
+ * against the portable kernel to exact ULP, the live-photon window
+ * against the full graph state under identical seeds on the
  * stabilizer and schedule backends, and thread-count invariance of
- * the tree-based shot scheduler. Every fast path must be
+ * the per-shot loop. Every fast path must be
  * *bit-identical* to its reference — these tests use EXPECT_EQ /
  * memcmp, never tolerances, except for gate fusion which documents
  * its ~ULP reassociation error explicitly.
@@ -21,6 +21,11 @@
 #include "api/api.hh"
 #include "circuit/generators.hh"
 #include "common/rng.hh"
+#include "exec/loss_backend.hh"
+#include "exec/schedule_backend.hh"
+#include "exec/stabilizer_replay.hh"
+#include "photonic/grid.hh"
+#include "serialize/codecs.hh"
 #include "sim/kernel_config.hh"
 #include "sim/stabilizer.hh"
 #include "sim/stabilizer_reference.hh"
@@ -311,20 +316,20 @@ compiledCliffordProgram(std::uint64_t seed)
         .withSchedule(*report->distributed);
 }
 
-TEST(SimKernels, ShotTreeMatchesNaivePerShotSampling)
+TEST(SimKernels, LiveWindowMatchesFullGraphStateSampling)
 {
-    // Same seeds, tree on vs off: the tree only deduplicates the
-    // deterministic prefix, so every sampled bitstring — and the
-    // exact probability map — must be identical.
+    // Same seeds, window on vs off: the window only defers and
+    // reuses photons, so every sampled bitstring — and the exact
+    // probability map — must be identical.
     const ExecProgram program = compiledCliffordProgram(21);
-    const SimKernelConfig naive{true, false, SvKernel::Auto, true};
-    const SimKernelConfig tree{true, true, SvKernel::Auto, true};
+    const SimKernelConfig full{true, false, SvKernel::Auto, true};
+    const SimKernelConfig window{true, true, SvKernel::Auto, true};
     for (const char *backend : {"stabilizer", "schedule"}) {
         SCOPED_TRACE(backend);
         const ExecResult a =
-            runBackend(program, backend, 200, 17, 2, naive);
+            runBackend(program, backend, 200, 17, 2, full);
         const ExecResult b =
-            runBackend(program, backend, 200, 17, 2, tree);
+            runBackend(program, backend, 200, 17, 2, window);
         EXPECT_EQ(a.counts, b.counts);
         EXPECT_EQ(a.probabilities, b.probabilities);
         EXPECT_EQ(a.completedShots, b.completedShots);
@@ -332,20 +337,20 @@ TEST(SimKernels, ShotTreeMatchesNaivePerShotSampling)
     }
 }
 
-TEST(SimKernels, ShotTreeIsThreadCountInvariant)
+TEST(SimKernels, PerShotLoopIsThreadCountInvariant)
 {
-    // The tree is shared mutable state across workers; expansion
-    // order depends on scheduling but cached values never change the
-    // result of any shot, so 1, 3, and 8 workers must agree exactly.
+    // Workers share only the read-only plan; each shot runs from its
+    // own seed start to finish, so 1, 3, and 8 workers must agree
+    // exactly.
     const ExecProgram program = compiledCliffordProgram(22);
-    const SimKernelConfig tree{true, true, SvKernel::Auto, true};
+    const SimKernelConfig window{true, true, SvKernel::Auto, true};
     for (const char *backend : {"stabilizer", "schedule"}) {
         SCOPED_TRACE(backend);
         const ExecResult serial =
-            runBackend(program, backend, 128, 5, 1, tree);
+            runBackend(program, backend, 128, 5, 1, window);
         for (const int threads : {3, 8}) {
             const ExecResult parallel = runBackend(
-                program, backend, 128, 5, threads, tree);
+                program, backend, 128, 5, threads, window);
             EXPECT_EQ(serial.counts, parallel.counts) << threads;
             EXPECT_EQ(serial.probabilities, parallel.probabilities)
                 << threads;
@@ -353,6 +358,123 @@ TEST(SimKernels, ShotTreeIsThreadCountInvariant)
                 << threads;
         }
     }
+}
+
+/**
+ * The four Clifford programs of perfbench's exec_shots workload:
+ * 24/29/34/39 qubits, 8 gates per qubit, compiled on 4 QPUs.
+ */
+std::vector<ExecProgram>
+execShotsCliffordPrograms()
+{
+    std::vector<ExecProgram> programs;
+    for (int i = 0; i < 4; ++i) {
+        const int qubits = 24 + 5 * i;
+        const CompilerDriver driver(
+            CompileOptions()
+                .numQpus(4)
+                .gridSize(gridSizeForQubits(qubits))
+                .seed(1));
+        auto report = driver.compile(CompileRequest::fromCircuit(
+            makeRandomCliffordCircuit(qubits, 8 * qubits, 100 + i)));
+        EXPECT_TRUE(report.ok()) << report.status().toString();
+        if (!report.ok())
+            continue;
+        programs.push_back(
+            ExecProgram::fromPattern(*report->pattern, "exec-shots")
+                .withSchedule(*report->distributed));
+    }
+    return programs;
+}
+
+TEST(SimKernels, LiveWindowIsAsWideAsThePeakOfLivePhotons)
+{
+    // 333-562 pattern nodes, but never more than 25-40 photons
+    // alive, in the pattern's order and in the schedule's.
+    const std::vector<ExecProgram> programs =
+        execShotsCliffordPrograms();
+    ASSERT_EQ(programs.size(), 4u);
+    const int widths[] = {25, 30, 35, 40};
+    for (std::size_t i = 0; i < programs.size(); ++i) {
+        const Pattern &pattern = programs[i].pattern();
+        auto turns = cliffordBaseTurns(pattern, "stabilizer");
+        ASSERT_TRUE(turns.ok()) << turns.status().toString();
+        auto times = schedulePhotonTimes(programs[i].schedule(),
+                                         pattern.numNodes());
+        ASSERT_TRUE(times.ok()) << times.status().toString();
+        auto schedule_order = scheduleMeasurementOrder(pattern, *times);
+        ASSERT_TRUE(schedule_order.ok())
+            << schedule_order.status().toString();
+        const std::vector<NodeId> *orders[] = {
+            &pattern.measurementOrder(), &*schedule_order};
+        for (const std::vector<NodeId> *order : orders) {
+            const StabReplayStepper<StabilizerSim> window(
+                pattern, *order, *turns, true, /*live_window=*/true);
+            const StabReplayStepper<StabilizerSim> full(
+                pattern, *order, *turns, true, /*live_window=*/false);
+            EXPECT_EQ(window.width(), widths[i]) << "program " << i;
+            EXPECT_EQ(full.width(), pattern.numNodes())
+                << "program " << i;
+        }
+    }
+}
+
+/** Encoded result bytes, wall time and thread count cleared. */
+std::vector<std::uint8_t>
+resultBytes(ExecResult result)
+{
+    result.wallMillis = 0.0;
+    result.threads = 1;
+    return encodeExecResultArtifact(result);
+}
+
+TEST(SimKernels, LiveWindowMatchesFullGraphStateOnExecShotsPrograms)
+{
+    // Programs whose window is under a tenth of the pattern: every
+    // shot must sample the full graph state's outcomes, at any
+    // thread count, down to the serialized result.
+    const SimKernelConfig full{true, false, SvKernel::Auto, true};
+    const SimKernelConfig window{true, true, SvKernel::Auto, true};
+    const std::vector<ExecProgram> programs =
+        execShotsCliffordPrograms();
+    ASSERT_EQ(programs.size(), 4u);
+    for (std::size_t i = 0; i < programs.size(); ++i) {
+        for (const char *backend : {"stabilizer", "schedule"}) {
+            const std::vector<std::uint8_t> expected = resultBytes(
+                runBackend(programs[i], backend, 64, 3, 4, full));
+            for (const int threads : {1, 4}) {
+                SCOPED_TRACE(std::string(backend) + " program " +
+                             std::to_string(i) + " threads " +
+                             std::to_string(threads));
+                EXPECT_EQ(resultBytes(runBackend(programs[i], backend,
+                                                 64, 3, threads,
+                                                 window)),
+                          expected);
+            }
+        }
+    }
+}
+
+TEST(SimKernels, LiveWindowMatchesFullGraphStateWithoutMeasurements)
+{
+    // A CZ-only circuit lowers to its output nodes alone: the window
+    // creates every photon before the output phase.
+    Circuit circuit(4, "cz-only");
+    circuit.cz(0, 1);
+    circuit.cz(1, 2);
+    circuit.cz(2, 3);
+    circuit.cz(0, 3);
+    const ExecProgram program = ExecProgram::fromCircuit(circuit);
+    ASSERT_TRUE(program.pattern().measurementOrder().empty());
+    const SimKernelConfig full{true, false, SvKernel::Auto, true};
+    const SimKernelConfig window{true, true, SvKernel::Auto, true};
+    const ExecResult a =
+        runBackend(program, "stabilizer", 64, 11, 2, full);
+    const ExecResult b =
+        runBackend(program, "stabilizer", 64, 11, 2, window);
+    EXPECT_EQ(a.counts, b.counts);
+    EXPECT_EQ(a.probabilities, b.probabilities);
+    EXPECT_EQ(resultBytes(a), resultBytes(b));
 }
 
 TEST(SimKernels, ResetRestoresTheFastStackDefaults)
@@ -364,7 +486,7 @@ TEST(SimKernels, ResetRestoresTheFastStackDefaults)
     resetSimKernelConfig();
     const SimKernelConfig &config = simKernelConfig();
     EXPECT_TRUE(config.packedTableau);
-    EXPECT_TRUE(config.shotTree);
+    EXPECT_TRUE(config.liveWindow);
     EXPECT_EQ(config.svKernel, SvKernel::Auto);
     EXPECT_TRUE(config.fuseGates);
 }
