@@ -19,12 +19,6 @@ splitMix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -32,29 +26,6 @@ Rng::Rng(std::uint64_t seed)
     std::uint64_t s = seed;
     for (auto &word : state_)
         word = splitMix64(s);
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 high bits -> double in [0, 1).
-    return (next() >> 11) * 0x1.0p-53;
 }
 
 std::uint64_t
@@ -78,12 +49,6 @@ Rng::uniformRange(std::int64_t lo, std::int64_t hi)
     const std::uint64_t span =
         static_cast<std::uint64_t>(hi - lo) + 1;
     return lo + static_cast<std::int64_t>(uniformInt(span));
-}
-
-bool
-Rng::bernoulli(double p)
-{
-    return uniform() < p;
 }
 
 double

@@ -1,6 +1,7 @@
 #include "common/thread_pool.hh"
 
 #include <algorithm>
+#include <system_error>
 
 namespace dcmbqc
 {
@@ -9,8 +10,14 @@ ThreadPool::ThreadPool(int num_threads)
 {
     const int n = std::max(1, num_threads);
     workers_.reserve(n);
-    for (int i = 0; i < n; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
+    try {
+        for (int i = 0; i < n; ++i)
+            workers_.emplace_back([this] { workerLoop(); });
+    } catch (const std::system_error &) {
+        // The OS refused a thread (e.g. no address space left for its
+        // stack under RLIMIT_AS). Run with the workers it granted;
+        // with none, submit() runs jobs on the caller's thread.
+    }
 }
 
 ThreadPool::~ThreadPool()
@@ -27,6 +34,10 @@ ThreadPool::~ThreadPool()
 void
 ThreadPool::submit(std::function<void()> job)
 {
+    if (workers_.empty()) {
+        job();
+        return;
+    }
     {
         std::unique_lock<std::mutex> lock(mutex_);
         queue_.push_back(std::move(job));

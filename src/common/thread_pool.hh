@@ -26,7 +26,11 @@ namespace dcmbqc
 class ThreadPool
 {
   public:
-    /** Spawns `num_threads` workers (clamped to >= 1). */
+    /**
+     * Spawns `num_threads` workers (clamped to >= 1), or as many as
+     * the OS grants: a refused thread ends the spawning instead of
+     * throwing. With no worker at all, jobs run inside submit().
+     */
     explicit ThreadPool(int num_threads);
 
     /** Drains outstanding work, then joins all workers. */
@@ -41,6 +45,7 @@ class ThreadPool
     /** Block until every submitted job has finished. */
     void wait();
 
+    /** Workers actually running (0 when the OS granted none). */
     int numThreads() const { return static_cast<int>(workers_.size()); }
 
     /** Hardware concurrency with a sane fallback. */

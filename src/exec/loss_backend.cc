@@ -1,9 +1,11 @@
 #include "exec/loss_backend.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <optional>
 
 #include "common/rng.hh"
+#include "exec/loss_kernels.hh"
 #include "noise/analysis.hh"
 #include "noise/model.hh"
 
@@ -176,15 +178,48 @@ MonteCarloLossBackend::run(const ExecProgram &program,
         std::any_of(analysis.edgeLoss.begin(), analysis.edgeLoss.end(),
                     [](double p) { return p > 0.0; });
 
-    std::vector<std::int32_t> lost(options.shots, 0);
-    forEachShot(options.shots, result.threads, [&](int shot) {
-        Rng rng(shotSeed(options.seed, shot));
-        std::int32_t lost_here = 0;
-        if (!has_correlated) {
-            for (const double p : site_loss)
-                if (rng.bernoulli(p))
-                    ++lost_here;
-        } else {
+    // Shots are tallied as they finish, so memory does not grow with
+    // the shot count; integer sums make the totals independent of
+    // block and worker order.
+    std::atomic<std::int64_t> lost_shots{0};
+    std::atomic<std::int64_t> lost_photons{0};
+    const auto tally = [&](const std::int64_t *lost, int shots) {
+        std::int64_t shots_here = 0;
+        std::int64_t photons_here = 0;
+        for (int i = 0; i < shots; ++i) {
+            shots_here += lost[i] > 0;
+            photons_here += lost[i];
+        }
+        lost_shots.fetch_add(shots_here, std::memory_order_relaxed);
+        lost_photons.fetch_add(photons_here, std::memory_order_relaxed);
+    };
+
+    if (!has_correlated) {
+        // One integer threshold per draw, in draw order: the sites,
+        // then the fusions when any can fail.
+        std::vector<std::uint64_t> thresholds;
+        thresholds.reserve(site_loss.size() +
+                           (edge_loss ? analysis.edgeLoss.size() : 0));
+        for (const double p : site_loss)
+            thresholds.push_back(loss::drawThreshold(p));
+        if (edge_loss)
+            for (const double p : analysis.edgeLoss)
+                thresholds.push_back(loss::drawThreshold(p));
+        const int blocks = options.shots / loss::kBlockShots +
+            (options.shots % loss::kBlockShots != 0);
+        const int threads = std::min(result.threads, blocks);
+        forEachShot(blocks, threads, [&](int block) {
+            const int first = block * loss::kBlockShots;
+            const int shots =
+                std::min(loss::kBlockShots, options.shots - first);
+            std::int64_t lost[loss::kBlockShots];
+            loss::countLost(thresholds.data(), thresholds.size(),
+                            options.seed, first, shots, lost);
+            tally(lost, shots);
+        });
+    } else {
+        forEachShot(options.shots, result.threads, [&](int shot) {
+            Rng rng(shotSeed(options.seed, shot));
             // A burst can hit a photon the independent draws already
             // lost; the mask keeps the count honest. One buffer per
             // worker thread — assign() recycles its capacity, so the
@@ -195,21 +230,17 @@ MonteCarloLossBackend::run(const ExecProgram &program,
                 if (rng.bernoulli(site_loss[u]))
                     mask[u] = 1;
             model->sampleCorrelated(exposure.sites, rng, mask);
-            lost_here = static_cast<std::int32_t>(
-                std::count(mask.begin(), mask.end(), char(1)));
-        }
-        if (edge_loss)
-            for (const double p : analysis.edgeLoss)
-                if (rng.bernoulli(p))
-                    ++lost_here;
-        lost[shot] = lost_here;
-    });
-    for (const std::int32_t lost_here : lost) {
-        if (lost_here > 0) {
-            ++result.lostShots;
-            result.lostPhotons += lost_here;
-        }
+            std::int64_t lost_here =
+                std::count(mask.begin(), mask.end(), char(1));
+            if (edge_loss)
+                for (const double p : analysis.edgeLoss)
+                    if (rng.bernoulli(p))
+                        ++lost_here;
+            tally(&lost_here, 1);
+        });
     }
+    result.lostShots = static_cast<int>(lost_shots.load());
+    result.lostPhotons = lost_photons.load();
     result.completedShots = options.shots - result.lostShots;
     result.counts["success"] = result.completedShots;
     result.counts["loss"] = result.lostShots;

@@ -685,5 +685,75 @@ TEST(ExecPins, StabilizerAndScheduleResultBytes)
     }
 }
 
+TEST(McLossPins, LostShotsAndPhotons)
+{
+    // Every shot draws from its own stream, sites first and then
+    // fusions, so the tallies must not depend on how shots are
+    // grouped or on the worker count. 15 and 17 shots leave a
+    // partial block of 16; 1001 runs 62 full blocks and a tail.
+    struct Pin
+    {
+        const char *noise;
+        int shots;
+        int lostShots;
+        std::int64_t lostPhotons;
+    };
+    const Pin pins[] = {
+        {"default", 1, 1, 2},
+        {"default", 15, 10, 18},
+        {"default", 17, 10, 18},
+        {"default", 1001, 605, 942},
+        {"fusion", 1, 1, 2},
+        {"fusion", 15, 13, 29},
+        {"fusion", 17, 14, 30},
+        {"fusion", 1001, 734, 1341},
+        {"correlated-burst", 1, 1, 2},
+        {"correlated-burst", 15, 10, 18},
+        {"correlated-burst", 17, 10, 18},
+        {"correlated-burst", 1001, 626, 1092},
+    };
+    const auto noiseFor = [](const std::string &name) {
+        NoiseConfig noise;
+        noise.add("delay-line", {{"cycle_period_ns", 40.0}});
+        if (name == "fusion")
+            noise.add("fusion",
+                      {{"failure_rate", 0.0005}, {"remote_only", 0.0}});
+        else
+            noise.add("correlated-burst",
+                      {{"burst_rate", 0.05}, {"burst_width", 3.0}});
+        return noise;
+    };
+    std::vector<ExecOptions> runs;
+    for (const Pin &pin : pins) {
+        for (int threads : {1, 3}) {
+            ExecOptions options;
+            options.backend = "mc-loss";
+            options.shots = pin.shots;
+            options.seed = 9;
+            options.numThreads = threads;
+            options.lossModel.cyclePeriodNs = 40.0;
+            if (std::string(pin.noise) != "default")
+                options.noise = noiseFor(pin.noise);
+            runs.push_back(options);
+        }
+    }
+    auto report =
+        CompilerDriver(CompileOptions().numQpus(4).gridSize(7).seed(1))
+            .compileAndExecute(
+                CompileRequest::fromCircuit(makeQft(12), "qft-12"), runs);
+    ASSERT_TRUE(report.ok()) << report.status().toString();
+    ASSERT_EQ(report->executions.size(), runs.size());
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        const Pin &pin = pins[i / 2];
+        const ExecResult &result = report->executions[i];
+        SCOPED_TRACE(std::string(pin.noise) + " shots=" +
+                     std::to_string(pin.shots) + " threads=" +
+                     std::to_string(runs[i].numThreads));
+        EXPECT_EQ(result.lostShots, pin.lostShots);
+        EXPECT_EQ(result.lostPhotons, pin.lostPhotons);
+        EXPECT_EQ(result.completedShots + result.lostShots, pin.shots);
+    }
+}
+
 } // namespace
 } // namespace dcmbqc

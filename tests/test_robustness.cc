@@ -19,13 +19,20 @@
  * back as INVALID_CONFIG naming the field; a result computed from a
  * non-finite parameter is a confident wrong answer.
  *
- * Each fixture's cases, and each config and exec case, run in a
- * forked child, so an abort or a crash fails the test and names the
- * case instead of killing the test runner.
+ * Resource part: work that must not grow with a request's size runs
+ * in a forked child under RLIMIT_AS, a little above the child's
+ * current address space. `mc-loss` samples 100 M shots without a
+ * per-shot buffer, and a ThreadPool asked for 600 workers runs its
+ * jobs on the threads the OS grants.
+ *
+ * Each fixture's cases, and each config, exec and resource case, run
+ * in a forked child, so an abort or a crash fails the test and names
+ * the case instead of killing the test runner.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -34,6 +41,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <functional>
 #include <limits>
 #include <random>
 #include <sstream>
@@ -42,11 +51,23 @@
 
 #include "api/api.hh"
 #include "circuit/generators.hh"
+#include "common/thread_pool.hh"
 #include "serialize/artifact.hh"
 #include "serialize/codecs.hh"
 
 #ifndef DCMBQC_GOLDEN_DIR
 #define DCMBQC_GOLDEN_DIR "tests/golden"
+#endif
+
+// ASan and TSan reserve terabytes of shadow address space at start-up,
+// so no RLIMIT_AS cap near the process's real size can hold under
+// them; the resource cases skip there.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define DCMBQC_SHADOW_SANITIZER 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define DCMBQC_SHADOW_SANITIZER 1
+#endif
 #endif
 
 namespace dcmbqc
@@ -465,6 +486,119 @@ TEST(ExecRobustness, NonFiniteExecAndNoiseFieldsAreInvalidConfig)
             how = "exited with code " + std::to_string(WEXITSTATUS(status));
         ADD_FAILURE() << c.name << ": the exec child " << how;
     }
+}
+
+/** This process's address-space size (VmSize) in bytes; 0 if unknown. */
+std::uint64_t
+vmSizeBytes()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line))
+        if (line.rfind("VmSize:", 0) == 0)
+            return std::stoull(line.substr(7)) * 1024; // "... kB"
+    return 0;
+}
+
+/** Child exit codes: the cap could not be set; the body threw. */
+constexpr int kCapNotSet = 6;
+constexpr int kBodyThrew = 7;
+
+/**
+ * Run `body` in a forked child whose address space may grow by
+ * `headroom` bytes over its size at the fork; the child exits with
+ * the body's return value. Returns the "how it ended" text, empty
+ * when the child exited 0.
+ */
+std::string
+runCapped(std::uint64_t headroom, const std::function<int()> &body)
+{
+    std::fflush(nullptr);
+    const pid_t child = ::fork();
+    if (child < 0)
+        return "could not fork";
+    if (child == 0) {
+        const std::uint64_t size = vmSizeBytes();
+        rlimit cap{};
+        if (size == 0 || ::getrlimit(RLIMIT_AS, &cap) != 0)
+            ::_exit(kCapNotSet);
+        cap.rlim_cur = static_cast<rlim_t>(size + headroom);
+        if (::setrlimit(RLIMIT_AS, &cap) != 0)
+            ::_exit(kCapNotSet);
+        // An escaping exception would abort the CLI or the daemon; in
+        // here it must not reach gtest, which would run on in the
+        // child.
+        int code = kBodyThrew;
+        try {
+            code = body();
+        } catch (...) {
+        }
+        ::_exit(code);
+    }
+    int status = 0;
+    if (::waitpid(child, &status, 0) != child)
+        return "could not be waited for";
+    if (WIFSIGNALED(status))
+        return "was killed by signal " + std::to_string(WTERMSIG(status));
+    if (WEXITSTATUS(status) == kCapNotSet)
+        return "could not set RLIMIT_AS";
+    if (WEXITSTATUS(status) == kBodyThrew)
+        return "threw an exception";
+    if (WEXITSTATUS(status) != 0)
+        return "exited with code " + std::to_string(WEXITSTATUS(status));
+    return "";
+}
+
+constexpr std::uint64_t kMiB = std::uint64_t(1) << 20;
+
+TEST(ResourceRobustness, HugeShotCountRunsInBoundedMemory)
+{
+#ifdef DCMBQC_SHADOW_SANITIZER
+    GTEST_SKIP() << "RLIMIT_AS cannot hold a sanitizer's shadow memory";
+#endif
+    // One int32 per shot would take 400 MB, beyond the cap.
+    constexpr int kShots = 100000000;
+    const std::string how = runCapped(256 * kMiB, [] {
+        ExecOptions options;
+        options.backend = "mc-loss";
+        options.shots = kShots;
+        const auto report =
+            CompilerDriver(CompileOptions().numQpus(2))
+                .compileAndExecute(
+                    CompileRequest::fromCircuit(makeQft(2), "qft-2"),
+                    options);
+        if (!report.ok())
+            return kExecOtherStatus;
+        const ExecResult &result = report->executions.at(0);
+        return result.completedShots + result.lostShots == kShots &&
+                result.lostShots > 0
+            ? 0
+            : kExecAccepted;
+    });
+    EXPECT_EQ(how, "") << "the mc-loss child " << how;
+}
+
+TEST(ResourceRobustness, ThreadPoolRunsOnTheThreadsTheOsGrants)
+{
+#ifdef DCMBQC_SHADOW_SANITIZER
+    GTEST_SKIP() << "RLIMIT_AS cannot hold a sanitizer's shadow memory";
+#endif
+    // 600 thread stacks cannot fit in 64 MiB, so most are refused.
+    constexpr int kJobs = 600;
+    const std::string how = runCapped(64 * kMiB, [] {
+        std::vector<int> slots(kJobs, -1);
+        {
+            ThreadPool pool(kJobs);
+            for (int i = 0; i < kJobs; ++i)
+                pool.submit([&slots, i] { slots[i] = i; });
+            pool.wait();
+        }
+        for (int i = 0; i < kJobs; ++i)
+            if (slots[i] != i)
+                return kExecOtherStatus;
+        return 0;
+    });
+    EXPECT_EQ(how, "") << "the thread-pool child " << how;
 }
 
 } // namespace

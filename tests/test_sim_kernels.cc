@@ -6,22 +6,26 @@
  * PauliStrings, 200+ seeded circuits), the AVX2 amplitude kernel
  * against the portable kernel to exact ULP, the live-photon window
  * against the full graph state under identical seeds on the
- * stabilizer and schedule backends, and thread-count invariance of
- * the per-shot loop. Every fast path must be
- * *bit-identical* to its reference — these tests use EXPECT_EQ /
- * memcmp, never tolerances, except for gate fusion which documents
- * its ~ULP reassociation error explicitly.
+ * stabilizer and schedule backends, thread-count invariance of the
+ * per-shot loop, and the mc-loss draw kernels (integer thresholds
+ * against Rng::bernoulli, AVX2 lanes against the portable loop).
+ * Every fast path must be *bit-identical* to its reference — these
+ * tests use EXPECT_EQ / memcmp, never tolerances, except for gate
+ * fusion which documents its ~ULP reassociation error explicitly.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "api/api.hh"
 #include "circuit/generators.hh"
 #include "common/rng.hh"
 #include "exec/loss_backend.hh"
+#include "exec/loss_kernels.hh"
 #include "exec/schedule_backend.hh"
 #include "exec/stabilizer_replay.hh"
 #include "photonic/grid.hh"
@@ -475,6 +479,80 @@ TEST(SimKernels, LiveWindowMatchesFullGraphStateWithoutMeasurements)
     EXPECT_EQ(a.counts, b.counts);
     EXPECT_EQ(a.probabilities, b.probabilities);
     EXPECT_EQ(resultBytes(a), resultBytes(b));
+}
+
+TEST(LossKernels, ThresholdDrawEqualsBernoulliDrawByDraw)
+{
+    // Edge probabilities, then random ones across many magnitudes.
+    std::vector<double> probabilities = {
+        0.0, 1.0, 0x1.0p-53, std::numeric_limits<double>::denorm_min(),
+        std::nextafter(1.0, 0.0), 0.5, 0x1.0p-52 + 0x1.0p-60};
+    Rng picker(17);
+    for (int i = 0; i < 64; ++i)
+        probabilities.push_back(picker.uniform() *
+                                std::ldexp(1.0, -(i % 16) * 4));
+
+    // Two copies of one stream, each draw with the next probability.
+    Rng bernoulli(99);
+    Rng raw(99);
+    for (int draw = 0; draw < 200000; ++draw) {
+        const double p = probabilities[draw % probabilities.size()];
+        ASSERT_EQ(bernoulli.bernoulli(p),
+                  (raw.next() >> 11) < loss::drawThreshold(p))
+            << "draw " << draw << ", p " << p;
+    }
+
+    // Random draws never land next to a threshold, so check the
+    // identity there directly: x * 2^-53 < p iff x < t.
+    for (const double p : probabilities) {
+        const std::uint64_t t = loss::drawThreshold(p);
+        for (std::int64_t dx = -3; dx <= 3; ++dx) {
+            const std::int64_t x = static_cast<std::int64_t>(t) + dx;
+            if (x < 0 || x >= (std::int64_t(1) << 53))
+                continue;
+            EXPECT_EQ(x * 0x1.0p-53 < p,
+                      static_cast<std::uint64_t>(x) < t)
+                << "p " << p << ", x " << x;
+        }
+    }
+}
+
+TEST(LossKernels, Avx2KernelMatchesPortableOnFullBlocks)
+{
+#if defined(__x86_64__) || defined(_M_X64)
+    if (!sv::cpuHasAvx2())
+        GTEST_SKIP() << "CPU lacks AVX2; dispatch covers this case";
+    Rng rng(7);
+    for (const std::int64_t seed : {0, 1, 9, 123456789}) {
+        for (const int first_shot : {0, 16, 17, 1000, 2147483647 - 15}) {
+            // Random thresholds, with certain loss and certain
+            // survival mixed in.
+            std::vector<std::uint64_t> thresholds(rng.uniformInt(2000));
+            for (auto &t : thresholds) {
+                switch (rng.uniformInt(4)) {
+                  case 0: t = 0; break;
+                  case 1: t = std::uint64_t(1) << 53; break;
+                  default: t = loss::drawThreshold(rng.uniform()); break;
+                }
+            }
+            SCOPED_TRACE("seed " + std::to_string(seed) + ", first shot " +
+                         std::to_string(first_shot) + ", " +
+                         std::to_string(thresholds.size()) + " draws");
+            std::int64_t portable[loss::kBlockShots];
+            std::int64_t vectorized[loss::kBlockShots];
+            loss::countLostPortable(thresholds.data(), thresholds.size(),
+                                    seed, first_shot, loss::kBlockShots,
+                                    portable);
+            loss::countLostAvx2(thresholds.data(), thresholds.size(),
+                                seed, first_shot, vectorized);
+            for (int lane = 0; lane < loss::kBlockShots; ++lane)
+                EXPECT_EQ(portable[lane], vectorized[lane])
+                    << "lane " << lane;
+        }
+    }
+#else
+    GTEST_SKIP() << "non-x86 build has no AVX2 kernel";
+#endif
 }
 
 TEST(SimKernels, ResetRestoresTheFastStackDefaults)
