@@ -26,6 +26,17 @@ popcount64(std::uint64_t v)
 #endif
 }
 
+/** 1 when v has an odd number of set bits, else 0. */
+inline int
+parity64(std::uint64_t v)
+{
+#if defined(__GNUC__) || defined(__clang__)
+    return __builtin_parityll(v);
+#else
+    return popcount64(v) & 1;
+#endif
+}
+
 } // namespace dcmbqc
 
 #endif // DCMBQC_COMMON_BITS_HH

@@ -1,6 +1,9 @@
 #include "exec/statevector_backend.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <mutex>
 
 #include "common/rng.hh"
 #include "exec/noise_channel.hh"
@@ -57,41 +60,57 @@ StatevectorBackend::run(const ExecProgram &program,
     result.numWires = wires;
     result.threads = resolveThreads(options.numThreads, options.shots);
 
-    // Per-shot outcome slots: sampling order is (shot, wire), so the
-    // aggregate is bit-identical however the pool schedules chunks.
-    // Noise draws use a salted per-shot stream, never the outcome
-    // stream, so an inactive channel changes nothing.
-    std::vector<std::string> outcomes(options.shots);
-    std::vector<std::int32_t> lost(options.shots, 0);
-    forEachShot(options.shots, result.threads, [&](int shot) {
-        Rng rng(shotSeed(options.seed, shot));
-        PatternRunResult run =
-            runPattern(pattern, rng, options.applyByproducts);
-        StateVector &state = run.outputState;
-        std::string bits(wires, '0');
-        for (int w = 0; w < wires; ++w) {
-            // Wire w is simulator qubit w; removal shifts the rest
-            // down, so the front qubit is always the next wire.
-            if (state.measureZAndRemove(0, rng).outcome)
-                bits[w] = '1';
-        }
-        if (channel->active()) {
-            Rng noise_rng(shotSeed(options.seed, shot) ^
-                          kNoiseStreamSalt);
-            lost[shot] = channel->sampleLoss(noise_rng);
-            if (lost[shot] == 0)
+    // One block per worker, each a contiguous run of shots tallied
+    // into its own counts and merged under a lock, so memory does not
+    // grow with the shot count. Sampling order within a shot is
+    // (shot, wire) and the merge only adds integers, so the result is
+    // bit-identical however the pool schedules the blocks. Noise
+    // draws use a salted per-shot stream, never the outcome stream,
+    // so an inactive channel changes nothing.
+    const int blocks = result.threads;
+    const int block_shots = options.shots / blocks +
+        (options.shots % blocks != 0);
+    std::mutex merge;
+    forEachShot(blocks, result.threads, [&](int block) {
+        const int first = block * block_shots;
+        const int last =
+            first + std::min(block_shots, options.shots - first);
+        std::map<std::string, std::int64_t> counts;
+        int lost_shots = 0;
+        std::int64_t lost_photons = 0;
+        std::string bits;
+        for (int shot = first; shot < last; ++shot) {
+            Rng rng(shotSeed(options.seed, shot));
+            PatternRunResult run =
+                runPattern(pattern, rng, options.applyByproducts);
+            StateVector &state = run.outputState;
+            bits.assign(wires, '0');
+            for (int w = 0; w < wires; ++w) {
+                // Wire w is simulator qubit w; removal shifts the
+                // rest down, so the front qubit is always the next
+                // wire.
+                if (state.measureZAndRemove(0, rng).outcome)
+                    bits[w] = '1';
+            }
+            if (channel->active()) {
+                Rng noise_rng(shotSeed(options.seed, shot) ^
+                              kNoiseStreamSalt);
+                const int lost = channel->sampleLoss(noise_rng);
+                if (lost > 0) {
+                    ++lost_shots;
+                    lost_photons += lost;
+                    continue;
+                }
                 channel->applyFlips(noise_rng, bits);
+            }
+            ++counts[bits];
         }
-        outcomes[shot] = std::move(bits);
+        const std::lock_guard<std::mutex> lock(merge);
+        for (const auto &[key, count] : counts)
+            result.counts[key] += count;
+        result.lostShots += lost_shots;
+        result.lostPhotons += lost_photons;
     });
-    for (int shot = 0; shot < options.shots; ++shot) {
-        if (lost[shot] > 0) {
-            ++result.lostShots;
-            result.lostPhotons += lost[shot];
-            continue;
-        }
-        ++result.counts[std::move(outcomes[shot])];
-    }
     result.completedShots = options.shots - result.lostShots;
     if (channel->active())
         result.notes.push_back("noise channel applied per shot (" +

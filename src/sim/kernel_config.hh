@@ -19,7 +19,7 @@
 namespace dcmbqc
 {
 
-/** Which dense amplitude kernel StateVector::apply1q runs. */
+/** Which dense amplitude kernels StateVector runs (gates, measurement). */
 enum class SvKernel
 {
     /** AVX2 when the CPU supports it, else portable. */

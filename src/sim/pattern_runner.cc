@@ -33,18 +33,21 @@ runPattern(const Pattern &pattern, Rng &rng, bool apply_byproducts)
     auto ensure_created = [&](NodeId v) {
         while (next_to_create <= v) {
             const NodeId u = next_to_create++;
-            slot[u] = state.addQubitPlus();
-            slotOwner.push_back(u);
-            result.peakWidth =
-                std::max(result.peakWidth, state.numQubits());
-            // Entangle with earlier, still-alive neighbors.
+            // Entangle with earlier, still-alive neighbors as the
+            // qubit is created; a repeated edge cancels, as two CZs do.
+            std::size_t cz_mask = 0;
             for (const auto &adj : pattern.graph().adjacency(u)) {
                 if (adj.neighbor < u) {
                     DCMBQC_ASSERT(slot[adj.neighbor] >= 0,
                                   "edge to dead node ", adj.neighbor);
-                    state.applyCZ(slot[u], slot[adj.neighbor]);
+                    cz_mask ^= static_cast<std::size_t>(1)
+                        << slot[adj.neighbor];
                 }
             }
+            slot[u] = state.addQubitPlus(cz_mask);
+            slotOwner.push_back(u);
+            result.peakWidth =
+                std::max(result.peakWidth, state.numQubits());
         }
     };
 

@@ -1,8 +1,10 @@
 #include "sim/statevector.hh"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 
+#include "common/bits.hh"
 #include "common/logging.hh"
 #include "sim/kernel_config.hh"
 #include "sim/sv_kernels.hh"
@@ -74,6 +76,20 @@ gateMatrix1q(const Gate &gate, Mat2 &m)
     }
 }
 
+/**
+ * Sample (or force) a measurement outcome from its two branches'
+ * squared norms; the result carries the chosen branch's norm.
+ */
+MeasureResult
+pickOutcome(double p0, double p1, Rng &rng, int forced_outcome)
+{
+    const int outcome = forced_outcome >= 0
+        ? forced_outcome : (rng.uniform() < p0 ? 0 : 1);
+    const double prob = outcome == 0 ? p0 : p1;
+    DCMBQC_ASSERT(prob > 1e-12, "measured a zero-probability branch");
+    return {outcome, prob};
+}
+
 /** m <- a * m (compose gate a after the pending matrix m). */
 void
 composeLeft(const Mat2 &a, Mat2 &m)
@@ -115,14 +131,33 @@ StateVector::addQubitZero()
 }
 
 int
-StateVector::addQubitPlus()
+StateVector::addQubitPlus(std::size_t cz_mask)
 {
+    DCMBQC_ASSERT((cz_mask >> numQubits_) == 0,
+                  "addQubitPlus: CZ mask names a missing qubit");
     const std::size_t half = amps_.size();
     amps_.resize(half * 2);
-    for (std::size_t i = 0; i < half; ++i) {
-        const Amplitude value = amps_[i] * invSqrt2;
-        amps_[i] = value;
-        amps_[i + half] = value;
+    // Multiplying by -1 negates exactly, so one sign per index equals
+    // the CZs' negations applied one after another. The sign of index
+    // i is that of its low bits, tabulated once, times that of the
+    // block holding it.
+    constexpr std::size_t kBlock = 32;
+    const std::size_t block = std::min(half, kBlock);
+    double low_sign[2 * kBlock];
+    for (std::size_t t = 0; t < block; ++t)
+        low_sign[2 * t] = low_sign[2 * t + 1] =
+            parity64(t & cz_mask) ? -1.0 : 1.0;
+    double *lower = reinterpret_cast<double *>(amps_.data());
+    double *upper = lower + 2 * half;
+    for (std::size_t start = 0; start < half; start += block) {
+        const double block_sign = parity64(start & cz_mask) ? -1.0 : 1.0;
+        double *lo = lower + 2 * start;
+        double *hi = upper + 2 * start;
+        for (std::size_t k = 0; k < 2 * block; ++k) {
+            const double value = lo[k] * invSqrt2;
+            lo[k] = value;
+            hi[k] = value * (low_sign[k] * block_sign);
+        }
     }
     return numQubits_++;
 }
@@ -213,11 +248,14 @@ StateVector::applyCZ(int a, int b)
     DCMBQC_ASSERT(a != b && a >= 0 && b >= 0 && a < numQubits_ &&
                       b < numQubits_,
                   "applyCZ: bad qubits");
-    const std::size_t mask = (static_cast<std::size_t>(1) << a) |
-                             (static_cast<std::size_t>(1) << b);
-    for (std::size_t i = 0; i < amps_.size(); ++i)
-        if ((i & mask) == mask)
-            amps_[i] = -amps_[i];
+    // Visit only the quarter of indices with both bits set: blocks
+    // with the high bit set, runs within them with the low bit set.
+    const std::size_t lo = static_cast<std::size_t>(1) << std::min(a, b);
+    const std::size_t hi = static_cast<std::size_t>(1) << std::max(a, b);
+    for (std::size_t block = hi; block < amps_.size(); block += 2 * hi)
+        for (std::size_t run = block + lo; run < block + hi; run += 2 * lo)
+            for (std::size_t i = run; i < run + lo; ++i)
+                amps_[i] = -amps_[i];
 }
 
 void
@@ -348,55 +386,27 @@ StateVector::measureAndRemove(int q, Amplitude b0, Amplitude b1, Rng &rng,
                               int forced_outcome)
 {
     DCMBQC_ASSERT(q >= 0 && q < numQubits_, "measure: bad qubit ", q);
-    const std::size_t stride = static_cast<std::size_t>(1) << q;
     const std::size_t half = amps_.size() / 2;
 
-    // Projection amplitude onto basis vector (b0, b1) for outcome 0
-    // and its orthogonal complement (b0, -b1) for outcome 1 -- valid
-    // because our XY / Z bases always have |b0| = |b1| or b1 = 0.
-    auto project = [&](Amplitude k0, Amplitude k1,
-                       std::vector<Amplitude> &out) {
-        out.assign(half, 0.0);
-        double prob = 0.0;
-        for (std::size_t r = 0; r < half; ++r) {
-            // Insert bit 0/1 at position q of r.
-            const std::size_t low = r & (stride - 1);
-            const std::size_t high = (r >> q) << (q + 1);
-            const std::size_t i0 = high | low;
-            const std::size_t i1 = i0 | stride;
-            const Amplitude value =
-                std::conj(k0) * amps_[i0] + std::conj(k1) * amps_[i1];
-            out[r] = value;
-            prob += std::norm(value);
-        }
-        return prob;
-    };
+    // Outcome 0 projects onto basis vector (b0, b1) and outcome 1
+    // onto its orthogonal complement (b0, -b1) -- valid because our
+    // XY bases always have |b0| = |b1|. One sweep computes both.
+    const Amplitude k[3] = {std::conj(b0), std::conj(b1),
+                            std::conj(-b1)};
+    scratch_.resize(2 * half);
+    const sv::BranchNorms norms =
+        sv::measureSweep(amps_.data(), amps_.size(), q, k,
+                         scratch_.data(), scratch_.data() + half);
+    const MeasureResult result =
+        pickOutcome(norms.p0, norms.p1, rng, forced_outcome);
 
-    std::vector<Amplitude> collapsed0;
-    const double p0 = project(b0, b1, collapsed0);
-
-    int outcome;
-    if (forced_outcome >= 0) {
-        outcome = forced_outcome;
-    } else {
-        outcome = rng.uniform() < p0 ? 0 : 1;
-    }
-
-    double prob = outcome == 0 ? p0 : 1.0 - p0;
-    std::vector<Amplitude> collapsed;
-    if (outcome == 0) {
-        collapsed = std::move(collapsed0);
-    } else {
-        prob = project(b0, -b1, collapsed);
-    }
-    DCMBQC_ASSERT(prob > 1e-12, "measured a zero-probability branch");
-
-    const double scale = 1.0 / std::sqrt(prob);
-    for (auto &a : collapsed)
-        a *= scale;
-    amps_ = std::move(collapsed);
+    const double scale = 1.0 / std::sqrt(result.probability);
+    const Amplitude *branch = scratch_.data() + result.outcome * half;
+    for (std::size_t r = 0; r < half; ++r)
+        amps_[r] = branch[r] * scale;
+    amps_.resize(half);
     --numQubits_;
-    return {outcome, prob};
+    return result;
 }
 
 MeasureResult
@@ -413,42 +423,35 @@ StateVector::measureZAndRemove(int q, Rng &rng, int forced_outcome)
 {
     // Z basis: |0> = (1, 0), orthogonal (0, 1). measureAndRemove's
     // complement convention (b0, -b1) does not produce (0, 1) from
-    // (1, 0), so handle Z directly via the XY trick: measuring Z is
-    // H then X-basis, but simpler to special-case here.
+    // (1, 0), and the branches are plain halves of the state, so Z
+    // sums both halves' norms in one sweep and compacts the chosen
+    // one in place.
     DCMBQC_ASSERT(q >= 0 && q < numQubits_, "measureZ: bad qubit ", q);
     const std::size_t stride = static_cast<std::size_t>(1) << q;
     const std::size_t half = amps_.size() / 2;
-
-    auto extract = [&](int bit, std::vector<Amplitude> &out) {
-        out.assign(half, 0.0);
-        double prob = 0.0;
-        for (std::size_t r = 0; r < half; ++r) {
-            const std::size_t low = r & (stride - 1);
-            const std::size_t high = (r >> q) << (q + 1);
-            const std::size_t idx = (high | low) | (bit ? stride : 0);
-            out[r] = amps_[idx];
-            prob += std::norm(out[r]);
-        }
-        return prob;
+    // Index pair r: r with a 0 inserted at bit q, and that plus stride.
+    const auto low_index = [&](std::size_t r) {
+        return ((r >> q) << (q + 1)) | (r & (stride - 1));
     };
 
-    std::vector<Amplitude> c0;
-    const double p0 = extract(0, c0);
-    int outcome = forced_outcome >= 0
-        ? forced_outcome : (rng.uniform() < p0 ? 0 : 1);
-    double prob = outcome == 0 ? p0 : 1.0 - p0;
-    std::vector<Amplitude> collapsed;
-    if (outcome == 0)
-        collapsed = std::move(c0);
-    else
-        prob = extract(1, collapsed);
-    DCMBQC_ASSERT(prob > 1e-12, "measured a zero-probability branch");
-    const double scale = 1.0 / std::sqrt(prob);
-    for (auto &a : collapsed)
-        a *= scale;
-    amps_ = std::move(collapsed);
+    double p0 = 0.0;
+    double p1 = 0.0;
+    for (std::size_t r = 0; r < half; ++r) {
+        const std::size_t i0 = low_index(r);
+        p0 += std::norm(amps_[i0]);
+        p1 += std::norm(amps_[i0 | stride]);
+    }
+    const MeasureResult result = pickOutcome(p0, p1, rng, forced_outcome);
+
+    // Forward in place: pair r reads index >= r, and no later pair
+    // reads below its own r.
+    const double scale = 1.0 / std::sqrt(result.probability);
+    const std::size_t bit = result.outcome ? stride : 0;
+    for (std::size_t r = 0; r < half; ++r)
+        amps_[r] = amps_[low_index(r) | bit] * scale;
+    amps_.resize(half);
     --numQubits_;
-    return {outcome, prob};
+    return result;
 }
 
 double

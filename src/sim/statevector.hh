@@ -47,8 +47,13 @@ class StateVector
     /** Append a qubit in |0> as the new highest index. */
     int addQubitZero();
 
-    /** Append a qubit in |+> as the new highest index. */
-    int addQubitPlus();
+    /**
+     * Append a qubit in |+> as the new highest index, entangled by a
+     * CZ with each existing qubit whose bit is set in `cz_mask`: the
+     * new upper half takes the sign (-1)^popcount(i & cz_mask), the
+     * exact negations the CZs one by one would make.
+     */
+    int addQubitPlus(std::size_t cz_mask = 0);
 
     /** Apply an arbitrary single-qubit unitary. */
     void apply1q(int q, Amplitude m00, Amplitude m01, Amplitude m10,
@@ -116,6 +121,9 @@ class StateVector
 
     int numQubits_;
     std::vector<Amplitude> amps_;
+
+    /** Both branches of the last XY measurement, reused across calls. */
+    std::vector<Amplitude> scratch_;
 };
 
 } // namespace dcmbqc

@@ -685,6 +685,80 @@ TEST(ExecPins, StabilizerAndScheduleResultBytes)
     }
 }
 
+TEST(StatevectorPins, ResultBytes)
+{
+    // The exact probabilities are encoded doubles, so a one-ULP drift
+    // in any amplitude of the replayed pattern moves these hashes even
+    // where the sampled counts would not. The last run loses shots to
+    // a correlated burst and flips outcome bits, pinning the loss
+    // tally and the flips; its connector loss stays zero, since a
+    // pattern run has no cut edges.
+    struct Pin
+    {
+        const char *program;
+        bool byproducts;
+        bool noisy;
+        std::uint64_t hash;
+    };
+    const Pin pins[] = {
+        {"cliffordt-8q", true, false, 0xcd05c3760f035e79ull},
+        {"cliffordt-8q", false, false, 0x8745022f13fdda60ull},
+        {"cliffordt-9q", true, false, 0xd1a7a003adc1ffbdull},
+        {"cliffordt-9q", false, false, 0xc4efe1530011472aull},
+        {"cliffordt-10q", true, false, 0x3f07c5e166bcc1f8ull},
+        {"cliffordt-10q", false, false, 0xe1babf34c110f168ull},
+        {"qft-6", true, false, 0x01b154a146f1e558ull},
+        {"qft-6", false, false, 0x11890da88a269e7bull},
+        {"qft-6", true, true, 0x47a448647b520d17ull},
+    };
+    const auto programFor = [](const std::string &name) {
+        if (name == "qft-6")
+            return ExecProgram::fromCircuit(makeQft(6), name);
+        // The statevector programs of perfbench's exec_shots.
+        const int qubits = name == "cliffordt-8q" ? 8
+                         : name == "cliffordt-9q" ? 9 : 10;
+        return ExecProgram::fromCircuit(
+            makeRandomCliffordTCircuit(qubits, 10 * qubits,
+                                       150 + (qubits - 8)),
+            name);
+    };
+    NoiseConfig noise;
+    noise.add("connector", {{"insertion_loss_db", 3.0}})
+        .add("correlated-burst", {{"burst_rate", 0.2}, {"burst_width", 4.0}})
+        .add("depolarizing", {{"probability", 0.05}});
+
+    const CompilerDriver driver;
+    for (const Pin &pin : pins) {
+        const ExecProgram program = programFor(pin.program);
+        for (int threads : {1, 4}) {
+            SCOPED_TRACE(std::string(pin.program) +
+                         (pin.byproducts ? " byproducts" : " raw") +
+                         (pin.noisy ? " noisy" : "") +
+                         " threads=" + std::to_string(threads));
+            ExecOptions options;
+            options.backend = "statevector";
+            options.shots = pin.noisy ? 200 : 40;
+            options.seed = 7;
+            options.numThreads = threads;
+            options.applyByproducts = pin.byproducts;
+            if (pin.noisy)
+                options.noise = noise;
+            auto result = driver.execute(program, options);
+            ASSERT_TRUE(result.ok()) << result.status().toString();
+            if (pin.noisy) {
+                EXPECT_GT(result->lostShots, 0);
+                EXPECT_GT(result->completedShots, 0);
+            }
+            // Wall time and thread count are not result content.
+            result->wallMillis = 0.0;
+            result->threads = 1;
+            const std::vector<std::uint8_t> bytes =
+                encodeExecResultArtifact(*result);
+            EXPECT_EQ(fnv1a64(bytes.data(), bytes.size()), pin.hash);
+        }
+    }
+}
+
 TEST(McLossPins, LostShotsAndPhotons)
 {
     // Every shot draws from its own stream, sites first and then

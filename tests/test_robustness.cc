@@ -21,9 +21,9 @@
  *
  * Resource part: work that must not grow with a request's size runs
  * in a forked child under RLIMIT_AS, a little above the child's
- * current address space. `mc-loss` samples 100 M shots without a
- * per-shot buffer, and a ThreadPool asked for 600 workers runs its
- * jobs on the threads the OS grants.
+ * current address space. `mc-loss` samples 100 M shots and
+ * `statevector` 3 M shots without a per-shot buffer, and a ThreadPool
+ * asked for 600 workers runs its jobs on the threads the OS grants.
  *
  * Each fixture's cases, and each config, exec and resource case, run
  * in a forked child, so an abort or a crash fails the test and names
@@ -576,6 +576,34 @@ TEST(ResourceRobustness, HugeShotCountRunsInBoundedMemory)
             : kExecAccepted;
     });
     EXPECT_EQ(how, "") << "the mc-loss child " << how;
+}
+
+TEST(ResourceRobustness, StatevectorShotCountRunsInBoundedMemory)
+{
+#ifdef DCMBQC_SHADOW_SANITIZER
+    GTEST_SKIP() << "RLIMIT_AS cannot hold a sanitizer's shadow memory";
+#endif
+    // An outcome string and a loss count per shot would take 36 B a
+    // shot, 108 MB here, beyond the cap. One thread keeps the shot
+    // loop on the calling thread.
+    constexpr int kShots = 3000000;
+    const std::string how = runCapped(64 * kMiB, [] {
+        Circuit circuit(1, "h");
+        circuit.h(0);
+        ExecOptions options;
+        options.backend = "statevector";
+        options.shots = kShots;
+        options.numThreads = 1;
+        const auto result = executeProgram(
+            ExecProgram::fromCircuit(circuit, "h"), options);
+        if (!result.ok())
+            return kExecOtherStatus;
+        std::int64_t counted = 0;
+        for (const auto &entry : result->counts)
+            counted += entry.second;
+        return counted == kShots ? 0 : kExecAccepted;
+    });
+    EXPECT_EQ(how, "") << "the statevector child " << how;
 }
 
 TEST(ResourceRobustness, ThreadPoolRunsOnTheThreadsTheOsGrants)

@@ -3,8 +3,11 @@
  * Equivalence suite for the optimized simulation kernels: the
  * bit-packed tableau against the scalar reference (outcomes,
  * deterministic/random verdicts, isStabilizer/anticommutes on random
- * PauliStrings, 200+ seeded circuits), the AVX2 amplitude kernel
- * against the portable kernel to exact ULP, the live-photon window
+ * PauliStrings, 200+ seeded circuits), the AVX2 amplitude kernels
+ * (butterfly and measurement sweep) against the portable kernels to
+ * exact ULP, the in-place measurement against a std::complex
+ * projection per branch, CZs folded into qubit creation against one
+ * CZ per neighbour, the live-photon window
  * against the full graph state under identical seeds on the
  * stabilizer and schedule backends, thread-count invariance of the
  * per-shot loop, and the mc-loss draw kernels (integer thresholds
@@ -19,6 +22,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "api/api.hh"
@@ -283,6 +287,282 @@ TEST(SimKernels, GateFusionStaysWithinReassociationTolerance)
         for (std::size_t i = 0; i < a.size(); ++i)
             EXPECT_NEAR(std::abs(a[i] - b[i]), 0.0, 1e-12)
                 << "seed=" << seed << " amp=" << i;
+    }
+}
+
+// --- Measurement sweep -----------------------------------------------------
+
+constexpr double kInvSqrt2 = 0.70710678118654752440;
+
+/** XY angles with exact zeros in the basis (0, pi/2, pi) and without. */
+const double kSweepAngles[] = {0.0, 0.7853981633974483, 1.5707963267948966,
+                               3.141592653589793, 2.2, -1.3};
+
+/** The XY basis vector of `theta`, as StateVector builds it. */
+std::pair<sv::Amp, sv::Amp>
+xyBasis(double theta)
+{
+    return {sv::Amp(kInvSqrt2),
+            std::exp(sv::Amp(0.0, 1.0) * theta) * kInvSqrt2};
+}
+
+/** A generic n-qubit state: rotations on every qubit, then a CZ chain. */
+StateVector
+randomState(int n, Rng &rng)
+{
+    StateVector state(n);
+    for (int q = 0; q < n; ++q) {
+        state.applyRY(q, rng.uniform() * 6.0);
+        state.applyRZ(q, rng.uniform() * 6.0);
+    }
+    for (int q = 0; q + 1 < n; ++q)
+        state.applyCZ(q, q + 1);
+    for (int q = 0; q < n; ++q)
+        state.applyRX(q, rng.uniform() * 6.0);
+    return state;
+}
+
+/** Amplitudes and probability of one collapsed measurement. */
+struct Collapsed
+{
+    std::vector<sv::Amp> amps;
+    double probability = 0.0;
+};
+
+/**
+ * The measurement as the simulator first wrote it, the oracle of the
+ * in-place sweep: a fresh buffer per projection in std::complex
+ * arithmetic, the second projection only for outcome 1, and a
+ * separate rescale.
+ */
+Collapsed
+allocatingMeasureXY(const std::vector<sv::Amp> &amps, int q, sv::Amp b0,
+                    sv::Amp b1, int outcome)
+{
+    const std::size_t stride = std::size_t(1) << q;
+    const std::size_t half = amps.size() / 2;
+    auto project = [&](sv::Amp k0, sv::Amp k1,
+                       std::vector<sv::Amp> &out) {
+        out.assign(half, 0.0);
+        double prob = 0.0;
+        for (std::size_t r = 0; r < half; ++r) {
+            const std::size_t low = r & (stride - 1);
+            const std::size_t high = (r >> q) << (q + 1);
+            const std::size_t i0 = high | low;
+            const std::size_t i1 = i0 | stride;
+            const sv::Amp value =
+                std::conj(k0) * amps[i0] + std::conj(k1) * amps[i1];
+            out[r] = value;
+            prob += std::norm(value);
+        }
+        return prob;
+    };
+    Collapsed c;
+    c.probability = project(b0, b1, c.amps);
+    if (outcome == 1)
+        c.probability = project(b0, -b1, c.amps);
+    const double scale = 1.0 / std::sqrt(c.probability);
+    for (auto &a : c.amps)
+        a *= scale;
+    return c;
+}
+
+/** The Z-basis counterpart of allocatingMeasureXY. */
+Collapsed
+allocatingMeasureZ(const std::vector<sv::Amp> &amps, int q, int outcome)
+{
+    const std::size_t stride = std::size_t(1) << q;
+    const std::size_t half = amps.size() / 2;
+    Collapsed c;
+    c.amps.assign(half, 0.0);
+    for (std::size_t r = 0; r < half; ++r) {
+        const std::size_t low = r & (stride - 1);
+        const std::size_t high = (r >> q) << (q + 1);
+        c.amps[r] = amps[(high | low) | (outcome ? stride : 0)];
+        c.probability += std::norm(c.amps[r]);
+    }
+    const double scale = 1.0 / std::sqrt(c.probability);
+    for (auto &a : c.amps)
+        a *= scale;
+    return c;
+}
+
+/** Bitwise equality of two amplitude arrays. */
+bool
+sameBits(const std::vector<sv::Amp> &a, const std::vector<sv::Amp> &b)
+{
+    return a.size() == b.size() &&
+        std::memcmp(a.data(), b.data(), a.size() * sizeof(sv::Amp)) == 0;
+}
+
+TEST(SimKernels, Avx2MeasureSweepMatchesPortableToExactUlp)
+{
+#if defined(__x86_64__) || defined(_M_X64)
+    if (!sv::cpuHasAvx2())
+        GTEST_SKIP() << "CPU lacks AVX2; dispatch covers this case";
+    Rng rng(17);
+    for (int n = 1; n <= 12; ++n) {
+        const std::vector<sv::Amp> amps =
+            randomAmps(std::size_t(1) << n, rng);
+        const StateVector state = randomState(n, rng);
+        const std::size_t half = amps.size() / 2;
+        for (int q = 0; q < n; ++q) {
+            for (const double theta : kSweepAngles) {
+                SCOPED_TRACE("n=" + std::to_string(n) + " q=" +
+                             std::to_string(q) + " theta=" +
+                             std::to_string(theta));
+                const auto [b0, b1] = xyBasis(theta);
+                const sv::Amp k[3] = {std::conj(b0), std::conj(b1),
+                                      std::conj(-b1)};
+                std::vector<sv::Amp> portable(2 * half);
+                std::vector<sv::Amp> vectorized(2 * half);
+                const sv::BranchNorms a = sv::measureSweepPortable(
+                    amps.data(), amps.size(), q, k, portable.data(),
+                    portable.data() + half);
+                const sv::BranchNorms b = sv::measureSweepAvx2(
+                    amps.data(), amps.size(), q, k, vectorized.data(),
+                    vectorized.data() + half);
+                EXPECT_TRUE(sameBits(portable, vectorized));
+                EXPECT_EQ(a.p0, b.p0);
+                EXPECT_EQ(a.p1, b.p1);
+
+                // Through StateVector under each dispatch, both
+                // outcomes forced.
+                for (int outcome : {0, 1}) {
+                    Rng unused(1);
+                    simKernelConfig().svKernel = SvKernel::Portable;
+                    StateVector p = state;
+                    const MeasureResult rp =
+                        p.measureXYAndRemove(q, theta, unused, outcome);
+                    simKernelConfig().svKernel = SvKernel::Avx2;
+                    StateVector v = state;
+                    const MeasureResult rv =
+                        v.measureXYAndRemove(q, theta, unused, outcome);
+                    resetSimKernelConfig();
+                    EXPECT_TRUE(sameBits(p.amplitudes(), v.amplitudes()))
+                        << "outcome " << outcome;
+                    EXPECT_EQ(rp.probability, rv.probability);
+                }
+            }
+        }
+    }
+#else
+    GTEST_SKIP() << "non-x86 build has no AVX2 kernel";
+#endif
+}
+
+TEST(SimKernels, InPlaceMeasurementMatchesTheAllocatingProjection)
+{
+    // Same IEEE-754 operations in the same order as a std::complex
+    // projection per branch: every amplitude and the reported
+    // probability agree bit for bit, under either kernel.
+    Rng rng(29);
+    for (const SvKernel kernel : {SvKernel::Portable, SvKernel::Auto}) {
+        for (int n = 1; n <= 10; ++n) {
+            const StateVector state = randomState(n, rng);
+            for (int q = 0; q < n; ++q) {
+                for (int outcome : {0, 1}) {
+                    SCOPED_TRACE("n=" + std::to_string(n) + " q=" +
+                                 std::to_string(q) + " outcome=" +
+                                 std::to_string(outcome));
+                    Rng unused(1);
+                    simKernelConfig().svKernel = kernel;
+                    for (const double theta : kSweepAngles) {
+                        const auto [b0, b1] = xyBasis(theta);
+                        const Collapsed want = allocatingMeasureXY(
+                            state.amplitudes(), q, b0, b1, outcome);
+                        StateVector got = state;
+                        const MeasureResult r = got.measureXYAndRemove(
+                            q, theta, unused, outcome);
+                        EXPECT_EQ(r.outcome, outcome);
+                        EXPECT_EQ(r.probability, want.probability)
+                            << "theta=" << theta;
+                        EXPECT_TRUE(sameBits(got.amplitudes(), want.amps))
+                            << "theta=" << theta;
+                        EXPECT_EQ(got.numQubits(), n - 1);
+                    }
+                    const Collapsed want =
+                        allocatingMeasureZ(state.amplitudes(), q, outcome);
+                    StateVector got = state;
+                    const MeasureResult r =
+                        got.measureZAndRemove(q, unused, outcome);
+                    resetSimKernelConfig();
+                    EXPECT_EQ(r.probability, want.probability);
+                    EXPECT_TRUE(sameBits(got.amplitudes(), want.amps));
+                }
+            }
+        }
+    }
+}
+
+TEST(SimKernels, SampledOutcomeDrawsOneUniformAgainstP0)
+{
+    // A sampled measurement draws exactly one uniform and picks
+    // outcome 0 below p0, so each shot's stream is unchanged.
+    Rng rng(31);
+    for (int trial = 0; trial < 200; ++trial) {
+        const int n = 1 + trial % 8;
+        const int q = trial % n;
+        const StateVector state = randomState(n, rng);
+        const double theta = rng.uniform() * 6.0;
+        const auto [b0, b1] = xyBasis(theta);
+        const Collapsed zero =
+            allocatingMeasureXY(state.amplitudes(), q, b0, b1, 0);
+        Rng draws(1000 + trial);
+        Rng twin(1000 + trial);
+        StateVector got = state;
+        const MeasureResult r = got.measureXYAndRemove(q, theta, draws);
+        EXPECT_EQ(r.outcome, twin.uniform() < zero.probability ? 0 : 1);
+        EXPECT_EQ(draws.next(), twin.next()) << "trial " << trial;
+    }
+}
+
+TEST(SimKernels, CzMaskOnCreationEqualsOneCzPerBit)
+{
+    Rng rng(37);
+    for (int n = 0; n <= 10; ++n) {
+        const StateVector state = randomState(n, rng);
+        for (int trial = 0; trial < 8; ++trial) {
+            const std::size_t mask = n == 0
+                ? 0
+                : static_cast<std::size_t>(rng.next()) &
+                    ((std::size_t(1) << n) - 1);
+            SCOPED_TRACE("n=" + std::to_string(n) + " mask=" +
+                         std::to_string(mask));
+            StateVector folded = state;
+            EXPECT_EQ(folded.addQubitPlus(mask), n);
+            StateVector separate = state;
+            separate.addQubitPlus();
+            for (int b = 0; b < n; ++b)
+                if (mask & (std::size_t(1) << b))
+                    separate.applyCZ(n, b);
+            EXPECT_TRUE(
+                sameBits(folded.amplitudes(), separate.amplitudes()));
+        }
+    }
+}
+
+TEST(SimKernels, QuarterSweepCzNegatesExactlyTheBothBitsSetIndices)
+{
+    Rng rng(41);
+    for (int n = 2; n <= 9; ++n) {
+        const StateVector state = randomState(n, rng);
+        for (int a = 0; a < n; ++a) {
+            for (int b = 0; b < n; ++b) {
+                if (a == b)
+                    continue;
+                std::vector<sv::Amp> want = state.amplitudes();
+                const std::size_t mask =
+                    (std::size_t(1) << a) | (std::size_t(1) << b);
+                for (std::size_t i = 0; i < want.size(); ++i)
+                    if ((i & mask) == mask)
+                        want[i] = -want[i];
+                StateVector got = state;
+                got.applyCZ(a, b);
+                EXPECT_TRUE(sameBits(got.amplitudes(), want))
+                    << "n=" << n << " a=" << a << " b=" << b;
+            }
+        }
     }
 }
 
