@@ -5,12 +5,13 @@
  * reference (gate: >= 5x), (2) AVX2 vs portable dense amplitude
  * throughput (gate: non-regression; the two are bit-identical, so
  * this is purely a speed check), (3) end-to-end shots/sec over a
- * 64-circuit random Clifford corpus, full optimized stack (packed
- * tableau + live-photon window + SIMD + fusion) vs full reference
- * stack (scalar + full graph state + portable + unfused) on the
- * stabilizer backend (gate: >= 3x). The window's isolated
- * contribution vs the full graph state is reported as its own row,
- * ungated. Results are mirrored to BENCH_sim_kernels.json.
+ * 64-circuit random Clifford corpus, full optimized stack (one
+ * symbolic replay per run on the packed tableau + live-photon window
+ * + SIMD + fusion) vs full reference stack (scalar per-shot replay +
+ * full graph state + portable + unfused) on the stabilizer backend
+ * (gate: >= 3x). The window's isolated contribution vs the full
+ * graph state is reported as its own row, ungated. Results are
+ * mirrored to BENCH_sim_kernels.json.
  */
 
 #include <algorithm>
@@ -103,10 +104,14 @@ rowOpRate(const Graph &g, const std::vector<PauliString> &queries)
 /**
  * A 64-circuit random Clifford corpus from the same generator
  * family tests/test_differential.cc pins, at 24-39 qubits and depth
- * 3n: per-shot cost is tableau kernel work. Only 3.1% of a shot's
- * measurements are deterministic (all of them output measurements),
- * and the live window averages 32 tableau qubits against 189
- * pattern nodes.
+ * 3n. Only 3.1% of a shot's measurements are deterministic (all of
+ * them output measurements), and the live window averages 32
+ * tableau qubits against 189 pattern nodes. The reference stack
+ * replays every shot on the scalar tableau; the optimized one
+ * replays each run once on the packed tableau and then samples a
+ * shot by drawing its random outcomes and evaluating the output
+ * forms, so per run it costs one tableau replay plus a few
+ * microseconds a shot.
  */
 std::vector<ExecProgram>
 corpusPrograms()

@@ -97,27 +97,42 @@ resolveThreads(int num_threads, int shots)
     return std::max(1, std::min(threads, shots));
 }
 
+ShotRange
+shotBlock(int shots, int blocks, int block)
+{
+    const auto bound = [&](int b) {
+        return static_cast<int>(static_cast<std::int64_t>(shots) * b /
+                                blocks);
+    };
+    return {bound(block), bound(block + 1)};
+}
+
+void
+forEachShotBlock(int shots, int threads,
+                 const std::function<void(ShotRange)> &body)
+{
+    if (threads <= 1) {
+        body({0, shots});
+        return;
+    }
+    // One contiguous block per worker keeps queue overhead
+    // negligible even for very cheap shots.
+    ThreadPool pool(threads);
+    for (int block = 0; block < threads; ++block)
+        pool.submit([&body, range = shotBlock(shots, threads, block)] {
+            body(range);
+        });
+    pool.wait();
+}
+
 void
 forEachShot(int shots, int threads,
             const std::function<void(int)> &body)
 {
-    if (threads <= 1) {
-        for (int shot = 0; shot < shots; ++shot)
+    forEachShotBlock(shots, threads, [&body](ShotRange range) {
+        for (int shot = range.begin; shot < range.end; ++shot)
             body(shot);
-        return;
-    }
-    // Contiguous chunks: one pool job per worker keeps queue
-    // overhead negligible even for very cheap shots.
-    ThreadPool pool(threads);
-    const int chunk = (shots + threads - 1) / threads;
-    for (int begin = 0; begin < shots; begin += chunk) {
-        const int end = std::min(shots, begin + chunk);
-        pool.submit([&body, begin, end] {
-            for (int shot = begin; shot < end; ++shot)
-                body(shot);
-        });
-    }
-    pool.wait();
+    });
 }
 
 Expected<ExecResult>

@@ -109,6 +109,28 @@ Expected<ExecResult> executeProgram(const ExecProgram &program,
  */
 std::uint64_t shotSeed(std::int64_t seed, int shot);
 
+/** The shots [begin, end) of one block. */
+struct ShotRange
+{
+    int begin = 0;
+    int end = 0;
+};
+
+/**
+ * Block `block` of `blocks` contiguous blocks that split [0, shots)
+ * as evenly as possible, in order; bounds are computed in 64 bits,
+ * so any int shot count is safe.
+ */
+ShotRange shotBlock(int shots, int blocks, int block);
+
+/**
+ * Run `body` once per shotBlock(shots, threads, ·), one pool worker
+ * each (threads <= 1: one block, inline). Bodies must be
+ * independent.
+ */
+void forEachShotBlock(int shots, int threads,
+                      const std::function<void(ShotRange)> &body);
+
 /**
  * Run `body(shot)` for every shot in [0, shots) across `threads`
  * workers (resolved: <=1 runs inline). Bodies must be independent

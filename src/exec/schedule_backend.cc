@@ -1,7 +1,6 @@
 #include "exec/schedule_backend.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 #include <queue>
 #include <utility>
@@ -16,23 +15,6 @@
 
 namespace dcmbqc
 {
-
-namespace
-{
-
-/** One sampled shot: output bits plus their exact probability. */
-struct ScheduleShot
-{
-    std::string bits;
-
-    /** Non-deterministic output measurements in this shot. */
-    int randomOutputs = 0;
-
-    /** Photons lost to the noise model (> 0 voids the shot). */
-    int lostPhotons = 0;
-};
-
-} // namespace
 
 Expected<std::vector<NodeId>>
 scheduleMeasurementOrder(const Pattern &pattern,
@@ -199,72 +181,50 @@ ScheduleBackend::run(const ExecProgram &program,
         }
     }
 
-    // The schedule-order replay shares its stepper with the
+    // The schedule-order replay shares sampleStabShots with the
     // stabilizer backend (identical correction bookkeeping; only the
     // *order* differs — exactly the degree of freedom the scheduler
     // exercises, and what the differential harness cross-checks).
-    std::vector<ScheduleShot> shots(options.shots);
-    const auto post = [&](int shot, StabReplayResult r) {
-        shots[shot].bits = std::move(r.bits);
-        shots[shot].randomOutputs = r.randomOutputs;
-        if (!model)
-            return;
-        Rng noise_rng(shotSeed(options.seed, shot) ^
-                      kNoiseStreamSalt);
-        int lost = 0;
-        if (!has_correlated) {
-            for (const double p : site_loss)
+    // Any correction-consistent interleaving yields the same
+    // corrected distribution, so equal bitstrings must agree on
+    // their chain-rule probability; a mismatch means the
+    // schedule-order replay diverged.
+    ShotNoise noise;
+    if (model)
+        noise = [&](int shot, std::string &bits) {
+            Rng noise_rng(shotSeed(options.seed, shot) ^
+                          kNoiseStreamSalt);
+            int lost = 0;
+            if (!has_correlated) {
+                for (const double p : site_loss)
+                    if (noise_rng.bernoulli(p))
+                        ++lost;
+            } else {
+                // Per-worker buffer; assign() recycles the capacity
+                // so the shot loop allocates nothing after warm-up.
+                thread_local std::vector<char> mask;
+                mask.assign(site_loss.size(), 0);
+                for (std::size_t u = 0; u < site_loss.size(); ++u)
+                    if (noise_rng.bernoulli(site_loss[u]))
+                        mask[u] = 1;
+                model->sampleCorrelated(exposure_sites, noise_rng, mask);
+                lost = static_cast<int>(
+                    std::count(mask.begin(), mask.end(), char(1)));
+            }
+            for (const double p : edge_loss)
                 if (noise_rng.bernoulli(p))
                     ++lost;
-        } else {
-            // Per-worker buffer; assign() recycles the capacity so
-            // the shot loop allocates nothing after warm-up.
-            thread_local std::vector<char> mask;
-            mask.assign(site_loss.size(), 0);
-            for (std::size_t u = 0; u < site_loss.size(); ++u)
-                if (noise_rng.bernoulli(site_loss[u]))
-                    mask[u] = 1;
-            model->sampleCorrelated(exposure_sites, noise_rng, mask);
-            lost = static_cast<int>(
-                std::count(mask.begin(), mask.end(), char(1)));
-        }
-        for (const double p : edge_loss)
-            if (noise_rng.bernoulli(p))
-                ++lost;
-        shots[shot].lostPhotons = lost;
-        if (lost == 0 && flip_probability > 0.0)
-            for (char &bit : shots[shot].bits)
-                if (noise_rng.bernoulli(flip_probability))
-                    bit = bit == '0' ? '1' : '0';
-    };
-    sampleStabShots(pattern, *order, *base_turns,
-                    options.applyByproducts, options.shots,
-                    result.threads, options.seed, post);
-
-    for (ScheduleShot &shot : shots) {
-        if (shot.lostPhotons > 0) {
-            ++result.lostShots;
-            result.lostPhotons += shot.lostPhotons;
-            continue;
-        }
-        const double p = std::ldexp(1.0, -shot.randomOutputs);
-        if (options.applyByproducts && !model) {
-            // Any correction-consistent interleaving yields the
-            // same corrected distribution, so equal bitstrings must
-            // agree on their chain-rule probability; a mismatch
-            // means the schedule-order replay diverged.
-            const auto it = result.probabilities.find(shot.bits);
-            if (it != result.probabilities.end() &&
-                std::fabs(it->second - p) > 1e-12)
-                return Status::internal(
-                    "inconsistent exact probabilities for outcome " +
-                    shot.bits + ": " + std::to_string(it->second) +
-                    " vs " + std::to_string(p));
-            result.probabilities[shot.bits] = p;
-        }
-        ++result.counts[std::move(shot.bits)];
-    }
-    result.completedShots = options.shots - result.lostShots;
+            if (lost == 0 && flip_probability > 0.0)
+                for (char &bit : bits)
+                    if (noise_rng.bernoulli(flip_probability))
+                        bit = bit == '0' ? '1' : '0';
+            return lost;
+        };
+    const Status sampled = sampleStabShots(
+        pattern, *order, *base_turns, options.applyByproducts,
+        options.shots, result.threads, options.seed, noise, result);
+    if (!sampled.ok())
+        return sampled;
     if (!options.applyByproducts)
         result.notes.push_back(
             "exact probabilities unavailable: byproducts left "

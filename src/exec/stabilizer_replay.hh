@@ -3,10 +3,19 @@
  * Replay of a Clifford measurement pattern on a stabilizer tableau
  * in an arbitrary (correction-valid) measurement order — the shared
  * core of the stabilizer and schedule backends, which differ only in
- * the order they pass. Templated over the tableau type so the same
- * shot loop runs the bit-packed StabilizerSim or the scalar
- * ScalarStabilizerSim oracle, selected per run from
- * simKernelConfig().packedTableau.
+ * the order they pass.
+ *
+ * Derive once, sample per shot: an outcome acts on the tableau only
+ * through Paulis (the adapted angle's Z, the reset X, the output
+ * byproducts), so every row's Pauli part, and with it which
+ * measurements are random, is the same in every shot, and every
+ * sign is an affine GF(2) form of the random outcomes.
+ * SymbolicReplay replays the pattern once per run on the packed
+ * StabilizerSim with form-valued signs and keeps one form per output
+ * wire; a shot draws its random outcomes and evaluates the forms
+ * (the reference-sample idea of Gidney, arXiv:2103.02202). With
+ * SimKernelConfig::packedTableau off, ScalarReplayStepper replays
+ * every shot on the scalar ScalarStabilizerSim instead: the oracle.
  *
  * Live window: like the photonic machine, the replay never holds the
  * whole graph state. A plan built once per run creates each photon
@@ -24,7 +33,7 @@
  *
  * A deterministic measurement consumes no RNG (measureZ), so each
  * shot draws one bernoulli(0.5) per random measurement, in order,
- * under either plan.
+ * under either plan and either replay.
  */
 
 #ifndef DCMBQC_EXEC_STABILIZER_REPLAY_HH
@@ -32,6 +41,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,11 +49,8 @@
 #include "api/status.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
-#include "exec/backend.hh"
+#include "exec/result.hh"
 #include "mbqc/pattern.hh"
-#include "sim/kernel_config.hh"
-#include "sim/stabilizer.hh"
-#include "sim/stabilizer_reference.hh"
 
 namespace dcmbqc
 {
@@ -91,102 +98,25 @@ ReplayPlan planReplay(const Pattern &pattern,
                       const std::vector<NodeId> &order,
                       bool live_window);
 
-/** One sampled shot of a stabilizer pattern replay. */
-struct StabReplayResult
-{
-    std::string bits;
-
-    /** Non-deterministic output measurements in this shot. */
-    int randomOutputs = 0;
-};
-
-template <class Sim>
-class StabReplayStepper
+/**
+ * One-shot-at-a-time replay on the scalar tableau: the oracle the
+ * symbolic replay is tested against.
+ */
+class ScalarReplayStepper
 {
   public:
     /** All referents must outlive the stepper. */
-    StabReplayStepper(const Pattern &pattern,
-                      const std::vector<NodeId> &order,
-                      const std::vector<int> &base_turns,
-                      bool apply_byproducts, bool live_window)
-        : pattern_(&pattern), order_(&order), turns_(&base_turns),
-          applyByproducts_(apply_byproducts),
-          plan_(planReplay(pattern, order, live_window))
-    {
-    }
+    ScalarReplayStepper(const Pattern &pattern,
+                        const std::vector<NodeId> &order,
+                        const std::vector<int> &base_turns,
+                        bool apply_byproducts, bool live_window);
 
-    /** Tableau qubits each shot simulates. */
-    int width() const { return plan_.width; }
-
-    /** Sample one shot start to finish; safe to call concurrently. */
-    StabReplayResult run(Rng &rng) const
-    {
-        const Pattern &pattern = *pattern_;
-        const std::vector<NodeId> &order = *order_;
-        const std::vector<int> &qubit = plan_.qubit;
-        Sim sim(plan_.width);
-        std::vector<int> sx(pattern.numNodes(), 0);
-        std::vector<int> sz(pattern.numNodes(), 0);
-        std::size_t gate = 0;
-        const auto prepare = [&](std::size_t end) {
-            for (; gate < end; ++gate) {
-                const auto [a, b] = plan_.prep[gate];
-                if (b < 0)
-                    sim.applyH(a);
-                else
-                    sim.applyCZ(a, b);
-            }
-        };
-
-        for (std::size_t i = 0; i < order.size(); ++i) {
-            prepare(plan_.prepEnd[i]);
-            const NodeId m = order[i];
-            const int q = qubit[m];
-            // Adapted angle (-1)^{sx} theta + sz*pi, exactly in
-            // integer quarter turns; conjugate by P(-k*pi/2) and H so
-            // the measurement is plain Z-basis.
-            const int k = (((sx[m] ? -(*turns_)[m] : (*turns_)[m]) +
-                            (sz[m] ? 2 : 0)) % 4 + 4) % 4;
-            switch (k) {
-              case 1: sim.applySdg(q); break;
-              case 2: sim.applyZ(q); break;
-              case 3: sim.applyS(q); break;
-              default: break;
-            }
-            sim.applyH(q);
-            if (sim.measureZ(q, rng).outcome) {
-                // Back to |0> for the photon that reuses the qubit.
-                sim.applyX(q);
-                // Flow corrections: X on f(m), Z on N(f(m)) \ {m}.
-                const NodeId succ = pattern.flow(m);
-                sx[succ] ^= 1;
-                for (const auto &adj : pattern.graph().adjacency(succ))
-                    if (adj.neighbor != m)
-                        sz[adj.neighbor] ^= 1;
-            }
-        }
-        prepare(plan_.prep.size());
-
-        const auto &outputs = pattern.outputs();
-        StabReplayResult result;
-        result.bits.assign(outputs.size(), '0');
-        for (std::size_t wire = 0; wire < outputs.size(); ++wire) {
-            const NodeId o = outputs[wire];
-            const int q = qubit[o];
-            if (applyByproducts_) {
-                if (sz[o])
-                    sim.applyZ(q);
-                if (sx[o])
-                    sim.applyX(q);
-            }
-            const StabMeasureResult mr = sim.measureZ(q, rng);
-            if (mr.outcome)
-                result.bits[wire] = '1';
-            if (!mr.deterministic)
-                ++result.randomOutputs;
-        }
-        return result;
-    }
+    /**
+     * Sample one shot start to finish into `bits` (char w = output
+     * wire w); returns its random output measurements. Safe to call
+     * concurrently.
+     */
+    int run(Rng &rng, std::string &bits) const;
 
   private:
     const Pattern *pattern_;
@@ -197,36 +127,66 @@ class StabReplayStepper
 };
 
 /**
- * Sample `shots` shots of a Clifford pattern replay over the worker
- * pool under the current kernel config, one plan shared by every
- * worker, calling post(shot, result) from the worker that sampled
- * the shot. `post` must be safe to call concurrently for distinct
- * shots.
+ * A Clifford pattern replay derived once on the packed tableau:
+ * which measurements are random and every output bit as an affine
+ * form of their outcomes. Adapted angle (-1)^sx t + 2 sz quarter
+ * turns is a fixed Clifford and then Z^c: t = 0 no gate, c = sz;
+ * t = 2 no gate, c = sz ^ 1; t = 1 S, c = sx ^ sz ^ 1 (Sdg = S Z);
+ * t = 3 S, c = sx ^ sz. Outcome o resets the photon with X^o and
+ * XORs o into the flow corrections' sx and sz forms, which are held
+ * only while their node is pending.
  */
-template <class Post>
-void
-sampleStabShots(const Pattern &pattern,
-                const std::vector<NodeId> &order,
-                const std::vector<int> &base_turns,
-                bool apply_byproducts, int shots, int threads,
-                std::int64_t seed, const Post &post)
+class SymbolicReplay
 {
-    const auto sample = [&](const auto &stepper) {
-        forEachShot(shots, threads, [&](int shot) {
-            Rng rng(shotSeed(seed, shot));
-            post(shot, stepper.run(rng));
-        });
-    };
-    const SimKernelConfig &config = simKernelConfig();
-    if (config.packedTableau)
-        sample(StabReplayStepper<StabilizerSim>(
-            pattern, order, base_turns, apply_byproducts,
-            config.liveWindow));
-    else
-        sample(StabReplayStepper<ScalarStabilizerSim>(
-            pattern, order, base_turns, apply_byproducts,
-            config.liveWindow));
-}
+  public:
+    SymbolicReplay(const Pattern &pattern,
+                   const std::vector<NodeId> &order,
+                   const std::vector<int> &base_turns,
+                   bool apply_byproducts, bool live_window);
+
+    /**
+     * Sample one shot into `bits` (char w = output wire w) with
+     * `draws` as scratch; returns its random output measurements.
+     * Draws the outcomes as measureZ would, one bernoulli(0.5) per
+     * random measurement in replay order: that holds exactly when
+     * bit 63 of next() is clear, which is what it reads.
+     */
+    int sample(Rng &rng, std::vector<std::uint64_t> &draws,
+               std::string &bits) const;
+
+  private:
+    /** Random measurements, outputs included: a shot's draws. */
+    int random_ = 0;
+    int randomOutputs_ = 0;
+    int words_ = 1;
+
+    /** Output wire w's form at [w * words_, (w + 1) * words_). */
+    std::vector<std::uint64_t> outputForms_;
+};
+
+/**
+ * A shot's noise: the photons it lost (> 0 voids the shot), after
+ * flipping bits of a surviving shot; called as noise(shot, bits).
+ */
+using ShotNoise = std::function<int(int, std::string &)>;
+
+/**
+ * Sample `shots` shots of a Clifford pattern replay over the worker
+ * pool, one block of shots per worker, and tally them into `result`:
+ * counts, lost and completed shots, lost photons and, when
+ * `apply_byproducts` and no `noise`, the exact probability 2^-r of
+ * each outcome (r random output measurements). Shot s draws its outcomes from
+ * Rng(shotSeed(seed, s)). The packed kernel config derives a
+ * SymbolicReplay once; the scalar one replays every shot. Returns
+ * INTERNAL when two shots give one outcome different probabilities,
+ * which would mean wrong flow corrections.
+ */
+Status sampleStabShots(const Pattern &pattern,
+                       const std::vector<NodeId> &order,
+                       const std::vector<int> &base_turns,
+                       bool apply_byproducts, int shots, int threads,
+                       std::int64_t seed, const ShotNoise &noise,
+                       ExecResult &result);
 
 } // namespace dcmbqc
 

@@ -1,6 +1,5 @@
 #include "exec/statevector_backend.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <map>
 #include <mutex>
@@ -67,19 +66,13 @@ StatevectorBackend::run(const ExecProgram &program,
     // bit-identical however the pool schedules the blocks. Noise
     // draws use a salted per-shot stream, never the outcome stream,
     // so an inactive channel changes nothing.
-    const int blocks = result.threads;
-    const int block_shots = options.shots / blocks +
-        (options.shots % blocks != 0);
     std::mutex merge;
-    forEachShot(blocks, result.threads, [&](int block) {
-        const int first = block * block_shots;
-        const int last =
-            first + std::min(block_shots, options.shots - first);
+    forEachShotBlock(options.shots, result.threads, [&](ShotRange range) {
         std::map<std::string, std::int64_t> counts;
         int lost_shots = 0;
         std::int64_t lost_photons = 0;
         std::string bits;
-        for (int shot = first; shot < last; ++shot) {
+        for (int shot = range.begin; shot < range.end; ++shot) {
             Rng rng(shotSeed(options.seed, shot));
             PatternRunResult run =
                 runPattern(pattern, rng, options.applyByproducts);

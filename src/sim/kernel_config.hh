@@ -40,18 +40,20 @@ enum class SvKernel
 struct SimKernelConfig
 {
     /**
-     * Stabilizer-replay backends use the bit-packed tableau; false
-     * runs the scalar ScalarStabilizerSim oracle instead.
+     * The stabilizer-replay backends replay the pattern once per run
+     * on the bit-packed tableau, with each sign an affine form of
+     * the random outcomes, and sample every shot from the output
+     * forms; false replays every shot on the scalar
+     * ScalarStabilizerSim oracle instead.
      */
     bool packedTableau;
 
     /**
-     * The stabilizer and schedule backends replay each shot on a
-     * live-photon window, a tableau as wide as the peak number of
-     * live photons; false prepares the whole graph state before the
-     * first measurement (see exec/stabilizer_replay.hh). The
-     * statevector backend always replays each shot with
-     * `runPattern`.
+     * The stabilizer and schedule backends replay on a live-photon
+     * window, a tableau as wide as the peak number of live photons;
+     * false prepares the whole graph state before the first
+     * measurement (see exec/stabilizer_replay.hh). The statevector
+     * backend always replays each shot with `runPattern`.
      */
     bool liveWindow;
 

@@ -37,14 +37,16 @@ PackedPauli::PackedPauli(const PauliString &p)
     }
 }
 
-StabilizerSim::StabilizerSim(int num_qubits)
+StabilizerSim::StabilizerSim(int num_qubits, int max_variables)
     : n_(num_qubits),
       words_(wordsFor(num_qubits)),
+      formWords_(wordsFor(max_variables + 1)),
       x_((2 * num_qubits + 1) * static_cast<std::size_t>(words_), 0),
       z_((2 * num_qubits + 1) * static_cast<std::size_t>(words_), 0),
-      r_(2 * num_qubits + 1, 0)
+      r_((2 * num_qubits + 1) * static_cast<std::size_t>(formWords_), 0)
 {
     DCMBQC_ASSERT(num_qubits >= 1, "stabilizer sim needs >= 1 qubit");
+    DCMBQC_ASSERT(max_variables >= 0, "negative variable bound");
     for (int q = 0; q < n_; ++q) {
         const std::uint64_t mask = 1ull << (q & 63);
         xRow(q)[q >> 6] |= mask;      // destabilizer X_q
@@ -61,7 +63,7 @@ StabilizerSim::rowsum(int h, int i)
     // columns matching x1 z1 z2 ~x2 | x1 ~z1 x2 z2 | ~x1 z1 x2 ~z2,
     // -1 on the sign-mirrored triples, and 0 elsewhere, so the sum
     // over columns is popcount(plus) - popcount(minus).
-    int phase = 2 * (r_[h] + r_[i]);
+    int phase = 0;
     std::uint64_t *xh = xRow(h);
     std::uint64_t *zh = zRow(h);
     const std::uint64_t *xi = xRow(i);
@@ -79,15 +81,18 @@ StabilizerSim::rowsum(int h, int i)
         xh[w] = x2 ^ x1;
         zh[w] = z2 ^ z1;
     }
-    phase %= 4;
-    if (phase < 0)
-        phase += 4;
+    // Two's complement: phase & 3 is phase mod 4 in [0, 4).
+    phase &= 3;
     // Stabilizer and scratch rows always produce a real +/- sign;
     // destabilizer rows may anticommute with the multiplier, and
     // their phase bit is a don't-care in the AG tableau.
     DCMBQC_ASSERT(h < n_ || phase == 0 || phase == 2,
                   "rowsum: odd phase on stabilizer row");
-    r_[h] = (phase == 2 || phase == 3) ? 1 : 0;
+    std::uint64_t *rh = sign(h);
+    const std::uint64_t *ri = sign(i);
+    for (int w = 0, used = usedFormWords(); w < used; ++w)
+        rh[w] ^= ri[w];
+    rh[0] ^= static_cast<std::uint64_t>(phase >> 1);
 }
 
 void
@@ -98,7 +103,7 @@ StabilizerSim::applyH(int q)
     for (int row = 0; row < 2 * n_; ++row) {
         std::uint64_t &xw = xRow(row)[w];
         std::uint64_t &zw = zRow(row)[w];
-        r_[row] ^= static_cast<std::uint8_t>((xw & zw & mask) != 0);
+        sign(row)[0] ^= (xw & zw & mask) != 0;
         const std::uint64_t diff = (xw ^ zw) & mask;
         xw ^= diff;
         zw ^= diff;
@@ -113,7 +118,7 @@ StabilizerSim::applyS(int q)
     for (int row = 0; row < 2 * n_; ++row) {
         const std::uint64_t xw = xRow(row)[w];
         std::uint64_t &zw = zRow(row)[w];
-        r_[row] ^= static_cast<std::uint8_t>((xw & zw & mask) != 0);
+        sign(row)[0] ^= (xw & zw & mask) != 0;
         zw ^= xw & mask;
     }
 }
@@ -132,7 +137,7 @@ StabilizerSim::applyX(int q)
     const int w = q >> 6;
     const std::uint64_t mask = 1ull << (q & 63);
     for (int row = 0; row < 2 * n_; ++row)
-        r_[row] ^= static_cast<std::uint8_t>((zRow(row)[w] & mask) != 0);
+        sign(row)[0] ^= (zRow(row)[w] & mask) != 0;
 }
 
 void
@@ -141,7 +146,35 @@ StabilizerSim::applyZ(int q)
     const int w = q >> 6;
     const std::uint64_t mask = 1ull << (q & 63);
     for (int row = 0; row < 2 * n_; ++row)
-        r_[row] ^= static_cast<std::uint8_t>((xRow(row)[w] & mask) != 0);
+        sign(row)[0] ^= (xRow(row)[w] & mask) != 0;
+}
+
+void
+StabilizerSim::xorFormWhere(const std::vector<std::uint64_t> &bits,
+                            int q, const std::uint64_t *form)
+{
+    const int w = q >> 6;
+    const std::uint64_t mask = 1ull << (q & 63);
+    const int used = usedFormWords();
+    for (int row = 0; row < 2 * n_; ++row) {
+        if (!(bits[row * static_cast<std::size_t>(words_) + w] & mask))
+            continue;
+        std::uint64_t *r = sign(row);
+        for (int k = 0; k < used; ++k)
+            r[k] ^= form[k];
+    }
+}
+
+void
+StabilizerSim::applyX(int q, const std::uint64_t *form)
+{
+    xorFormWhere(z_, q, form);
+}
+
+void
+StabilizerSim::applyZ(int q, const std::uint64_t *form)
+{
+    xorFormWhere(x_, q, form);
 }
 
 void
@@ -158,7 +191,7 @@ StabilizerSim::applyCNOT(int control, int target)
         const int zc = (zw[wc] & mc) != 0;
         const int xt = (xw[wt] & mt) != 0;
         const int zt = (zw[wt] & mt) != 0;
-        r_[row] ^= static_cast<std::uint8_t>(xc & zt & (xt ^ zc ^ 1));
+        sign(row)[0] ^= static_cast<std::uint64_t>(xc & zt & (xt ^ zc ^ 1));
         if (xc)
             xw[wt] ^= mt;
         if (zt)
@@ -185,11 +218,12 @@ StabilizerSim::zMeasurementIsRandom(int q) const
     return false;
 }
 
-StabMeasureResult
-StabilizerSim::measureZWithOutcome(int q, int forced_outcome)
+int
+StabilizerSim::measureZRows(int q)
 {
     const int w = q >> 6;
     const std::uint64_t mask = 1ull << (q & 63);
+    const int used = usedFormWords();
 
     int p = -1;
     for (int row = n_; row < 2 * n_; ++row) {
@@ -200,7 +234,7 @@ StabilizerSim::measureZWithOutcome(int q, int forced_outcome)
     }
 
     if (p >= 0) {
-        // Random outcome, forced onto the requested branch.
+        // Random outcome.
         for (int row = 0; row < 2 * n_; ++row)
             if (row != p && (xRow(row)[w] & mask))
                 rowsum(row, p);
@@ -209,24 +243,53 @@ StabilizerSim::measureZWithOutcome(int q, int forced_outcome)
                     sizeof(std::uint64_t) * words_);
         std::memcpy(zRow(p - n_), zRow(p),
                     sizeof(std::uint64_t) * words_);
-        r_[p - n_] = r_[p];
-        // New stabilizer is +/- Z_q.
+        std::memcpy(sign(p - n_), sign(p), sizeof(std::uint64_t) * used);
+        // New stabilizer is +Z_q until the caller signs it.
         std::fill_n(xRow(p), words_, std::uint64_t{0});
         std::fill_n(zRow(p), words_, std::uint64_t{0});
+        std::fill_n(sign(p), used, std::uint64_t{0});
         zRow(p)[w] = mask;
-        r_[p] = static_cast<std::uint8_t>(forced_outcome);
-        return {forced_outcome, false};
+        return p;
     }
 
     // Deterministic outcome: accumulate into the scratch row.
     const int scratch = 2 * n_;
     std::fill_n(xRow(scratch), words_, std::uint64_t{0});
     std::fill_n(zRow(scratch), words_, std::uint64_t{0});
-    r_[scratch] = 0;
+    std::fill_n(sign(scratch), used, std::uint64_t{0});
     for (int i = 0; i < n_; ++i)
         if (xRow(i)[w] & mask)
             rowsum(scratch, i + n_);
-    return {r_[scratch], true};
+    return -1;
+}
+
+StabMeasureResult
+StabilizerSim::measureZWithOutcome(int q, int forced_outcome)
+{
+    const int p = measureZRows(q);
+    if (p < 0)
+        return {static_cast<int>(sign(2 * n_)[0] & 1), true};
+    sign(p)[0] = static_cast<std::uint64_t>(forced_outcome);
+    return {forced_outcome, false};
+}
+
+bool
+StabilizerSim::measureZAffine(int q, std::uint64_t *form)
+{
+    const int p = measureZRows(q);
+    std::fill_n(form, formWords_, std::uint64_t{0});
+    if (p < 0) {
+        std::memcpy(form, sign(2 * n_),
+                    sizeof(std::uint64_t) * usedFormWords());
+        return false;
+    }
+    DCMBQC_ASSERT(variables_ + 1 < formWords_ * kWordBits,
+                  "measureZAffine: more random outcomes than the "
+                  "tableau was sized for");
+    const int j = ++variables_;
+    form[j >> 6] = 1ull << (j & 63);
+    sign(p)[j >> 6] = form[j >> 6];
+    return true;
 }
 
 StabMeasureResult
@@ -283,7 +346,7 @@ StabilizerSim::isStabilizer(const PackedPauli &p) const
     auto *self = const_cast<StabilizerSim *>(this);
     std::fill_n(self->xRow(scratch), words_, std::uint64_t{0});
     std::fill_n(self->zRow(scratch), words_, std::uint64_t{0});
-    self->r_[scratch] = 0;
+    std::fill_n(self->sign(scratch), usedFormWords(), std::uint64_t{0});
     for (int i = 0; i < n_; ++i)
         if (anticommutes(i, p))
             self->rowsum(scratch, i + n_);
@@ -292,7 +355,12 @@ StabilizerSim::isStabilizer(const PackedPauli &p) const
         if (xRow(scratch)[w] != p.xWords[w] ||
             zRow(scratch)[w] != p.zWords[w])
             return false;
-    return r_[scratch] == (p.negative ? 1 : 0);
+    // A sign that depends on a random outcome is no fixed sign.
+    const std::uint64_t *r = sign(scratch);
+    for (int w = 1; w < usedFormWords(); ++w)
+        if (r[w] != 0)
+            return false;
+    return r[0] == (p.negative ? 1u : 0u);
 }
 
 bool

@@ -10,6 +10,13 @@
  * detaches a node from the graph state up to Z byproducts on its
  * neighbors, Section II-B).
  *
+ * Each row's sign is an affine GF(2) form: the XOR of a constant bit
+ * and a subset of the random outcomes measured so far with
+ * measureZAffine (Aaronson-Gottesman, quant-ph/0406196: an outcome
+ * only ever flips signs). Until the first such measurement the form
+ * is the plain sign bit, and every gate flips its constant bit
+ * exactly where the AG update flips the sign.
+ *
  * The pre-packing scalar implementation survives as
  * `ScalarStabilizerSim` (sim/stabilizer_reference.hh), the oracle
  * the equivalence suite pins this class against bit-for-bit.
@@ -82,7 +89,11 @@ struct StabMeasureResult
 class StabilizerSim
 {
   public:
-    explicit StabilizerSim(int num_qubits);
+    /**
+     * `max_variables` bounds the random outcomes measureZAffine may
+     * introduce; sign forms are sized for it.
+     */
+    explicit StabilizerSim(int num_qubits, int max_variables = 0);
 
     int numQubits() const { return n_; }
 
@@ -93,6 +104,28 @@ class StabilizerSim
     void applyZ(int q);
     void applyCNOT(int control, int target);
     void applyCZ(int a, int b);
+
+    /**
+     * Words of a sign form: bit 0 is the constant, bit j the j-th
+     * random outcome of measureZAffine.
+     */
+    int formWords() const { return formWords_; }
+
+    /** Random outcomes measureZAffine has introduced. */
+    int numVariables() const { return variables_; }
+
+    /** X^c and Z^c on qubit q for the form c (formWords() words). */
+    void applyX(int q, const std::uint64_t *form);
+    void applyZ(int q, const std::uint64_t *form);
+
+    /**
+     * Measure qubit q in Z without choosing an outcome. A random
+     * outcome becomes variable numVariables() + 1 and signs the new
+     * Z_q stabilizer; a deterministic one is the form the stabilizer
+     * signs add up to. Writes the outcome's form to `form`
+     * (formWords() words) and returns true when it was random.
+     */
+    bool measureZAffine(int q, std::uint64_t *form);
 
     /** Measure qubit q in the Z basis. */
     StabMeasureResult measureZ(int q, Rng &rng);
@@ -138,11 +171,24 @@ class StabilizerSim
     // Tableau rows 0..n-1: destabilizers; n..2n-1: stabilizers;
     // row 2n: scratch. Row r's qubit bits live in words_ per row at
     // x_[r*words_ .. r*words_+words_), qubit q at word q>>6 bit q&63.
+    // Its sign form lives at r_[r*formWords_ ..), constant bit 1 =
+    // minus; only the first usedFormWords() words can be nonzero.
     int n_;
     int words_;
+    int formWords_;
+    int variables_ = 0;
     std::vector<std::uint64_t> x_;
     std::vector<std::uint64_t> z_;
-    std::vector<std::uint8_t> r_; ///< phase bit per row (1 = minus)
+    std::vector<std::uint64_t> r_;
+
+    std::uint64_t *sign(int row) { return &r_[row * formWords_]; }
+    const std::uint64_t *sign(int row) const
+    {
+        return &r_[row * formWords_];
+    }
+
+    /** Form words the variables so far occupy. */
+    int usedFormWords() const { return (variables_ >> 6) + 1; }
 
     std::uint64_t *xRow(int row) { return &x_[row * words_]; }
     std::uint64_t *zRow(int row) { return &z_[row * words_]; }
@@ -170,9 +216,23 @@ class StabilizerSim
      * AG rowsum: row h *= row i with phase tracking, word-wide. The
      * AG phase exponent is accumulated as popcount(plus mask) -
      * popcount(minus mask) per word instead of 64 scalar phaseG
-     * evaluations.
+     * evaluations. Row i's sign form is XORed into row h's, whose
+     * constant then flips when the exponent of the Pauli parts is 2
+     * or 3 mod 4: AG's rule, as 2(r_h + r_i) = 2(r_h ^ r_i) mod 4.
      */
     void rowsum(int h, int i);
+
+    /**
+     * Reduce the tableau for a Z measurement of q. Random: returns
+     * the row now holding +Z_q, whose sign the caller sets.
+     * Deterministic: returns -1, the outcome's form in the scratch
+     * row's sign.
+     */
+    int measureZRows(int q);
+
+    /** XOR `form` into the sign of every row with `bits` on q. */
+    void xorFormWhere(const std::vector<std::uint64_t> &bits, int q,
+                      const std::uint64_t *form);
 };
 
 } // namespace dcmbqc

@@ -421,6 +421,35 @@ TEST(ExecParallelism, ShotSamplingIsThreadCountInvariant)
     }
 }
 
+TEST(ExecParallelism, ShotBlocksTileEveryShotCountWithoutOverflow)
+{
+    // Running INT_MAX shots is too slow for a test, so the block
+    // bounds are checked directly: contiguous, in order, disjoint,
+    // covering [0, shots) and at most one shot apart in size.
+    constexpr int kMax = std::numeric_limits<int>::max();
+    const std::pair<int, int> cases[] = {
+        {kMax, 2}, {kMax, 4}, {kMax - 1, 4}, {kMax - 3, 4},
+        {3, 4}, {1, 2}, {0, 3}, {17, 4}, {1000, 7},
+    };
+    for (const auto &[shots, blocks] : cases) {
+        SCOPED_TRACE(std::to_string(shots) + " shots in " +
+                     std::to_string(blocks) + " blocks");
+        int next = 0;
+        int smallest = kMax;
+        int largest = 0;
+        for (int block = 0; block < blocks; ++block) {
+            const ShotRange range = shotBlock(shots, blocks, block);
+            EXPECT_EQ(range.begin, next) << "block " << block;
+            EXPECT_LE(range.begin, range.end) << "block " << block;
+            smallest = std::min(smallest, range.end - range.begin);
+            largest = std::max(largest, range.end - range.begin);
+            next = range.end;
+        }
+        EXPECT_EQ(next, shots);
+        EXPECT_LE(largest - smallest, 1);
+    }
+}
+
 TEST(ExecLossBackend, OncePerRunAnalysisIsHoistedOutOfTheShotLoop)
 {
     // mc-loss samples thousands of shots from one analytic
@@ -754,6 +783,100 @@ TEST(StatevectorPins, ResultBytes)
             result->threads = 1;
             const std::vector<std::uint8_t> bytes =
                 encodeExecResultArtifact(*result);
+            EXPECT_EQ(fnv1a64(bytes.data(), bytes.size()), pin.hash);
+        }
+    }
+}
+
+TEST(CliffordReplayPins, ResultBytes)
+{
+    // perfbench's exec_shots Clifford programs on both replay
+    // backends, corrected and raw, at 1 and 4 threads, plus one run
+    // per backend that loses shots and flips outcome bits. Any replay
+    // of the pattern, per shot or derived once per run, must give
+    // these bytes.
+    struct Pin
+    {
+        int program;
+        const char *backend;
+        bool byproducts;
+        bool noisy;
+        std::uint64_t hash;
+    };
+    const Pin pins[] = {
+        {0, "stabilizer", true, false, 0x77f3ecef6a385c00ull},
+        {0, "stabilizer", false, false, 0x31501a14b025ce78ull},
+        {0, "schedule", true, false, 0x3ae134ee9e12ecd1ull},
+        {0, "schedule", false, false, 0x78be53f8d8d65339ull},
+        {0, "stabilizer", true, true, 0x7c0cdae3909c8d54ull},
+        {0, "schedule", true, true, 0x32056e22ac4d3c88ull},
+        {1, "stabilizer", true, false, 0xf0d7c6247764bcb3ull},
+        {1, "stabilizer", false, false, 0x1116f0c2074a227cull},
+        {1, "schedule", true, false, 0x67eb043dcfa16f9aull},
+        {1, "schedule", false, false, 0xce4a8203a3292fbeull},
+        {2, "stabilizer", true, false, 0xc255316c619165faull},
+        {2, "stabilizer", false, false, 0x236681e742c5fc5dull},
+        {2, "schedule", true, false, 0xc143e12af749936cull},
+        {2, "schedule", false, false, 0xbb91a48ee4c98f91ull},
+        {3, "stabilizer", true, false, 0x0e1c58d3ba209a7full},
+        {3, "stabilizer", false, false, 0x2ab5df72b0b59d64ull},
+        {3, "schedule", true, false, 0xca81ddce5c1ad5feull},
+        {3, "schedule", false, false, 0x9449ffe3a1c97654ull},
+    };
+    NoiseConfig noise;
+    noise.add("connector", {{"insertion_loss_db", 0.02}})
+        .add("correlated-burst", {{"burst_rate", 0.003}, {"burst_width", 2.0}})
+        .add("depolarizing", {{"probability", 0.02}});
+
+    for (int program = 0; program < 4; ++program) {
+        const int qubits = 24 + 5 * program;
+        std::vector<ExecOptions> runs;
+        std::vector<const Pin *> run_pins;
+        for (const Pin &pin : pins) {
+            if (pin.program != program)
+                continue;
+            for (int threads : {1, 4}) {
+                ExecOptions options;
+                options.backend = pin.backend;
+                options.shots = pin.noisy ? 200 : 64;
+                options.seed = 11;
+                options.numThreads = threads;
+                options.applyByproducts = pin.byproducts;
+                if (pin.noisy)
+                    options.noise = noise;
+                runs.push_back(options);
+                run_pins.push_back(&pin);
+            }
+        }
+        auto report =
+            CompilerDriver(CompileOptions()
+                               .numQpus(4)
+                               .gridSize(gridSizeForQubits(qubits))
+                               .seed(1))
+                .compileAndExecute(
+                    CompileRequest::fromCircuit(
+                        makeRandomCliffordCircuit(qubits, 8 * qubits,
+                                                  100 + program),
+                        "clifford-" + std::to_string(qubits)),
+                    runs);
+        ASSERT_TRUE(report.ok()) << report.status().toString();
+        ASSERT_EQ(report->executions.size(), runs.size());
+        for (std::size_t i = 0; i < runs.size(); ++i) {
+            const Pin &pin = *run_pins[i];
+            SCOPED_TRACE(std::to_string(qubits) + "q " + pin.backend +
+                         (pin.byproducts ? " byproducts" : " raw") +
+                         (pin.noisy ? " noisy" : "") + " threads=" +
+                         std::to_string(runs[i].numThreads));
+            ExecResult result = report->executions[i];
+            if (pin.noisy) {
+                EXPECT_GT(result.lostShots, 0);
+                EXPECT_GT(result.completedShots, 0);
+            }
+            // Wall time and thread count are not result content.
+            result.wallMillis = 0.0;
+            result.threads = 1;
+            const std::vector<std::uint8_t> bytes =
+                encodeExecResultArtifact(result);
             EXPECT_EQ(fnv1a64(bytes.data(), bytes.size()), pin.hash);
         }
     }

@@ -21,9 +21,10 @@
  *
  * Resource part: work that must not grow with a request's size runs
  * in a forked child under RLIMIT_AS, a little above the child's
- * current address space. `mc-loss` samples 100 M shots and
- * `statevector` 3 M shots without a per-shot buffer, and a ThreadPool
- * asked for 600 workers runs its jobs on the threads the OS grants.
+ * current address space. `mc-loss` samples 100 M shots, and
+ * `statevector`, `stabilizer` and `schedule` 3 M shots each, without
+ * a per-shot buffer, and a ThreadPool asked for 600 workers runs its
+ * jobs on the threads the OS grants.
  *
  * Each fixture's cases, and each config, exec and resource case, run
  * in a forked child, so an abort or a crash fails the test and names
@@ -604,6 +605,54 @@ TEST(ResourceRobustness, StatevectorShotCountRunsInBoundedMemory)
         return counted == kShots ? 0 : kExecAccepted;
     });
     EXPECT_EQ(how, "") << "the statevector child " << how;
+}
+
+/**
+ * 3 M one-thread shots of a two-qubit Clifford program on a replay
+ * backend within VmSize + 64 MiB: the empty string when they ran.
+ * A bitstring, a random-output count and a loss count per shot
+ * would take 40 B a shot, 120 MB here, beyond the cap.
+ */
+std::string
+replayShotsUnderCap(const char *backend)
+{
+    constexpr int kShots = 3000000;
+    return runCapped(64 * kMiB, [backend] {
+        ExecOptions options;
+        options.backend = backend;
+        options.shots = kShots;
+        options.numThreads = 1;
+        const auto report =
+            CompilerDriver(CompileOptions().numQpus(2))
+                .compileAndExecute(
+                    CompileRequest::fromCircuit(
+                        makeRandomCliffordCircuit(2, 8, 3), "clifford-2"),
+                    options);
+        if (!report.ok())
+            return kExecOtherStatus;
+        std::int64_t counted = 0;
+        for (const auto &entry : report->executions.at(0).counts)
+            counted += entry.second;
+        return counted == kShots ? 0 : kExecAccepted;
+    });
+}
+
+TEST(ResourceRobustness, StabilizerShotCountRunsInBoundedMemory)
+{
+#ifdef DCMBQC_SHADOW_SANITIZER
+    GTEST_SKIP() << "RLIMIT_AS cannot hold a sanitizer's shadow memory";
+#endif
+    const std::string how = replayShotsUnderCap("stabilizer");
+    EXPECT_EQ(how, "") << "the stabilizer child " << how;
+}
+
+TEST(ResourceRobustness, ScheduleShotCountRunsInBoundedMemory)
+{
+#ifdef DCMBQC_SHADOW_SANITIZER
+    GTEST_SKIP() << "RLIMIT_AS cannot hold a sanitizer's shadow memory";
+#endif
+    const std::string how = replayShotsUnderCap("schedule");
+    EXPECT_EQ(how, "") << "the schedule child " << how;
 }
 
 TEST(ResourceRobustness, ThreadPoolRunsOnTheThreadsTheOsGrants)

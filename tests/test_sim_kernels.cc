@@ -9,8 +9,10 @@
  * projection per branch, CZs folded into qubit creation against one
  * CZ per neighbour, the live-photon window
  * against the full graph state under identical seeds on the
- * stabilizer and schedule backends, thread-count invariance of the
- * per-shot loop, and the mc-loss draw kernels (integer thresholds
+ * stabilizer and schedule backends, the once-per-run symbolic replay
+ * against the scalar per-shot replay shot by shot (and its bit-63
+ * draw against Rng::bernoulli(0.5)), thread-count invariance of the
+ * shot loop, and the mc-loss draw kernels (integer thresholds
  * against Rng::bernoulli, AVX2 lanes against the portable loop).
  * Every fast path must be *bit-identical* to its reference — these
  * tests use EXPECT_EQ / memcmp, never tolerances, except for gate
@@ -681,8 +683,6 @@ TEST(SimKernels, LiveWindowIsAsWideAsThePeakOfLivePhotons)
     const int widths[] = {25, 30, 35, 40};
     for (std::size_t i = 0; i < programs.size(); ++i) {
         const Pattern &pattern = programs[i].pattern();
-        auto turns = cliffordBaseTurns(pattern, "stabilizer");
-        ASSERT_TRUE(turns.ok()) << turns.status().toString();
         auto times = schedulePhotonTimes(programs[i].schedule(),
                                          pattern.numNodes());
         ASSERT_TRUE(times.ok()) << times.status().toString();
@@ -692,15 +692,118 @@ TEST(SimKernels, LiveWindowIsAsWideAsThePeakOfLivePhotons)
         const std::vector<NodeId> *orders[] = {
             &pattern.measurementOrder(), &*schedule_order};
         for (const std::vector<NodeId> *order : orders) {
-            const StabReplayStepper<StabilizerSim> window(
-                pattern, *order, *turns, true, /*live_window=*/true);
-            const StabReplayStepper<StabilizerSim> full(
-                pattern, *order, *turns, true, /*live_window=*/false);
-            EXPECT_EQ(window.width(), widths[i]) << "program " << i;
-            EXPECT_EQ(full.width(), pattern.numNodes())
+            EXPECT_EQ(planReplay(pattern, *order, /*live_window=*/true)
+                          .width,
+                      widths[i])
+                << "program " << i;
+            EXPECT_EQ(planReplay(pattern, *order, /*live_window=*/false)
+                          .width,
+                      pattern.numNodes())
                 << "program " << i;
         }
     }
+}
+
+/**
+ * Every replay setting of one pattern and order, `shots` shots each:
+ * the symbolic replay must give the scalar per-shot replay's bits
+ * and random output count, and leave the shot stream at the same
+ * next draw.
+ */
+void
+checkSymbolicMatchesScalar(const Pattern &pattern,
+                           const std::vector<NodeId> &order, int shots,
+                           std::int64_t seed)
+{
+    auto turns = cliffordBaseTurns(pattern, "stabilizer");
+    ASSERT_TRUE(turns.ok()) << turns.status().toString();
+    for (const bool byproducts : {true, false}) {
+        for (const bool window : {true, false}) {
+            SCOPED_TRACE(std::string(byproducts ? "byproducts" : "raw") +
+                         (window ? " window" : " full graph state"));
+            const SymbolicReplay symbolic(pattern, order, *turns,
+                                          byproducts, window);
+            const ScalarReplayStepper scalar(pattern, order, *turns,
+                                             byproducts, window);
+            std::vector<std::uint64_t> draws;
+            std::string got;
+            std::string want;
+            for (int shot = 0; shot < shots; ++shot) {
+                Rng symbolic_rng(shotSeed(seed, shot));
+                Rng scalar_rng(shotSeed(seed, shot));
+                ASSERT_EQ(symbolic.sample(symbolic_rng, draws, got),
+                          scalar.run(scalar_rng, want))
+                    << "shot " << shot;
+                ASSERT_EQ(got, want) << "shot " << shot;
+                ASSERT_EQ(symbolic_rng.next(), scalar_rng.next())
+                    << "shot " << shot;
+            }
+        }
+    }
+}
+
+TEST(SimKernels, SymbolicReplayMatchesScalarPerShotReplay)
+{
+    // Random Clifford circuits from 1 to 32 qubits in the pattern's
+    // order, and from 4 qubits on also in the schedule order of a
+    // 4-QPU compile. Up to 5 qubits they are as deep as exec_shots'
+    // programs; past that, fewer gates a qubit keep the scalar full
+    // graph state affordable.
+    for (const int qubits : {1, 2, 3, 5, 8, 12, 20, 32}) {
+        const int gates = qubits <= 5 ? 8 * qubits
+                        : qubits <= 12 ? 3 * qubits
+                                       : qubits;
+        const std::uint64_t seed = 500 + static_cast<std::uint64_t>(qubits);
+        SCOPED_TRACE(std::to_string(qubits) + " qubits");
+        const Circuit circuit =
+            makeRandomCliffordCircuit(qubits, gates, seed);
+        const Pattern pattern =
+            ExecProgram::fromCircuit(circuit).pattern();
+        {
+            SCOPED_TRACE("pattern order");
+            checkSymbolicMatchesScalar(pattern,
+                                       pattern.measurementOrder(), 100,
+                                       static_cast<std::int64_t>(seed));
+        }
+        if (qubits < 4)
+            continue;
+        auto report =
+            CompilerDriver(CompileOptions()
+                               .numQpus(4)
+                               .gridSize(gridSizeForQubits(qubits))
+                               .seed(1))
+                .compile(CompileRequest::fromCircuit(circuit));
+        ASSERT_TRUE(report.ok()) << report.status().toString();
+        const Pattern &compiled = *report->pattern;
+        auto times = schedulePhotonTimes(*report->distributed,
+                                         compiled.numNodes());
+        ASSERT_TRUE(times.ok()) << times.status().toString();
+        auto order = scheduleMeasurementOrder(compiled, *times);
+        ASSERT_TRUE(order.ok()) << order.status().toString();
+        SCOPED_TRACE("schedule order");
+        checkSymbolicMatchesScalar(compiled, *order, 100,
+                                   static_cast<std::int64_t>(seed));
+    }
+}
+
+TEST(SimKernels, Bit63DrawEqualsBernoulliHalfDrawByDraw)
+{
+    // The symbolic replay reads a fair outcome as bit 63 of next():
+    // bernoulli(0.5) is (next() >> 11) * 2^-53 < 0.5.
+    for (const std::uint64_t seed : {0ull, 1ull, 42ull,
+                                     0x9e3779b97f4a7c15ull}) {
+        Rng bernoulli(seed);
+        Rng raw(seed);
+        for (int draw = 0; draw < 300000; ++draw)
+            ASSERT_EQ(bernoulli.bernoulli(0.5), (raw.next() >> 63) == 0)
+                << "seed " << seed << ", draw " << draw;
+    }
+    // Random draws rarely land next to 2^63; check there directly.
+    const std::uint64_t half = std::uint64_t(1) << 63;
+    for (const std::uint64_t x :
+         {std::uint64_t{0}, half - 2049, half - 2048, half - 1, half,
+          half + 1, ~std::uint64_t{0}})
+        EXPECT_EQ((x >> 11) * 0x1.0p-53 < 0.5, (x >> 63) == 0) << x;
 }
 
 /** Encoded result bytes, wall time and thread count cleared. */
