@@ -7,8 +7,8 @@
  * this is purely a speed check), (3) end-to-end shots/sec over a
  * 64-circuit random Clifford corpus, full optimized stack (one
  * symbolic replay per run on the packed tableau + live-photon window
- * + SIMD + fusion) vs full reference stack (scalar per-shot replay +
- * full graph state + portable + unfused) on the stabilizer backend
+ * + SIMD) vs full reference stack (scalar per-shot replay + full
+ * graph state + portable) on the stabilizer backend
  * (gate: >= 3x). The window's isolated contribution vs the full
  * graph state is reported as its own row, ungated. Results are
  * mirrored to BENCH_sim_kernels.json.
@@ -243,10 +243,9 @@ main()
     // full-graph-state rate under otherwise-fast kernels is measured
     // once more so the window's own contribution is visible.
     const std::vector<ExecProgram> corpus = corpusPrograms();
-    const SimKernelConfig reference{false, false, SvKernel::Portable,
-                                    false};
-    const SimKernelConfig full_graph{true, false, SvKernel::Auto, true};
-    const SimKernelConfig fast{true, true, SvKernel::Auto, true};
+    const SimKernelConfig reference{false, false, SvKernel::Portable};
+    const SimKernelConfig full_graph{true, false, SvKernel::Auto};
+    const SimKernelConfig fast{true, true, SvKernel::Auto};
     constexpr int kShots = 256;
     const double reference_rate =
         corpusShotsPerSec(corpus, "stabilizer", kShots, reference);
@@ -272,8 +271,8 @@ main()
     if (corpus_speedup < 3.0)
         pass = false;
 
-    // Ungated: the window in isolation (packed + SIMD + fusion held
-    // fixed, window vs full graph state).
+    // Ungated: the window in isolation (packed + SIMD held fixed,
+    // window vs full graph state).
     table.row()
         .cell("live window, stabilizer (shots/s)")
         .cell(full_graph_rate, 0)

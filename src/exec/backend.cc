@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <map>
 #include <mutex>
 
 #include "common/thread_pool.hh"
 #include "exec/loss_backend.hh"
+#include "exec/noise_channel.hh"
 #include "exec/schedule_backend.hh"
 #include "exec/stabilizer_backend.hh"
 #include "exec/statevector_backend.hh"
@@ -123,6 +126,89 @@ forEachShotBlock(int shots, int threads,
             body(range);
         });
     pool.wait();
+}
+
+namespace
+{
+
+/** One block's share of a run: merged into the result at the end. */
+struct ShotTally
+{
+    std::map<std::string, std::int64_t> counts;
+    std::map<std::string, double> probabilities;
+    int lostShots = 0;
+    std::int64_t lostPhotons = 0;
+    Status status = Status::okStatus();
+
+    /** Record outcome `bits` at probability p. */
+    void
+    recordProbability(const std::string &bits, double p)
+    {
+        const auto it = probabilities.find(bits);
+        if (it == probabilities.end()) {
+            probabilities.emplace(bits, p);
+        } else if (std::fabs(it->second - p) > 1e-12 && status.ok()) {
+            // The corrected distribution is outcome-independent, so
+            // equal bitstrings must agree on their probability.
+            status = Status::internal(
+                "inconsistent exact probabilities for outcome " +
+                bits + ": " + std::to_string(it->second) + " vs " +
+                std::to_string(p));
+        }
+    }
+
+    void
+    merge(const ShotTally &block)
+    {
+        for (const auto &[key, count] : block.counts)
+            counts[key] += count;
+        for (const auto &[key, p] : block.probabilities)
+            recordProbability(key, p);
+        lostShots += block.lostShots;
+        lostPhotons += block.lostPhotons;
+        if (status.ok())
+            status = block.status;
+    }
+};
+
+} // namespace
+
+Status
+tallyShots(int shots, int threads, std::int64_t seed,
+           const NoiseChannel *noise, const ShotSampler &sample,
+           ExecResult &result)
+{
+    ShotTally total;
+    std::mutex merge;
+    forEachShotBlock(shots, threads, [&](ShotRange range) {
+        ShotTally tally;
+        std::string bits;
+        for (int shot = range.begin; shot < range.end; ++shot) {
+            Rng rng(shotSeed(seed, shot));
+            const double p = sample(rng, bits);
+            if (noise) {
+                const int lost = noise->sampleShot(seed, shot, bits);
+                if (lost > 0) {
+                    ++tally.lostShots;
+                    tally.lostPhotons += lost;
+                    continue;
+                }
+            } else if (p >= 0.0) {
+                tally.recordProbability(bits, p);
+            }
+            ++tally.counts[bits];
+        }
+        const std::lock_guard<std::mutex> lock(merge);
+        total.merge(tally);
+    });
+    if (!total.status.ok())
+        return total.status;
+    result.counts = std::move(total.counts);
+    result.probabilities = std::move(total.probabilities);
+    result.lostShots = total.lostShots;
+    result.lostPhotons = total.lostPhotons;
+    result.completedShots = shots - total.lostShots;
+    return Status::okStatus();
 }
 
 void

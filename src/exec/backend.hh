@@ -2,10 +2,11 @@
  * @file
  * The pluggable execution subsystem closing the compile -> execute
  * loop: a capability-queried `ExecutionBackend` interface, a
- * process-wide registry holding the three built-in backends
- * ("statevector", "stabilizer", "mc-loss"), and the
+ * process-wide registry holding the four built-in backends
+ * ("statevector", "stabilizer", "mc-loss", "schedule"), the
  * `executeProgram` dispatcher that validates options, checks the
- * program against the backend's capabilities, and times the run.
+ * program against the backend's capabilities, and times the run,
+ * and the shot blocks and block tally the backends sample with.
  * Everything a caller can get wrong comes back as a Status; a
  * backend never aborts on bad input.
  */
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "api/status.hh"
+#include "common/rng.hh"
 #include "exec/options.hh"
 #include "exec/program.hh"
 #include "exec/result.hh"
@@ -130,6 +132,31 @@ ShotRange shotBlock(int shots, int blocks, int block);
  */
 void forEachShotBlock(int shots, int threads,
                       const std::function<void(ShotRange)> &body);
+
+class NoiseChannel;
+
+/**
+ * Sample one shot's outcome bits from the shot's stream `rng` into
+ * `bits` (char w = output wire w); returns their exact probability,
+ * or a negative value when the backend has none.
+ */
+using ShotSampler = std::function<double(Rng &rng, std::string &bits)>;
+
+/**
+ * Sample shots [0, shots) over forEachShotBlock and tally them into
+ * `result`: counts, exact probabilities, lost and completed shots and
+ * lost photons. Shot s samples its bits from Rng(shotSeed(seed, s));
+ * with a `noise` channel it then draws its noise
+ * (`NoiseChannel::sampleShot`), which may void the shot or flip its
+ * bits, and no probability is recorded: a flip decouples a bitstring
+ * from its probability. Each block tallies its own
+ * shots and merges once, and the merge only adds integers, so the
+ * result is the same for any worker count. Returns INTERNAL when two
+ * shots give one outcome different probabilities.
+ */
+Status tallyShots(int shots, int threads, std::int64_t seed,
+                  const NoiseChannel *noise, const ShotSampler &sample,
+                  ExecResult &result);
 
 /**
  * Run `body(shot)` for every shot in [0, shots) across `threads`

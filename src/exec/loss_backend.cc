@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <optional>
+#include <memory>
 
 #include "common/rng.hh"
 #include "exec/loss_kernels.hh"
-#include "noise/analysis.hh"
-#include "noise/model.hh"
+#include "exec/noise_channel.hh"
 
 namespace dcmbqc
 {
@@ -126,57 +125,36 @@ MonteCarloLossBackend::run(const ExecProgram &program,
             "mc-loss requires a compiled schedule or a baseline");
     }
 
-    // The caller's config when it charges anything, else the
-    // built-in delay-line budget. Only a supplied config is named in
-    // the notes, so default results keep their bytes.
-    std::optional<NoiseModel> model;
-    if (options.noise) {
-        auto built = buildNoiseModel(*options.noise);
-        if (!built.ok())
-            return built.status();
-        if (!built->vacuous())
-            model = std::move(built.value());
-    }
-    const bool supplied = model.has_value();
-    if (!supplied) {
-        auto built = buildNoiseModel(delayLineConfig(options.lossModel));
-        if (!built.ok())
-            return built.status();
-        model = std::move(built.value());
-    }
-
     ExecResult result;
     result.threads = resolveThreads(options.numThreads, options.shots);
 
     // Every mechanism samples over the program's exposure. Cut edges
     // mark connector photons and charge their tau_remote storage,
     // which only the connector mechanism prices.
-    const NoiseExposure exposure = buildExposure(
-        program.graph(), program.deps(), times, assignment);
-    const NoiseAnalysis analysis = analyzeNoise(exposure, *model);
+    const auto expose = [&] {
+        return buildExposure(program.graph(), program.deps(), times,
+                             assignment);
+    };
+    // The caller's config when it charges anything, else the
+    // built-in delay-line budget. Only a supplied config is named in
+    // the notes, so default results keep their bytes.
+    auto supplied = NoiseChannel::make(options, expose);
+    if (!supplied.ok())
+        return supplied.status();
+    std::unique_ptr<NoiseChannel> channel = std::move(supplied.value());
+    if (channel) {
+        result.notes.push_back("noise model: " + channel->description());
+    } else {
+        auto built = buildNoiseModel(delayLineConfig(options.lossModel));
+        if (!built.ok())
+            return built.status();
+        channel = std::make_unique<NoiseChannel>(std::move(built.value()),
+                                                 expose());
+    }
+    const NoiseAnalysis &analysis = channel->analysis();
     result.analyticSuccessProbability = analysis.successProbability;
     result.maxStorageCycles = analysis.maxStorageCycles;
     result.meanStorageCycles = analysis.meanStorageCycles;
-    if (supplied)
-        result.notes.push_back("noise model: " + model->describe());
-
-    // Independent per-site loss excludes correlated mechanisms:
-    // those sample through their own hook below, and their analytic
-    // factor must not be drawn twice.
-    std::vector<double> site_loss(exposure.sites.size());
-    for (std::size_t u = 0; u < exposure.sites.size(); ++u) {
-        double survival = 1.0;
-        for (const auto &mechanism : model->mechanisms())
-            if (!mechanism->correlated())
-                survival *= mechanism->siteSurvival(exposure.sites[u]);
-        site_loss[u] = std::min(1.0, std::max(0.0, 1.0 - survival));
-    }
-    const bool has_correlated = model->hasCorrelated();
-    // Fusion draws are the last use of a shot's stream, so skipping
-    // them when no fusion can fail changes no sampled value.
-    const bool edge_loss =
-        std::any_of(analysis.edgeLoss.begin(), analysis.edgeLoss.end(),
-                    [](double p) { return p > 0.0; });
 
     // Shots are tallied as they finish, so memory does not grow with
     // the shot count; integer sums make the totals independent of
@@ -194,13 +172,18 @@ MonteCarloLossBackend::run(const ExecProgram &program,
         lost_photons.fetch_add(photons_here, std::memory_order_relaxed);
     };
 
-    if (!has_correlated) {
-        // One integer threshold per draw, in draw order: the sites,
-        // then the fusions when any can fail.
+    if (!channel->correlated()) {
+        // One integer threshold per draw, in the channel's draw
+        // order: the sites, then the fusions. Fusion draws are the
+        // last use of a shot's stream, so skipping them when no
+        // fusion can fail changes no sampled value.
+        const bool edge_loss = std::any_of(
+            analysis.edgeLoss.begin(), analysis.edgeLoss.end(),
+            [](double p) { return p > 0.0; });
         std::vector<std::uint64_t> thresholds;
-        thresholds.reserve(site_loss.size() +
+        thresholds.reserve(analysis.siteLoss.size() +
                            (edge_loss ? analysis.edgeLoss.size() : 0));
-        for (const double p : site_loss)
+        for (const double p : analysis.siteLoss)
             thresholds.push_back(loss::drawThreshold(p));
         if (edge_loss)
             for (const double p : analysis.edgeLoss)
@@ -220,23 +203,8 @@ MonteCarloLossBackend::run(const ExecProgram &program,
     } else {
         forEachShot(options.shots, result.threads, [&](int shot) {
             Rng rng(shotSeed(options.seed, shot));
-            // A burst can hit a photon the independent draws already
-            // lost; the mask keeps the count honest. One buffer per
-            // worker thread — assign() recycles its capacity, so the
-            // shot loop allocates nothing after warm-up.
-            thread_local std::vector<char> mask;
-            mask.assign(site_loss.size(), 0);
-            for (std::size_t u = 0; u < site_loss.size(); ++u)
-                if (rng.bernoulli(site_loss[u]))
-                    mask[u] = 1;
-            model->sampleCorrelated(exposure.sites, rng, mask);
-            std::int64_t lost_here =
-                std::count(mask.begin(), mask.end(), char(1));
-            if (edge_loss)
-                for (const double p : analysis.edgeLoss)
-                    if (rng.bernoulli(p))
-                        ++lost_here;
-            tally(&lost_here, 1);
+            const std::int64_t lost = channel->sampleLoss(rng);
+            tally(&lost, 1);
         });
     }
     result.lostShots = static_cast<int>(lost_shots.load());

@@ -2,78 +2,85 @@
 
 #include <algorithm>
 
+#include "exec/backend.hh"
+
 namespace dcmbqc
 {
 
-Expected<NoiseChannel>
-NoiseChannel::make(const ExecOptions &options, NodeId num_nodes)
+NoiseChannel::NoiseChannel(NoiseModel model, NoiseExposure exposure)
+    : model_(std::move(model)),
+      analysis_(analyzeNoise(exposure, model_)),
+      sites_(std::move(exposure.sites)),
+      flip_(model_.flipProbability()),
+      correlated_(model_.hasCorrelated())
 {
-    NoiseChannel channel;
-    if (!options.noise)
-        return channel;
+    const auto positive = [](double p) { return p > 0.0; };
+    canLose_ = correlated_ ||
+        std::any_of(analysis_.siteLoss.begin(), analysis_.siteLoss.end(),
+                    positive) ||
+        std::any_of(analysis_.edgeLoss.begin(), analysis_.edgeLoss.end(),
+                    positive);
+}
 
+Expected<std::unique_ptr<NoiseChannel>>
+NoiseChannel::make(const ExecOptions &options,
+                   const std::function<NoiseExposure()> &expose)
+{
+    if (!options.noise)
+        return std::unique_ptr<NoiseChannel>();
     auto model = buildNoiseModel(*options.noise);
     if (!model.ok())
         return model.status();
     if (model->vacuous())
-        return channel;
-
-    channel.model_ = std::move(model.value());
-    channel.description_ = channel.model_.describe();
-    channel.sites_.assign(num_nodes, NoiseSite{});
-    channel.siteLoss_.assign(num_nodes, 0.0);
-    for (NodeId u = 0; u < num_nodes; ++u) {
-        channel.sites_[u].totalSites = static_cast<int>(num_nodes);
-        // Independent per-site loss only; correlated mechanisms
-        // sample through their own hook, so their analytic factor
-        // must not be double-counted here.
-        double survival = 1.0;
-        for (const auto &mechanism : channel.model_.mechanisms())
-            if (!mechanism->correlated())
-                survival *= mechanism->siteSurvival(channel.sites_[u]);
-        channel.siteLoss_[u] =
-            std::min(1.0, std::max(0.0, 1.0 - survival));
-        if (channel.siteLoss_[u] > 0.0)
-            channel.anyLoss_ = true;
-    }
-    channel.correlated_ = channel.model_.hasCorrelated();
-    channel.flip_ = channel.model_.flipProbability();
-    channel.active_ = true;
-    return channel;
+        return std::unique_ptr<NoiseChannel>();
+    return std::make_unique<NoiseChannel>(std::move(model.value()),
+                                          expose());
 }
 
 int
 NoiseChannel::sampleLoss(Rng &rng) const
 {
-    if (!active_ || (!anyLoss_ && !correlated_))
+    if (!canLose_)
         return 0;
-    if (!correlated_) {
-        int lost = 0;
-        for (const double p : siteLoss_)
-            if (rng.bernoulli(p))
-                ++lost;
-        return lost;
-    }
-    // With a correlated mechanism in play the independent draws and
-    // the burst draws can hit the same photon; a mask keeps the lost
-    // count honest.
-    std::vector<char> lost(sites_.size(), 0);
-    for (std::size_t u = 0; u < siteLoss_.size(); ++u)
-        if (rng.bernoulli(siteLoss_[u]))
-            lost[u] = 1;
-    model_.sampleCorrelated(sites_, rng, lost);
-    return static_cast<int>(
+    // A burst can hit a photon the independent draws already lost;
+    // the mask keeps the count honest. One buffer per worker thread:
+    // assign() recycles its capacity, so the shot loop allocates
+    // nothing after warm-up.
+    thread_local std::vector<char> lost;
+    const std::vector<double> &site_loss = analysis_.siteLoss;
+    lost.assign(site_loss.size(), 0);
+    for (std::size_t u = 0; u < site_loss.size(); ++u)
+        lost[u] = rng.bernoulli(site_loss[u]);
+    if (correlated_)
+        model_.sampleCorrelated(sites_, rng, lost);
+    int count = static_cast<int>(
         std::count(lost.begin(), lost.end(), char(1)));
+    for (const double p : analysis_.edgeLoss)
+        count += rng.bernoulli(p);
+    return count;
 }
 
-void
-NoiseChannel::applyFlips(Rng &rng, std::string &bits) const
+int
+NoiseChannel::sampleShot(std::int64_t seed, int shot,
+                         std::string &bits) const
 {
-    if (!active_ || flip_ <= 0.0)
-        return;
-    for (char &bit : bits)
-        if (rng.bernoulli(flip_))
-            bit = bit == '0' ? '1' : '0';
+    Rng rng(shotSeed(seed, shot) ^ kNoiseStreamSalt);
+    const int lost = sampleLoss(rng);
+    if (lost == 0 && flip_ > 0.0)
+        for (char &bit : bits)
+            if (rng.bernoulli(flip_))
+                bit = bit == '0' ? '1' : '0';
+    return lost;
+}
+
+NoiseExposure
+patternExposure(NodeId num_nodes)
+{
+    NoiseExposure exposure;
+    exposure.sites.assign(num_nodes, NoiseSite{});
+    for (NoiseSite &site : exposure.sites)
+        site.totalSites = static_cast<int>(num_nodes);
+    return exposure;
 }
 
 } // namespace dcmbqc

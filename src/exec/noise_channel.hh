@@ -1,23 +1,34 @@
 /**
  * @file
- * `NoiseChannel`: the simulator backends' view of a noise model. A
- * pattern run has no schedule, so the channel evaluates each
- * mechanism over schedule-free exposure (zero storage, no
- * connectors) — storage-dependent mechanisms contribute nothing
- * here by design — and distills the model into the two effects a
- * pattern-level simulator can apply: a photon-loss draw that voids
- * the shot, and an outcome bit-flip per output wire.
+ * `NoiseChannel`: the one code that turns a noise model into a
+ * shot's draws, for every execution backend. A channel is built once
+ * per run from a `NoiseModel` and the program's exposure —
+ * `schedule` and `mc-loss` pass `buildExposure` over the compiled
+ * schedule, `stabilizer` and `statevector` pass `patternExposure`
+ * (schedule-free sites: no storage, no connectors, no fusions, so
+ * storage-dependent mechanisms charge nothing there by design) — and
+ * analyzes it once (`analyzeNoise`): the analytic survival, the
+ * storage figures and the per-site and per-fusion loss to draw.
  *
- * Noise draws come from a *separate* RNG stream
- * (`noiseShotSeed(seed, shot)`), never the outcome stream, so a
- * vacuous channel leaves every sampled outcome bit-identical to a
- * run without a noise config.
+ * Per shot the channel draws each site's independent loss, then runs
+ * the correlated hooks, then draws each fusion; a shot that lost no
+ * photon then draws one flip per outcome bit. A run in which no
+ * photon can be lost (no site or fusion loss, no correlated
+ * mechanism) makes no loss draws.
+ *
+ * The bitstring backends draw noise from a *separate* stream
+ * (`shotSeed(seed, shot) ^ kNoiseStreamSalt`), never the outcome
+ * stream, so a run without a channel samples the same outcomes;
+ * `mc-loss`, which samples nothing else, draws loss from the shot's
+ * own stream.
  */
 
 #ifndef DCMBQC_EXEC_NOISE_CHANNEL_HH
 #define DCMBQC_EXEC_NOISE_CHANNEL_HH
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,6 +36,7 @@
 #include "common/rng.hh"
 #include "common/types.hh"
 #include "exec/options.hh"
+#include "noise/analysis.hh"
 #include "noise/model.hh"
 
 namespace dcmbqc
@@ -37,47 +49,62 @@ namespace dcmbqc
 inline constexpr std::uint64_t kNoiseStreamSalt =
     0x5851f42d4c957f2dull;
 
-/** Per-shot noise effects for the pattern-level simulators. */
+/** One run's noise: its analysis and its per-shot draws. */
 class NoiseChannel
 {
   public:
+    /** Analyze `model` over `exposure`, once for the whole run. */
+    NoiseChannel(NoiseModel model, NoiseExposure exposure);
+
     /**
-     * Build the channel for `options.noise` over `num_nodes` pattern
-     * photons. An absent or vacuous config yields an inactive
-     * channel (and no run-time cost); an invalid one is reported via
-     * Status.
+     * The channel of `options.noise` over `expose()`, which is called
+     * only when the config charges anything; null for an absent or
+     * vacuous config, Status for an invalid one.
      */
-    static Expected<NoiseChannel> make(const ExecOptions &options,
-                                       NodeId num_nodes);
+    static Expected<std::unique_ptr<NoiseChannel>>
+    make(const ExecOptions &options,
+         const std::function<NoiseExposure()> &expose);
 
-    /** False: every query is a no-op, draw nothing. */
-    bool active() const { return active_; }
+    /** Analytic survival, storage figures and draw probabilities. */
+    const NoiseAnalysis &analysis() const { return analysis_; }
 
     /**
-     * Sample photon loss for one shot: independent per-site draws
-     * first, then the correlated hooks, in site order. Returns the
-     * number of lost photons (> 0 voids the shot).
+     * A correlated mechanism samples part of the loss, so a shot's
+     * loss draws are not one independent trial per site and fusion.
+     */
+    bool correlated() const { return correlated_; }
+
+    /**
+     * Draw one shot's loss from `rng`: each site's independent loss,
+     * then the correlated hooks, then each fusion. Returns the lost
+     * photons (> 0 voids the shot).
      */
     int sampleLoss(Rng &rng) const;
 
-    /** Flip each outcome bit independently with the composite p. */
-    void applyFlips(Rng &rng, std::string &bits) const;
+    /**
+     * Shot `shot`'s noise on its salted stream: its loss and, when it
+     * lost nothing, a flip of each of `bits` with the composite flip
+     * probability. Returns the lost photons.
+     */
+    int sampleShot(std::int64_t seed, int shot, std::string &bits) const;
 
     /** "delay-line+depolarizing" — for result notes. */
-    const std::string &description() const { return description_; }
+    std::string description() const { return model_.describe(); }
 
   private:
-    NoiseChannel() = default;
-
     NoiseModel model_;
+    NoiseAnalysis analysis_;
     std::vector<NoiseSite> sites_;
-    std::vector<double> siteLoss_;
     double flip_ = 0.0;
-    bool anyLoss_ = false;
     bool correlated_ = false;
-    bool active_ = false;
-    std::string description_;
+    bool canLose_ = false;
 };
+
+/**
+ * Schedule-free exposure of `num_nodes` pattern photons: one site
+ * each, with no storage and no connector, and no fusions.
+ */
+NoiseExposure patternExposure(NodeId num_nodes);
 
 } // namespace dcmbqc
 

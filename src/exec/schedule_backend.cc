@@ -1,17 +1,13 @@
 #include "exec/schedule_backend.hh"
 
 #include <algorithm>
-#include <optional>
 #include <queue>
 #include <utility>
 
-#include "common/rng.hh"
 #include "exec/loss_backend.hh"
 #include "exec/noise_channel.hh"
 #include "exec/stabilizer_replay.hh"
 #include "mbqc/dependency.hh"
-#include "noise/analysis.hh"
-#include "noise/model.hh"
 
 namespace dcmbqc
 {
@@ -155,31 +151,16 @@ ScheduleBackend::run(const ExecProgram &program,
     // edges), not the schedule-free pattern exposure the simulator
     // backends use — so the survival statistics line up with the
     // mc-loss backend and the analytic model on the same schedule.
-    std::optional<NoiseModel> model;
-    std::vector<double> site_loss, edge_loss;
-    double flip_probability = 0.0;
-    bool has_correlated = false;
-    std::vector<NoiseSite> exposure_sites;
-    if (options.noise) {
-        auto built = buildNoiseModel(*options.noise);
-        if (!built.ok())
-            return built.status();
-        if (!built->vacuous()) {
-            const NoiseExposure exposure = buildExposure(
-                program.graph(), program.deps(), *times,
-                &program.schedule().partition.assignment());
-            const NoiseAnalysis analysis =
-                analyzeNoise(exposure, *built);
-            result.analyticSuccessProbability =
-                analysis.successProbability;
-            site_loss = analysis.siteLoss;
-            edge_loss = analysis.edgeLoss;
-            flip_probability = built->flipProbability();
-            has_correlated = built->hasCorrelated();
-            exposure_sites = exposure.sites;
-            model = std::move(built.value());
-        }
-    }
+    auto channel = NoiseChannel::make(options, [&] {
+        return buildExposure(program.graph(), program.deps(), *times,
+                             &program.schedule().partition.assignment());
+    });
+    if (!channel.ok())
+        return channel.status();
+    const NoiseChannel *noise = channel->get();
+    if (noise)
+        result.analyticSuccessProbability =
+            noise->analysis().successProbability;
 
     // The schedule-order replay shares sampleStabShots with the
     // stabilizer backend (identical correction bookkeeping; only the
@@ -189,37 +170,6 @@ ScheduleBackend::run(const ExecProgram &program,
     // corrected distribution, so equal bitstrings must agree on
     // their chain-rule probability; a mismatch means the
     // schedule-order replay diverged.
-    ShotNoise noise;
-    if (model)
-        noise = [&](int shot, std::string &bits) {
-            Rng noise_rng(shotSeed(options.seed, shot) ^
-                          kNoiseStreamSalt);
-            int lost = 0;
-            if (!has_correlated) {
-                for (const double p : site_loss)
-                    if (noise_rng.bernoulli(p))
-                        ++lost;
-            } else {
-                // Per-worker buffer; assign() recycles the capacity
-                // so the shot loop allocates nothing after warm-up.
-                thread_local std::vector<char> mask;
-                mask.assign(site_loss.size(), 0);
-                for (std::size_t u = 0; u < site_loss.size(); ++u)
-                    if (noise_rng.bernoulli(site_loss[u]))
-                        mask[u] = 1;
-                model->sampleCorrelated(exposure_sites, noise_rng, mask);
-                lost = static_cast<int>(
-                    std::count(mask.begin(), mask.end(), char(1)));
-            }
-            for (const double p : edge_loss)
-                if (noise_rng.bernoulli(p))
-                    ++lost;
-            if (lost == 0 && flip_probability > 0.0)
-                for (char &bit : bits)
-                    if (noise_rng.bernoulli(flip_probability))
-                        bit = bit == '0' ? '1' : '0';
-            return lost;
-        };
     const Status sampled = sampleStabShots(
         pattern, *order, *base_turns, options.applyByproducts,
         options.shots, result.threads, options.seed, noise, result);
@@ -239,10 +189,10 @@ ScheduleBackend::run(const ExecProgram &program,
         std::to_string(program.schedule().schedule.makespan) +
         " slots, max delay-line wait " +
         std::to_string(result.maxStorageCycles) + " cycles)");
-    if (model)
+    if (noise)
         result.notes.push_back(
             "schedule-exposure noise applied per shot (" +
-            model->describe() +
+            noise->description() +
             "); exact probabilities omitted under noise");
     return result;
 }

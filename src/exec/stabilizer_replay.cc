@@ -2,43 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <mutex>
 #include <optional>
 
 #include "common/bits.hh"
 #include "exec/backend.hh"
+#include "mbqc/dependency.hh"
 #include "sim/kernel_config.hh"
 #include "sim/stabilizer.hh"
 #include "sim/stabilizer_reference.hh"
 
 namespace dcmbqc
 {
-
-namespace
-{
-
-constexpr double pi = 3.14159265358979323846;
-
-/** Angle tolerance for the Clifford (multiple of pi/2) test. */
-constexpr double kAngleEpsilon = 1e-9;
-
-/**
- * Quarter-turn index k with theta ~= k*pi/2 (k in [0,4)), or -1 when
- * theta is not a multiple of pi/2 within tolerance.
- */
-int
-quarterTurns(double theta)
-{
-    const double turns = theta / (pi / 2.0);
-    const double k = std::round(turns);
-    // Written so that NaN (and an infinity, via inf - inf) fails.
-    if (!(std::fabs(turns - k) <= kAngleEpsilon))
-        return -1;
-    return static_cast<int>(std::fmod(k, 4.0) + 4.0) % 4;
-}
-
-} // namespace
 
 Expected<std::vector<int>>
 cliffordBaseTurns(const Pattern &pattern, const std::string &backend)
@@ -47,7 +21,7 @@ cliffordBaseTurns(const Pattern &pattern, const std::string &backend)
     for (NodeId u = 0; u < pattern.numNodes(); ++u) {
         if (pattern.isOutput(u))
             continue;
-        const int k = quarterTurns(pattern.angle(u));
+        const int k = cliffordQuarterTurns(pattern.angle(u));
         if (k < 0)
             return Status::failedPrecondition(
                 backend + " backend requires a Clifford pattern: "
@@ -318,43 +292,11 @@ SymbolicReplay::sample(Rng &rng, std::vector<std::uint64_t> &draws,
     return randomOutputs_;
 }
 
-namespace
-{
-
-/** One block's share of a run: merged into the result at the end. */
-struct ShotTally
-{
-    std::map<std::string, std::int64_t> counts;
-    std::map<std::string, double> probabilities;
-    int lostShots = 0;
-    std::int64_t lostPhotons = 0;
-    Status status = Status::okStatus();
-
-    /** Record outcome `bits` at probability p. */
-    void
-    recordProbability(const std::string &bits, double p)
-    {
-        const auto it = probabilities.find(bits);
-        if (it == probabilities.end()) {
-            probabilities.emplace(bits, p);
-        } else if (std::fabs(it->second - p) > 1e-12 && status.ok()) {
-            // The corrected distribution is outcome-independent, so
-            // equal bitstrings must agree on their probability.
-            status = Status::internal(
-                "inconsistent exact probabilities for outcome " +
-                bits + ": " + std::to_string(it->second) + " vs " +
-                std::to_string(p));
-        }
-    }
-};
-
-} // namespace
-
 Status
 sampleStabShots(const Pattern &pattern, const std::vector<NodeId> &order,
                 const std::vector<int> &base_turns,
                 bool apply_byproducts, int shots, int threads,
-                std::int64_t seed, const ShotNoise &noise,
+                std::int64_t seed, const NoiseChannel *noise,
                 ExecResult &result)
 {
     const SimKernelConfig &config = simKernelConfig();
@@ -366,56 +308,22 @@ sampleStabShots(const Pattern &pattern, const std::vector<NodeId> &order,
     else
         scalar.emplace(pattern, order, base_turns, apply_byproducts,
                        config.liveWindow);
-    const bool exact = apply_byproducts && !noise;
-
-    // Each block tallies its own shots and merges once; the sums do
-    // not depend on how shots are split, so the result is the same
-    // for any worker count.
-    ShotTally total;
-    std::mutex merge;
-    forEachShotBlock(shots, threads, [&](ShotRange range) {
-        ShotTally tally;
-        std::string bits;
-        std::vector<std::uint64_t> draws;
-        for (int shot = range.begin; shot < range.end; ++shot) {
-            Rng rng(shotSeed(seed, shot));
+    return tallyShots(
+        shots, threads, seed, noise,
+        [&](Rng &rng, std::string &bits) {
+            // One draw buffer per worker thread; assign() recycles
+            // its capacity.
+            thread_local std::vector<std::uint64_t> draws;
             const int random_outputs = symbolic
                 ? symbolic->sample(rng, draws, bits)
                 : scalar->run(rng, bits);
-            if (noise) {
-                const int lost = noise(shot, bits);
-                if (lost > 0) {
-                    ++tally.lostShots;
-                    tally.lostPhotons += lost;
-                    continue;
-                }
-            }
             // Chain rule over the sequential output measurements:
             // each deterministic one contributes 1, each random one
             // 1/2.
-            if (exact)
-                tally.recordProbability(
-                    bits, std::ldexp(1.0, -random_outputs));
-            ++tally.counts[bits];
-        }
-        const std::lock_guard<std::mutex> lock(merge);
-        for (const auto &[key, count] : tally.counts)
-            total.counts[key] += count;
-        for (const auto &[key, p] : tally.probabilities)
-            total.recordProbability(key, p);
-        total.lostShots += tally.lostShots;
-        total.lostPhotons += tally.lostPhotons;
-        if (total.status.ok())
-            total.status = tally.status;
-    });
-    if (!total.status.ok())
-        return total.status;
-    result.counts = std::move(total.counts);
-    result.probabilities = std::move(total.probabilities);
-    result.lostShots = total.lostShots;
-    result.lostPhotons = total.lostPhotons;
-    result.completedShots = shots - total.lostShots;
-    return Status::okStatus();
+            return apply_byproducts ? std::ldexp(1.0, -random_outputs)
+                                    : -1.0;
+        },
+        result);
 }
 
 } // namespace dcmbqc

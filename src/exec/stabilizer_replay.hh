@@ -41,7 +41,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -164,28 +163,22 @@ class SymbolicReplay
     std::vector<std::uint64_t> outputForms_;
 };
 
-/**
- * A shot's noise: the photons it lost (> 0 voids the shot), after
- * flipping bits of a surviving shot; called as noise(shot, bits).
- */
-using ShotNoise = std::function<int(int, std::string &)>;
+class NoiseChannel;
 
 /**
- * Sample `shots` shots of a Clifford pattern replay over the worker
- * pool, one block of shots per worker, and tally them into `result`:
- * counts, lost and completed shots, lost photons and, when
- * `apply_byproducts` and no `noise`, the exact probability 2^-r of
- * each outcome (r random output measurements). Shot s draws its outcomes from
- * Rng(shotSeed(seed, s)). The packed kernel config derives a
- * SymbolicReplay once; the scalar one replays every shot. Returns
- * INTERNAL when two shots give one outcome different probabilities,
- * which would mean wrong flow corrections.
+ * Sample `shots` shots of a Clifford pattern replay with
+ * `tallyShots` and tally them into `result`; each shot carries the
+ * exact probability 2^-r of its outcome (r random output
+ * measurements) when `apply_byproducts`. The packed kernel config
+ * derives a SymbolicReplay once; the scalar one replays every shot.
+ * Returns INTERNAL when two shots give one outcome different
+ * probabilities, which would mean wrong flow corrections.
  */
 Status sampleStabShots(const Pattern &pattern,
                        const std::vector<NodeId> &order,
                        const std::vector<int> &base_turns,
                        bool apply_byproducts, int shots, int threads,
-                       std::int64_t seed, const ShotNoise &noise,
+                       std::int64_t seed, const NoiseChannel *noise,
                        ExecResult &result);
 
 } // namespace dcmbqc

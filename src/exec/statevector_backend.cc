@@ -1,10 +1,7 @@
 #include "exec/statevector_backend.hh"
 
 #include <cmath>
-#include <map>
-#include <mutex>
 
-#include "common/rng.hh"
 #include "exec/noise_channel.hh"
 #include "sim/pattern_runner.hh"
 #include "sim/statevector.hh"
@@ -51,29 +48,19 @@ StatevectorBackend::run(const ExecProgram &program,
     const Pattern &pattern = program.pattern();
     const int wires = pattern.numWires();
 
-    auto channel = NoiseChannel::make(options, pattern.numNodes());
+    auto channel = NoiseChannel::make(
+        options, [&] { return patternExposure(pattern.numNodes()); });
     if (!channel.ok())
         return channel.status();
+    const NoiseChannel *noise = channel->get();
 
     ExecResult result;
     result.numWires = wires;
     result.threads = resolveThreads(options.numThreads, options.shots);
 
-    // One block per worker, each a contiguous run of shots tallied
-    // into its own counts and merged under a lock, so memory does not
-    // grow with the shot count. Sampling order within a shot is
-    // (shot, wire) and the merge only adds integers, so the result is
-    // bit-identical however the pool schedules the blocks. Noise
-    // draws use a salted per-shot stream, never the outcome stream,
-    // so an inactive channel changes nothing.
-    std::mutex merge;
-    forEachShotBlock(options.shots, result.threads, [&](ShotRange range) {
-        std::map<std::string, std::int64_t> counts;
-        int lost_shots = 0;
-        std::int64_t lost_photons = 0;
-        std::string bits;
-        for (int shot = range.begin; shot < range.end; ++shot) {
-            Rng rng(shotSeed(options.seed, shot));
+    const Status sampled = tallyShots(
+        options.shots, result.threads, options.seed, noise,
+        [&](Rng &rng, std::string &bits) {
             PatternRunResult run =
                 runPattern(pattern, rng, options.applyByproducts);
             StateVector &state = run.outputState;
@@ -85,29 +72,16 @@ StatevectorBackend::run(const ExecProgram &program,
                 if (state.measureZAndRemove(0, rng).outcome)
                     bits[w] = '1';
             }
-            if (channel->active()) {
-                Rng noise_rng(shotSeed(options.seed, shot) ^
-                              kNoiseStreamSalt);
-                const int lost = channel->sampleLoss(noise_rng);
-                if (lost > 0) {
-                    ++lost_shots;
-                    lost_photons += lost;
-                    continue;
-                }
-                channel->applyFlips(noise_rng, bits);
-            }
-            ++counts[bits];
-        }
-        const std::lock_guard<std::mutex> lock(merge);
-        for (const auto &[key, count] : counts)
-            result.counts[key] += count;
-        result.lostShots += lost_shots;
-        result.lostPhotons += lost_photons;
-    });
-    result.completedShots = options.shots - result.lostShots;
-    if (channel->active())
+            // The exact distribution comes from one reference run
+            // below, not from the shots.
+            return -1.0;
+        },
+        result);
+    if (!sampled.ok())
+        return sampled;
+    if (noise)
         result.notes.push_back("noise channel applied per shot (" +
-                               channel->description() +
+                               noise->description() +
                                "); exact probabilities are noiseless");
 
     if (options.applyByproducts) {

@@ -49,13 +49,16 @@ dependencySuccessors(const Pattern &pattern, NodeId m, bool z_set,
     }
 }
 
-bool
-isCliffordAngle(double theta)
+int
+cliffordQuarterTurns(double theta)
 {
     constexpr double half_pi = 1.57079632679489661923;
-    const double ratio = theta / half_pi;
-    const double nearest = std::nearbyint(ratio);
-    return std::abs(ratio - nearest) < 1e-9;
+    const double turns = theta / half_pi;
+    const double k = std::nearbyint(turns);
+    // Written so that NaN (and an infinity, via inf - inf) fails.
+    if (!(std::abs(turns - k) < 1e-9))
+        return -1;
+    return static_cast<int>(std::fmod(k, 4.0) + 4.0) % 4;
 }
 
 Digraph
@@ -71,7 +74,7 @@ realTimeDependencyGraph(const Pattern &pattern)
     std::vector<NodeId> last_adaptive(wires, invalidNode);
 
     for (NodeId m : pattern.measurementOrder()) {
-        if (isCliffordAngle(pattern.angle(m)))
+        if (cliffordQuarterTurns(pattern.angle(m)) >= 0)
             continue;
         const QubitId w = pattern.wire(m);
         if (last_adaptive[w] != invalidNode)

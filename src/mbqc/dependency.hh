@@ -45,12 +45,14 @@ void dependencySuccessors(const Pattern &pattern, NodeId m, bool z_set,
                           std::vector<NodeId> &out);
 
 /**
- * True when theta is a multiple of pi/2: the measurement is a Pauli
- * measurement, and an X byproduct only flips the sign of a Clifford
- * angle onto an equivalent basis (outcome relabeling), so no
+ * The quarter turns k in [0, 4) with theta = k*pi/2 within 1e-9
+ * quarter turns, or -1 when theta is no multiple of pi/2 (NaN and
+ * infinities included). A multiple of pi/2 is a Clifford angle: the
+ * measurement is a Pauli measurement, and an X byproduct only flips
+ * its sign onto an equivalent basis (outcome relabeling), so no
  * real-time adaptation is needed.
  */
-bool isCliffordAngle(double theta);
+int cliffordQuarterTurns(double theta);
 
 /**
  * The real-time dependency graph: X-dependencies after signal

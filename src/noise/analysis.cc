@@ -95,9 +95,19 @@ analyzeNoise(const NoiseExposure &exposure, const NoiseModel &model)
     analysis.siteLoss.reserve(exposure.sites.size());
     long long total_storage = 0;
     for (const NoiseSite &site : exposure.sites) {
-        const double survival = model.siteSurvival(site);
+        // The correlated mechanisms sample their loss through their
+        // own hook, so the per-site draw leaves them out; the
+        // analytic survival keeps every factor.
+        double survival = 1.0;
+        double independent = 1.0;
+        for (const auto &mechanism : model.mechanisms()) {
+            const double factor = mechanism->siteSurvival(site);
+            survival *= factor;
+            if (!mechanism->correlated())
+                independent *= factor;
+        }
         analysis.logSurvival += logOrNegInf(survival);
-        analysis.siteLoss.push_back(lossOf(survival));
+        analysis.siteLoss.push_back(lossOf(independent));
         analysis.maxStorageCycles =
             std::max(analysis.maxStorageCycles, site.storageCycles);
         total_storage += site.storageCycles;

@@ -1,11 +1,11 @@
 /**
  * @file
  * Turning compiled programs into noise exposure, and exposure into
- * composite survival. This is the shared analytic core: the mc-loss
- * backend derives its per-shot sampling probabilities from the same
- * `NoiseExposure` the compiler's cost model scores, so partitioning
- * and BDIR refinement optimize against exactly the error budget the
- * simulator charges.
+ * composite survival. This is the shared analytic core: every
+ * execution backend's `NoiseChannel` derives its per-shot sampling
+ * probabilities from the same kind of `NoiseExposure` the compiler's
+ * cost model scores, so partitioning and BDIR refinement optimize
+ * against exactly the error budget the simulators charge.
  */
 
 #ifndef DCMBQC_NOISE_ANALYSIS_HH
@@ -74,7 +74,12 @@ struct NoiseAnalysis
     /** exp(logSurvival): probability the whole shot survives. */
     double successProbability = 1.0;
 
-    /** Per-photon loss probability (sampling), site order. */
+    /**
+     * Per-photon loss probability to draw independently, site order:
+     * the product over the independent mechanisms only. Correlated
+     * mechanisms sample the rest of a shot's loss through their own
+     * hook, so their factor is not drawn twice.
+     */
     std::vector<double> siteLoss;
 
     /** Per-fusion loss probability (sampling), edge order. */

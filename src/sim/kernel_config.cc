@@ -13,7 +13,6 @@ defaults()
     config.packedTableau = true;
     config.liveWindow = true;
     config.svKernel = SvKernel::Auto;
-    config.fuseGates = true;
     return config;
 }
 

@@ -1,16 +1,18 @@
 /**
  * @file
- * Runtime selection of the simulation kernel implementations. The
- * fast paths (bit-packed tableau, live-photon window, AVX2 amplitude
- * kernels) are the defaults; the scalar tableau, the full graph
- * state and the portable kernel stay alive as test oracles, selected
- * per process through this config.
+ * Runtime selection of the simulation kernel implementations: three
+ * switches, each between a fast path and its oracle. The fast paths
+ * (symbolic replay on the bit-packed tableau, live-photon window,
+ * AVX2 amplitude kernels) are the defaults; the scalar per-shot
+ * replay, the full graph state and the portable kernel stay alive as
+ * test oracles, selected per process through this config.
  *
  * Every pair of paths is bit-identical by contract — same outcomes,
  * same probabilities, same serialized artifacts — which
  * tests/test_sim_kernels.cc, tests/test_differential.cc and the
  * golden corpus pin. The config exists so one binary can run both
- * sides of that equivalence.
+ * sides of that equivalence; a path that is not bit-identical to its
+ * oracle gets no switch here.
  */
 
 #ifndef DCMBQC_SIM_KERNEL_CONFIG_HH
@@ -59,15 +61,6 @@ struct SimKernelConfig
 
     /** Amplitude kernel selection for StateVector. */
     SvKernel svKernel;
-
-    /**
-     * StateVector::applyCircuit fuses runs of adjacent single-qubit
-     * gates on the same qubit into one 2x2 sweep. Fusion reassociates
-     * floating point (results agree to ~1 ULP per fused gate, not
-     * bit-exactly), so paths that demand bit-stability never go
-     * through applyCircuit.
-     */
-    bool fuseGates;
 };
 
 /** The mutable process-wide config (defaults: every fast path). */

@@ -1,12 +1,10 @@
 #include "sim/statevector.hh"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 
 #include "common/bits.hh"
 #include "common/logging.hh"
-#include "sim/kernel_config.hh"
 #include "sim/sv_kernels.hh"
 
 namespace dcmbqc
@@ -18,63 +16,6 @@ namespace
 constexpr double pi = 3.14159265358979323846;
 const std::complex<double> iunit(0.0, 1.0);
 constexpr double invSqrt2 = 0.70710678118654752440;
-
-using Mat2 = std::array<StateVector::Amplitude, 4>;
-
-/**
- * The 2x2 matrix of a single-qubit gate, with the same constant
- * expressions the apply* methods use (so a fused run of length one
- * is bit-identical to the unfused application). Returns false for
- * multi-qubit gates.
- */
-bool
-gateMatrix1q(const Gate &gate, Mat2 &m)
-{
-    switch (gate.kind) {
-      case GateKind::H:
-        m = {invSqrt2, invSqrt2, invSqrt2, -invSqrt2};
-        return true;
-      case GateKind::X:
-        m = {0, 1, 1, 0};
-        return true;
-      case GateKind::Y:
-        m = {0, -iunit, iunit, 0};
-        return true;
-      case GateKind::Z:
-        m = {1, 0, 0, -1};
-        return true;
-      case GateKind::S:
-        m = {1, 0, 0, iunit};
-        return true;
-      case GateKind::Sdg:
-        m = {1, 0, 0, -iunit};
-        return true;
-      case GateKind::T:
-        m = {1, 0, 0, std::exp(iunit * (pi / 4))};
-        return true;
-      case GateKind::Tdg:
-        m = {1, 0, 0, std::exp(-iunit * (pi / 4))};
-        return true;
-      case GateKind::RX: {
-        const double c = std::cos(gate.angle / 2);
-        const double s = std::sin(gate.angle / 2);
-        m = {c, -iunit * s, -iunit * s, c};
-        return true;
-      }
-      case GateKind::RY: {
-        const double c = std::cos(gate.angle / 2);
-        const double s = std::sin(gate.angle / 2);
-        m = {c, -s, s, c};
-        return true;
-      }
-      case GateKind::RZ:
-        m = {std::exp(-iunit * (gate.angle / 2)), 0, 0,
-             std::exp(iunit * (gate.angle / 2))};
-        return true;
-      default:
-        return false;
-    }
-}
 
 /**
  * Sample (or force) a measurement outcome from its two branches'
@@ -88,17 +29,6 @@ pickOutcome(double p0, double p1, Rng &rng, int forced_outcome)
     const double prob = outcome == 0 ? p0 : p1;
     DCMBQC_ASSERT(prob > 1e-12, "measured a zero-probability branch");
     return {outcome, prob};
-}
-
-/** m <- a * m (compose gate a after the pending matrix m). */
-void
-composeLeft(const Mat2 &a, Mat2 &m)
-{
-    const Mat2 prev = m;
-    m[0] = a[0] * prev[0] + a[1] * prev[2];
-    m[1] = a[0] * prev[1] + a[1] * prev[3];
-    m[2] = a[2] * prev[0] + a[3] * prev[2];
-    m[3] = a[2] * prev[1] + a[3] * prev[3];
 }
 
 } // namespace
@@ -343,42 +273,8 @@ StateVector::applyCircuit(const Circuit &circuit)
 {
     DCMBQC_ASSERT(circuit.numQubits() <= numQubits_,
                   "circuit wider than register");
-    if (!simKernelConfig().fuseGates) {
-        for (const auto &gate : circuit.gates())
-            applyGate(gate);
-        return;
-    }
-
-    // Fuse runs of single-qubit gates per qubit into one 2x2 matrix
-    // so each run costs a single amplitude sweep; a multi-qubit gate
-    // flushes only the qubits it touches.
-    std::vector<Mat2> pending(numQubits_);
-    std::vector<char> hasPending(numQubits_, 0);
-    auto flush = [&](int q) {
-        if (q >= 0 && q < numQubits_ && hasPending[q]) {
-            hasPending[q] = 0;
-            apply1q(q, pending[q][0], pending[q][1], pending[q][2],
-                    pending[q][3]);
-        }
-    };
-
-    for (const auto &gate : circuit.gates()) {
-        Mat2 m;
-        if (gateMatrix1q(gate, m)) {
-            if (hasPending[gate.q0])
-                composeLeft(m, pending[gate.q0]);
-            else
-                pending[gate.q0] = m;
-            hasPending[gate.q0] = 1;
-            continue;
-        }
-        flush(gate.q0);
-        flush(gate.q1);
-        flush(gate.q2);
+    for (const auto &gate : circuit.gates())
         applyGate(gate);
-    }
-    for (int q = 0; q < numQubits_; ++q)
-        flush(q);
 }
 
 MeasureResult

@@ -298,15 +298,12 @@ TEST(Differential, KernelConfigurationsAreBitIdenticalOnTheCorpus)
 {
     const SimKernelConfig reference{/*packedTableau=*/false,
                                     /*liveWindow=*/false,
-                                    SvKernel::Portable,
-                                    /*fuseGates=*/false};
+                                    SvKernel::Portable};
     const SimKernelConfig packed_only{/*packedTableau=*/true,
                                       /*liveWindow=*/false,
-                                      SvKernel::Portable,
-                                      /*fuseGates=*/false};
+                                      SvKernel::Portable};
     const SimKernelConfig fast{/*packedTableau=*/true,
-                               /*liveWindow=*/true, SvKernel::Auto,
-                               /*fuseGates=*/true};
+                               /*liveWindow=*/true, SvKernel::Auto};
 
     for (std::uint64_t seed = 0; seed < 64; ++seed) {
         const int qubits = 2 + static_cast<int>(seed % 4);

@@ -495,6 +495,20 @@ TEST(ExecLossBackend, OncePerRunAnalysisIsHoistedOutOfTheShotLoop)
     EXPECT_EQ(buildExposureCallCount() - exposure_before, 1);
     EXPECT_EQ(b->shots, 512);
     EXPECT_EQ(b->completedShots + b->lostShots, b->shots);
+
+    // schedule charges noise against the same exposure: once per
+    // noisy run, and not at all when no config charges anything.
+    for (const bool with_noise : {false, true}) {
+        SCOPED_TRACE(with_noise ? "schedule noisy" : "schedule plain");
+        ExecOptions schedule = with_noise ? noisy : plain;
+        schedule.backend = "schedule";
+        exposure_before = buildExposureCallCount();
+        auto c = executeProgram(program, schedule);
+        ASSERT_TRUE(c.ok()) << c.status().toString();
+        EXPECT_EQ(buildExposureCallCount() - exposure_before,
+                  with_noise ? 1 : 0);
+        EXPECT_EQ(c->completedShots + c->lostShots, c->shots);
+    }
 }
 
 TEST(ExecLossBackend, CertainPhotonLossIsAResultNotAnAbort)
@@ -809,7 +823,7 @@ TEST(CliffordReplayPins, ResultBytes)
         {0, "schedule", true, false, 0x3ae134ee9e12ecd1ull},
         {0, "schedule", false, false, 0x78be53f8d8d65339ull},
         {0, "stabilizer", true, true, 0x7c0cdae3909c8d54ull},
-        {0, "schedule", true, true, 0x32056e22ac4d3c88ull},
+        {0, "schedule", true, true, 0x07d2e3e25f48e3efull},
         {1, "stabilizer", true, false, 0xf0d7c6247764bcb3ull},
         {1, "stabilizer", false, false, 0x1116f0c2074a227cull},
         {1, "schedule", true, false, 0x67eb043dcfa16f9aull},
@@ -882,12 +896,81 @@ TEST(CliffordReplayPins, ResultBytes)
     }
 }
 
+TEST(ScheduleNoisePins, ResultBytes)
+{
+    // Noisy schedule runs without a correlated mechanism, on the
+    // first CliffordReplayPins program at 1 and 4 threads. A shot
+    // draws each photon's loss, then each fusion's, and then, when
+    // it lost nothing, one flip per output bit, all on its salted
+    // noise stream; these bytes pin that order.
+    struct Pin
+    {
+        const char *noise;
+        std::uint64_t hash;
+    };
+    const Pin pins[] = {
+        {"connector+depolarizing", 0x3fa8bbcc0cd48656ull},
+        {"delay-line+fusion+depolarizing", 0x831dce1ecd72d942ull},
+    };
+    const auto noiseFor = [](const std::string &name) {
+        NoiseConfig noise;
+        if (name == "connector+depolarizing")
+            noise.add("connector", {{"insertion_loss_db", 0.02}});
+        else
+            noise.add("delay-line", {{"cycle_period_ns", 0.2}})
+                .add("fusion",
+                     {{"failure_rate", 0.0005}, {"remote_only", 0.0}});
+        noise.add("depolarizing", {{"probability", 0.02}});
+        return noise;
+    };
+    std::vector<ExecOptions> runs;
+    for (const Pin &pin : pins) {
+        for (int threads : {1, 4}) {
+            ExecOptions options;
+            options.backend = "schedule";
+            options.shots = 200;
+            options.seed = 11;
+            options.numThreads = threads;
+            options.noise = noiseFor(pin.noise);
+            runs.push_back(options);
+        }
+    }
+    auto report =
+        CompilerDriver(CompileOptions()
+                           .numQpus(4)
+                           .gridSize(gridSizeForQubits(24))
+                           .seed(1))
+            .compileAndExecute(
+                CompileRequest::fromCircuit(
+                    makeRandomCliffordCircuit(24, 8 * 24, 100),
+                    "clifford-24"),
+                runs);
+    ASSERT_TRUE(report.ok()) << report.status().toString();
+    ASSERT_EQ(report->executions.size(), runs.size());
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        const Pin &pin = pins[i / 2];
+        SCOPED_TRACE(std::string(pin.noise) + " threads=" +
+                     std::to_string(runs[i].numThreads));
+        ExecResult result = report->executions[i];
+        EXPECT_GT(result.lostShots, 0);
+        EXPECT_GT(result.completedShots, 0);
+        // Wall time and thread count are not result content.
+        result.wallMillis = 0.0;
+        result.threads = 1;
+        const std::vector<std::uint8_t> bytes =
+            encodeExecResultArtifact(result);
+        EXPECT_EQ(fnv1a64(bytes.data(), bytes.size()), pin.hash);
+    }
+}
+
 TEST(McLossPins, LostShotsAndPhotons)
 {
     // Every shot draws from its own stream, sites first and then
     // fusions, so the tallies must not depend on how shots are
     // grouped or on the worker count. 15 and 17 shots leave a
-    // partial block of 16; 1001 runs 62 full blocks and a tail.
+    // partial block of 16; 1001 runs 62 full blocks and a tail. The
+    // fusion-only runs lose no photon at a site, so only their
+    // fusion draws can lose a shot.
     struct Pin
     {
         const char *noise;
@@ -908,16 +991,21 @@ TEST(McLossPins, LostShotsAndPhotons)
         {"correlated-burst", 15, 10, 18},
         {"correlated-burst", 17, 10, 18},
         {"correlated-burst", 1001, 626, 1092},
+        {"fusion-only", 1, 0, 0},
+        {"fusion-only", 15, 9, 11},
+        {"fusion-only", 17, 10, 12},
+        {"fusion-only", 1001, 327, 399},
     };
     const auto noiseFor = [](const std::string &name) {
         NoiseConfig noise;
-        noise.add("delay-line", {{"cycle_period_ns", 40.0}});
-        if (name == "fusion")
-            noise.add("fusion",
-                      {{"failure_rate", 0.0005}, {"remote_only", 0.0}});
-        else
+        if (name != "fusion-only")
+            noise.add("delay-line", {{"cycle_period_ns", 40.0}});
+        if (name == "correlated-burst")
             noise.add("correlated-burst",
                       {{"burst_rate", 0.05}, {"burst_width", 3.0}});
+        else
+            noise.add("fusion",
+                      {{"failure_rate", 0.0005}, {"remote_only", 0.0}});
         return noise;
     };
     std::vector<ExecOptions> runs;

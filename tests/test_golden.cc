@@ -359,7 +359,7 @@ TEST_F(GoldenCorpus, ReferenceKernelsReproduceTheFixtures)
     // in-process, they must sample the same bytes the default stack
     // wrote.
     simKernelConfig() = {/*packedTableau=*/false, /*liveWindow=*/false,
-                         SvKernel::Portable, /*fuseGates=*/false};
+                         SvKernel::Portable};
     const CompileReport report = goldenReport();
     const ExecResult stabilizer = goldenStabilizerResult();
     resetSimKernelConfig();

@@ -22,6 +22,8 @@
 #include "api/api.hh"
 #include "cache/cache_key.hh"
 #include "circuit/generators.hh"
+#include "exec/backend.hh"
+#include "exec/noise_channel.hh"
 #include "noise/analysis.hh"
 #include "noise/config_io.hh"
 #include "noise/mechanism.hh"
@@ -427,6 +429,10 @@ TEST(NoiseExec, DepolarizingFlipsOutcomesWithoutLosingShots)
 
 TEST(NoiseExec, LossyNoiseDropsShotsOnTheSimulators)
 {
+    // A burst-only config loses a shot exactly when its burst fires:
+    // a burst always covers at least one photon and nothing else can
+    // lose one. So every backend must survive at 1 - burst_rate,
+    // each drawing the burst once per shot through its hook.
     const CompilerDriver driver(CompileOptions().seed(5));
     const auto request = CompileRequest::fromCircuit(
         makeRandomCliffordCircuit(4, 16, 2), "noise-loss");
@@ -436,24 +442,86 @@ TEST(NoiseExec, LossyNoiseDropsShotsOnTheSimulators)
         ExecProgram::fromRequest(request).withSchedule(
             report->result());
 
-    ExecOptions noisy;
-    noisy.backend = "stabilizer";
-    noisy.shots = 300;
-    noisy.seed = 3;
-    noisy.numThreads = 1;
+    constexpr double kBurstRate = 0.2;
+    constexpr int kShots = 2000;
     NoiseConfig burst;
     burst.add("correlated-burst",
-              {{"burst_rate", 0.2}, {"burst_width", 8.0}});
-    noisy.noise = burst;
-    auto result = driver.execute(program, noisy);
-    ASSERT_TRUE(result.ok()) << result.status().toString();
-    EXPECT_GT(result->lostShots, 0);
-    EXPECT_EQ(result->completedShots,
-              result->shots - result->lostShots);
-    std::int64_t counted = 0;
-    for (const auto &entry : result->counts)
-        counted += entry.second;
-    EXPECT_EQ(counted, result->completedShots);
+              {{"burst_rate", kBurstRate}, {"burst_width", 8.0}});
+    const double sigma =
+        std::sqrt(kBurstRate * (1.0 - kBurstRate) / kShots);
+
+    for (const std::string &backend :
+         {std::string("statevector"), std::string("stabilizer"),
+          std::string("schedule"), std::string("mc-loss")}) {
+        SCOPED_TRACE(backend);
+        ExecOptions noisy;
+        noisy.backend = backend;
+        noisy.shots = kShots;
+        noisy.seed = 3;
+        noisy.numThreads = 1;
+        noisy.noise = burst;
+        auto result = driver.execute(program, noisy);
+        ASSERT_TRUE(result.ok()) << result.status().toString();
+        EXPECT_GT(result->lostShots, 0);
+        EXPECT_EQ(result->completedShots,
+                  result->shots - result->lostShots);
+        const double survival =
+            static_cast<double>(result->completedShots) / kShots;
+        EXPECT_NEAR(survival, 1.0 - kBurstRate, 5.0 * sigma);
+        if (backend == "mc-loss") {
+            EXPECT_EQ(result->counts.at("success"),
+                      result->completedShots);
+            continue;
+        }
+        std::int64_t counted = 0;
+        for (const auto &entry : result->counts)
+            counted += entry.second;
+        EXPECT_EQ(counted, result->completedShots);
+    }
+}
+
+TEST(NoiseExec, ChannelDrawsLossThenFlipsOnTheSaltedStream)
+{
+    // A shot's salted noise stream holds one draw per site, then one
+    // per fusion, then, when no photon was lost, one per outcome bit.
+    // A config that cannot lose a photon makes no loss draws, so its
+    // flips start at the stream's first draw.
+    NoiseExposure exposure = patternExposure(5);
+    exposure.edges.resize(3);
+    NoiseConfig flips;
+    flips.add("depolarizing", {{"probability", 0.3}});
+    NoiseConfig lossy = flips;
+    lossy.add("fusion", {{"failure_rate", 0.2}, {"remote_only", 0.0}});
+    const double flip = buildNoiseModel(flips)->flipProbability();
+    constexpr std::int64_t kSeed = 17;
+
+    for (const NoiseConfig *config : {&flips, &lossy}) {
+        const bool can_lose = config == &lossy;
+        SCOPED_TRACE(can_lose ? "fusion+depolarizing" : "depolarizing");
+        const NoiseChannel channel(buildNoiseModel(*config).value(),
+                                   exposure);
+        int lost_shots = 0;
+        for (int shot = 0; shot < 200; ++shot) {
+            Rng rng(shotSeed(kSeed, shot) ^ kNoiseStreamSalt);
+            int lost = 0;
+            if (can_lose) {
+                for (const double p : channel.analysis().siteLoss)
+                    lost += rng.bernoulli(p);
+                for (const double p : channel.analysis().edgeLoss)
+                    lost += rng.bernoulli(p);
+            }
+            std::string expected = "0110";
+            if (lost == 0)
+                for (char &bit : expected)
+                    if (rng.bernoulli(flip))
+                        bit = bit == '0' ? '1' : '0';
+            std::string bits = "0110";
+            EXPECT_EQ(channel.sampleShot(kSeed, shot, bits), lost);
+            EXPECT_EQ(bits, expected) << "shot " << shot;
+            lost_shots += lost > 0;
+        }
+        EXPECT_EQ(lost_shots > 0, can_lose);
+    }
 }
 
 TEST(NoiseExec, InvalidNoiseConfigIsRejectedByOptionValidation)

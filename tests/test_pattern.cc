@@ -140,7 +140,7 @@ TEST(Dependency, SignalShiftingDropsZDeps)
     // No arc ever targets a Clifford-angle (Pauli) measurement.
     for (NodeId u = 0; u < p.numNodes(); ++u)
         for (NodeId v : realtime.successors(u))
-            EXPECT_FALSE(isCliffordAngle(p.angle(v)));
+            EXPECT_LT(cliffordQuarterTurns(p.angle(v)), 0);
 }
 
 TEST(Dependency, RealTimeDepthBoundedByWireLength)

@@ -15,8 +15,7 @@
  * shot loop, and the mc-loss draw kernels (integer thresholds
  * against Rng::bernoulli, AVX2 lanes against the portable loop).
  * Every fast path must be *bit-identical* to its reference — these
- * tests use EXPECT_EQ / memcmp, never tolerances, except for gate
- * fusion which documents its ~ULP reassociation error explicitly.
+ * tests use EXPECT_EQ / memcmp, never tolerances.
  */
 
 #include <gtest/gtest.h>
@@ -237,19 +236,19 @@ TEST(SimKernels, Avx2KernelMatchesPortableToExactUlp)
 
 TEST(SimKernels, StateVectorIsBitIdenticalAcrossKernelSelections)
 {
-    // End-to-end: the same Clifford+T circuit applied gate-by-gate
-    // (fusion off isolates the kernel axis) under Portable and Avx2
-    // dispatch must leave bit-identical amplitude arrays.
+    // End-to-end: the same Clifford+T circuit applied gate by gate
+    // under Portable and Avx2 dispatch must leave bit-identical
+    // amplitude arrays.
     for (std::uint64_t seed = 0; seed < 20; ++seed) {
         const int qubits = 2 + static_cast<int>(seed % 5);
         const Circuit circuit = makeRandomCliffordTCircuit(
             qubits, 12 + static_cast<int>(seed % 9), 300 + seed);
 
-        simKernelConfig() = {true, true, SvKernel::Portable, false};
+        simKernelConfig() = {true, true, SvKernel::Portable};
         StateVector portable(qubits);
         portable.applyCircuit(circuit);
 
-        simKernelConfig() = {true, true, SvKernel::Avx2, false};
+        simKernelConfig() = {true, true, SvKernel::Avx2};
         StateVector vectorized(qubits);
         vectorized.applyCircuit(circuit);
         resetSimKernelConfig();
@@ -261,34 +260,6 @@ TEST(SimKernels, StateVectorIsBitIdenticalAcrossKernelSelections)
                               a.size() * sizeof(sv::Amp)),
                   0)
             << "seed=" << seed;
-    }
-}
-
-TEST(SimKernels, GateFusionStaysWithinReassociationTolerance)
-{
-    // Fusion reassociates floating point, so it is *not* bit-exact
-    // by design; it must stay within a few ULPs of the gate-by-gate
-    // product, and the measurement statistics must be unaffected.
-    for (std::uint64_t seed = 0; seed < 20; ++seed) {
-        const int qubits = 2 + static_cast<int>(seed % 4);
-        const Circuit circuit = makeRandomCliffordTCircuit(
-            qubits, 16 + static_cast<int>(seed % 11), 600 + seed);
-
-        simKernelConfig() = {true, true, SvKernel::Auto, false};
-        StateVector unfused(qubits);
-        unfused.applyCircuit(circuit);
-
-        simKernelConfig() = {true, true, SvKernel::Auto, true};
-        StateVector fused(qubits);
-        fused.applyCircuit(circuit);
-        resetSimKernelConfig();
-
-        const auto &a = unfused.amplitudes();
-        const auto &b = fused.amplitudes();
-        ASSERT_EQ(a.size(), b.size());
-        for (std::size_t i = 0; i < a.size(); ++i)
-            EXPECT_NEAR(std::abs(a[i] - b[i]), 0.0, 1e-12)
-                << "seed=" << seed << " amp=" << i;
     }
 }
 
@@ -608,8 +579,8 @@ TEST(SimKernels, LiveWindowMatchesFullGraphStateSampling)
     // reuses photons, so every sampled bitstring — and the exact
     // probability map — must be identical.
     const ExecProgram program = compiledCliffordProgram(21);
-    const SimKernelConfig full{true, false, SvKernel::Auto, true};
-    const SimKernelConfig window{true, true, SvKernel::Auto, true};
+    const SimKernelConfig full{true, false, SvKernel::Auto};
+    const SimKernelConfig window{true, true, SvKernel::Auto};
     for (const char *backend : {"stabilizer", "schedule"}) {
         SCOPED_TRACE(backend);
         const ExecResult a =
@@ -629,7 +600,7 @@ TEST(SimKernels, PerShotLoopIsThreadCountInvariant)
     // own seed start to finish, so 1, 3, and 8 workers must agree
     // exactly.
     const ExecProgram program = compiledCliffordProgram(22);
-    const SimKernelConfig window{true, true, SvKernel::Auto, true};
+    const SimKernelConfig window{true, true, SvKernel::Auto};
     for (const char *backend : {"stabilizer", "schedule"}) {
         SCOPED_TRACE(backend);
         const ExecResult serial =
@@ -820,8 +791,8 @@ TEST(SimKernels, LiveWindowMatchesFullGraphStateOnExecShotsPrograms)
     // Programs whose window is under a tenth of the pattern: every
     // shot must sample the full graph state's outcomes, at any
     // thread count, down to the serialized result.
-    const SimKernelConfig full{true, false, SvKernel::Auto, true};
-    const SimKernelConfig window{true, true, SvKernel::Auto, true};
+    const SimKernelConfig full{true, false, SvKernel::Auto};
+    const SimKernelConfig window{true, true, SvKernel::Auto};
     const std::vector<ExecProgram> programs =
         execShotsCliffordPrograms();
     ASSERT_EQ(programs.size(), 4u);
@@ -853,8 +824,8 @@ TEST(SimKernels, LiveWindowMatchesFullGraphStateWithoutMeasurements)
     circuit.cz(0, 3);
     const ExecProgram program = ExecProgram::fromCircuit(circuit);
     ASSERT_TRUE(program.pattern().measurementOrder().empty());
-    const SimKernelConfig full{true, false, SvKernel::Auto, true};
-    const SimKernelConfig window{true, true, SvKernel::Auto, true};
+    const SimKernelConfig full{true, false, SvKernel::Auto};
+    const SimKernelConfig window{true, true, SvKernel::Auto};
     const ExecResult a =
         runBackend(program, "stabilizer", 64, 11, 2, full);
     const ExecResult b =
@@ -943,13 +914,12 @@ TEST(SimKernels, ResetRestoresTheFastStackDefaults)
     // One binary runs both sides of the equivalence; tests select
     // the oracles per process and resetSimKernelConfig restores the
     // fast stack.
-    simKernelConfig() = {false, false, SvKernel::Portable, false};
+    simKernelConfig() = {false, false, SvKernel::Portable};
     resetSimKernelConfig();
     const SimKernelConfig &config = simKernelConfig();
     EXPECT_TRUE(config.packedTableau);
     EXPECT_TRUE(config.liveWindow);
     EXPECT_EQ(config.svKernel, SvKernel::Auto);
-    EXPECT_TRUE(config.fuseGates);
 }
 
 } // namespace
