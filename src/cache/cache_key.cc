@@ -58,20 +58,18 @@ computeCacheKey(const CompileRequest &request,
     // FNV-1a over a concatenation equals FNV-1a chained through the
     // pieces with the running hash as the next seed, so the streamed
     // chunked hash below lands on the same value as hashing one flat
-    // encodeCircuit buffer.
+    // encodeCircuit buffer. The verifier is an independent second
+    // hash (different offset basis): one 64-bit collision must not be
+    // enough to replay a foreign schedule. Both chains run in one
+    // pass over each piece.
     CacheKeyPair pair;
-    pair.key = fnv1a64(writer.bytes().data(), writer.bytes().size());
-    // Independent second hash (different offset basis): one 64-bit
-    // collision must not be enough to replay a foreign schedule.
-    pair.verifier = fnv1a64(writer.bytes().data(),
-                            writer.bytes().size(),
-                            0x6c62272e07bb0142ull);
+    pair.key = fnv1a64Basis;
+    pair.verifier = 0x6c62272e07bb0142ull;
     const auto absorb = [&pair](const BinaryWriter &piece) {
-        pair.key = fnv1a64(piece.bytes().data(), piece.bytes().size(),
-                           pair.key);
-        pair.verifier = fnv1a64(piece.bytes().data(),
-                                piece.bytes().size(), pair.verifier);
+        fnv1a64Pair(piece.bytes().data(), piece.bytes().size(),
+                    &pair.key, &pair.verifier);
     };
+    absorb(writer);
 
     if (stream_entry) {
         CircuitStream &stream = request.stream();

@@ -73,6 +73,12 @@ NoiseChannel::sampleShot(std::int64_t seed, int shot,
     return lost;
 }
 
+const NoiseChannel *
+drawingChannel(const std::unique_ptr<NoiseChannel> &channel)
+{
+    return channel && channel->drawsNoise() ? channel.get() : nullptr;
+}
+
 NoiseExposure
 patternExposure(NodeId num_nodes)
 {

@@ -88,6 +88,9 @@ class NoiseChannel
      */
     int sampleShot(std::int64_t seed, int shot, std::string &bits) const;
 
+    /** A shot can lose a photon or have a bit flipped. */
+    bool drawsNoise() const { return canLose_ || flip_ > 0.0; }
+
     /** "delay-line+depolarizing" — for result notes. */
     std::string description() const { return model_.describe(); }
 
@@ -99,6 +102,15 @@ class NoiseChannel
     bool correlated_ = false;
     bool canLose_ = false;
 };
+
+/**
+ * The channel a bitstring backend (`stabilizer`, `statevector`,
+ * `schedule`) draws from: `channel`, or null when it can neither lose
+ * a photon nor flip a bit over its exposure. Such a run is the
+ * noise-free run, exact probabilities included.
+ */
+const NoiseChannel *
+drawingChannel(const std::unique_ptr<NoiseChannel> &channel);
 
 /**
  * Schedule-free exposure of `num_nodes` pattern photons: one site

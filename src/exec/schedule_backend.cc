@@ -157,7 +157,7 @@ ScheduleBackend::run(const ExecProgram &program,
     });
     if (!channel.ok())
         return channel.status();
-    const NoiseChannel *noise = channel->get();
+    const NoiseChannel *noise = drawingChannel(*channel);
     if (noise)
         result.analyticSuccessProbability =
             noise->analysis().successProbability;

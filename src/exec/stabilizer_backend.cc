@@ -29,7 +29,7 @@ StabilizerBackend::run(const ExecProgram &program,
         options, [&] { return patternExposure(pattern.numNodes()); });
     if (!channel.ok())
         return channel.status();
-    const NoiseChannel *noise = channel->get();
+    const NoiseChannel *noise = drawingChannel(*channel);
 
     ExecResult result;
     result.numWires = pattern.numWires();

@@ -52,7 +52,7 @@ StatevectorBackend::run(const ExecProgram &program,
         options, [&] { return patternExposure(pattern.numNodes()); });
     if (!channel.ok())
         return channel.status();
-    const NoiseChannel *noise = channel->get();
+    const NoiseChannel *noise = drawingChannel(*channel);
 
     ExecResult result;
     result.numWires = wires;

@@ -1,5 +1,7 @@
 #include "serialize/artifact.hh"
 
+#include <sys/stat.h>
+
 #include <cstdio>
 
 #include "serialize/binary.hh"
@@ -21,41 +23,9 @@ knownKind(std::uint16_t kind)
         kind <= static_cast<std::uint16_t>(ArtifactKind::NoiseConfig);
 }
 
-} // namespace
-
-const char *
-artifactKindName(ArtifactKind kind)
-{
-    switch (kind) {
-      case ArtifactKind::Circuit: return "circuit";
-      case ArtifactKind::Graph: return "graph";
-      case ArtifactKind::Digraph: return "digraph";
-      case ArtifactKind::Pattern: return "pattern";
-      case ArtifactKind::Config: return "config";
-      case ArtifactKind::LocalSchedule: return "local-schedule";
-      case ArtifactKind::Schedule: return "schedule";
-      case ArtifactKind::CompileReport: return "compile-report";
-      case ArtifactKind::ExecResult: return "exec-result";
-      case ArtifactKind::NoiseConfig: return "noise-config";
-    }
-    return "?";
-}
-
-std::vector<std::uint8_t>
-sealArtifact(ArtifactKind kind, const std::vector<std::uint8_t> &payload)
-{
-    BinaryWriter writer;
-    writer.writeBytes(kMagic, sizeof(kMagic));
-    writer.writeU16(artifactFormatVersion);
-    writer.writeU16(static_cast<std::uint16_t>(kind));
-    writer.writeU64(payload.size());
-    writer.writeBytes(payload.data(), payload.size());
-    writer.writeU64(fnv1a64(payload.data(), payload.size()));
-    return writer.take();
-}
-
+/** Everything `openArtifact` checks except the checksum. */
 Expected<ArtifactView>
-openArtifact(const std::uint8_t *data, std::size_t size)
+readEnvelope(const std::uint8_t *data, std::size_t size)
 {
     if (size < kHeaderSize + kChecksumSize)
         return Status::invalidArgument(
@@ -96,9 +66,63 @@ openArtifact(const std::uint8_t *data, std::size_t size)
     BinaryReader trailer(data + kHeaderSize + view.payloadSize,
                          kChecksumSize);
     view.checksum = trailer.readU64();
-    const std::uint64_t actual =
-        fnv1a64(view.payload, view.payloadSize);
-    if (actual != view.checksum)
+    return view;
+}
+
+} // namespace
+
+const char *
+artifactKindName(ArtifactKind kind)
+{
+    switch (kind) {
+      case ArtifactKind::Circuit: return "circuit";
+      case ArtifactKind::Graph: return "graph";
+      case ArtifactKind::Digraph: return "digraph";
+      case ArtifactKind::Pattern: return "pattern";
+      case ArtifactKind::Config: return "config";
+      case ArtifactKind::LocalSchedule: return "local-schedule";
+      case ArtifactKind::Schedule: return "schedule";
+      case ArtifactKind::CompileReport: return "compile-report";
+      case ArtifactKind::ExecResult: return "exec-result";
+      case ArtifactKind::NoiseConfig: return "noise-config";
+    }
+    return "?";
+}
+
+std::vector<std::uint8_t>
+sealArtifact(ArtifactKind kind, const std::vector<std::uint8_t> &payload)
+{
+    BinaryWriter writer;
+    writer.writeBytes(kMagic, sizeof(kMagic));
+    writer.writeU16(artifactFormatVersion);
+    writer.writeU16(static_cast<std::uint16_t>(kind));
+    writer.writeU64(payload.size());
+    writer.writeBytes(payload.data(), payload.size());
+    writer.writeU64(fnv1a64(payload.data(), payload.size()));
+    return writer.take();
+}
+
+Expected<ArtifactView>
+openArtifact(const std::uint8_t *data, std::size_t size,
+             std::uint64_t *enclosing)
+{
+    auto view = readEnvelope(data, size);
+    if (!view.ok()) {
+        if (enclosing)
+            *enclosing = fnv1a64(data, size, *enclosing);
+        return view;
+    }
+    std::uint64_t actual = fnv1a64Basis;
+    if (enclosing) {
+        *enclosing = fnv1a64(data, kHeaderSize, *enclosing);
+        fnv1a64Pair(view->payload, view->payloadSize, enclosing,
+                    &actual);
+        *enclosing = fnv1a64(view->payload + view->payloadSize,
+                             kChecksumSize, *enclosing);
+    } else {
+        actual = fnv1a64(view->payload, view->payloadSize);
+    }
+    if (actual != view->checksum)
         return Status::invalidArgument(
             "artifact checksum mismatch: payload corrupted");
     return view;
@@ -133,15 +157,23 @@ loadArtifactFile(const std::string &path)
     std::FILE *file = std::fopen(path.c_str(), "rb");
     if (!file)
         return Status::invalidArgument("cannot open " + path);
-    std::vector<std::uint8_t> bytes;
-    std::uint8_t chunk[4096];
-    std::size_t got;
-    while ((got = std::fread(chunk, 1, sizeof(chunk), file)) > 0)
-        bytes.insert(bytes.end(), chunk, chunk + got);
+    // The buffer is sized from the file, so one call reads it whole.
+    struct stat info;
+    if (::fstat(::fileno(file), &info) != 0 || !S_ISREG(info.st_mode)) {
+        std::fclose(file);
+        return Status::invalidArgument(path + " is not a regular file");
+    }
+    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(info.st_size));
+    const std::size_t got =
+        bytes.empty() ? 0 : std::fread(bytes.data(), 1, bytes.size(), file);
     const bool failed = std::ferror(file) != 0;
     std::fclose(file);
     if (failed)
         return Status::internal("read error on " + path);
+    if (got != bytes.size())
+        return Status::internal("short read on " + path + ": " +
+                                std::to_string(got) + " of " +
+                                std::to_string(bytes.size()) + " bytes");
     return bytes;
 }
 

@@ -67,9 +67,16 @@ sealArtifact(ArtifactKind kind,
 /**
  * Validate an envelope (magic, version, sizes, checksum) and return
  * a view into `data`, which must outlive the view.
+ *
+ * With `enclosing`, the artifact sits inside a larger checksummed
+ * message: `*enclosing` holds that message's running FNV-1a hash up
+ * to `data` and, whatever the outcome, absorbs all `size` bytes, so
+ * the caller can finish and compare its own checksum. The payload is
+ * then hashed once for both checksums (`fnv1a64Pair`).
  */
 Expected<ArtifactView> openArtifact(const std::uint8_t *data,
-                                    std::size_t size);
+                                    std::size_t size,
+                                    std::uint64_t *enclosing = nullptr);
 
 Expected<ArtifactView>
 openArtifact(const std::vector<std::uint8_t> &bytes);

@@ -15,6 +15,20 @@ fnv1a64(const std::uint8_t *data, std::size_t size, std::uint64_t seed)
 }
 
 void
+fnv1a64Pair(const std::uint8_t *data, std::size_t size,
+            std::uint64_t *first, std::uint64_t *second)
+{
+    std::uint64_t a = *first;
+    std::uint64_t b = *second;
+    for (std::size_t i = 0; i < size; ++i) {
+        a = (a ^ data[i]) * 0x100000001b3ull;
+        b = (b ^ data[i]) * 0x100000001b3ull;
+    }
+    *first = a;
+    *second = b;
+}
+
+void
 BinaryWriter::writeString(const std::string &value)
 {
     writeU32(static_cast<std::uint32_t>(value.size()));
@@ -105,17 +119,6 @@ BinaryReader::readF64Vector()
             detail::loadLittle<std::uint64_t>(in + 8 * i));
     pos_ += 8 * static_cast<std::size_t>(count);
     return values;
-}
-
-std::vector<std::uint8_t>
-BinaryReader::readBytes(std::size_t size)
-{
-    if (!require(size))
-        return {};
-    std::vector<std::uint8_t> bytes(data_ + pos_,
-                                    data_ + pos_ + size);
-    pos_ += size;
-    return bytes;
 }
 
 std::uint32_t

@@ -26,9 +26,23 @@
 namespace dcmbqc
 {
 
+/** FNV-1a 64 offset basis: the seed of a hash over no bytes yet. */
+inline constexpr std::uint64_t fnv1a64Basis = 0xcbf29ce484222325ull;
+
 /** 64-bit FNV-1a hash (the artifact checksum / cache-key hash). */
 std::uint64_t fnv1a64(const std::uint8_t *data, std::size_t size,
-                      std::uint64_t seed = 0xcbf29ce484222325ull);
+                      std::uint64_t seed = fnv1a64Basis);
+
+/**
+ * Two FNV-1a 64 chains over the same bytes in one pass. `*first` and
+ * `*second` hold each chain's running hash (its seed on entry) and
+ * end as `fnv1a64(data, size, seed)` of their seeds. The two multiply
+ * chains do not depend on each other, so the pair costs about one
+ * pass: an artifact inside a checksummed message is hashed once for
+ * both checksums, and a cache key once with its verifier.
+ */
+void fnv1a64Pair(const std::uint8_t *data, std::size_t size,
+                 std::uint64_t *first, std::uint64_t *second);
 
 namespace detail
 {
@@ -187,13 +201,6 @@ class BinaryReader
     void readI32Vector(std::vector<std::int32_t> &values);
 
     std::vector<double> readF64Vector();
-
-    /**
-     * Read `size` raw bytes (no length prefix — the mirror of
-     * writeBytes for nested payloads). Returns an empty vector and
-     * latches an error when fewer bytes remain.
-     */
-    std::vector<std::uint8_t> readBytes(std::size_t size);
 
     /**
      * Read a u32 element count and verify the remaining bytes can

@@ -278,19 +278,14 @@ xDependenciesAcyclic(const Pattern &pattern)
 
 template <typename T, typename Decode>
 Expected<T>
-decodeArtifactAs(ArtifactKind kind,
-                 const std::vector<std::uint8_t> &bytes,
-                 Decode decode)
+decodeViewAs(ArtifactKind kind, const ArtifactView &view, Decode decode)
 {
-    auto view = openArtifact(bytes);
-    if (!view.ok())
-        return view.status();
-    if (view->kind != kind)
+    if (view.kind != kind)
         return Status::invalidArgument(
             std::string("artifact kind mismatch: expected ") +
             artifactKindName(kind) + ", found " +
-            artifactKindName(view->kind));
-    BinaryReader reader(view->payload, view->payloadSize);
+            artifactKindName(view.kind));
+    BinaryReader reader(view.payload, view.payloadSize);
     T value = decode(reader);
     if (!reader.ok())
         return reader.status();
@@ -300,6 +295,18 @@ decodeArtifactAs(ArtifactKind kind,
             std::to_string(reader.remaining()) +
             " trailing payload bytes");
     return value;
+}
+
+template <typename T, typename Decode>
+Expected<T>
+decodeArtifactAs(ArtifactKind kind,
+                 const std::vector<std::uint8_t> &bytes,
+                 Decode decode)
+{
+    auto view = openArtifact(bytes);
+    if (!view.ok())
+        return view.status();
+    return decodeViewAs<T>(kind, *view, decode);
 }
 
 template <typename Encode>
@@ -1208,6 +1215,13 @@ decodeCompileReportArtifact(const std::vector<std::uint8_t> &bytes)
 {
     return decodeArtifactAs<CompileReport>(ArtifactKind::CompileReport,
                                            bytes, decodeCompileReport);
+}
+
+Expected<CompileReport>
+decodeCompileReportArtifact(const ArtifactView &opened)
+{
+    return decodeViewAs<CompileReport>(ArtifactKind::CompileReport,
+                                       opened, decodeCompileReport);
 }
 
 std::vector<std::uint8_t>

@@ -123,6 +123,13 @@ encodeCompileReportArtifact(const CompileReport &report);
 Expected<CompileReport>
 decodeCompileReportArtifact(const std::vector<std::uint8_t> &bytes);
 
+/**
+ * Decode the report of an envelope `openArtifact` already checked
+ * (the daemon reply path, which checks it in the frame's pass).
+ */
+Expected<CompileReport>
+decodeCompileReportArtifact(const ArtifactView &opened);
+
 std::vector<std::uint8_t>
 encodeExecResultArtifact(const ExecResult &result);
 Expected<ExecResult>

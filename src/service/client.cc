@@ -100,6 +100,32 @@ spawnDetached(const std::vector<std::string> &argv)
 
 } // namespace
 
+Expected<ClientCompileResult>
+decodeReplyFrame(const Frame &frame)
+{
+    auto reply = decodeCompileReply(frame);
+    if (!reply.ok())
+        return reply.status();
+    if (!reply->status.ok())
+        return reply->status;
+    auto report = decodeCompileReportArtifact(reply->artifact);
+    if (!report.ok())
+        return report.status();
+
+    ClientCompileResult result;
+    result.report = std::move(report.value());
+    result.cacheHit = reply->cacheHit;
+    result.hotServed = reply->hotServed;
+    result.cacheKey = reply->cacheKey;
+    // Hot-served artifacts are shipped verbatim from the cache,
+    // which stores them as written by the original (miss)
+    // compilation; surface the reply envelope's view, exactly like
+    // an in-process replay does.
+    result.report.cacheHit = reply->cacheHit;
+    result.report.cacheKey = reply->cacheKey;
+    return result;
+}
+
 ServiceClient::~ServiceClient()
 {
     close();
@@ -151,31 +177,11 @@ ServiceClient::connectOrStart(
 }
 
 Expected<ClientCompileResult>
-ServiceClient::parseCompileReply(
-    const std::vector<std::uint8_t> &payload, const ServiceJob &job)
+ServiceClient::parseCompileReply(const Frame &frame, const ServiceJob &job)
 {
-    auto reply = decodeCompileReply(payload);
-    if (!reply.ok())
-        return reply.status();
-    if (!reply->status.ok())
-        return reply->status;
-
-    auto report = decodeCompileReportArtifact(reply->reportArtifact);
-    if (!report.ok())
-        return report.status();
-
-    ClientCompileResult result;
-    result.report = std::move(report.value());
-    result.cacheHit = reply->cacheHit;
-    result.hotServed = reply->hotServed;
-    result.cacheKey = reply->cacheKey;
-    // Hot-served artifacts are shipped verbatim from the cache,
-    // which stores them as written by the original (miss)
-    // compilation; surface the reply envelope's view and this
-    // request's label, exactly like an in-process replay does.
-    result.report.cacheHit = reply->cacheHit;
-    result.report.cacheKey = reply->cacheKey;
-    result.report.label = job.request->label();
+    auto result = decodeReplyFrame(frame);
+    if (result.ok())
+        result->report.label = job.request->label();
     return result;
 }
 
@@ -198,7 +204,7 @@ ServiceClient::awaitCompileReply(
             return Status::invalidArgument(
                 std::string("unexpected daemon frame type: ") +
                 frameTypeName(frame->type));
-        return parseCompileReply(frame->payload, job);
+        return parseCompileReply(*frame, job);
     }
 }
 
@@ -265,7 +271,7 @@ ServiceClient::compileCached(
         return Status::invalidArgument(
             std::string("unexpected daemon frame type: ") +
             frameTypeName(frame->type));
-    return parseCompileReply(frame->payload, job);
+    return parseCompileReply(*frame, job);
 }
 
 Expected<ClientCompileResult>
@@ -296,25 +302,9 @@ ServiceClient::fetch(std::uint64_t cache_key,
             std::string("unexpected daemon frame type: ") +
             frameTypeName(frame->type));
 
-    auto reply = decodeCompileReply(frame->payload);
-    if (!reply.ok())
-        return reply.status();
-    if (!reply->status.ok())
-        return reply->status;
-    auto report = decodeCompileReportArtifact(reply->reportArtifact);
-    if (!report.ok())
-        return report.status();
-
     // The artifact keeps the label of the request that produced it;
     // a by-key fetch has no request to restamp it from.
-    ClientCompileResult result;
-    result.report = std::move(report.value());
-    result.cacheHit = reply->cacheHit;
-    result.hotServed = reply->hotServed;
-    result.cacheKey = reply->cacheKey;
-    result.report.cacheHit = reply->cacheHit;
-    result.report.cacheKey = reply->cacheKey;
-    return result;
+    return decodeReplyFrame(*frame);
 }
 
 Expected<ServiceStats>

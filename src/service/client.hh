@@ -38,6 +38,14 @@ struct ClientCompileResult
     std::uint64_t cacheKey = 0;
 };
 
+/**
+ * Decode a `CompileReply` frame into API types, as the client does:
+ * the report comes straight from the frame buffer, its artifact
+ * checked by the frame read. A non-OK reply comes back as its
+ * status. The report keeps the label it was compiled under.
+ */
+Expected<ClientCompileResult> decodeReplyFrame(const Frame &frame);
+
 /** Client half of the dcmbqcd wire protocol. */
 class ServiceClient
 {
@@ -121,10 +129,9 @@ class ServiceClient
                       const std::function<void(const ProgressEvent &)>
                           &on_progress);
 
-    /** Decode a CompileReply payload back into API types. */
+    /** Decode a CompileReply frame, labelled with the job's label. */
     Expected<ClientCompileResult>
-    parseCompileReply(const std::vector<std::uint8_t> &payload,
-                      const ServiceJob &job);
+    parseCompileReply(const Frame &frame, const ServiceJob &job);
 
     int fd_ = -1;
 };

@@ -1,7 +1,10 @@
 #include "service/protocol.hh"
 
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -146,6 +149,138 @@ recvAll(int fd, std::uint8_t *data, std::size_t size,
     return done == size;
 }
 
+/**
+ * Send every byte of `iov[0, count)` with gathered writes, resuming
+ * after a partial one; a full non-blocking socket is waited on.
+ * MSG_NOSIGNAL turns a hung-up peer into an error instead of SIGPIPE.
+ */
+Status
+sendAll(int fd, iovec *iov, std::size_t count)
+{
+    for (;;) {
+        while (count > 0 && iov->iov_len == 0) {
+            ++iov;
+            --count;
+        }
+        if (count == 0)
+            return Status::okStatus();
+        msghdr message{};
+        message.msg_iov = iov;
+        message.msg_iovlen = count;
+        const ssize_t n = ::sendmsg(fd, &message, MSG_NOSIGNAL);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+            pollfd room{fd, POLLOUT, 0};
+            if (::poll(&room, 1, -1) >= 0 || errno == EINTR)
+                continue;
+        }
+        if (n <= 0)
+            return Status::unavailable(
+                std::string("service connection write failed: ") +
+                std::strerror(errno));
+        // Step past what was sent: whole entries, then the front of
+        // a partly sent one.
+        std::size_t sent = static_cast<std::size_t>(n);
+        while (sent > 0) {
+            const std::size_t step = std::min(sent, iov->iov_len);
+            iov->iov_base = static_cast<std::uint8_t *>(iov->iov_base) +
+                step;
+            iov->iov_len -= step;
+            sent -= step;
+            if (iov->iov_len == 0) {
+                ++iov;
+                --count;
+            }
+        }
+    }
+}
+
+/** The 16-byte frame header of a `size`-byte payload. */
+void
+writeFrameHeader(BinaryWriter &writer, FrameType type, std::uint64_t size)
+{
+    writer.writeBytes(frameMagic, sizeof(frameMagic));
+    writer.writeU16(serviceProtocolVersion);
+    writer.writeU16(static_cast<std::uint16_t>(type));
+    writer.writeU64(size);
+}
+
+constexpr std::uint8_t replyCacheHit = 1;
+constexpr std::uint8_t replyHotServed = 2;
+
+/** CompileReply fields ahead of the artifact bytes. */
+void
+writeReplyFields(BinaryWriter &writer, const Status &status,
+                 std::uint8_t flags, std::uint64_t key,
+                 std::size_t artifact_size)
+{
+    writeStatus(writer, status);
+    writer.writeU8(flags);
+    writer.writeU64(key);
+    writer.writeU64(artifact_size);
+}
+
+/** The fields of a CompileReply payload and where its artifact is. */
+struct ReplyFields
+{
+    Status status;
+    std::uint8_t flags = 0;
+    std::uint64_t cacheKey = 0;
+    std::size_t artifactAt = 0;
+    std::size_t artifactSize = 0;
+};
+
+/**
+ * Read the fields of the `size`-byte CompileReply payload `reader`
+ * starts on, up to its artifact; errors latch in `reader`.
+ */
+ReplyFields
+readReplyFields(BinaryReader &reader, std::size_t size)
+{
+    ReplyFields fields;
+    fields.status = readStatus(reader);
+    fields.flags = reader.readU8();
+    if ((fields.flags & ~(replyCacheHit | replyHotServed)) != 0)
+        reader.fail("invalid compile-reply flags byte " +
+                    std::to_string(fields.flags));
+    fields.cacheKey = reader.readU64();
+    const std::uint64_t artifact_size = reader.readU64();
+    if (reader.ok() && artifact_size > reader.remaining())
+        reader.fail("compile-reply artifact of " +
+                    std::to_string(artifact_size) +
+                    " bytes exceeds the remaining payload");
+    if (reader.ok()) {
+        fields.artifactAt = size - reader.remaining();
+        fields.artifactSize = static_cast<std::size_t>(artifact_size);
+    }
+    return fields;
+}
+
+/**
+ * FNV-1a checksum of `frame.payload`. The artifact of a CompileReply
+ * with an OK status is checked in the same pass into
+ * `frame.artifact`, so its bytes are hashed once for both checksums.
+ */
+std::uint64_t
+payloadChecksum(Frame &frame)
+{
+    const std::uint8_t *payload = frame.payload.data();
+    const std::size_t size = frame.payload.size();
+    if (frame.type == FrameType::CompileReply) {
+        BinaryReader reader(payload, size);
+        const ReplyFields fields = readReplyFields(reader, size);
+        if (reader.ok() && fields.status.ok()) {
+            std::uint64_t hash = fnv1a64(payload, fields.artifactAt);
+            frame.artifact = openArtifact(payload + fields.artifactAt,
+                                          fields.artifactSize, &hash);
+            const std::size_t end = fields.artifactAt + fields.artifactSize;
+            return fnv1a64(payload + end, size - end, hash);
+        }
+    }
+    return fnv1a64(payload, size);
+}
+
 } // namespace
 
 const char *
@@ -171,10 +306,7 @@ std::vector<std::uint8_t>
 encodeFrame(FrameType type, const std::vector<std::uint8_t> &payload)
 {
     BinaryWriter writer;
-    writer.writeBytes(frameMagic, sizeof(frameMagic));
-    writer.writeU16(serviceProtocolVersion);
-    writer.writeU16(static_cast<std::uint16_t>(type));
-    writer.writeU64(payload.size());
+    writeFrameHeader(writer, type, payload.size());
     writer.writeBytes(payload.data(), payload.size());
     writer.writeU64(fnv1a64(payload.data(), payload.size()));
     return writer.take();
@@ -217,16 +349,13 @@ decodeFrame(const std::uint8_t *data, std::size_t size,
             "holds " + std::to_string(size));
 
     const std::uint8_t *payload = data + frameHeaderSize;
-    BinaryReader trailer(payload + payload_size, frameTrailerSize);
-    const std::uint64_t stored = trailer.readU64();
-    const std::uint64_t computed = fnv1a64(payload, payload_size);
-    if (stored != computed)
-        return Status::invalidArgument(
-            "service frame checksum mismatch (corrupted in flight)");
-
     Frame frame;
     frame.type = static_cast<FrameType>(tag);
     frame.payload.assign(payload, payload + payload_size);
+    BinaryReader trailer(payload + payload_size, frameTrailerSize);
+    if (trailer.readU64() != payloadChecksum(frame))
+        return Status::invalidArgument(
+            "service frame checksum mismatch (corrupted in flight)");
     return frame;
 }
 
@@ -241,22 +370,16 @@ Status
 writeFrame(int fd, FrameType type,
            const std::vector<std::uint8_t> &payload)
 {
-    const std::vector<std::uint8_t> frame = encodeFrame(type, payload);
-    std::size_t done = 0;
-    while (done < frame.size()) {
-        const ssize_t n = ::send(fd, frame.data() + done,
-                                 frame.size() - done, MSG_NOSIGNAL);
-        if (n > 0) {
-            done += static_cast<std::size_t>(n);
-            continue;
-        }
-        if (n < 0 && errno == EINTR)
-            continue;
-        return Status::unavailable(
-            std::string("service connection write failed: ") +
-            std::strerror(errno));
-    }
-    return Status::okStatus();
+    BinaryWriter header;
+    writeFrameHeader(header, type, payload.size());
+    std::uint8_t trailer[frameTrailerSize];
+    detail::storeLittle(trailer, fnv1a64(payload.data(), payload.size()));
+    iovec iov[3] = {
+        {const_cast<std::uint8_t *>(header.bytes().data()), header.size()},
+        {const_cast<std::uint8_t *>(payload.data()), payload.size()},
+        {trailer, sizeof(trailer)},
+    };
+    return sendAll(fd, iov, 3);
 }
 
 Expected<Frame>
@@ -309,11 +432,44 @@ readFrame(int fd, std::size_t max_payload)
         return Status::invalidArgument(
             "service frame checksum truncated");
     BinaryReader checksum(trailer, sizeof(trailer));
-    if (checksum.readU64() !=
-        fnv1a64(frame.payload.data(), frame.payload.size()))
+    if (checksum.readU64() != payloadChecksum(frame))
         return Status::invalidArgument(
             "service frame checksum mismatch (corrupted in flight)");
     return frame;
+}
+
+Expected<HotReplyFrame>
+frameHotReply(std::uint64_t key, const std::vector<std::uint8_t> &artifact)
+{
+    BinaryWriter fields;
+    writeReplyFields(fields, Status::okStatus(),
+                     replyCacheHit | replyHotServed, key, artifact.size());
+    std::uint64_t hash = fnv1a64(fields.bytes().data(), fields.size());
+    auto checked = openArtifact(artifact.data(), artifact.size(), &hash);
+    if (!checked.ok())
+        return checked.status();
+
+    HotReplyFrame frame;
+    BinaryWriter head;
+    writeFrameHeader(head, FrameType::CompileReply,
+                     fields.size() + artifact.size());
+    head.writeBytes(fields.bytes().data(), fields.size());
+    frame.head = head.take();
+    frame.artifact = artifact.data();
+    frame.artifactSize = artifact.size();
+    detail::storeLittle(frame.trailer, hash);
+    return frame;
+}
+
+Status
+writeHotReply(int fd, const HotReplyFrame &frame)
+{
+    iovec iov[3] = {
+        {const_cast<std::uint8_t *>(frame.head.data()), frame.head.size()},
+        {const_cast<std::uint8_t *>(frame.artifact), frame.artifactSize},
+        {const_cast<std::uint8_t *>(frame.trailer), sizeof(frame.trailer)},
+    };
+    return sendAll(fd, iov, 3);
 }
 
 // --- ServiceJob ------------------------------------------------------------
@@ -463,46 +619,49 @@ std::vector<std::uint8_t>
 encodeCompileReply(const CompileReply &reply)
 {
     BinaryWriter writer;
-    writeStatus(writer, reply.status);
     std::uint8_t flags = 0;
     if (reply.cacheHit)
-        flags |= 1;
+        flags |= replyCacheHit;
     if (reply.hotServed)
-        flags |= 2;
-    writer.writeU8(flags);
-    writer.writeU64(reply.cacheKey);
-    writer.writeU64(reply.reportArtifact.size());
+        flags |= replyHotServed;
+    writeReplyFields(writer, reply.status, flags, reply.cacheKey,
+                     reply.reportArtifact.size());
     writer.writeBytes(reply.reportArtifact.data(),
                       reply.reportArtifact.size());
     return writer.take();
 }
 
-Expected<CompileReply>
-decodeCompileReply(const std::vector<std::uint8_t> &bytes)
+Expected<CompileReplyView>
+decodeCompileReply(const Frame &frame)
 {
-    BinaryReader reader(bytes);
-    CompileReply reply;
-    reply.status = readStatus(reader);
-    const std::uint8_t flags = reader.readU8();
-    if ((flags & ~0x03) != 0)
-        reader.fail("invalid compile-reply flags byte " +
-                    std::to_string(flags));
-    reply.cacheHit = (flags & 1) != 0;
-    reply.hotServed = (flags & 2) != 0;
-    reply.cacheKey = reader.readU64();
-    const std::uint64_t artifact_size = reader.readU64();
-    if (reader.ok() && artifact_size > reader.remaining())
-        reader.fail("compile-reply artifact of " +
-                    std::to_string(artifact_size) +
-                    " bytes exceeds the remaining payload");
-    else if (reader.ok())
-        reply.reportArtifact = reader.readBytes(
-            static_cast<std::size_t>(artifact_size));
+    if (frame.type != FrameType::CompileReply)
+        return Status::invalidArgument(
+            std::string("expected a compile-reply frame, got ") +
+            frameTypeName(frame.type));
+    BinaryReader reader(frame.payload);
+    const ReplyFields fields =
+        readReplyFields(reader, frame.payload.size());
     if (!reader.ok())
         return reader.status();
-    if (!reader.atEnd())
+    if (reader.remaining() != fields.artifactSize)
         return Status::invalidArgument(
             "compile-reply payload has trailing bytes");
+
+    CompileReplyView reply;
+    reply.status = fields.status;
+    reply.cacheHit = (fields.flags & replyCacheHit) != 0;
+    reply.hotServed = (fields.flags & replyHotServed) != 0;
+    reply.cacheKey = fields.cacheKey;
+    if (!reply.status.ok())
+        return reply;
+
+    const Expected<ArtifactView> view = frame.artifact
+        ? *frame.artifact
+        : openArtifact(frame.payload.data() + fields.artifactAt,
+                       fields.artifactSize);
+    if (!view.ok())
+        return view.status();
+    reply.artifact = *view;
     return reply;
 }
 

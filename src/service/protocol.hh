@@ -9,7 +9,7 @@
  *
  *   offset  size  field
  *        0     4  magic "DSVC"
- *        4     2  protocol version (u16, currently 3)
+ *        4     2  protocol version (u16, currently 4)
  *        6     2  frame type tag (u16)
  *        8     8  payload size in bytes (u64)
  *       16     n  payload (type-specific codec below)
@@ -18,10 +18,21 @@
  * `decodeFrame` / `readFrame` reject bad magic, version skew,
  * truncation, oversized payloads, and checksum mismatches through
  * the Status channel, so a corrupt or hostile byte stream never
- * reaches a message codec. The conversation is strictly
- * request/reply per connection; the only server-initiated frames are
- * `Progress` events streamed *before* the final `CompileReply` of a
- * compile the client asked to watch.
+ * reaches a message codec.
+ *
+ * A `CompileReply` that carries a report artifact (itself a
+ * checksummed DCMB envelope) is checked in one pass on both sides:
+ * the artifact's checksum and the frame's come from the same walk
+ * over the artifact bytes (`openArtifact` with an enclosing hash).
+ * The daemon frames a hot reply around the cached artifact and sends
+ * it with one gathered write once that pass has succeeded; the
+ * client's frame read checks the embedded artifact in its checksum
+ * pass and decodes the report from the frame buffer, without a copy.
+ *
+ * The conversation is strictly request/reply per connection; the
+ * only server-initiated frames are `Progress` events streamed
+ * *before* the final `CompileReply` of a compile the client asked to
+ * watch.
  */
 
 #ifndef DCMBQC_SERVICE_PROTOCOL_HH
@@ -38,6 +49,7 @@
 #include "core/pipeline.hh"
 #include "exec/options.hh"
 #include "noise/config.hh"
+#include "serialize/artifact.hh"
 
 namespace dcmbqc
 {
@@ -106,8 +118,24 @@ const char *frameTypeName(FrameType type);
 /** One decoded frame: its type tag plus the validated payload. */
 struct Frame
 {
+    Frame() = default;
+    Frame(Frame &&) = default;
+    Frame &operator=(Frame &&) = default;
+
+    /** A copy's artifact view would point into the original payload. */
+    Frame(const Frame &) = delete;
+    Frame &operator=(const Frame &) = delete;
+
     FrameType type = FrameType::Ping;
     std::vector<std::uint8_t> payload;
+
+    /**
+     * Set by `decodeFrame` / `readFrame` on a CompileReply with an OK
+     * status: the check of its report artifact, made in the pass that
+     * compared the frame checksum. A view points into `payload`, which
+     * must not be modified afterwards.
+     */
+    std::optional<Expected<ArtifactView>> artifact;
 };
 
 /** Wrap a payload into a checksummed frame buffer. */
@@ -144,6 +172,38 @@ Status writeFrame(int fd, FrameType type,
  */
 Expected<Frame>
 readFrame(int fd, std::size_t max_payload = serviceMaxFramePayload);
+
+/**
+ * A hot `CompileReply` framed around a borrowed artifact for one
+ * gathered write: frame header and reply fields, the artifact bytes
+ * where they lie, and the frame checksum. Its bytes are those of
+ * `encodeFrame(FrameType::CompileReply, encodeCompileReply(reply))`
+ * for the OK, cache-hit, hot-served reply carrying that artifact.
+ */
+struct HotReplyFrame
+{
+    std::vector<std::uint8_t> head;
+
+    /** The artifact, which must outlive this frame. */
+    const std::uint8_t *artifact = nullptr;
+    std::size_t artifactSize = 0;
+
+    std::uint8_t trailer[8] = {};
+};
+
+/**
+ * Frame the hot reply of `key` around `artifact`, checking the
+ * artifact's envelope in the pass that computes the frame checksum.
+ * An artifact that fails its check comes back as that Status.
+ */
+Expected<HotReplyFrame>
+frameHotReply(std::uint64_t key, const std::vector<std::uint8_t> &artifact);
+
+/**
+ * Send a framed hot reply with one gathered write, resuming after a
+ * partial one; failures as in `writeFrame`.
+ */
+Status writeHotReply(int fd, const HotReplyFrame &frame);
 
 // --- Messages --------------------------------------------------------------
 
@@ -255,8 +315,28 @@ struct CompileReply
 };
 
 std::vector<std::uint8_t> encodeCompileReply(const CompileReply &reply);
-Expected<CompileReply>
-decodeCompileReply(const std::vector<std::uint8_t> &bytes);
+
+/**
+ * A `CompileReply` read in place from its frame: the reply fields
+ * and, when `status` is OK, a view of the checked report artifact
+ * inside the frame payload.
+ */
+struct CompileReplyView
+{
+    Status status;
+    bool cacheHit = false;
+    bool hotServed = false;
+    std::uint64_t cacheKey = 0;
+    ArtifactView artifact;
+};
+
+/**
+ * Decode a `CompileReply` frame, the inverse of `encodeCompileReply`,
+ * without copying its artifact. The artifact check is the one the
+ * frame read made; a frame that did not come from `decodeFrame` /
+ * `readFrame` has it checked here.
+ */
+Expected<CompileReplyView> decodeCompileReply(const Frame &frame);
 
 /**
  * One streamed progress event (`Progress` frame payload): a pass

@@ -13,7 +13,6 @@
 #include "api/options.hh"
 #include "cache/cache_key.hh"
 #include "noise/model.hh"
-#include "serialize/artifact.hh"
 #include "serialize/codecs.hh"
 
 namespace dcmbqc
@@ -404,26 +403,22 @@ ServiceServer::serveHot(
     auto bytes = cache_->lookup(key);
     if (!bytes)
         return false;
-    if (!openArtifact(*bytes).ok()) {
+    // One pass over the cached artifact checks its envelope and
+    // computes the frame checksum; it ends before any byte is sent.
+    auto frame = frameHotReply(key, *bytes);
+    if (!frame.ok()) {
         cache_->discard(key);
         return false;
     }
 
-    CompileReply reply;
-    reply.status = Status::okStatus();
-    reply.cacheHit = true;
-    reply.hotServed = true;
-    reply.cacheKey = key;
-    reply.reportArtifact = std::move(*bytes);
     // Every metric of this reply is recorded before the bytes hit
     // the socket, so a client holding the reply sees it in stats.
     if (count_request)
         metrics_.recordCompileRequest(/*execute=*/false);
-    metrics_.recordOutcome(reply.status, /*cache_hit=*/true,
+    metrics_.recordOutcome(Status::okStatus(), /*cache_hit=*/true,
                            /*hot_served=*/true);
     metrics_.recordLatency(millisSince(received));
-    (void)writeFrame(fd, FrameType::CompileReply,
-                     encodeCompileReply(reply));
+    (void)writeHotReply(fd, *frame);
     return true;
 }
 

@@ -17,9 +17,10 @@
  * Warm-hit fast path: the server keeps a map from cache key to the
  * verifier hash it has already validated. A compile-only request
  * whose key *and* verifier match ships the cached artifact bytes
- * straight from the cache — envelope checksum only, no decode, no
- * worker dispatch — so a daemon warm hit costs the same as an
- * in-process warm hit plus a few syscalls.
+ * straight from the cache — no decode, no worker dispatch, and one
+ * pass over the artifact that checks its envelope and computes the
+ * frame checksum before one gathered write — so a daemon warm hit
+ * costs the same as an in-process warm hit plus a few syscalls.
  *
  * Shutdown is drain-only: `requestDrain()` (async-signal-safe, also
  * triggered by a client `Drain` frame) stops accepting, lets every

@@ -355,6 +355,62 @@ TEST(NoiseExec, ZeroNoiseConfigsAreBitIdenticalOnEveryBackend)
     }
 }
 
+TEST(NoiseExec, NoiseThatDrawsNothingKeepsTheExactProbabilities)
+{
+    // Fusion failure charged per fusion attempt (remote_only 0) is a
+    // non-vacuous config, but the schedule-free exposure of
+    // `stabilizer` and `statevector` has no fusions: the channel can
+    // neither lose a photon nor flip a bit, so the run must be the
+    // noise-free run, exact probabilities and notes included.
+    const CompilerDriver driver(CompileOptions().numQpus(2).seed(3));
+    const auto request = CompileRequest::fromCircuit(
+        makeRandomCliffordCircuit(4, 16, 2), "noise-draws-nothing");
+    auto report = driver.compile(request);
+    ASSERT_TRUE(report.ok()) << report.status().toString();
+    const ExecProgram program =
+        ExecProgram::fromRequest(request).withSchedule(
+            report->result());
+
+    NoiseConfig fusion;
+    fusion.add("fusion", {{"failure_rate", 0.02}, {"remote_only", 0.0}});
+    for (const std::string &backend :
+         {std::string("statevector"), std::string("stabilizer")}) {
+        SCOPED_TRACE(backend);
+        ExecOptions plain;
+        plain.backend = backend;
+        plain.shots = 3000;
+        plain.seed = 7;
+        plain.numThreads = 2;
+        ExecOptions noisy = plain;
+        noisy.noise = fusion;
+        auto base = driver.execute(program, plain);
+        auto with_fusion = driver.execute(program, noisy);
+        ASSERT_TRUE(base.ok()) << base.status().toString();
+        ASSERT_TRUE(with_fusion.ok())
+            << with_fusion.status().toString();
+        EXPECT_FALSE(with_fusion->probabilities.empty());
+        EXPECT_EQ(with_fusion->notes, base->notes);
+        base->wallMillis = 0.0;
+        with_fusion->wallMillis = 0.0;
+        EXPECT_EQ(encodeExecResultArtifact(*with_fusion),
+                  encodeExecResultArtifact(*base));
+    }
+
+    // mc-loss keeps the caller's config: on the schedule's exposure
+    // every fusion attempt can fail.
+    ExecOptions loss;
+    loss.backend = "mc-loss";
+    loss.shots = 3000;
+    loss.seed = 7;
+    loss.noise = fusion;
+    auto sampled = driver.execute(program, loss);
+    ASSERT_TRUE(sampled.ok()) << sampled.status().toString();
+    EXPECT_NE(std::find(sampled->notes.begin(), sampled->notes.end(),
+                        "noise model: fusion"),
+              sampled->notes.end());
+    EXPECT_GT(sampled->lostShots, 0);
+}
+
 TEST(NoiseExec, NoisyRunsAreDeterministicAcrossWorkerCounts)
 {
     const CompilerDriver driver(CompileOptions().seed(5));

@@ -26,9 +26,17 @@
  * a per-shot buffer, and a ThreadPool asked for 600 workers runs its
  * jobs on the threads the OS grants.
  *
- * Each fixture's cases, and each config, exec and resource case, run
- * in a forked child, so an abort or a crash fails the test and names
- * the case instead of killing the test runner.
+ * Frame part: a real hot CompileReply frame, as the daemon frames
+ * it, is mutated the same ways, either as corrupted in flight, or
+ * re-sealed with a valid frame checksum, or with valid artifact and
+ * frame checksums. Each case goes through `decodeFrame` and the
+ * client's reply decode; the only allowed outcomes are a decoded
+ * report or a non-OK Status.
+ *
+ * Each fixture's cases, each frame mode's cases, and each config,
+ * exec and resource case, run in a forked child, so an abort or a
+ * crash fails the test and names the case instead of killing the
+ * test runner.
  */
 
 #include <gtest/gtest.h>
@@ -55,6 +63,8 @@
 #include "common/thread_pool.hh"
 #include "serialize/artifact.hh"
 #include "serialize/codecs.hh"
+#include "service/client.hh"
+#include "service/protocol.hh"
 
 #ifndef DCMBQC_GOLDEN_DIR
 #define DCMBQC_GOLDEN_DIR "tests/golden"
@@ -245,6 +255,46 @@ runCases(int fd, ArtifactKind kind,
     ::_exit(0);
 }
 
+/**
+ * Fork a child running `body` on the write end of a pipe, where it
+ * reports a `Progress` record before each case and once at the end,
+ * then exits. Returns how the child ended ("" when it exited 0) and
+ * leaves its last record in `*last`.
+ */
+std::string
+runCaseChild(const std::function<void(int)> &body, Progress *last)
+{
+    int fds[2];
+    if (::pipe(fds) != 0)
+        return "could not get a pipe";
+    std::fflush(nullptr);
+    const pid_t child = ::fork();
+    if (child < 0)
+        return "could not fork";
+    if (child == 0) {
+        ::close(fds[0]);
+        body(fds[1]);
+        ::_exit(1);
+    }
+    ::close(fds[1]);
+    Progress record;
+    while (::read(fds[0], &record, sizeof(record)) ==
+           static_cast<ssize_t>(sizeof(record)))
+        *last = record;
+    ::close(fds[0]);
+    int status = 0;
+    if (::waitpid(child, &status, 0) != child)
+        return "could not be waited for";
+    if (WIFSIGNALED(status))
+        return "was killed by signal " + std::to_string(WTERMSIG(status));
+    if (WEXITSTATUS(status) == kEnvelopeRejected)
+        return "exited with code " + std::to_string(kEnvelopeRejected) +
+            " (a re-sealed mutation failed the envelope)";
+    if (WEXITSTATUS(status) != 0)
+        return "exited with code " + std::to_string(WEXITSTATUS(status));
+    return "";
+}
+
 TEST(ArtifactRobustness, MutatedFixturesDecodeOrFailWithAStatus)
 {
     const auto fixtures = goldenFixtures();
@@ -267,35 +317,10 @@ TEST(ArtifactRobustness, MutatedFixturesDecodeOrFailWithAStatus)
             view->payload, view->payload + view->payloadSize);
         ASSERT_TRUE(decodeAs(kind, *bytes).ok());
 
-        int fds[2];
-        ASSERT_EQ(::pipe(fds), 0);
-        std::fflush(nullptr);
-        const pid_t child = ::fork();
-        ASSERT_GE(child, 0);
-        if (child == 0) {
-            ::close(fds[0]);
-            runCases(fds[1], kind, payload, seed);
-        }
-        ::close(fds[1]);
         Progress last{-1, 0};
-        Progress record;
-        while (::read(fds[0], &record, sizeof(record)) ==
-               static_cast<ssize_t>(sizeof(record)))
-            last = record;
-        ::close(fds[0]);
-        int status = 0;
-        ASSERT_EQ(::waitpid(child, &status, 0), child);
-
-        const bool clean = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-        if (!clean) {
-            std::string how = WIFSIGNALED(status)
-                ? "was killed by signal " +
-                    std::to_string(WTERMSIG(status))
-                : "exited with code " +
-                    std::to_string(WEXITSTATUS(status));
-            if (WIFEXITED(status) &&
-                WEXITSTATUS(status) == kEnvelopeRejected)
-                how += " (a re-sealed mutation failed the envelope)";
+        const std::string how = runCaseChild(
+            [&](int fd) { runCases(fd, kind, payload, seed); }, &last);
+        if (!how.empty()) {
             const std::string mutation =
                 last.index >= 0 && last.index < kCasesPerFixture
                 ? describe(drawMutation(seed, last.index,
@@ -312,6 +337,150 @@ TEST(ArtifactRobustness, MutatedFixturesDecodeOrFailWithAStatus)
                     name.c_str(), artifactKindName(kind),
                     kCasesPerFixture, last.decoded,
                     kCasesPerFixture - last.decoded);
+    }
+}
+
+constexpr int kFrameCasesPerMode = 1000;
+
+/** The checksums a mutated hot-reply frame is re-sealed with. */
+enum class Reseal
+{
+    /** None: the bytes as corrupted in flight. */
+    None,
+    /** The frame's: the reply fields and the artifact's envelope. */
+    Frame,
+    /** The artifact's and the frame's: the report's decoder. */
+    ArtifactAndFrame,
+};
+
+const char *
+resealName(Reseal reseal)
+{
+    switch (reseal) {
+      case Reseal::None: return "none";
+      case Reseal::Frame: return "frame";
+      case Reseal::ArtifactAndFrame: return "artifact+frame";
+    }
+    return "?";
+}
+
+/** The hot reply of `artifact`, framed as the daemon frames it. */
+std::vector<std::uint8_t>
+hotReplyFrame(const std::vector<std::uint8_t> &artifact)
+{
+    auto frame = frameHotReply(0x5eedull, artifact);
+    if (!frame.ok())
+        return {};
+    std::vector<std::uint8_t> bytes = frame->head;
+    bytes.insert(bytes.end(), frame->artifact,
+                 frame->artifact + frame->artifactSize);
+    bytes.insert(bytes.end(), frame->trailer,
+                 frame->trailer + sizeof(frame->trailer));
+    return bytes;
+}
+
+/** Case `index` of a mode: one mutation, re-sealed per `reseal`. */
+std::vector<std::uint8_t>
+mutatedReplyFrame(const std::vector<std::uint8_t> &artifact,
+                  Reseal reseal, std::uint64_t seed, int index)
+{
+    if (reseal == Reseal::None) {
+        const auto bytes = hotReplyFrame(artifact);
+        return applyMutation(bytes,
+                             drawMutation(seed, index, bytes.size()));
+    }
+    CompileReply reply;
+    reply.status = Status::okStatus();
+    reply.cacheHit = true;
+    reply.hotServed = true;
+    reply.cacheKey = 0x5eedull;
+    reply.reportArtifact = artifact;
+    if (reseal == Reseal::ArtifactAndFrame) {
+        auto view = openArtifact(artifact);
+        const std::vector<std::uint8_t> payload(
+            view->payload, view->payload + view->payloadSize);
+        reply.reportArtifact = sealArtifact(
+            ArtifactKind::CompileReport,
+            applyMutation(payload,
+                          drawMutation(seed, index, payload.size())));
+        return encodeFrame(FrameType::CompileReply,
+                           encodeCompileReply(reply));
+    }
+    const auto payload = encodeCompileReply(reply);
+    return encodeFrame(
+        FrameType::CompileReply,
+        applyMutation(payload, drawMutation(seed, index, payload.size())));
+}
+
+/**
+ * Child body: decode every case of one mode as the client does, the
+ * frame and then the reply, reporting progress on `fd`. A re-sealed
+ * case must get past the checksums it was sealed with.
+ */
+[[noreturn]] void
+runFrameCases(int fd, const std::vector<std::uint8_t> &artifact,
+              Reseal reseal, std::uint64_t seed)
+{
+    Progress progress{0, 0};
+    for (int i = 0; i < kFrameCasesPerMode; ++i) {
+        progress.index = i;
+        if (::write(fd, &progress, sizeof(progress)) !=
+            static_cast<ssize_t>(sizeof(progress)))
+            ::_exit(1);
+        auto frame =
+            decodeFrame(mutatedReplyFrame(artifact, reseal, seed, i));
+        const bool sealed = reseal != Reseal::None;
+        if (sealed && !frame.ok())
+            ::_exit(kEnvelopeRejected);
+        if (!frame.ok())
+            continue;
+        if (reseal == Reseal::ArtifactAndFrame &&
+            !(frame->artifact && frame->artifact->ok()))
+            ::_exit(kEnvelopeRejected);
+        if (decodeReplyFrame(*frame).ok())
+            ++progress.decoded;
+    }
+    progress.index = kFrameCasesPerMode;
+    if (::write(fd, &progress, sizeof(progress)) !=
+        static_cast<ssize_t>(sizeof(progress)))
+        ::_exit(1);
+    ::_exit(0);
+}
+
+TEST(FrameRobustness, MutatedHotRepliesDecodeOrFailWithAStatus)
+{
+    const CompilerDriver driver(
+        CompileOptions().numQpus(2).gridSize(7).seed(1));
+    auto report =
+        driver.compile(CompileRequest::fromCircuit(makeQft(8), "qft-8"));
+    ASSERT_TRUE(report.ok()) << report.status().toString();
+    const auto artifact = encodeCompileReportArtifact(*report);
+    auto frame = decodeFrame(hotReplyFrame(artifact));
+    ASSERT_TRUE(frame.ok()) << frame.status().toString();
+    ASSERT_TRUE(decodeReplyFrame(*frame).ok());
+
+    for (const Reseal reseal :
+         {Reseal::None, Reseal::Frame, Reseal::ArtifactAndFrame}) {
+        const std::string name =
+            std::string("hot-reply/") + resealName(reseal);
+        SCOPED_TRACE(name);
+        const std::uint64_t seed = fnv1a64(
+            reinterpret_cast<const std::uint8_t *>(name.data()),
+            name.size());
+        Progress last{-1, 0};
+        const std::string how = runCaseChild(
+            [&](int fd) { runFrameCases(fd, artifact, reseal, seed); },
+            &last);
+        if (!how.empty()) {
+            ADD_FAILURE() << name << ": the decoder child " << how
+                          << " on case " << last.index;
+            continue;
+        }
+        EXPECT_EQ(last.index, kFrameCasesPerMode);
+        std::printf("[ robust   ] %-22s compile-reply: %d mutations, "
+                    "%d decoded, %d rejected\n",
+                    name.c_str(), kFrameCasesPerMode, last.decoded,
+                    kFrameCasesPerMode - last.decoded);
     }
 }
 

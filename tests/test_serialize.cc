@@ -552,5 +552,31 @@ TEST(SerializeFile, MissingFileIsStatusNotAbort)
     EXPECT_EQ(loaded.status().code(), StatusCode::InvalidArgument);
 }
 
+TEST(SerializeFile, LoadsEmptyTinyAndLargeFilesWhole)
+{
+    const std::string path =
+        ::testing::TempDir() + "serialize_sizes.bin";
+    for (const std::size_t size :
+         {std::size_t(0), std::size_t(1), std::size_t(3) << 19}) {
+        SCOPED_TRACE(size);
+        std::vector<std::uint8_t> bytes(size);
+        for (std::size_t i = 0; i < size; ++i)
+            bytes[i] = static_cast<std::uint8_t>(i * 131 + 7);
+        ASSERT_TRUE(saveArtifactFile(path, bytes).ok());
+        auto loaded = loadArtifactFile(path);
+        ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
+        EXPECT_EQ(*loaded, bytes);
+    }
+    std::remove(path.c_str());
+}
+
+TEST(SerializeFile, DirectoryIsStatusNotAbort)
+{
+    auto loaded = loadArtifactFile(::testing::TempDir());
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_NE(loaded.status().message().find(::testing::TempDir()),
+              std::string::npos);
+}
+
 } // namespace
 } // namespace dcmbqc

@@ -210,6 +210,49 @@ TEST(ServiceServerApi, FetchByContentAddress)
               StatusCode::FailedPrecondition);
 }
 
+TEST(ServiceServerApi, CorruptedHotArtifactIsDiscardedNotServed)
+{
+    Harness h(basicConfig("corrupt"));
+    const ServiceJob job = qftJob(6, "corrupt");
+    auto miss = h.client.compile(job);
+    ASSERT_TRUE(miss.ok()) << miss.status().toString();
+    const std::uint64_t key = miss->cacheKey;
+
+    // A payload byte (checksum mismatch) and the magic (bad envelope),
+    // each through the resend and the probe path.
+    for (const std::size_t at : {std::size_t(40), std::size_t(0)}) {
+        for (const bool probe : {false, true}) {
+            SCOPED_TRACE(std::string(probe ? "probe" : "resend") +
+                         ", byte " + std::to_string(at));
+            auto cached = h.server.cache()->lookup(key);
+            ASSERT_TRUE(cached.has_value());
+            std::vector<std::uint8_t> corrupted = *cached;
+            corrupted[at] ^= 0x10;
+            h.server.cache()->insert(key, corrupted);
+            const ServiceStats before = h.server.statsSnapshot();
+
+            // The check fails before a reply byte is sent, so the
+            // worker path answers on a clean stream.
+            auto reply = probe ? h.client.compileCached(job)
+                               : h.client.compile(job);
+            ASSERT_TRUE(reply.ok()) << reply.status().toString();
+            EXPECT_FALSE(reply->hotServed);
+            EXPECT_FALSE(reply->cacheHit);
+            expectSameDistributedResult(miss->report.result(),
+                                        reply->report.result());
+            const ServiceStats after = h.server.statsSnapshot();
+            EXPECT_EQ(after.hotReplies, before.hotReplies);
+            EXPECT_EQ(after.failed, before.failed);
+
+            // The recompiled artifact replaced the corrupted one.
+            auto hot = h.client.compile(job);
+            ASSERT_TRUE(hot.ok()) << hot.status().toString();
+            EXPECT_TRUE(hot->hotServed);
+            EXPECT_TRUE(h.client.ping().ok());
+        }
+    }
+}
+
 TEST(ServiceServerApi, StreamedProgressCoversEveryPass)
 {
     Harness h(basicConfig("progress"));
@@ -378,7 +421,7 @@ TEST(ServiceServerApi, RepeatedGateQubitFailsTheRequestNotTheServer)
     ::close(fd);
     ASSERT_TRUE(frame.ok()) << frame.status().toString();
     ASSERT_EQ(frame->type, FrameType::CompileReply);
-    auto reply = decodeCompileReply(frame->payload);
+    auto reply = decodeCompileReply(*frame);
     ASSERT_TRUE(reply.ok()) << reply.status().toString();
     EXPECT_EQ(reply->status.code(), StatusCode::InvalidArgument);
     EXPECT_NE(reply->status.message().find("gate 1"),
@@ -428,7 +471,7 @@ TEST(ServiceServerApi, NanAngleFailsTheRequestNotTheServer)
     ::close(fd);
     ASSERT_TRUE(frame.ok()) << frame.status().toString();
     ASSERT_EQ(frame->type, FrameType::CompileReply);
-    auto reply = decodeCompileReply(frame->payload);
+    auto reply = decodeCompileReply(*frame);
     ASSERT_TRUE(reply.ok()) << reply.status().toString();
     EXPECT_EQ(reply->status.code(), StatusCode::InvalidArgument);
     EXPECT_NE(reply->status.message().find("gate 1"),

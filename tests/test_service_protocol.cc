@@ -4,22 +4,28 @@
  * envelope round trips and rejection of corrupt/truncated/oversized
  * frames through the Status channel, the message codecs (ServiceJob
  * for all three compile entry points, CompileReply, CacheProbe,
- * ProgressEvent, ServiceStats), and streamed framing over a real
- * socket pair.
+ * ProgressEvent, ServiceStats), streamed framing over a real socket
+ * pair, and the hot CompileReply: its gathered write, and the one
+ * pass that checks the frame and its embedded artifact.
  */
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstring>
+#include <random>
 #include <thread>
 
+#include "api/api.hh"
 #include "circuit/generators.hh"
 #include "circuit/huge_generators.hh"
 #include "mbqc/dependency.hh"
 #include "mbqc/pattern_builder.hh"
+#include "serialize/binary.hh"
+#include "serialize/codecs.hh"
 #include "service/protocol.hh"
 
 namespace dcmbqc
@@ -359,6 +365,16 @@ TEST(CacheProbeCodec, RejectsWrongSize)
 
 // --- CompileReply ----------------------------------------------------------
 
+/** A CompileReply payload as the client reads it: framed, checked. */
+Frame
+replyFrame(const std::vector<std::uint8_t> &payload)
+{
+    auto frame =
+        decodeFrame(encodeFrame(FrameType::CompileReply, payload));
+    EXPECT_TRUE(frame.ok()) << frame.status().toString();
+    return frame.ok() ? std::move(frame).value() : Frame();
+}
+
 TEST(CompileReplyCodec, RoundTripsSuccess)
 {
     CompileReply reply;
@@ -366,15 +382,19 @@ TEST(CompileReplyCodec, RoundTripsSuccess)
     reply.cacheHit = true;
     reply.hotServed = true;
     reply.cacheKey = 42;
-    reply.reportArtifact = somePayload();
-    const auto bytes = encodeCompileReply(reply);
-    auto decoded = decodeCompileReply(bytes);
+    reply.reportArtifact =
+        sealArtifact(ArtifactKind::CompileReport, somePayload());
+    const Frame frame = replyFrame(encodeCompileReply(reply));
+    auto decoded = decodeCompileReply(frame);
     ASSERT_TRUE(decoded.ok()) << decoded.status().toString();
     EXPECT_TRUE(decoded->status.ok());
     EXPECT_TRUE(decoded->cacheHit);
     EXPECT_TRUE(decoded->hotServed);
     EXPECT_EQ(decoded->cacheKey, 42u);
-    EXPECT_EQ(decoded->reportArtifact, somePayload());
+    const ArtifactView &artifact = decoded->artifact;
+    EXPECT_EQ(std::vector<std::uint8_t>(
+                  artifact.payload, artifact.payload + artifact.payloadSize),
+              somePayload());
 }
 
 TEST(CompileReplyCodec, RoundTripsEveryStatusCode)
@@ -388,7 +408,8 @@ TEST(CompileReplyCodec, RoundTripsEveryStatusCode)
     for (const Status &status : statuses) {
         CompileReply reply;
         reply.status = status;
-        auto decoded = decodeCompileReply(encodeCompileReply(reply));
+        const Frame frame = replyFrame(encodeCompileReply(reply));
+        auto decoded = decodeCompileReply(frame);
         ASSERT_TRUE(decoded.ok());
         EXPECT_EQ(decoded->status.code(), status.code());
         EXPECT_EQ(decoded->status.message(), status.message());
@@ -407,12 +428,290 @@ TEST(CompileReplyCodec, RejectsBadFlagsAndArtifactOverrun)
     auto bad_flags = bytes;
     ASSERT_EQ(bad_flags[flags_at], 0u);
     bad_flags[flags_at] = 0xF0;
-    EXPECT_FALSE(decodeCompileReply(bad_flags).ok());
+    EXPECT_FALSE(decodeCompileReply(replyFrame(bad_flags)).ok());
 
     // Artifact length promising more bytes than the payload holds.
     auto overrun = bytes;
     overrun[flags_at + 1 + 8] = 0xFF;
-    EXPECT_FALSE(decodeCompileReply(overrun).ok());
+    EXPECT_FALSE(decodeCompileReply(replyFrame(overrun)).ok());
+}
+
+// --- The hot CompileReply --------------------------------------------------
+
+TEST(FnvPair, EqualsTwoSingleChains)
+{
+    std::mt19937_64 rng(26);
+    std::vector<std::uint8_t> bytes(257);
+    for (std::uint8_t &byte : bytes)
+        byte = static_cast<std::uint8_t>(rng());
+    for (std::size_t size = 0; size <= bytes.size(); ++size) {
+        const std::uint64_t first_seed = rng();
+        const std::uint64_t second_seed = rng();
+        std::uint64_t first = first_seed;
+        std::uint64_t second = second_seed;
+        fnv1a64Pair(bytes.data(), size, &first, &second);
+        EXPECT_EQ(first, fnv1a64(bytes.data(), size, first_seed)) << size;
+        EXPECT_EQ(second, fnv1a64(bytes.data(), size, second_seed))
+            << size;
+    }
+}
+
+/** A compiled report artifact, as the daemon's cache holds it. */
+const std::vector<std::uint8_t> &
+reportArtifact()
+{
+    static const std::vector<std::uint8_t> bytes = [] {
+        const CompilerDriver driver(
+            CompileOptions().numQpus(2).gridSize(9).seed(1));
+        auto report = driver.compile(
+            CompileRequest::fromCircuit(makeQft(16), "qft-16"));
+        EXPECT_TRUE(report.ok()) << report.status().toString();
+        return report.ok() ? encodeCompileReportArtifact(*report)
+                           : std::vector<std::uint8_t>{};
+    }();
+    return bytes;
+}
+
+/** The reply the daemon hot-serves for `key`. */
+CompileReply
+hotReply(std::uint64_t key)
+{
+    CompileReply reply;
+    reply.status = Status::okStatus();
+    reply.cacheHit = true;
+    reply.hotServed = true;
+    reply.cacheKey = key;
+    reply.reportArtifact = reportArtifact();
+    return reply;
+}
+
+std::vector<std::uint8_t>
+hotFrameBytes(std::uint64_t key)
+{
+    return encodeFrame(FrameType::CompileReply,
+                       encodeCompileReply(hotReply(key)));
+}
+
+/** Everything `fd` receives until the peer closes it. */
+std::vector<std::uint8_t>
+receiveAll(int fd)
+{
+    std::vector<std::uint8_t> received;
+    std::uint8_t chunk[1024];
+    for (;;) {
+        const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+        if (n <= 0)
+            return received;
+        received.insert(received.end(), chunk, chunk + n);
+    }
+}
+
+TEST(HotReply, FramedBytesEqualTheEncodedFrame)
+{
+    const CompileReply reply = hotReply(0xfeedull);
+    auto frame = frameHotReply(reply.cacheKey, reply.reportArtifact);
+    ASSERT_TRUE(frame.ok()) << frame.status().toString();
+    std::vector<std::uint8_t> gathered = frame->head;
+    gathered.insert(gathered.end(), frame->artifact,
+                    frame->artifact + frame->artifactSize);
+    gathered.insert(gathered.end(), frame->trailer,
+                    frame->trailer + sizeof(frame->trailer));
+    EXPECT_EQ(gathered, hotFrameBytes(reply.cacheKey));
+    // The artifact is borrowed, not copied.
+    EXPECT_EQ(frame->artifact, reply.reportArtifact.data());
+}
+
+TEST(HotReply, GatheredWriteResumesAfterPartialWrites)
+{
+    const CompileReply reply = hotReply(0xfeedull);
+    const auto expected = hotFrameBytes(reply.cacheKey);
+    auto frame = frameHotReply(reply.cacheKey, reply.reportArtifact);
+    ASSERT_TRUE(frame.ok()) << frame.status().toString();
+
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    // A non-blocking sender with a send buffer a fraction of the
+    // reply: each sendmsg takes only part of it.
+    int small = 4096;
+    ASSERT_EQ(::setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &small,
+                           sizeof(small)),
+              0);
+    int actual = 0;
+    socklen_t length = sizeof(actual);
+    ASSERT_EQ(::getsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &actual,
+                           &length),
+              0);
+    ASSERT_LT(static_cast<std::size_t>(actual), expected.size() / 8);
+    ASSERT_EQ(::fcntl(fds[0], F_SETFL, O_NONBLOCK), 0);
+
+    std::vector<std::uint8_t> received;
+    std::thread reader([&] { received = receiveAll(fds[1]); });
+    const Status sent = writeHotReply(fds[0], *frame);
+    ::close(fds[0]);
+    reader.join();
+    ::close(fds[1]);
+    ASSERT_TRUE(sent.ok()) << sent.toString();
+    EXPECT_EQ(received, expected);
+}
+
+TEST(HotReply, FrameReadChecksTheArtifactInItsPass)
+{
+    const CompileReply reply = hotReply(0xbeefull);
+    auto frame = frameHotReply(reply.cacheKey, reply.reportArtifact);
+    ASSERT_TRUE(frame.ok()) << frame.status().toString();
+
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    Status sent;
+    std::thread writer(
+        [&] { sent = writeHotReply(fds[0], *frame); });
+    auto read = readFrame(fds[1]);
+    writer.join();
+    ::close(fds[0]);
+    ::close(fds[1]);
+    ASSERT_TRUE(sent.ok()) << sent.toString();
+    ASSERT_TRUE(read.ok()) << read.status().toString();
+    ASSERT_TRUE(read->artifact.has_value());
+    ASSERT_TRUE(read->artifact->ok())
+        << read->artifact->status().toString();
+
+    auto decoded = decodeCompileReply(*read);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().toString();
+    EXPECT_TRUE(decoded->status.ok());
+    EXPECT_TRUE(decoded->cacheHit);
+    EXPECT_TRUE(decoded->hotServed);
+    EXPECT_EQ(decoded->cacheKey, reply.cacheKey);
+    // The artifact view points into the frame buffer: no copy.
+    const std::uint8_t *begin = read->payload.data();
+    EXPECT_GE(decoded->artifact.payload, begin);
+    EXPECT_LE(decoded->artifact.payload + decoded->artifact.payloadSize,
+              begin + read->payload.size());
+    EXPECT_EQ(decoded->artifact.kind, ArtifactKind::CompileReport);
+    EXPECT_TRUE(decodeCompileReportArtifact(decoded->artifact).ok());
+}
+
+TEST(HotReply, AByteFlippedInAnyRegionFailsTheFrameChecksum)
+{
+    const std::uint64_t key = 0x5eedull;
+    const auto good = hotFrameBytes(key);
+    const std::size_t artifact_size = reportArtifact().size();
+    const std::size_t artifact_at = good.size() - 8 - artifact_size;
+    const std::size_t payload_at = artifact_at + 16;
+    const std::size_t trailer_at = artifact_at + artifact_size - 8;
+    struct Region
+    {
+        const char *name;
+        std::size_t begin;
+        std::size_t end;
+    };
+    const Region regions[] = {
+        {"reply fields", 16, artifact_at},
+        {"artifact header", artifact_at, payload_at},
+        {"artifact payload", payload_at, payload_at + 64},
+        {"artifact trailer", trailer_at, trailer_at + 8},
+        {"frame trailer", good.size() - 8, good.size()},
+    };
+    const std::string mismatch =
+        "service frame checksum mismatch (corrupted in flight)";
+    for (const Region &region : regions) {
+        for (std::size_t at = region.begin; at < region.end; ++at) {
+            SCOPED_TRACE(std::string(region.name) + " byte " +
+                         std::to_string(at));
+            auto bytes = good;
+            bytes[at] ^= 0x40;
+            auto frame = decodeFrame(bytes);
+            ASSERT_FALSE(frame.ok());
+            EXPECT_EQ(frame.status().message(), mismatch);
+        }
+        // The streamed read rejects it the same way.
+        auto bytes = good;
+        bytes[region.begin] ^= 0x40;
+        int fds[2];
+        ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+        std::thread writer([&] {
+            (void)::send(fds[0], bytes.data(), bytes.size(),
+                         MSG_NOSIGNAL);
+        });
+        auto frame = readFrame(fds[1]);
+        writer.join();
+        ::close(fds[0]);
+        ::close(fds[1]);
+        ASSERT_FALSE(frame.ok()) << region.name;
+        EXPECT_EQ(frame.status().message(), mismatch) << region.name;
+    }
+}
+
+TEST(HotReply, ResealedCorruptArtifactFailsTheReplyDecode)
+{
+    // A frame whose checksum holds but whose artifact does not reads
+    // back; decoding the reply then fails with the artifact check.
+    const std::size_t payload_at = 16 + 8;
+    auto corrupt = hotReply(9);
+    corrupt.reportArtifact[payload_at] ^= 0x01;
+    auto frame = decodeFrame(encodeFrame(FrameType::CompileReply,
+                                         encodeCompileReply(corrupt)));
+    ASSERT_TRUE(frame.ok()) << frame.status().toString();
+    auto reply = decodeCompileReply(*frame);
+    ASSERT_FALSE(reply.ok());
+    EXPECT_EQ(reply.status().message(),
+              "artifact checksum mismatch: payload corrupted");
+
+    auto foreign = hotReply(9);
+    foreign.reportArtifact[0] = 'X';
+    frame = decodeFrame(encodeFrame(FrameType::CompileReply,
+                                    encodeCompileReply(foreign)));
+    ASSERT_TRUE(frame.ok()) << frame.status().toString();
+    reply = decodeCompileReply(*frame);
+    ASSERT_FALSE(reply.ok());
+    EXPECT_EQ(reply.status().message(),
+              "not a dcmbqc artifact (bad magic)");
+
+    // The daemon side refuses to frame either artifact.
+    auto framed = frameHotReply(9, corrupt.reportArtifact);
+    ASSERT_FALSE(framed.ok());
+    EXPECT_EQ(framed.status().message(),
+              "artifact checksum mismatch: payload corrupted");
+    EXPECT_FALSE(frameHotReply(9, foreign.reportArtifact).ok());
+}
+
+TEST(HotReply, ArbitraryPayloadsFramedAsCompileReplyReadBack)
+{
+    CompileReply odd;
+    odd.status = Status::okStatus();
+    odd.reportArtifact = somePayload();
+    CompileReply failed;
+    failed.status = Status::internal("no artifact");
+    const std::vector<std::vector<std::uint8_t>> payloads = {
+        somePayload(), {}, encodeCompileReply(odd),
+        encodeCompileReply(failed)};
+    for (const auto &payload : payloads) {
+        const auto bytes = encodeFrame(FrameType::CompileReply, payload);
+        auto frame = decodeFrame(bytes);
+        ASSERT_TRUE(frame.ok()) << frame.status().toString();
+        EXPECT_EQ(frame->payload, payload);
+
+        int fds[2];
+        ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+        ASSERT_TRUE(
+            writeFrame(fds[0], FrameType::CompileReply, payload).ok());
+        auto read = readFrame(fds[1]);
+        ::close(fds[0]);
+        ::close(fds[1]);
+        ASSERT_TRUE(read.ok()) << read.status().toString();
+        EXPECT_EQ(read->payload, payload);
+    }
+    // Decoding the odd reply checks its artifact, which is none.
+    auto decoded = decodeCompileReply(replyFrame(encodeCompileReply(odd)));
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().message(),
+              "artifact truncated: 9 bytes, need at least 24");
+    // A failed reply keeps its status and needs no artifact.
+    auto frame = decodeFrame(encodeFrame(FrameType::CompileReply,
+                                         encodeCompileReply(failed)));
+    ASSERT_TRUE(frame.ok());
+    auto view = decodeCompileReply(*frame);
+    ASSERT_TRUE(view.ok()) << view.status().toString();
+    EXPECT_EQ(view->status.message(), "no artifact");
 }
 
 // --- ProgressEvent ---------------------------------------------------------
