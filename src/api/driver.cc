@@ -343,12 +343,9 @@ CompilerDriver::compileImpl(const CompileRequest &request,
     report.streaming = ctx.streamStats;
     report.peakRssBytes = peakRssBytes();
 
-    // Keep the pattern the front end built (Circuit entry): the
-    // cached artifact then carries everything an execution needs,
-    // so warm hits never re-lower the circuit.
-    if (ctx.patternStorage)
-        report.pattern = std::move(ctx.patternStorage);
-
+    // The imbalance and the schedule metrics read *ctx.graph, which
+    // points into ctx.patternStorage on a Circuit entry: finish with
+    // them before the pattern moves into the report below.
     if (baseline) {
         report.baseline = std::move(ctx.baseline);
     } else {
@@ -362,6 +359,12 @@ CompilerDriver::compileImpl(const CompileRequest &request,
         result.schedule = std::move(*ctx.schedule);
         report.distributed = std::move(result);
     }
+
+    // Keep the pattern the front end built (Circuit entry): the
+    // cached artifact then carries everything an execution needs,
+    // so warm hits never re-lower the circuit.
+    if (ctx.patternStorage)
+        report.pattern = std::move(ctx.patternStorage);
 
     if (cache) {
         report.cacheKey = key.key;

@@ -224,6 +224,32 @@ TEST(CompilerDriverApi, AllEntryPointsAgree)
     EXPECT_EQ(a.partition.assignment(), c.partition.assignment());
 }
 
+TEST(CompilerDriverApi, ImbalanceIsMeasuredOnTheCompiledGraph)
+{
+    // A Circuit entry moves the pattern it built into the report; the
+    // imbalance must be taken on that graph, not on the moved-from one
+    // (whose empty node weights read 1.0 on every Circuit compile).
+    const Circuit circuit = makeQaoaMaxcut(16);
+    const Pattern pattern = buildPattern(circuit);
+    const CompilerDriver driver(
+        CompileOptions().numQpus(4).gridSize(7).seed(42));
+    auto from_circuit =
+        driver.compile(CompileRequest::fromCircuit(circuit));
+    auto from_pattern =
+        driver.compile(CompileRequest::fromPattern(pattern));
+    ASSERT_TRUE(from_circuit.ok()) << from_circuit.status().toString();
+    ASSERT_TRUE(from_pattern.ok()) << from_pattern.status().toString();
+    ASSERT_TRUE(from_circuit->pattern.has_value());
+
+    const Graph &graph = from_circuit->pattern->graph();
+    const auto &a = from_circuit->result();
+    const auto &b = from_pattern->result();
+    EXPECT_EQ(a.partitionImbalance, a.partition.imbalance(graph));
+    EXPECT_EQ(b.partitionImbalance, b.partition.imbalance(graph));
+    EXPECT_EQ(a.partitionImbalance, b.partitionImbalance);
+    EXPECT_GT(a.partitionImbalance, 1.0);
+}
+
 TEST(CompilerDriverApi, StageListMatchesEntryPoint)
 {
     const Circuit circuit = makeQft(5);
