@@ -30,16 +30,6 @@ struct Bottleneck
     int syncTask = -1;
 };
 
-std::vector<TimeSlot>
-nodeTimes(const LayerSchedulingProblem &lsp, const Schedule &schedule)
-{
-    std::vector<TimeSlot> times(lsp.localEdges().numNodes());
-    for (NodeId u = 0; u < lsp.localEdges().numNodes(); ++u)
-        times[u] =
-            schedule.mainStart[lsp.taskOfNode(u)] * lsp.plRatio();
-    return times;
-}
-
 /**
  * FINDBOTTLENECKTASK of Algorithm 3. `waits` are the measuree waits
  * of `node_time` (measureeWaits).
@@ -53,7 +43,9 @@ findBottleneckTask(const LayerSchedulingProblem &lsp,
     Bottleneck best;
 
     // Fusee spans on intra-QPU edges.
-    for (const auto &e : lsp.localEdges().edges()) {
+    for (const auto &e : lsp.graph().edges()) {
+        if (!lsp.isLocal(e))
+            continue;
         const int span = std::abs(node_time[e.u] - node_time[e.v]);
         if (span > best.cost) {
             best.cost = span;
@@ -113,13 +105,17 @@ balancePointForMain(const LayerSchedulingProblem &lsp,
     // Upper-pressure terms max(0, t - a): want t early.
     std::vector<TimeSlot> early_pressure;
 
-    std::vector<char> in_task(lsp.localEdges().numNodes(), 0);
+    std::vector<char> in_task(lsp.graph().numNodes(), 0);
     for (NodeId u : lsp.mainTasks()[task].nodes)
         in_task[u] = 1;
 
+    // Local edges out of the task: a cut edge's partner is charged
+    // through its sync task below.
+    const QpuId qpu = lsp.mainTasks()[task].qpu;
     for (NodeId u : lsp.mainTasks()[task].nodes) {
-        for (const auto &adj : lsp.localEdges().adjacency(u))
-            if (!in_task[adj.neighbor])
+        for (const auto &adj : lsp.graph().adjacency(u))
+            if (!in_task[adj.neighbor] &&
+                lsp.qpuOfNode(adj.neighbor) == qpu)
                 abs_anchors.push_back(node_time[adj.neighbor]);
         // MTime[p] + 1 of the *current* schedule.
         for (NodeId p : lsp.deps().predecessors(u))

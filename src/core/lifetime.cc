@@ -40,8 +40,7 @@ measureeWaits(const Digraph &deps, const std::vector<TimeSlot> &node_time,
 
 LifetimeBreakdown
 computeLifetime(const Graph &fusee_edges, const Digraph &deps,
-                const std::vector<TimeSlot> &node_time,
-                const std::vector<NodeId> *order)
+                const std::vector<TimeSlot> &node_time)
 {
     LifetimeBreakdown result;
 
@@ -53,7 +52,7 @@ computeLifetime(const Graph &fusee_edges, const Digraph &deps,
     }
 
     // Part 2: measuree lifetime.
-    for (int w : measureeWaits(deps, node_time, order))
+    for (int w : measureeWaits(deps, node_time))
         result.tauMeasuree = std::max(result.tauMeasuree, w);
 
     return result;

@@ -40,19 +40,15 @@ struct LifetimeBreakdown
 /**
  * Algorithm 1: required photon lifetime of a compiled program.
  *
- * @param fusee_edges Graph whose edges are the fusee pairs to charge
- *        (for a distributed schedule, pass only the intra-QPU edges;
- *        cut edges are charged by tau_remote instead).
+ * @param fusee_edges Graph whose every edge is a fusee pair to charge
+ *        (a monolithic program; evaluateSchedule charges only a
+ *        distributed schedule's local edges).
  * @param deps Real-time (X-) dependency graph over the same nodes.
- * @param node_time LayerIndex(u) for the monolithic case, or the
- *        start time of u's main task for a distributed schedule.
- * @param order A topological order of `deps` (an LSP keeps one), or
- *        null to sort `deps` here.
+ * @param node_time LayerIndex(u) of every node.
  */
 LifetimeBreakdown computeLifetime(const Graph &fusee_edges,
                                   const Digraph &deps,
-                                  const std::vector<TimeSlot> &node_time,
-                                  const std::vector<NodeId> *order = nullptr);
+                                  const std::vector<TimeSlot> &node_time);
 
 /**
  * The per-node measuree waiting times MTime[u] - LayerIndex(u) from

@@ -12,12 +12,12 @@ namespace dcmbqc
 
 LayerSchedulingProblem::LayerSchedulingProblem(
     std::vector<MainTask> main_tasks, std::vector<SyncTask> sync_tasks,
-    Graph local_edges, Digraph deps, int num_qpus, int kmax,
+    const Graph *graph, const Digraph *deps, int num_qpus, int kmax,
     int pl_ratio)
     : mainTasks_(std::move(main_tasks)),
       syncTasks_(std::move(sync_tasks)),
-      localEdges_(std::move(local_edges)),
-      deps_(std::move(deps)),
+      graph_(graph),
+      deps_(deps),
       numQpus_(num_qpus),
       kmax_(kmax),
       plRatio_(pl_ratio)
@@ -25,11 +25,11 @@ LayerSchedulingProblem::LayerSchedulingProblem(
     DCMBQC_ASSERT(numQpus_ >= 1, "LSP needs at least one QPU");
     DCMBQC_ASSERT(kmax_ >= 1, "Kmax must be positive");
     DCMBQC_ASSERT(plRatio_ >= 1, "PL ratio must be positive");
-    DCMBQC_ASSERT(localEdges_.numNodes() == deps_.numNodes(),
-                  "local edge graph / deps size mismatch");
+    DCMBQC_ASSERT(graph_->numNodes() == deps_->numNodes(),
+                  "graph / deps size mismatch");
 
     qpuTasks_.assign(numQpus_, {});
-    taskOfNode_.assign(localEdges_.numNodes(), -1);
+    taskOfNode_.assign(graph_->numNodes(), -1);
     for (std::size_t id = 0; id < mainTasks_.size(); ++id) {
         const auto &task = mainTasks_[id];
         DCMBQC_ASSERT(task.qpu >= 0 && task.qpu < numQpus_,
@@ -44,24 +44,24 @@ LayerSchedulingProblem::LayerSchedulingProblem(
             taskOfNode_[u] = static_cast<int>(id);
         }
     }
+    for (NodeId u = 0; u < graph_->numNodes(); ++u)
+        DCMBQC_ASSERT(taskOfNode_[u] >= 0, "node without main task: ", u);
 
     // Release slots: longest real-time dependency chain into each
     // node (in physical cycles, one per arc), converted to slots.
     // Within a QPU the release must also be monotone in the layer
     // order so it never conflicts with the order constraint.
     {
-        const bool acyclic = deps_.topologicalSort(depsOrder_);
+        const bool acyclic = deps_->topologicalSort(depsOrder_);
         DCMBQC_ASSERT(acyclic, "LSP deps cyclic");
-        std::vector<int> depth(deps_.numNodes(), 0);
+        std::vector<int> depth(deps_->numNodes(), 0);
         for (NodeId u : depsOrder_)
-            for (NodeId v : deps_.successors(u))
+            for (NodeId v : deps_->successors(u))
                 depth[v] = std::max(depth[v], depth[u] + 1);
 
         mainRelease_.assign(mainTasks_.size(), 0);
-        for (NodeId u = 0; u < deps_.numNodes(); ++u) {
+        for (NodeId u = 0; u < deps_->numNodes(); ++u) {
             const int task = taskOfNode_[u];
-            if (task < 0)
-                continue;
             const TimeSlot release = std::max<TimeSlot>(
                 (depth[u] - plRatio_) / plRatio_, 0);
             mainRelease_[task] =
@@ -94,6 +94,16 @@ LayerSchedulingProblem::LayerSchedulingProblem(
     }
 }
 
+std::vector<TimeSlot>
+nodeTimes(const LayerSchedulingProblem &lsp, const Schedule &schedule)
+{
+    std::vector<TimeSlot> times(lsp.graph().numNodes());
+    for (NodeId u = 0; u < lsp.graph().numNodes(); ++u)
+        times[u] =
+            schedule.mainStart[lsp.taskOfNode(u)] * lsp.plRatio();
+    return times;
+}
+
 ScheduleMetrics
 evaluateSchedule(const LayerSchedulingProblem &lsp,
                  const Schedule &schedule)
@@ -101,17 +111,16 @@ evaluateSchedule(const LayerSchedulingProblem &lsp,
     ScheduleMetrics metrics;
 
     // tau_local: Algorithm 1 with LayerIndex replaced by the start
-    // time of the node's main task, in physical cycles.
+    // time of the node's main task, in physical cycles. Only local
+    // edges hold fusees; tau_remote charges the cut edges.
     const int pl = lsp.plRatio();
-    std::vector<TimeSlot> node_time(lsp.localEdges().numNodes(), 0);
-    for (NodeId u = 0; u < lsp.localEdges().numNodes(); ++u) {
-        const int task = lsp.taskOfNode(u);
-        DCMBQC_ASSERT(task >= 0, "node without main task: ", u);
-        node_time[u] = schedule.mainStart[task] * pl;
-    }
-    const auto local = computeLifetime(lsp.localEdges(), lsp.deps(),
-                                       node_time, &lsp.depsOrder());
-    metrics.tauLocal = local.tauPhoton();
+    const auto node_time = nodeTimes(lsp, schedule);
+    for (const Edge &e : lsp.graph().edges())
+        if (lsp.isLocal(e))
+            metrics.tauLocal = std::max(
+                metrics.tauLocal, std::abs(node_time[e.u] - node_time[e.v]));
+    for (int wait : measureeWaits(lsp.deps(), node_time, &lsp.depsOrder()))
+        metrics.tauLocal = std::max(metrics.tauLocal, wait);
 
     // tau_remote: connector storage between execution layer and
     // connection layer.

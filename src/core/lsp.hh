@@ -45,21 +45,21 @@ struct SyncTask
 };
 
 /**
- * An instance of the layer scheduling problem. Owns the fusee-edge
- * graph restricted to intra-QPU edges plus the global dependency
- * graph needed to evaluate tau_local.
+ * An instance of the layer scheduling problem. Borrows the
+ * computation graph, whose edges are the fusee pairs, and the global
+ * dependency graph needed to evaluate tau_local; both must outlive
+ * the instance.
  */
 class LayerSchedulingProblem
 {
   public:
-    LayerSchedulingProblem() = default;
-
     /**
      * @param main_tasks All main tasks, grouped by QPU with
-     *        consecutive indices 0..m_i-1 per QPU.
+     *        consecutive indices 0..m_i-1 per QPU; together they must
+     *        hold every node of the graph.
      * @param sync_tasks All synchronization tasks.
-     * @param local_edges Fusee pairs on the same QPU (global ids).
-     * @param deps Global real-time dependency graph.
+     * @param graph Computation graph (global ids), borrowed.
+     * @param deps Global real-time dependency graph, borrowed.
      * @param num_qpus Number of QPUs.
      * @param kmax Connection capacity per connection layer.
      * @param pl_ratio Physical cycles per scheduling slot (logical
@@ -67,7 +67,7 @@ class LayerSchedulingProblem
      */
     LayerSchedulingProblem(std::vector<MainTask> main_tasks,
                            std::vector<SyncTask> sync_tasks,
-                           Graph local_edges, Digraph deps,
+                           const Graph *graph, const Digraph *deps,
                            int num_qpus, int kmax, int pl_ratio = 1);
 
     int numQpus() const { return numQpus_; }
@@ -83,8 +83,23 @@ class LayerSchedulingProblem
         return qpuTasks_[i];
     }
 
-    /** Main task containing node u (global id); -1 when absent. */
+    /** Main task containing node u (global id). */
     int taskOfNode(NodeId u) const { return taskOfNode_[u]; }
+
+    /** QPU that runs node u's main task. */
+    QpuId qpuOfNode(NodeId u) const
+    {
+        return mainTasks_[taskOfNode_[u]].qpu;
+    }
+
+    /**
+     * True for a local edge, whose endpoints' main tasks run on one
+     * QPU; a cut edge is re-established by a sync task instead.
+     */
+    bool isLocal(const Edge &e) const
+    {
+        return qpuOfNode(e.u) == qpuOfNode(e.v);
+    }
 
     /** Sync-task ids associated with each main task. */
     const std::vector<int> &syncsOfTask(int main_task) const
@@ -105,13 +120,17 @@ class LayerSchedulingProblem
         return mainRelease_[main_task];
     }
 
-    const Graph &localEdges() const { return localEdges_; }
-    const Digraph &deps() const { return deps_; }
+    /**
+     * The computation graph. Its local edges (isLocal) are the fusee
+     * pairs tau_local charges, in edge-id order.
+     */
+    const Graph &graph() const { return *graph_; }
+    const Digraph &deps() const { return *deps_; }
 
     /**
      * A topological order of deps(), sorted once on construction.
-     * Hand it to measureeWaits / computeLifetime so evaluating a
-     * schedule does not sort the fixed graph again.
+     * Hand it to measureeWaits so evaluating a schedule does not
+     * sort the fixed graph again.
      */
     const std::vector<NodeId> &depsOrder() const { return depsOrder_; }
 
@@ -122,8 +141,8 @@ class LayerSchedulingProblem
     std::vector<std::vector<int>> syncsOfTask_;
     std::vector<int> taskOfNode_;
     std::vector<TimeSlot> mainRelease_;
-    Graph localEdges_;
-    Digraph deps_;
+    const Graph *graph_ = nullptr;
+    const Digraph *deps_ = nullptr;
     std::vector<NodeId> depsOrder_;
     int numQpus_ = 1;
     int kmax_ = 4;
@@ -150,6 +169,13 @@ struct ScheduleMetrics
     /** The LSP objective: max(tau_local, tau_remote). */
     int tauPhoton() const { return std::max(tauLocal, tauRemote); }
 };
+
+/**
+ * The physical time of every node under `schedule`: its main task's
+ * start slot times the PL ratio.
+ */
+std::vector<TimeSlot> nodeTimes(const LayerSchedulingProblem &lsp,
+                                const Schedule &schedule);
 
 /** Evaluate the objective of a (feasible) schedule. */
 ScheduleMetrics evaluateSchedule(const LayerSchedulingProblem &lsp,

@@ -38,13 +38,14 @@ buildLayerSchedulingProblem(const Graph &g, const Digraph &deps,
         const Graph sub = g.inducedSubgraph(members[qpu], &to_sub);
 
         // Induced dependency graph (arcs within the part only).
-        Digraph sub_deps(sub.numNodes());
+        std::vector<Arc> sub_arcs;
         for (NodeId u : members[qpu])
             for (NodeId v : deps.successors(u))
                 if (to_sub[v] != invalidNode)
-                    sub_deps.addArc(to_sub[u], to_sub[v]);
+                    sub_arcs.push_back({to_sub[u], to_sub[v]});
 
-        compiled[qpu] = local_compiler.compile(sub, sub_deps);
+        compiled[qpu] = local_compiler.compile(
+            sub, Digraph(sub.numNodes(), sub_arcs));
     };
 
     if (num_workers <= 0)
@@ -94,25 +95,21 @@ buildLayerSchedulingProblem(const Graph &g, const Digraph &deps,
         *local_out = std::move(locals);
 
     // --- Connectors / synchronization tasks --------------------------
-    std::vector<Edge> local_edges;
     std::vector<SyncTask> sync_tasks;
     for (const auto &e : g.edges()) {
-        if (part.part(e.u) == part.part(e.v)) {
-            local_edges.push_back(e);
-        } else {
-            SyncTask sync;
-            sync.taskA = task_of_node[e.u];
-            sync.taskB = task_of_node[e.v];
-            sync.u = e.u;
-            sync.v = e.v;
-            sync_tasks.push_back(sync);
-        }
+        if (part.part(e.u) == part.part(e.v))
+            continue;
+        SyncTask sync;
+        sync.taskA = task_of_node[e.u];
+        sync.taskB = task_of_node[e.v];
+        sync.u = e.u;
+        sync.v = e.v;
+        sync_tasks.push_back(sync);
     }
 
-    return LayerSchedulingProblem(
-        std::move(main_tasks), std::move(sync_tasks),
-        Graph(g.numNodes(), std::move(local_edges)), deps, num_qpus, kmax,
-        grid.plRatio);
+    return LayerSchedulingProblem(std::move(main_tasks),
+                                  std::move(sync_tasks), &g, &deps,
+                                  num_qpus, kmax, grid.plRatio);
 }
 
 } // namespace dcmbqc

@@ -29,8 +29,10 @@ namespace dcmbqc
  * LSP instance (Definition IV.1) over the resulting execution
  * layers.
  *
- * @param g Computation graph (global node ids).
- * @param deps Real-time dependency graph over the same nodes.
+ * @param g Computation graph (global node ids). The LSP borrows it:
+ *        it must outlive the LSP.
+ * @param deps Real-time dependency graph over the same nodes, also
+ *        borrowed.
  * @param part k-way partition; part ids must cover [0, num_qpus).
  * @param num_qpus Number of QPUs (= parts).
  * @param grid Per-QPU resource grid.

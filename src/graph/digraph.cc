@@ -1,32 +1,51 @@
 #include "graph/digraph.hh"
 
-#include <algorithm>
+#include <numeric>
 
 #include "common/logging.hh"
 
 namespace dcmbqc
 {
 
-Digraph::Digraph(NodeId num_nodes) : succ_(num_nodes), pred_(num_nodes)
+namespace
 {
-}
 
-NodeId
-Digraph::addNode()
-{
-    succ_.emplace_back();
-    pred_.emplace_back();
-    return static_cast<NodeId>(succ_.size() - 1);
-}
-
+/**
+ * Lay `arcs` out as one row per node: arc a lands in row a.*row as
+ * a.*entry, and each row keeps the arcs' order.
+ */
 void
-Digraph::addArc(NodeId from, NodeId to)
+fillRows(NodeId n, const std::vector<Arc> &arcs, NodeId Arc::*row,
+         NodeId Arc::*entry, std::vector<int> &begin,
+         std::vector<NodeId> &entries)
 {
-    DCMBQC_ASSERT(from >= 0 && from < numNodes(), "addArc: bad from");
-    DCMBQC_ASSERT(to >= 0 && to < numNodes(), "addArc: bad to");
-    succ_[from].push_back(to);
-    pred_[to].push_back(from);
-    ++numArcs_;
+    begin.assign(n + 1, 0);
+    for (const Arc &a : arcs)
+        ++begin[a.*row + 1];
+    std::partial_sum(begin.begin(), begin.end(), begin.begin());
+
+    // begin[u] is u's fill cursor, which ends where u + 1's row
+    // begins; shifting the cursors up one node restores the offsets.
+    entries.resize(arcs.size());
+    for (const Arc &a : arcs)
+        entries[begin[a.*row]++] = a.*entry;
+    for (NodeId u = n - 1; u > 0; --u)
+        begin[u] = begin[u - 1];
+    begin[0] = 0;
+}
+
+} // namespace
+
+Digraph::Digraph(NodeId num_nodes, const std::vector<Arc> &arcs)
+    : numNodes_(num_nodes)
+{
+    DCMBQC_ASSERT(num_nodes >= 0, "Digraph: negative node count");
+    for (const Arc &a : arcs)
+        DCMBQC_ASSERT(a.from >= 0 && a.from < num_nodes && a.to >= 0 &&
+                          a.to < num_nodes,
+                      "Digraph: bad arc (", a.from, ", ", a.to, ")");
+    fillRows(num_nodes, arcs, &Arc::from, &Arc::to, succBegin_, succ_);
+    fillRows(num_nodes, arcs, &Arc::to, &Arc::from, predBegin_, pred_);
 }
 
 bool
@@ -47,7 +66,7 @@ Digraph::topologicalSort(std::vector<NodeId> &order) const
     while (head < queue.size()) {
         NodeId u = queue[head++];
         order.push_back(u);
-        for (NodeId v : succ_[u])
+        for (NodeId v : successors(u))
             if (--indeg[v] == 0)
                 queue.push_back(v);
     }
@@ -69,7 +88,7 @@ Digraph::longestPathTo() const
     DCMBQC_ASSERT(acyclic, "longestPathTo on cyclic digraph");
     std::vector<int> dist(numNodes(), 0);
     for (NodeId u : order)
-        for (NodeId v : succ_[u])
+        for (NodeId v : successors(u))
             dist[v] = std::max(dist[v], dist[u] + 1);
     return dist;
 }

@@ -7,6 +7,8 @@
 #ifndef DCMBQC_GRAPH_DIGRAPH_HH
 #define DCMBQC_GRAPH_DIGRAPH_HH
 
+#include <algorithm>
+#include <cstddef>
 #include <vector>
 
 #include "common/types.hh"
@@ -14,37 +16,80 @@
 namespace dcmbqc
 {
 
+/** A directed arc from -> to. */
+struct Arc
+{
+    NodeId from;
+    NodeId to;
+};
+
 /**
- * Simple directed graph with successor and predecessor lists.
- * Nodes are dense integers [0, numNodes).
+ * Directed graph with successor and predecessor lists, built once
+ * from its node count and arc list. Nodes are dense integers
+ * [0, numNodes).
+ *
+ * The layout is compressed sparse rows, as in Graph: node u's
+ * successors are succ_[succBegin_[u], succBegin_[u + 1]) and its
+ * predecessors likewise. Each node's lists follow the arc list's
+ * order, the order topological sorts and artifact bytes depend on.
  */
 class Digraph
 {
   public:
+    /** A node's successors or predecessors, in arc order. */
+    class Nodes
+    {
+      public:
+        Nodes(const NodeId *begin, const NodeId *end)
+            : begin_(begin), end_(end)
+        {
+        }
+
+        const NodeId *begin() const { return begin_; }
+        const NodeId *end() const { return end_; }
+        std::size_t size() const { return end_ - begin_; }
+        bool empty() const { return begin_ == end_; }
+        NodeId operator[](std::size_t i) const { return begin_[i]; }
+
+        bool
+        operator==(const Nodes &other) const
+        {
+            return std::equal(begin_, end_, other.begin_, other.end_);
+        }
+
+      private:
+        const NodeId *begin_;
+        const NodeId *end_;
+    };
+
     Digraph() = default;
 
-    /** Construct with a fixed number of nodes and no arcs. */
-    explicit Digraph(NodeId num_nodes);
+    /**
+     * Construct from a node count and an arc list. Arc endpoints must
+     * be nodes in range; repeated arcs are kept.
+     */
+    explicit Digraph(NodeId num_nodes, const std::vector<Arc> &arcs = {});
 
-    /** Append an isolated node; returns its id. */
-    NodeId addNode();
-
-    /** Add arc from -> to. Duplicate arcs are allowed but unused. */
-    void addArc(NodeId from, NodeId to);
-
-    NodeId numNodes() const { return static_cast<NodeId>(succ_.size()); }
+    NodeId numNodes() const { return numNodes_; }
 
     /** Total number of arcs. */
-    std::size_t numArcs() const { return numArcs_; }
+    std::size_t numArcs() const { return succ_.size(); }
 
-    const std::vector<NodeId> &successors(NodeId u) const { return succ_[u]; }
-    const std::vector<NodeId> &predecessors(NodeId u) const
+    Nodes
+    successors(NodeId u) const
     {
-        return pred_[u];
+        return {succ_.data() + succBegin_[u],
+                succ_.data() + succBegin_[u + 1]};
     }
 
-    int outDegree(NodeId u) const { return static_cast<int>(succ_[u].size()); }
-    int inDegree(NodeId u) const { return static_cast<int>(pred_[u].size()); }
+    Nodes
+    predecessors(NodeId u) const
+    {
+        return {pred_.data() + predBegin_[u],
+                pred_.data() + predBegin_[u + 1]};
+    }
+
+    int inDegree(NodeId u) const { return predBegin_[u + 1] - predBegin_[u]; }
 
     /**
      * Kahn topological sort.
@@ -65,9 +110,11 @@ class Digraph
     std::vector<int> longestPathTo() const;
 
   private:
-    std::vector<std::vector<NodeId>> succ_;
-    std::vector<std::vector<NodeId>> pred_;
-    std::size_t numArcs_ = 0;
+    NodeId numNodes_ = 0;
+    std::vector<int> succBegin_;
+    std::vector<NodeId> succ_;
+    std::vector<int> predBegin_;
+    std::vector<NodeId> pred_;
 };
 
 } // namespace dcmbqc

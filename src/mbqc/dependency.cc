@@ -11,18 +11,19 @@ DependencyGraphs
 buildDependencyGraphs(const Pattern &pattern)
 {
     const NodeId n = pattern.numNodes();
-    DependencyGraphs deps{Digraph(n), Digraph(n)};
-
+    std::vector<Arc> x_arcs;
+    std::vector<Arc> z_arcs;
     std::vector<NodeId> succ;
     for (NodeId m = 0; m < n; ++m) {
         dependencySuccessors(pattern, m, /*z_set=*/false, succ);
         for (NodeId j : succ)
-            deps.xDeps.addArc(m, j);
+            x_arcs.push_back({m, j});
         dependencySuccessors(pattern, m, /*z_set=*/true, succ);
         for (NodeId j : succ)
-            deps.zDeps.addArc(m, j);
+            z_arcs.push_back({m, j});
     }
 
+    DependencyGraphs deps{Digraph(n, x_arcs), Digraph(n, z_arcs)};
     DCMBQC_ASSERT(deps.xDeps.isAcyclic(), "X-dependency graph cyclic");
     return deps;
 }
@@ -69,19 +70,18 @@ realTimeDependencyGraph(const Pattern &pattern)
     // folds classically into how its outcome is interpreted, so the
     // real-time chain links consecutive NON-Clifford measurements of
     // the wire (Pauli flow).
-    Digraph deps(pattern.numNodes());
-    const int wires = pattern.numWires();
-    std::vector<NodeId> last_adaptive(wires, invalidNode);
-
+    std::vector<Arc> arcs;
+    std::vector<NodeId> last_adaptive(pattern.numWires(), invalidNode);
     for (NodeId m : pattern.measurementOrder()) {
         if (cliffordQuarterTurns(pattern.angle(m)) >= 0)
             continue;
         const QubitId w = pattern.wire(m);
         if (last_adaptive[w] != invalidNode)
-            deps.addArc(last_adaptive[w], m);
+            arcs.push_back({last_adaptive[w], m});
         last_adaptive[w] = m;
     }
 
+    Digraph deps(pattern.numNodes(), arcs);
     DCMBQC_ASSERT(deps.isAcyclic(), "real-time deps cyclic");
     return deps;
 }

@@ -154,21 +154,19 @@ double
 scheduleLogSurvival(const LayerSchedulingProblem &lsp,
                     const Schedule &schedule, const NoiseModel &model)
 {
-    const NodeId n = lsp.localEdges().numNodes();
-    std::vector<TimeSlot> node_time(n);
-    for (NodeId u = 0; u < n; ++u) {
-        const int task = lsp.taskOfNode(u);
-        node_time[u] = task >= 0
-            ? schedule.mainStart[task] * lsp.plRatio()
-            : 0;
-    }
+    const NodeId n = lsp.graph().numNodes();
+    const auto node_time = nodeTimes(lsp, schedule);
 
     std::vector<NoiseSite> sites(n);
     for (NodeId u = 0; u < n; ++u)
         sites[u].totalSites = static_cast<int>(n);
 
     // Intra-QPU fusee storage (earlier photon of each local pair).
-    for (const auto &e : lsp.localEdges().edges()) {
+    std::size_t num_local = 0;
+    for (const auto &e : lsp.graph().edges()) {
+        if (!lsp.isLocal(e))
+            continue;
+        ++num_local;
         const TimeSlot du = node_time[e.v] - node_time[e.u];
         const NodeId waiter = du > 0 ? e.u : e.v;
         sites[waiter].storageCycles = std::max(
@@ -205,7 +203,7 @@ scheduleLogSurvival(const LayerSchedulingProblem &lsp,
         log_survival += logOrNegInf(model.siteSurvival(site));
 
     NoiseEdge local_edge;
-    for (std::size_t i = 0; i < lsp.localEdges().edges().size(); ++i)
+    for (std::size_t i = 0; i < num_local; ++i)
         log_survival += logOrNegInf(model.edgeSurvival(local_edge));
     NoiseEdge remote_edge;
     remote_edge.remote = true;

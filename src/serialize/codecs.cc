@@ -449,8 +449,12 @@ void
 encodeDigraph(BinaryWriter &writer, const Digraph &digraph)
 {
     writer.writeI32(digraph.numNodes());
-    for (NodeId u = 0; u < digraph.numNodes(); ++u)
-        writer.writeI32Vector(digraph.successors(u));
+    for (NodeId u = 0; u < digraph.numNodes(); ++u) {
+        const Digraph::Nodes succ = digraph.successors(u);
+        writer.writeU32(static_cast<std::uint32_t>(succ.size()));
+        for (NodeId v : succ)
+            writer.writeI32(v);
+    }
 }
 
 Digraph
@@ -465,7 +469,7 @@ decodeDigraph(BinaryReader &reader)
                     " is invalid for the payload size");
         return {};
     }
-    Digraph digraph(n);
+    std::vector<Arc> arcs;
     std::vector<std::int32_t> succ;
     for (NodeId u = 0; u < n && reader.ok(); ++u) {
         reader.readI32Vector(succ);
@@ -474,12 +478,12 @@ decodeDigraph(BinaryReader &reader)
                 reader.fail("digraph arc " + std::to_string(u) +
                             " -> " + std::to_string(v) +
                             " is out of range");
-                return digraph;
+                return {};
             }
-            digraph.addArc(u, v);
+            arcs.push_back({u, v});
         }
     }
-    return digraph;
+    return Digraph(n, arcs);
 }
 
 // --- Pattern ---------------------------------------------------------------

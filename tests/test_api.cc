@@ -116,9 +116,7 @@ TEST(CompileRequestApi, RejectsGraphDepsSizeMismatch)
 TEST(CompileRequestApi, RejectsCyclicDependencyGraph)
 {
     Graph g(2, {{0, 1}});
-    Digraph deps(2);
-    deps.addArc(0, 1);
-    deps.addArc(1, 0);
+    const Digraph deps(2, {{0, 1}, {1, 0}});
     auto report = CompilerDriver().compile(
         CompileRequest::fromGraph(g, deps));
     ASSERT_FALSE(report.ok());

@@ -34,12 +34,12 @@ bottleneckInstance()
     // A benign nearby sync.
     syncs.push_back({5, 17, 5, 17});
 
-    // Fusee pair within QPU0 spanning layers 0 and 11.
-    Graph local(24, {{0, 11}});
-    Digraph deps(24);
+    // Fusee pair within QPU0 spanning layers 0 and 11, and the two
+    // cut edges. The graphs are static: the LSP borrows them.
+    static const Graph graph(24, {{0, 11}, {1, 22}, {5, 17}});
+    static const Digraph deps(24);
     return LayerSchedulingProblem(std::move(mains), std::move(syncs),
-                                  std::move(local), std::move(deps), 2,
-                                  4);
+                                  &graph, &deps, 2, 4);
 }
 
 /** Two one-layer QPUs joined by one sync task. */
@@ -51,11 +51,10 @@ twoLayerSyncInstance()
     mains.push_back({1, 0, {1}});
     std::vector<SyncTask> syncs;
     syncs.push_back({0, 1, 0, 1});
-    Graph local(2);
-    Digraph deps(2);
+    static const Graph graph(2, {{0, 1}});
+    static const Digraph deps(2);
     return LayerSchedulingProblem(std::move(mains), std::move(syncs),
-                                  std::move(local), std::move(deps), 2,
-                                  4);
+                                  &graph, &deps, 2, 4);
 }
 
 /** A neighbour is built first and then only after an accepted move. */
@@ -173,10 +172,10 @@ TEST(Bdir, HandlesInstanceWithoutSyncs)
     std::vector<MainTask> mains;
     for (int j = 0; j < 6; ++j)
         mains.push_back({0, j, {static_cast<NodeId>(j)}});
-    Graph local(6, {{0, 5}});
-    Digraph deps(6);
-    LayerSchedulingProblem lsp(std::move(mains), {}, std::move(local),
-                               std::move(deps), 1, 4);
+    const Graph graph(6, {{0, 5}});
+    const Digraph deps(6);
+    const LayerSchedulingProblem lsp(std::move(mains), {}, &graph, &deps,
+                                     1, 4);
     const auto initial = listScheduleDefault(lsp);
     BdirStats stats;
     const auto out = bdirOptimize(lsp, initial, {}, &stats);

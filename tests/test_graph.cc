@@ -251,11 +251,7 @@ TEST(GraphLayout, DecodedPatternGraphMatchesTheBuiltOneArcForArc)
 
 TEST(Digraph, TopologicalSortDag)
 {
-    Digraph d(4);
-    d.addArc(0, 1);
-    d.addArc(1, 2);
-    d.addArc(0, 3);
-    d.addArc(3, 2);
+    const Digraph d(4, {{0, 1}, {1, 2}, {0, 3}, {3, 2}});
     std::vector<NodeId> order;
     EXPECT_TRUE(d.topologicalSort(order));
     std::vector<int> pos(4);
@@ -268,24 +264,101 @@ TEST(Digraph, TopologicalSortDag)
 
 TEST(Digraph, DetectsCycle)
 {
-    Digraph d(3);
-    d.addArc(0, 1);
-    d.addArc(1, 2);
-    d.addArc(2, 0);
+    const Digraph d(3, {{0, 1}, {1, 2}, {2, 0}});
     EXPECT_FALSE(d.isAcyclic());
 }
 
 TEST(Digraph, LongestPath)
 {
-    Digraph d(5);
-    d.addArc(0, 1);
-    d.addArc(1, 2);
-    d.addArc(2, 3);
-    d.addArc(0, 4);
+    const Digraph d(5, {{0, 1}, {1, 2}, {2, 3}, {0, 4}});
     const auto dist = d.longestPathTo();
     EXPECT_EQ(dist[3], 3);
     EXPECT_EQ(dist[4], 1);
     EXPECT_EQ(dist[0], 0);
+}
+
+TEST(DigraphLayout, RandomArcListsKeepArcOrderPerNode)
+{
+    Rng rng(41);
+    for (int trial = 0; trial < 200; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        // Up to 2n arcs over n nodes: some nodes stay isolated, and
+        // one arc in four repeats an earlier one.
+        const auto n = static_cast<NodeId>(rng.uniformInt(24));
+        const std::uint64_t m = n == 0 ? 0 : rng.uniformInt(2 * n + 1);
+        std::vector<dcmbqc::Arc> arcs;
+        std::vector<std::vector<NodeId>> succ(n), pred(n);
+        for (std::uint64_t i = 0; i < m; ++i) {
+            dcmbqc::Arc arc{static_cast<NodeId>(rng.uniformInt(n)),
+                    static_cast<NodeId>(rng.uniformInt(n))};
+            if (!arcs.empty() && rng.uniformInt(4) == 0)
+                arc = arcs[rng.uniformInt(arcs.size())];
+            arcs.push_back(arc);
+            succ[arc.from].push_back(arc.to);
+            pred[arc.to].push_back(arc.from);
+        }
+
+        const Digraph d(n, arcs);
+        ASSERT_EQ(d.numNodes(), n);
+        EXPECT_EQ(d.numArcs(), arcs.size());
+        for (NodeId u = 0; u < n; ++u) {
+            const auto s = d.successors(u);
+            const auto p = d.predecessors(u);
+            EXPECT_EQ(std::vector<NodeId>(s.begin(), s.end()), succ[u]);
+            EXPECT_EQ(std::vector<NodeId>(p.begin(), p.end()), pred[u]);
+            EXPECT_EQ(d.inDegree(u), static_cast<int>(pred[u].size()));
+        }
+
+        // The codec still writes the node count and then each node's
+        // successor count and successors, as little-endian 32-bit words.
+        std::vector<std::uint8_t> expected;
+        auto put = [&](std::uint32_t word) {
+            for (int shift = 0; shift < 32; shift += 8)
+                expected.push_back(static_cast<std::uint8_t>(word >> shift));
+        };
+        put(n);
+        for (NodeId u = 0; u < n; ++u) {
+            put(static_cast<std::uint32_t>(succ[u].size()));
+            for (NodeId v : succ[u])
+                put(v);
+        }
+        BinaryWriter written;
+        encodeDigraph(written, d);
+        EXPECT_EQ(written.bytes(), expected);
+        BinaryReader reader(written.bytes());
+        const Digraph decoded = decodeDigraph(reader);
+        ASSERT_TRUE(reader.ok());
+        BinaryWriter rewritten;
+        encodeDigraph(rewritten, decoded);
+        EXPECT_EQ(rewritten.bytes(), expected);
+        // The codec lists arcs by source node, so a decoded node's
+        // predecessors come in source order.
+        std::vector<std::vector<NodeId>> pred_by_source(n);
+        for (NodeId u = 0; u < n; ++u)
+            for (NodeId v : succ[u])
+                pred_by_source[v].push_back(u);
+        EXPECT_EQ(decoded.numArcs(), arcs.size());
+        for (NodeId u = 0; u < n; ++u) {
+            const auto p = decoded.predecessors(u);
+            EXPECT_EQ(std::vector<NodeId>(p.begin(), p.end()),
+                      pred_by_source[u]);
+        }
+    }
+}
+
+TEST(DigraphLayout, EmptyAndArclessDigraphs)
+{
+    for (const Digraph &d : {Digraph(), Digraph(0)}) {
+        EXPECT_EQ(d.numNodes(), 0);
+        EXPECT_EQ(d.numArcs(), 0u);
+        EXPECT_TRUE(d.isAcyclic());
+    }
+    const Digraph isolated(3);
+    EXPECT_EQ(isolated.numArcs(), 0u);
+    for (NodeId u = 0; u < 3; ++u) {
+        EXPECT_TRUE(isolated.successors(u).empty());
+        EXPECT_TRUE(isolated.predecessors(u).empty());
+    }
 }
 
 TEST(Algorithms, BfsDistancesOnPath)

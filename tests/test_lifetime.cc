@@ -36,9 +36,7 @@ TEST(Lifetime, MeasureeChain)
     // Chain 0 -> 1 -> 2, all generated on layer 0:
     // MTime = 1, 2, 3; waits = 1, 2, 3.
     Graph g(3);
-    Digraph deps(3);
-    deps.addArc(0, 1);
-    deps.addArc(1, 2);
+    const Digraph deps(3, {{0, 1}, {1, 2}});
     const auto r = computeLifetime(g, deps, {0, 0, 0});
     EXPECT_EQ(r.tauMeasuree, 3);
     EXPECT_EQ(r.tauFusee, 0);
@@ -50,9 +48,7 @@ TEST(Lifetime, LaterLayersAbsorbWaits)
     // Same chain but each node a layer later: MTime[u] = t_u + 1,
     // every wait is 1.
     Graph g(3);
-    Digraph deps(3);
-    deps.addArc(0, 1);
-    deps.addArc(1, 2);
+    const Digraph deps(3, {{0, 1}, {1, 2}});
     const auto r = computeLifetime(g, deps, {0, 1, 2});
     EXPECT_EQ(r.tauMeasuree, 1);
 }
@@ -63,9 +59,7 @@ TEST(Lifetime, MTimeRecurrenceWithMultipleParents)
     // MTime: 0->1, 2->5; node 3 at layer 1:
     // MTime[3] = max(1+1, 5+1, 1+1) = 6, wait = 5.
     Graph g(4);
-    Digraph deps(4);
-    deps.addArc(0, 3);
-    deps.addArc(2, 3);
+    const Digraph deps(4, {{0, 3}, {2, 3}});
     const auto r = computeLifetime(g, deps, {0, 0, 4, 1});
     EXPECT_EQ(r.tauMeasuree, 5);
     const auto waits = measureeWaits(deps, {0, 0, 4, 1});
@@ -100,7 +94,7 @@ TEST(Lifetime, BruteForceCrossCheck)
         const int n = 30;
         std::vector<Edge> edges;
         std::set<std::pair<NodeId, NodeId>> seen;
-        Digraph deps(n);
+        std::vector<Arc> arcs;
         std::vector<TimeSlot> time(n);
         for (int u = 0; u < n; ++u)
             time[u] = static_cast<TimeSlot>(rng.uniformInt(40));
@@ -112,9 +106,10 @@ TEST(Lifetime, BruteForceCrossCheck)
             if (seen.insert(std::minmax(u, v)).second)
                 edges.push_back({u, v});
             if (u < v && rng.bernoulli(0.5))
-                deps.addArc(u, v); // u<v keeps it acyclic
+                arcs.push_back({u, v}); // u<v keeps it acyclic
         }
         const Graph g(n, std::move(edges));
+        const Digraph deps(n, arcs);
 
         // Reference: recursive MTime.
         std::vector<int> memo(n, -1);

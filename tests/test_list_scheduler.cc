@@ -15,9 +15,13 @@ namespace dcmbqc
 namespace
 {
 
-/** Random LSP instance with n QPUs, m layers each, s sync tasks. */
+/**
+ * Random LSP with n QPUs, m layers each, s sync tasks, over `graph`
+ * and `deps` (n * m nodes), which it borrows.
+ */
 LayerSchedulingProblem
-randomInstance(int n, int m, int s, int kmax, std::uint64_t seed)
+randomLsp(const Graph *graph, const Digraph *deps, int n, int m, int s,
+          int kmax, std::uint64_t seed)
 {
     Rng rng(seed);
     std::vector<MainTask> mains;
@@ -46,17 +50,34 @@ randomInstance(int n, int m, int s, int kmax, std::uint64_t seed)
         sync.v = mains[sync.taskB].nodes[0];
         syncs.push_back(sync);
     }
-    Graph local(next_node);
-    Digraph deps(next_node);
     return LayerSchedulingProblem(std::move(mains), std::move(syncs),
-                                  std::move(local), std::move(deps), n,
-                                  kmax);
+                                  graph, deps, n, kmax);
 }
+
+/**
+ * A random LSP and the graphs it borrows: one node per layer, no
+ * edges and no dependencies.
+ */
+struct RandomInstance
+{
+    RandomInstance(int n, int m, int s, int kmax, std::uint64_t seed)
+        : graph(n * m), deps(n * m),
+          lsp(randomLsp(&graph, &deps, n, m, s, kmax, seed))
+    {
+    }
+    RandomInstance(const RandomInstance &) = delete;
+    RandomInstance &operator=(const RandomInstance &) = delete;
+
+    const Graph graph;
+    const Digraph deps;
+    const LayerSchedulingProblem lsp;
+};
 
 TEST(ListScheduler, FeasibleOnRandomInstances)
 {
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-        const auto lsp = randomInstance(4, 10, 25, 4, seed);
+        const RandomInstance instance(4, 10, 25, 4, seed);
+        const LayerSchedulingProblem &lsp = instance.lsp;
         const auto s = listScheduleDefault(lsp);
         std::string why;
         EXPECT_TRUE(validateSchedule(lsp, s, &why))
@@ -66,7 +87,8 @@ TEST(ListScheduler, FeasibleOnRandomInstances)
 
 TEST(ListScheduler, AllTasksScheduled)
 {
-    const auto lsp = randomInstance(3, 8, 12, 2, 3);
+    const RandomInstance instance(3, 8, 12, 2, 3);
+    const LayerSchedulingProblem &lsp = instance.lsp;
     const auto s = listScheduleDefault(lsp);
     for (TimeSlot t : s.mainStart)
         EXPECT_GE(t, 0);
@@ -78,7 +100,8 @@ TEST(ListScheduler, ParallelismAcrossQpus)
 {
     // n QPUs with m layers each and no syncs must finish in exactly
     // m slots (all QPUs run in parallel).
-    const auto lsp = randomInstance(4, 12, 0, 4, 5);
+    const RandomInstance instance(4, 12, 0, 4, 5);
+    const LayerSchedulingProblem &lsp = instance.lsp;
     const auto s = listScheduleDefault(lsp);
     EXPECT_EQ(s.makespan, 12);
 }
@@ -87,7 +110,8 @@ TEST(ListScheduler, SyncTasksShareSlots)
 {
     // 2 QPUs, 1 layer each, 8 syncs between them, kmax=4: the syncs
     // need only ceil(8/4)=2 connection slots.
-    auto lsp = randomInstance(2, 1, 8, 4, 7);
+    const RandomInstance instance(2, 1, 8, 4, 7);
+    const LayerSchedulingProblem &lsp = instance.lsp;
     const auto s = listScheduleDefault(lsp);
     std::string why;
     EXPECT_TRUE(validateSchedule(lsp, s, &why)) << why;
@@ -96,7 +120,8 @@ TEST(ListScheduler, SyncTasksShareSlots)
 
 TEST(ListScheduler, KmaxOneSerializesSyncs)
 {
-    auto lsp = randomInstance(2, 1, 6, 1, 9);
+    const RandomInstance instance(2, 1, 6, 1, 9);
+    const LayerSchedulingProblem &lsp = instance.lsp;
     const auto s = listScheduleDefault(lsp);
     EXPECT_TRUE(validateSchedule(lsp, s));
     EXPECT_GE(s.makespan, 1 + 6);
@@ -113,10 +138,10 @@ TEST(ListScheduler, DefaultPrioritiesInterleaveSyncs)
         mains.push_back({1, j, {static_cast<NodeId>(10 + j)}});
     std::vector<SyncTask> syncs(1);
     syncs[0] = {1, 11, 1, 11}; // both layer index 1
-    Graph local(20);
-    Digraph deps(20);
-    LayerSchedulingProblem lsp(std::move(mains), std::move(syncs),
-                               std::move(local), std::move(deps), 2, 4);
+    const Graph graph(20, {{1, 11}});
+    const Digraph deps(20);
+    const LayerSchedulingProblem lsp(std::move(mains), std::move(syncs),
+                                     &graph, &deps, 2, 4);
     const auto s = listScheduleDefault(lsp);
     EXPECT_TRUE(validateSchedule(lsp, s));
     EXPECT_LE(s.syncStart[0], 4);
@@ -124,7 +149,8 @@ TEST(ListScheduler, DefaultPrioritiesInterleaveSyncs)
 
 TEST(ListScheduler, PinMovesTask)
 {
-    const auto lsp = randomInstance(2, 6, 4, 2, 11);
+    const RandomInstance instance(2, 6, 4, 2, 11);
+    const LayerSchedulingProblem &lsp = instance.lsp;
     std::vector<double> mp(lsp.mainTasks().size());
     for (std::size_t i = 0; i < mp.size(); ++i)
         mp[i] = lsp.mainTasks()[i].index;
@@ -144,7 +170,8 @@ TEST(ListScheduler, PinMainRespectsOrder)
     // Pin the 3rd main task of QPU 0 to slot 0: impossible (two
     // predecessors must run first), so it lands at the earliest
     // feasible slot >= 0 AFTER its predecessors.
-    const auto lsp = randomInstance(2, 5, 0, 2, 13);
+    const RandomInstance instance(2, 5, 0, 2, 13);
+    const LayerSchedulingProblem &lsp = instance.lsp;
     std::vector<double> mp(lsp.mainTasks().size());
     for (std::size_t i = 0; i < mp.size(); ++i)
         mp[i] = lsp.mainTasks()[i].index;
@@ -161,7 +188,8 @@ TEST(ListScheduler, PinMainRespectsOrder)
 
 TEST(ListScheduler, PinMainToLateSlot)
 {
-    const auto lsp = randomInstance(1, 4, 0, 2, 15);
+    const RandomInstance instance(1, 4, 0, 2, 15);
+    const LayerSchedulingProblem &lsp = instance.lsp;
     std::vector<double> mp{0, 1, 2, 3};
     TaskPin pin;
     pin.isMain = true;
@@ -177,10 +205,9 @@ TEST(ListScheduler, PinMainToLateSlot)
 
 TEST(ListScheduler, EmptyInstance)
 {
-    Graph local(0);
-    Digraph deps(0);
-    LayerSchedulingProblem lsp({}, {}, std::move(local),
-                               std::move(deps), 2, 4);
+    const Graph graph(0);
+    const Digraph deps(0);
+    const LayerSchedulingProblem lsp({}, {}, &graph, &deps, 2, 4);
     const auto s = listScheduleDefault(lsp);
     EXPECT_EQ(s.makespan, 0);
 }

@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
-#include "core/lsp.hh"
+#include "api/options.hh"
+#include "circuit/generators.hh"
+#include "core/lsp_builder.hh"
+#include "mbqc/dependency.hh"
+#include "mbqc/pattern_builder.hh"
 
 namespace dcmbqc
 {
@@ -17,7 +21,8 @@ namespace
 /**
  * A small 2-QPU instance: QPU 0 has layers {0,1} holding nodes
  * {0,1} and {2}; QPU 1 has layers {0,1} holding {3} and {4,5}.
- * Local edges 0-1 and 4-5; one cut edge 2-3 => sync task 0.
+ * Local edges 0-1 and 4-5; one cut edge 2-3 => sync task 0. The
+ * graphs are static: the LSP borrows them.
  */
 LayerSchedulingProblem
 tinyInstance(int kmax = 2)
@@ -31,16 +36,12 @@ tinyInstance(int kmax = 2)
     std::vector<SyncTask> syncs(1);
     syncs[0] = {1, 2, 2, 3};
 
-    Graph local(6, {{0, 1}, {4, 5}});
-    // The cut edge 2-3 is deliberately absent from local edges.
-
-    Digraph deps(6);
-    deps.addArc(0, 2);
-    deps.addArc(3, 4);
+    // The cut edge 2-3 joins tasks on two QPUs: no fusee span.
+    static const Graph graph(6, {{0, 1}, {2, 3}, {4, 5}});
+    static const Digraph deps(6, {{0, 2}, {3, 4}});
 
     return LayerSchedulingProblem(std::move(mains), std::move(syncs),
-                                  std::move(local), std::move(deps), 2,
-                                  kmax);
+                                  &graph, &deps, 2, kmax);
 }
 
 TEST(Lsp, InstanceAccessors)
@@ -58,6 +59,39 @@ TEST(Lsp, InstanceAccessors)
     EXPECT_EQ(lsp.syncsOfTask(1), (std::vector<int>{0}));
     EXPECT_EQ(lsp.syncsOfTask(2), (std::vector<int>{0}));
     EXPECT_TRUE(lsp.syncsOfTask(0).empty());
+    EXPECT_EQ(lsp.qpuOfNode(3), 1);
+    EXPECT_TRUE(lsp.isLocal(lsp.graph().edge(0)));
+    EXPECT_FALSE(lsp.isLocal(lsp.graph().edge(1)));
+    EXPECT_TRUE(lsp.isLocal(lsp.graph().edge(2)));
+}
+
+TEST(Lsp, BorrowsThePatternGraphAndDependencies)
+{
+    // The instance reads the pattern's graph and the dependency graph
+    // in place; a cut edge is exactly an edge between two parts.
+    const Pattern pattern = buildPattern(makeQft(8));
+    const Digraph deps = realTimeDependencyGraph(pattern);
+    const Graph &g = pattern.graph();
+    std::vector<int> assign(g.numNodes());
+    for (NodeId u = 0; u < g.numNodes(); ++u)
+        assign[u] = static_cast<int>(u) % 2;
+    const DcMbqcConfig config =
+        CompileOptions().numQpus(2).gridSize(7).build().value();
+    const auto lsp = buildLayerSchedulingProblem(
+        g, deps, Partitioning(assign, 2), 2, config.grid, config.order,
+        config.kmax);
+    ASSERT_TRUE(lsp.ok()) << lsp.status().toString();
+    EXPECT_EQ(&lsp->graph(), &pattern.graph());
+    EXPECT_EQ(&lsp->deps(), &deps);
+
+    std::size_t cut = 0;
+    for (const Edge &e : g.edges()) {
+        EXPECT_EQ(lsp->isLocal(e), assign[e.u] == assign[e.v]);
+        cut += lsp->isLocal(e) ? 0 : 1;
+    }
+    EXPECT_EQ(cut, lsp->syncTasks().size());
+    for (NodeId u = 0; u < g.numNodes(); ++u)
+        EXPECT_EQ(lsp->qpuOfNode(u), assign[u]);
 }
 
 TEST(Lsp, EvaluateComputesComponents)
@@ -136,6 +170,8 @@ TEST(Lsp, ValidatorEnforcesKmax)
 {
     // Two sync tasks between the same QPUs at the same slot with
     // kmax=1 must be rejected; with kmax=2 accepted.
+    const Graph graph(2, {{0, 1}, {0, 1}});
+    const Digraph deps(2);
     auto make = [&](int kmax) {
         std::vector<MainTask> mains(2);
         mains[0] = {0, 0, {0}};
@@ -143,12 +179,9 @@ TEST(Lsp, ValidatorEnforcesKmax)
         std::vector<SyncTask> syncs(2);
         syncs[0] = {0, 1, 0, 1};
         syncs[1] = {0, 1, 0, 1};
-        Graph local(2);
-        Digraph deps(2);
         return LayerSchedulingProblem(std::move(mains),
-                                      std::move(syncs),
-                                      std::move(local),
-                                      std::move(deps), 2, kmax);
+                                      std::move(syncs), &graph, &deps,
+                                      2, kmax);
     };
     Schedule s;
     s.mainStart = {0, 0};

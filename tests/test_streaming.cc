@@ -129,12 +129,15 @@ TEST(StreamingPatternBuilder, WindowEventsReportSettledProgress)
 
 // --- List scheduler: window invariance and checkpoints --------------------
 
-/** QFT-16 on 4 QPUs with a round-robin partition. */
+/**
+ * QFT-16 on 4 QPUs with a round-robin partition. The pattern and its
+ * dependencies are static: the LSP borrows them.
+ */
 LayerSchedulingProblem
 qftLsp()
 {
-    const Pattern pattern = buildPattern(makeQft(16));
-    const Digraph deps = realTimeDependencyGraph(pattern);
+    static const Pattern pattern = buildPattern(makeQft(16));
+    static const Digraph deps = realTimeDependencyGraph(pattern);
     const DcMbqcConfig config =
         CompileOptions().numQpus(4).gridSize(7).build().value();
     std::vector<int> assign(pattern.graph().numNodes());
