@@ -41,6 +41,8 @@ statusFromCode(StatusCode code, std::string message)
     return Status::internal(std::move(message));
 }
 
+} // namespace
+
 void
 encodeStatus(BinaryWriter &writer, const Status &status)
 {
@@ -60,6 +62,9 @@ decodeStatus(BinaryReader &reader)
     return statusFromCode(static_cast<StatusCode>(code),
                           std::move(message));
 }
+
+namespace
+{
 
 void
 encodeGridSpec(BinaryWriter &writer, const GridSpec &grid)

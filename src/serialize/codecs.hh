@@ -41,6 +41,13 @@ namespace dcmbqc
 
 // --- Payload codecs --------------------------------------------------------
 
+/**
+ * A u8 status code and the message; an unknown code fails the reader
+ * (and decodes as OK). Compile reports and service replies share it.
+ */
+void encodeStatus(BinaryWriter &writer, const Status &status);
+Status decodeStatus(BinaryReader &reader);
+
 void encodeCircuit(BinaryWriter &writer, const Circuit &circuit);
 Circuit decodeCircuit(BinaryReader &reader);
 

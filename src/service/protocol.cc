@@ -29,45 +29,44 @@ validFrameType(std::uint16_t tag)
         tag <= static_cast<std::uint16_t>(FrameType::CacheProbeMiss);
 }
 
-/** Wire twin of the Status codec in serialize/codecs.cc. */
-void
-writeStatus(BinaryWriter &writer, const Status &status)
+/** The type and payload size a checked frame header announces. */
+struct FrameHeader
 {
-    writer.writeU8(static_cast<std::uint8_t>(status.code()));
-    writer.writeString(status.message());
-}
+    FrameType type;
+    std::uint64_t payloadSize;
+};
 
-Status
-readStatus(BinaryReader &reader)
+/**
+ * Check the frameHeaderSize bytes at `header`: magic, protocol
+ * version, type tag, and a payload size within `max_payload`, so a
+ * reader sizes nothing from an unchecked header.
+ */
+Expected<FrameHeader>
+checkFrameHeader(const std::uint8_t *header, std::size_t max_payload)
 {
-    const std::uint8_t code = reader.readU8();
-    std::string message = reader.readString();
-    if (code > static_cast<std::uint8_t>(StatusCode::Unavailable)) {
-        reader.fail("invalid status code tag " +
-                    std::to_string(code));
-        return Status::okStatus();
-    }
-    switch (static_cast<StatusCode>(code)) {
-      case StatusCode::Ok:
-        return Status::okStatus();
-      case StatusCode::InvalidArgument:
-        return Status::invalidArgument(std::move(message));
-      case StatusCode::InvalidConfig:
-        return Status::invalidConfig(std::move(message));
-      case StatusCode::FailedPrecondition:
-        return Status::failedPrecondition(std::move(message));
-      case StatusCode::Internal:
-        return Status::internal(std::move(message));
-      case StatusCode::Cancelled:
-        return Status::cancelled(std::move(message));
-      case StatusCode::DeadlineExceeded:
-        return Status::deadlineExceeded(std::move(message));
-      case StatusCode::ResourceExhausted:
-        return Status::resourceExhausted(std::move(message));
-      case StatusCode::Unavailable:
-        return Status::unavailable(std::move(message));
-    }
-    return Status::internal(std::move(message));
+    if (std::memcmp(header, frameMagic, sizeof(frameMagic)) != 0)
+        return Status::invalidArgument(
+            "bad service frame magic (not a dcmbqcd stream?)");
+
+    BinaryReader fields(header + 4, frameHeaderSize - 4);
+    const std::uint16_t version = fields.readU16();
+    const std::uint16_t tag = fields.readU16();
+    const std::uint64_t payload_size = fields.readU64();
+    if (version != serviceProtocolVersion)
+        return Status::invalidArgument(
+            "unsupported service protocol version " +
+            std::to_string(version) + " (this build speaks " +
+            std::to_string(serviceProtocolVersion) + ")");
+    if (!validFrameType(tag))
+        return Status::invalidArgument(
+            "unknown service frame type tag " + std::to_string(tag));
+    if (payload_size > max_payload)
+        return Status::invalidArgument(
+            "service frame payload of " +
+            std::to_string(payload_size) +
+            " bytes exceeds the limit of " +
+            std::to_string(max_payload));
+    return FrameHeader{static_cast<FrameType>(tag), payload_size};
 }
 
 /** Presence-flagged optional NoiseConfig (shared by job + options). */
@@ -215,7 +214,7 @@ writeReplyFields(BinaryWriter &writer, const Status &status,
                  std::uint8_t flags, std::uint64_t key,
                  std::size_t artifact_size)
 {
-    writeStatus(writer, status);
+    encodeStatus(writer, status);
     writer.writeU8(flags);
     writer.writeU64(key);
     writer.writeU64(artifact_size);
@@ -239,7 +238,7 @@ ReplyFields
 readReplyFields(BinaryReader &reader, std::size_t size)
 {
     ReplyFields fields;
-    fields.status = readStatus(reader);
+    fields.status = decodeStatus(reader);
     fields.flags = reader.readU8();
     if ((fields.flags & ~(replyCacheHit | replyHotServed)) != 0)
         reader.fail("invalid compile-reply flags byte " +
@@ -320,28 +319,10 @@ decodeFrame(const std::uint8_t *data, std::size_t size,
         return Status::invalidArgument(
             "service frame truncated: " + std::to_string(size) +
             " bytes is smaller than header + checksum");
-    if (std::memcmp(data, frameMagic, sizeof(frameMagic)) != 0)
-        return Status::invalidArgument(
-            "bad service frame magic (not a dcmbqcd stream?)");
-
-    BinaryReader header(data + 4, frameHeaderSize - 4);
-    const std::uint16_t version = header.readU16();
-    const std::uint16_t tag = header.readU16();
-    const std::uint64_t payload_size = header.readU64();
-    if (version != serviceProtocolVersion)
-        return Status::invalidArgument(
-            "unsupported service protocol version " +
-            std::to_string(version) + " (this build speaks " +
-            std::to_string(serviceProtocolVersion) + ")");
-    if (!validFrameType(tag))
-        return Status::invalidArgument(
-            "unknown service frame type tag " + std::to_string(tag));
-    if (payload_size > max_payload)
-        return Status::invalidArgument(
-            "service frame payload of " +
-            std::to_string(payload_size) +
-            " bytes exceeds the limit of " +
-            std::to_string(max_payload));
+    const Expected<FrameHeader> header = checkFrameHeader(data, max_payload);
+    if (!header.ok())
+        return header.status();
+    const std::uint64_t payload_size = header->payloadSize;
     if (size != frameHeaderSize + payload_size + frameTrailerSize)
         return Status::invalidArgument(
             "service frame size mismatch: header promises " +
@@ -350,7 +331,7 @@ decodeFrame(const std::uint8_t *data, std::size_t size,
 
     const std::uint8_t *payload = data + frameHeaderSize;
     Frame frame;
-    frame.type = static_cast<FrameType>(tag);
+    frame.type = header->type;
     frame.payload.assign(payload, payload + payload_size);
     BinaryReader trailer(payload + payload_size, frameTrailerSize);
     if (trailer.readU64() != payloadChecksum(frame))
@@ -394,32 +375,15 @@ readFrame(int fd, std::size_t max_payload)
             "service frame header truncated at " +
             std::to_string(got) + " bytes");
     }
-    if (std::memcmp(header, frameMagic, sizeof(frameMagic)) != 0)
-        return Status::invalidArgument(
-            "bad service frame magic (not a dcmbqcd stream?)");
-
-    BinaryReader fields(header + 4, sizeof(header) - 4);
-    const std::uint16_t version = fields.readU16();
-    const std::uint16_t tag = fields.readU16();
-    const std::uint64_t payload_size = fields.readU64();
-    if (version != serviceProtocolVersion)
-        return Status::invalidArgument(
-            "unsupported service protocol version " +
-            std::to_string(version) + " (this build speaks " +
-            std::to_string(serviceProtocolVersion) + ")");
-    if (!validFrameType(tag))
-        return Status::invalidArgument(
-            "unknown service frame type tag " + std::to_string(tag));
     // Size is validated before a single payload byte is allocated.
-    if (payload_size > max_payload)
-        return Status::invalidArgument(
-            "service frame payload of " +
-            std::to_string(payload_size) +
-            " bytes exceeds the limit of " +
-            std::to_string(max_payload));
+    const Expected<FrameHeader> checked =
+        checkFrameHeader(header, max_payload);
+    if (!checked.ok())
+        return checked.status();
+    const std::uint64_t payload_size = checked->payloadSize;
 
     Frame frame;
-    frame.type = static_cast<FrameType>(tag);
+    frame.type = checked->type;
     frame.payload.resize(payload_size);
     if (payload_size > 0 &&
         !recvAll(fd, frame.payload.data(), payload_size, nullptr))
