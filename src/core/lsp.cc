@@ -11,11 +11,9 @@ namespace dcmbqc
 {
 
 LayerSchedulingProblem::LayerSchedulingProblem(
-    std::vector<MainTask> main_tasks, std::vector<SyncTask> sync_tasks,
-    const Graph *graph, const Digraph *deps, int num_qpus, int kmax,
-    int pl_ratio)
+    std::vector<MainTask> main_tasks, const Graph *graph,
+    const Digraph *deps, int num_qpus, int kmax, int pl_ratio)
     : mainTasks_(std::move(main_tasks)),
-      syncTasks_(std::move(sync_tasks)),
       graph_(graph),
       deps_(deps),
       numQpus_(num_qpus),
@@ -54,10 +52,7 @@ LayerSchedulingProblem::LayerSchedulingProblem(
     {
         const bool acyclic = deps_->topologicalSort(depsOrder_);
         DCMBQC_ASSERT(acyclic, "LSP deps cyclic");
-        std::vector<int> depth(deps_->numNodes(), 0);
-        for (NodeId u : depsOrder_)
-            for (NodeId v : deps_->successors(u))
-                depth[v] = std::max(depth[v], depth[u] + 1);
+        const std::vector<int> depth = deps_->longestPathTo(depsOrder_);
 
         mainRelease_.assign(mainTasks_.size(), 0);
         for (NodeId u = 0; u < deps_->numNodes(); ++u) {
@@ -77,20 +72,18 @@ LayerSchedulingProblem::LayerSchedulingProblem(
         }
     }
 
+    // Each cut edge, in edge-id order, is re-established by one sync
+    // task between its endpoints' main tasks.
     syncsOfTask_.assign(mainTasks_.size(), {});
-    for (std::size_t k = 0; k < syncTasks_.size(); ++k) {
-        const auto &sync = syncTasks_[k];
-        DCMBQC_ASSERT(sync.taskA >= 0 &&
-                          sync.taskA < static_cast<int>(mainTasks_.size()),
-                      "sync with bad taskA");
-        DCMBQC_ASSERT(sync.taskB >= 0 &&
-                          sync.taskB < static_cast<int>(mainTasks_.size()),
-                      "sync with bad taskB");
-        DCMBQC_ASSERT(mainTasks_[sync.taskA].qpu !=
-                          mainTasks_[sync.taskB].qpu,
-                      "sync task within one QPU");
-        syncsOfTask_[sync.taskA].push_back(static_cast<int>(k));
-        syncsOfTask_[sync.taskB].push_back(static_cast<int>(k));
+    for (const Edge &e : graph_->edges()) {
+        if (isLocal(e))
+            continue;
+        const int k = static_cast<int>(syncTasks_.size());
+        const int task_a = taskOfNode_[e.u];
+        const int task_b = taskOfNode_[e.v];
+        syncTasks_.push_back({task_a, task_b, e.u, e.v});
+        syncsOfTask_[task_a].push_back(k);
+        syncsOfTask_[task_b].push_back(k);
     }
 }
 

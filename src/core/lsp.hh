@@ -57,8 +57,8 @@ class LayerSchedulingProblem
      * @param main_tasks All main tasks, grouped by QPU with
      *        consecutive indices 0..m_i-1 per QPU; together they must
      *        hold every node of the graph.
-     * @param sync_tasks All synchronization tasks.
-     * @param graph Computation graph (global ids), borrowed.
+     * @param graph Computation graph (global ids), borrowed. Each of
+     *        its cut edges, in edge-id order, becomes a sync task.
      * @param deps Global real-time dependency graph, borrowed.
      * @param num_qpus Number of QPUs.
      * @param kmax Connection capacity per connection layer.
@@ -66,7 +66,6 @@ class LayerSchedulingProblem
      *        layer); metrics are evaluated in physical cycles.
      */
     LayerSchedulingProblem(std::vector<MainTask> main_tasks,
-                           std::vector<SyncTask> sync_tasks,
                            const Graph *graph, const Digraph *deps,
                            int num_qpus, int kmax, int pl_ratio = 1);
 
@@ -87,10 +86,7 @@ class LayerSchedulingProblem
     int taskOfNode(NodeId u) const { return taskOfNode_[u]; }
 
     /** QPU that runs node u's main task. */
-    QpuId qpuOfNode(NodeId u) const
-    {
-        return mainTasks_[taskOfNode_[u]].qpu;
-    }
+    QpuId qpuOfNode(NodeId u) const { return mainTasks_[taskOfNode_[u]].qpu; }
 
     /**
      * True for a local edge, whose endpoints' main tasks run on one

@@ -73,7 +73,6 @@ buildLayerSchedulingProblem(const Graph &g, const Digraph &deps,
 
     // --- Sequential assembly (QPU order fixes the task ids) ---------
     std::vector<MainTask> main_tasks;
-    std::vector<int> task_of_node(g.numNodes(), -1);
     for (QpuId qpu = 0; qpu < num_qpus; ++qpu) {
         const LocalSchedule &local = locals[qpu];
         for (std::size_t layer = 0; layer < local.layers.size();
@@ -82,33 +81,17 @@ buildLayerSchedulingProblem(const Graph &g, const Digraph &deps,
             task.qpu = qpu;
             task.index = static_cast<int>(layer);
             task.nodes.reserve(local.layers[layer].nodes.size());
-            for (NodeId sub_node : local.layers[layer].nodes) {
-                const NodeId global = members[qpu][sub_node];
-                task.nodes.push_back(global);
-                task_of_node[global] =
-                    static_cast<int>(main_tasks.size());
-            }
+            for (NodeId sub_node : local.layers[layer].nodes)
+                task.nodes.push_back(members[qpu][sub_node]);
             main_tasks.push_back(std::move(task));
         }
     }
     if (local_out)
         *local_out = std::move(locals);
 
-    // --- Connectors / synchronization tasks --------------------------
-    std::vector<SyncTask> sync_tasks;
-    for (const auto &e : g.edges()) {
-        if (part.part(e.u) == part.part(e.v))
-            continue;
-        SyncTask sync;
-        sync.taskA = task_of_node[e.u];
-        sync.taskB = task_of_node[e.v];
-        sync.u = e.u;
-        sync.v = e.v;
-        sync_tasks.push_back(sync);
-    }
-
-    return LayerSchedulingProblem(std::move(main_tasks),
-                                  std::move(sync_tasks), &g, &deps,
+    // The cut edges, whose endpoints' tasks now run on two QPUs,
+    // become the synchronization tasks.
+    return LayerSchedulingProblem(std::move(main_tasks), &g, &deps,
                                   num_qpus, kmax, grid.plRatio);
 }
 

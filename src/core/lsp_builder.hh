@@ -1,9 +1,9 @@
 /**
  * @file
  * Construction of the Layer Scheduling Problem instance from a
- * partitioned computation graph: per-part single-QPU compilation,
- * main-task extraction, and connector/synchronization task
- * derivation from the cut edges. Used by PlaceLocalPass and by the
+ * partitioned computation graph: per-part single-QPU compilation and
+ * main-task extraction (the instance derives the synchronization
+ * tasks from the cut edges). Used by PlaceLocalPass and by the
  * benches and tests that rebuild an LSP for a given partition.
  */
 

@@ -25,13 +25,9 @@ scheduleMeasurementOrder(const Pattern &pattern,
     // Clifford patterns this backend accepts).
     const DependencyGraphs deps = buildDependencyGraphs(pattern);
 
-    std::vector<int> indeg(n, 0);
-    for (NodeId p = 0; p < n; ++p) {
-        for (const NodeId v : deps.xDeps.successors(p))
-            ++indeg[v];
-        for (const NodeId v : deps.zDeps.successors(p))
-            ++indeg[v];
-    }
+    std::vector<int> indeg(n);
+    for (NodeId v = 0; v < n; ++v)
+        indeg[v] = deps.xDeps.inDegree(v) + deps.zDeps.inDegree(v);
 
     // Min-heap on (generation time, node id): the earliest generated
     // correction-ready photon measures next; the id tie-break keeps

@@ -81,11 +81,8 @@ Digraph::isAcyclic() const
 }
 
 std::vector<int>
-Digraph::longestPathTo() const
+Digraph::longestPathTo(const std::vector<NodeId> &order) const
 {
-    std::vector<NodeId> order;
-    bool acyclic = topologicalSort(order);
-    DCMBQC_ASSERT(acyclic, "longestPathTo on cyclic digraph");
     std::vector<int> dist(numNodes(), 0);
     for (NodeId u : order)
         for (NodeId v : successors(u))

@@ -7,11 +7,10 @@
 #ifndef DCMBQC_GRAPH_DIGRAPH_HH
 #define DCMBQC_GRAPH_DIGRAPH_HH
 
-#include <algorithm>
-#include <cstddef>
 #include <vector>
 
 #include "common/types.hh"
+#include "graph/graph.hh"
 
 namespace dcmbqc
 {
@@ -29,7 +28,7 @@ struct Arc
  * [0, numNodes).
  *
  * The layout is compressed sparse rows, as in Graph: node u's
- * successors are succ_[succBegin_[u], succBegin_[u + 1]) and its
+ * successors are succ_[succBegin_[u], succBegin_[u + 1]), and its
  * predecessors likewise. Each node's lists follow the arc list's
  * order, the order topological sorts and artifact bytes depend on.
  */
@@ -37,30 +36,7 @@ class Digraph
 {
   public:
     /** A node's successors or predecessors, in arc order. */
-    class Nodes
-    {
-      public:
-        Nodes(const NodeId *begin, const NodeId *end)
-            : begin_(begin), end_(end)
-        {
-        }
-
-        const NodeId *begin() const { return begin_; }
-        const NodeId *end() const { return end_; }
-        std::size_t size() const { return end_ - begin_; }
-        bool empty() const { return begin_ == end_; }
-        NodeId operator[](std::size_t i) const { return begin_[i]; }
-
-        bool
-        operator==(const Nodes &other) const
-        {
-            return std::equal(begin_, end_, other.begin_, other.end_);
-        }
-
-      private:
-        const NodeId *begin_;
-        const NodeId *end_;
-    };
+    using Nodes = RowView<NodeId>;
 
     Digraph() = default;
 
@@ -104,10 +80,11 @@ class Digraph
     bool isAcyclic() const;
 
     /**
-     * Length (in arcs) of the longest path ending at each node; the
-     * graph must be acyclic.
+     * Length (in arcs) of the longest path ending at each node.
+     *
+     * @param order A topological order (topologicalSort).
      */
-    std::vector<int> longestPathTo() const;
+    std::vector<int> longestPathTo(const std::vector<NodeId> &order) const;
 
   private:
     NodeId numNodes_ = 0;

@@ -8,6 +8,7 @@
 #ifndef DCMBQC_GRAPH_GRAPH_HH
 #define DCMBQC_GRAPH_GRAPH_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -21,6 +22,32 @@ struct Adjacency
 {
     NodeId neighbor;
     int weight;
+};
+
+/**
+ * One node's row of a compressed-row array, [begin, end), as Graph
+ * and Digraph hand it out.
+ */
+template <typename T>
+class RowView
+{
+  public:
+    RowView(const T *begin, const T *end) : begin_(begin), end_(end) {}
+
+    const T *begin() const { return begin_; }
+    const T *end() const { return end_; }
+    std::size_t size() const { return end_ - begin_; }
+    const T &operator[](std::size_t i) const { return begin_[i]; }
+
+    bool
+    operator==(const RowView &other) const
+    {
+        return std::equal(begin_, end_, other.begin_, other.end_);
+    }
+
+  private:
+    const T *begin_;
+    const T *end_;
 };
 
 /** An undirected edge with an integer weight. */
@@ -47,23 +74,7 @@ class Graph
 {
   public:
     /** A node's arcs, in edge-id order. */
-    class Arcs
-    {
-      public:
-        Arcs(const Adjacency *begin, const Adjacency *end)
-            : begin_(begin), end_(end)
-        {
-        }
-
-        const Adjacency *begin() const { return begin_; }
-        const Adjacency *end() const { return end_; }
-        std::size_t size() const { return end_ - begin_; }
-        const Adjacency &operator[](std::size_t i) const { return begin_[i]; }
-
-      private:
-        const Adjacency *begin_;
-        const Adjacency *end_;
-    };
+    using Arcs = RowView<Adjacency>;
 
     Graph() = default;
 

@@ -27,19 +27,14 @@ bottleneckInstance()
     for (int j = 0; j < 12; ++j)
         mains.push_back({1, j, {static_cast<NodeId>(12 + j)}});
 
-    std::vector<SyncTask> syncs;
-    // Sync between QPU0 layer 1 and QPU1 layer 10: any slot is far
-    // from one of them unless the schedule shifts the layers.
-    syncs.push_back({1, 22, 1, 22});
-    // A benign nearby sync.
-    syncs.push_back({5, 17, 5, 17});
-
-    // Fusee pair within QPU0 spanning layers 0 and 11, and the two
-    // cut edges. The graphs are static: the LSP borrows them.
+    // A fusee pair within QPU0 spanning layers 0 and 11. Cut edge
+    // 1-22 syncs QPU0 layer 1 with QPU1 layer 10: any slot is far from
+    // one of them unless the schedule shifts the layers. Cut edge 5-17
+    // is a benign nearby sync. The graphs are static: the LSP borrows
+    // them.
     static const Graph graph(24, {{0, 11}, {1, 22}, {5, 17}});
     static const Digraph deps(24);
-    return LayerSchedulingProblem(std::move(mains), std::move(syncs),
-                                  &graph, &deps, 2, 4);
+    return LayerSchedulingProblem(std::move(mains), &graph, &deps, 2, 4);
 }
 
 /** Two one-layer QPUs joined by one sync task. */
@@ -49,12 +44,9 @@ twoLayerSyncInstance()
     std::vector<MainTask> mains;
     mains.push_back({0, 0, {0}});
     mains.push_back({1, 0, {1}});
-    std::vector<SyncTask> syncs;
-    syncs.push_back({0, 1, 0, 1});
     static const Graph graph(2, {{0, 1}});
     static const Digraph deps(2);
-    return LayerSchedulingProblem(std::move(mains), std::move(syncs),
-                                  &graph, &deps, 2, 4);
+    return LayerSchedulingProblem(std::move(mains), &graph, &deps, 2, 4);
 }
 
 /** A neighbour is built first and then only after an accepted move. */
@@ -174,8 +166,8 @@ TEST(Bdir, HandlesInstanceWithoutSyncs)
         mains.push_back({0, j, {static_cast<NodeId>(j)}});
     const Graph graph(6, {{0, 5}});
     const Digraph deps(6);
-    const LayerSchedulingProblem lsp(std::move(mains), {}, &graph, &deps,
-                                     1, 4);
+    const LayerSchedulingProblem lsp(std::move(mains), &graph, &deps, 1,
+                                     4);
     const auto initial = listScheduleDefault(lsp);
     BdirStats stats;
     const auto out = bdirOptimize(lsp, initial, {}, &stats);

@@ -271,7 +271,9 @@ TEST(Digraph, DetectsCycle)
 TEST(Digraph, LongestPath)
 {
     const Digraph d(5, {{0, 1}, {1, 2}, {2, 3}, {0, 4}});
-    const auto dist = d.longestPathTo();
+    std::vector<NodeId> order;
+    ASSERT_TRUE(d.topologicalSort(order));
+    const auto dist = d.longestPathTo(order);
     EXPECT_EQ(dist[3], 3);
     EXPECT_EQ(dist[4], 1);
     EXPECT_EQ(dist[0], 0);
@@ -356,8 +358,8 @@ TEST(DigraphLayout, EmptyAndArclessDigraphs)
     const Digraph isolated(3);
     EXPECT_EQ(isolated.numArcs(), 0u);
     for (NodeId u = 0; u < 3; ++u) {
-        EXPECT_TRUE(isolated.successors(u).empty());
-        EXPECT_TRUE(isolated.predecessors(u).empty());
+        EXPECT_EQ(isolated.successors(u).size(), 0u);
+        EXPECT_EQ(isolated.predecessors(u).size(), 0u);
     }
 }
 

@@ -16,53 +16,46 @@ namespace
 {
 
 /**
- * Random LSP with n QPUs, m layers each, s sync tasks, over `graph`
- * and `deps` (n * m nodes), which it borrows.
+ * s random cut edges between n QPUs of m layers with one node each:
+ * node q * m + j is layer j of QPU q.
  */
-LayerSchedulingProblem
-randomLsp(const Graph *graph, const Digraph *deps, int n, int m, int s,
-          int kmax, std::uint64_t seed)
+Graph
+randomCutGraph(int n, int m, int s, std::uint64_t seed)
 {
     Rng rng(seed);
-    std::vector<MainTask> mains;
-    std::vector<std::vector<int>> task_ids(n);
-    NodeId next_node = 0;
-    for (int qpu = 0; qpu < n; ++qpu) {
-        for (int j = 0; j < m; ++j) {
-            MainTask t;
-            t.qpu = qpu;
-            t.index = j;
-            t.nodes = {next_node++};
-            task_ids[qpu].push_back(static_cast<int>(mains.size()));
-            mains.push_back(std::move(t));
-        }
-    }
-    std::vector<SyncTask> syncs;
+    std::vector<Edge> edges;
     for (int k = 0; k < s; ++k) {
         const int qa = static_cast<int>(rng.uniformInt(n));
         int qb = qa;
         while (qb == qa)
             qb = static_cast<int>(rng.uniformInt(n));
-        SyncTask sync;
-        sync.taskA = task_ids[qa][rng.uniformInt(m)];
-        sync.taskB = task_ids[qb][rng.uniformInt(m)];
-        sync.u = mains[sync.taskA].nodes[0];
-        sync.v = mains[sync.taskB].nodes[0];
-        syncs.push_back(sync);
+        const auto u = static_cast<NodeId>(qa * m + rng.uniformInt(m));
+        const auto v = static_cast<NodeId>(qb * m + rng.uniformInt(m));
+        edges.push_back({u, v});
     }
-    return LayerSchedulingProblem(std::move(mains), std::move(syncs),
-                                  graph, deps, n, kmax);
+    return Graph(n * m, std::move(edges));
+}
+
+/** One main task per layer, holding that layer's node. */
+std::vector<MainTask>
+layerTasks(int n, int m)
+{
+    std::vector<MainTask> mains;
+    for (int qpu = 0; qpu < n; ++qpu)
+        for (int j = 0; j < m; ++j)
+            mains.push_back({qpu, j, {static_cast<NodeId>(qpu * m + j)}});
+    return mains;
 }
 
 /**
- * A random LSP and the graphs it borrows: one node per layer, no
- * edges and no dependencies.
+ * Random LSP instance with n QPUs, m layers each and s sync tasks,
+ * with the graphs it borrows (no dependencies).
  */
 struct RandomInstance
 {
     RandomInstance(int n, int m, int s, int kmax, std::uint64_t seed)
-        : graph(n * m), deps(n * m),
-          lsp(randomLsp(&graph, &deps, n, m, s, kmax, seed))
+        : graph(randomCutGraph(n, m, s, seed)), deps(n * m),
+          lsp(layerTasks(n, m), &graph, &deps, n, kmax)
     {
     }
     RandomInstance(const RandomInstance &) = delete;
@@ -136,12 +129,10 @@ TEST(ListScheduler, DefaultPrioritiesInterleaveSyncs)
         mains.push_back({0, j, {static_cast<NodeId>(j)}});
     for (int j = 0; j < 10; ++j)
         mains.push_back({1, j, {static_cast<NodeId>(10 + j)}});
-    std::vector<SyncTask> syncs(1);
-    syncs[0] = {1, 11, 1, 11}; // both layer index 1
-    const Graph graph(20, {{1, 11}});
+    const Graph graph(20, {{1, 11}}); // both layer index 1
     const Digraph deps(20);
-    const LayerSchedulingProblem lsp(std::move(mains), std::move(syncs),
-                                     &graph, &deps, 2, 4);
+    const LayerSchedulingProblem lsp(std::move(mains), &graph, &deps, 2,
+                                     4);
     const auto s = listScheduleDefault(lsp);
     EXPECT_TRUE(validateSchedule(lsp, s));
     EXPECT_LE(s.syncStart[0], 4);
@@ -207,7 +198,7 @@ TEST(ListScheduler, EmptyInstance)
 {
     const Graph graph(0);
     const Digraph deps(0);
-    const LayerSchedulingProblem lsp({}, {}, &graph, &deps, 2, 4);
+    const LayerSchedulingProblem lsp({}, &graph, &deps, 2, 4);
     const auto s = listScheduleDefault(lsp);
     EXPECT_EQ(s.makespan, 0);
 }

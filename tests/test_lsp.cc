@@ -33,15 +33,12 @@ tinyInstance(int kmax = 2)
     mains[2] = {1, 0, {3}};
     mains[3] = {1, 1, {4, 5}};
 
-    std::vector<SyncTask> syncs(1);
-    syncs[0] = {1, 2, 2, 3};
-
     // The cut edge 2-3 joins tasks on two QPUs: no fusee span.
     static const Graph graph(6, {{0, 1}, {2, 3}, {4, 5}});
     static const Digraph deps(6, {{0, 2}, {3, 4}});
 
-    return LayerSchedulingProblem(std::move(mains), std::move(syncs),
-                                  &graph, &deps, 2, kmax);
+    return LayerSchedulingProblem(std::move(mains), &graph, &deps, 2,
+                                  kmax);
 }
 
 TEST(Lsp, InstanceAccessors)
@@ -56,6 +53,11 @@ TEST(Lsp, InstanceAccessors)
     EXPECT_EQ(lsp.taskOfNode(0), 0);
     EXPECT_EQ(lsp.taskOfNode(2), 1);
     EXPECT_EQ(lsp.taskOfNode(5), 3);
+    ASSERT_EQ(lsp.syncTasks().size(), 1u);
+    EXPECT_EQ(lsp.syncTasks()[0].taskA, 1);
+    EXPECT_EQ(lsp.syncTasks()[0].taskB, 2);
+    EXPECT_EQ(lsp.syncTasks()[0].u, 2);
+    EXPECT_EQ(lsp.syncTasks()[0].v, 3);
     EXPECT_EQ(lsp.syncsOfTask(1), (std::vector<int>{0}));
     EXPECT_EQ(lsp.syncsOfTask(2), (std::vector<int>{0}));
     EXPECT_TRUE(lsp.syncsOfTask(0).empty());
@@ -87,7 +89,14 @@ TEST(Lsp, BorrowsThePatternGraphAndDependencies)
     std::size_t cut = 0;
     for (const Edge &e : g.edges()) {
         EXPECT_EQ(lsp->isLocal(e), assign[e.u] == assign[e.v]);
-        cut += lsp->isLocal(e) ? 0 : 1;
+        if (lsp->isLocal(e))
+            continue;
+        ASSERT_LT(cut, lsp->syncTasks().size());
+        const SyncTask &sync = lsp->syncTasks()[cut++];
+        EXPECT_EQ(sync.u, e.u);
+        EXPECT_EQ(sync.v, e.v);
+        EXPECT_EQ(sync.taskA, lsp->taskOfNode(e.u));
+        EXPECT_EQ(sync.taskB, lsp->taskOfNode(e.v));
     }
     EXPECT_EQ(cut, lsp->syncTasks().size());
     for (NodeId u = 0; u < g.numNodes(); ++u)
@@ -170,18 +179,15 @@ TEST(Lsp, ValidatorEnforcesKmax)
 {
     // Two sync tasks between the same QPUs at the same slot with
     // kmax=1 must be rejected; with kmax=2 accepted.
+    // Two parallel cut edges: two sync tasks.
     const Graph graph(2, {{0, 1}, {0, 1}});
     const Digraph deps(2);
     auto make = [&](int kmax) {
         std::vector<MainTask> mains(2);
         mains[0] = {0, 0, {0}};
         mains[1] = {1, 0, {1}};
-        std::vector<SyncTask> syncs(2);
-        syncs[0] = {0, 1, 0, 1};
-        syncs[1] = {0, 1, 0, 1};
-        return LayerSchedulingProblem(std::move(mains),
-                                      std::move(syncs), &graph, &deps,
-                                      2, kmax);
+        return LayerSchedulingProblem(std::move(mains), &graph, &deps, 2,
+                                      kmax);
     };
     Schedule s;
     s.mainStart = {0, 0};

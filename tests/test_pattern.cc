@@ -147,7 +147,9 @@ TEST(Dependency, RealTimeDepthBoundedByWireLength)
 {
     const auto p = buildPattern(makeQft(4));
     const auto deps = realTimeDependencyGraph(p);
-    const auto depth = deps.longestPathTo();
+    std::vector<NodeId> order;
+    ASSERT_TRUE(deps.topologicalSort(order));
+    const auto depth = deps.longestPathTo(order);
     // The X-dep graph is a union of wire chains, so the longest path
     // is bounded by the longest wire (nodes on one wire - 1).
     std::vector<int> wire_count(4, 0);
