@@ -77,7 +77,9 @@ struct CompileReport
      * peak frontier nodes / pending edges / live bytes, resident
      * sync tasks). All zero when no streaming stage ran. Execution
      * telemetry, not compile content: never serialized into cached
-     * artifacts, so artifact bytes stay window-invariant.
+     * artifacts. (The artifact still records which front-end
+     * stages ran, PatternStream or Transpile + PatternBuild, so its
+     * bytes depend on whether a window was set.)
      */
     StreamStats streaming;
 

@@ -131,12 +131,14 @@ class CompileOptions
      * Windowed-ingest size of the streaming compile stages: gates
      * per window in the pattern builder, time slots per window in
      * the scheduler. 0 (the default) runs each stage as a single
-     * window. An execution knob, not a semantic one — compiled
-     * artifacts are byte-identical for every window size, so the
-     * window does not enter the cache key; it only bounds live
-     * memory and sets how often cancellation checks and
-     * `PassObserver::onWindow` progress events fire mid-pass. Must
-     * be >= 0 (validated).
+     * window. An execution knob, not a semantic one: the pattern,
+     * partition, schedules and metrics are identical for every
+     * window size, so the window does not enter the cache key; it
+     * bounds live memory and sets how often cancellation checks and
+     * `PassObserver::onWindow` progress events fire mid-pass. Only
+     * the stage list differs (a windowed Circuit entry runs
+     * PatternStream, not Transpile + PatternBuild; a cache hit
+     * replays the storing compile's list). Must be >= 0 (validated).
      */
     CompileOptions &window(int gates_per_window);
 

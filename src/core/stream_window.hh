@@ -10,9 +10,11 @@
  * The window is an execution knob, never a semantic one: for any
  * window size (including 0 = one window over the whole input) the
  * streaming stages produce byte-identical patterns, partitions, and
- * schedules. Checkpoints fired between windows are where
- * cancellation tokens, deadlines, and progress observers get a turn
- * inside a pass instead of only between passes.
+ * schedules. Only the report's stage list tells a windowed compile
+ * of a Circuit entry (PatternStream) from an unwindowed one
+ * (Transpile + PatternBuild). Checkpoints fired between windows are
+ * where cancellation tokens, deadlines, and progress observers get a
+ * turn inside a pass instead of only between passes.
  */
 
 #ifndef DCMBQC_CORE_STREAM_WINDOW_HH

@@ -450,9 +450,10 @@ encodeServiceJob(const ServiceJob &job)
         break;
       case CompileRequest::EntryPoint::CircuitStream:
         // Streams cross the wire materialized under the Circuit tag:
-        // the compiled artifact is byte-identical either way, and the
-        // daemon's windowed ingest is governed by `job.window`, not
-        // by the entry representation.
+        // the compiled content is the same either way (the stage list
+        // names the front end the daemon ran), and the daemon's
+        // windowed ingest is governed by `job.window`, not by the
+        // entry representation.
         writer.writeU8(1);
         encodeCircuit(writer, request.stream().materialize());
         break;

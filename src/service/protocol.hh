@@ -263,8 +263,10 @@ struct ServiceJob
      * values > 0 run the job through the windowed front end with
      * this ingest bound, and (with `streamProgress`) stream
      * window-granular Progress frames between pass boundaries.
-     * Execution knob only — the reply artifact is byte-identical for
-     * every window size. 0 = unwindowed ingest (v4).
+     * Execution knob only: the compiled content and the cache key
+     * are the same for every window size, though a Circuit job's
+     * stage list names PatternStream instead of Transpile +
+     * PatternBuild. 0 = unwindowed ingest (v4).
      */
     std::uint32_t window = 0;
 };
