@@ -116,10 +116,7 @@ class LayerSchedulingProblem
         return mainRelease_[main_task];
     }
 
-    /**
-     * The computation graph. Its local edges (isLocal) are the fusee
-     * pairs tau_local charges, in edge-id order.
-     */
+    /** The computation graph; its local edges are tau_local's fusees. */
     const Graph &graph() const { return *graph_; }
     const Digraph &deps() const { return *deps_; }
 

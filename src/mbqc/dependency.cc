@@ -11,8 +11,7 @@ DependencyGraphs
 buildDependencyGraphs(const Pattern &pattern)
 {
     const NodeId n = pattern.numNodes();
-    std::vector<Arc> x_arcs;
-    std::vector<Arc> z_arcs;
+    std::vector<Arc> x_arcs, z_arcs;
     std::vector<NodeId> succ;
     for (NodeId m = 0; m < n; ++m) {
         dependencySuccessors(pattern, m, /*z_set=*/false, succ);
