@@ -28,6 +28,33 @@ bfsDistances(const Graph &g, NodeId source)
     return dist;
 }
 
+int
+connectedComponents(const Graph &g, std::vector<int> &component)
+{
+    component.assign(g.numNodes(), -1);
+    int num_components = 0;
+    std::vector<NodeId> queue;
+    for (NodeId start = 0; start < g.numNodes(); ++start) {
+        if (component[start] >= 0)
+            continue;
+        component[start] = num_components;
+        queue.clear();
+        queue.push_back(start);
+        std::size_t head = 0;
+        while (head < queue.size()) {
+            NodeId u = queue[head++];
+            for (const auto &adj : g.adjacency(u)) {
+                if (component[adj.neighbor] < 0) {
+                    component[adj.neighbor] = num_components;
+                    queue.push_back(adj.neighbor);
+                }
+            }
+        }
+        ++num_components;
+    }
+    return num_components;
+}
+
 NodeId
 pseudoPeripheralNode(const Graph &g, NodeId seed)
 {

@@ -1,10 +1,10 @@
 /**
  * @file
  * Classic graph algorithms used by the partitioner and the placer:
- * BFS, reverse Cuthill-McKee ordering (the single-QPU placer uses it
- * to keep fusee layer spans small, which is exactly the
- * graph-bandwidth connection used by the paper's NP-hardness proof,
- * Theorem IV.2), and graph bandwidth evaluation.
+ * BFS, connected components, reverse Cuthill-McKee ordering (the
+ * single-QPU placer uses it to keep fusee layer spans small, which
+ * is exactly the graph-bandwidth connection used by the paper's
+ * NP-hardness proof, Theorem IV.2), and graph bandwidth evaluation.
  */
 
 #ifndef DCMBQC_GRAPH_ALGORITHMS_HH
@@ -24,6 +24,14 @@ namespace dcmbqc
  * @return Vector of hop counts; -1 for unreachable nodes.
  */
 std::vector<int> bfsDistances(const Graph &g, NodeId source);
+
+/**
+ * Connected components.
+ *
+ * @param component Out: component id per node (dense, 0-based).
+ * @return Number of components.
+ */
+int connectedComponents(const Graph &g, std::vector<int> &component);
 
 /**
  * A pseudo-peripheral node of the component containing the seed,

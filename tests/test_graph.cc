@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the graph substrate: Graph and Digraph and their
- * compressed-row layouts, BFS, RCM ordering, bandwidth and heavy-edge
- * matching.
+ * compressed-row layouts, BFS, connected components, RCM ordering,
+ * bandwidth and heavy-edge matching.
  */
 
 #include <gtest/gtest.h>
@@ -377,6 +377,17 @@ TEST(Algorithms, BfsUnreachable)
     const auto dist = bfsDistances(g, 0);
     EXPECT_EQ(dist[2], -1);
     EXPECT_EQ(dist[3], -1);
+}
+
+TEST(Algorithms, ConnectedComponents)
+{
+    Graph g(6, {{0, 1}, {1, 2}, {3, 4}});
+    std::vector<int> comp;
+    EXPECT_EQ(connectedComponents(g, comp), 3);
+    EXPECT_EQ(comp[0], comp[2]);
+    EXPECT_EQ(comp[3], comp[4]);
+    EXPECT_NE(comp[0], comp[3]);
+    EXPECT_NE(comp[3], comp[5]);
 }
 
 TEST(Algorithms, RcmCoversAllNodes)
