@@ -50,7 +50,7 @@ class SettledPrefixBuilder
           wire_entries_(static_cast<std::size_t>(num_qubits))
     {
         for (QubitId w = 0; w < num_qubits; ++w)
-            cur_[w] = newNode(w);
+            cur_[w] = addNode(w);
     }
 
     void
@@ -61,7 +61,7 @@ class SettledPrefixBuilder
             return;
         }
         const NodeId m = cur_[op.q0];
-        const NodeId n = newNode(op.q0);
+        const NodeId n = addNode(op.q0);
         toggle(m, op.q0, n, op.q0);
         // J(alpha) measures the old node at -alpha; flow f(m)=n.
         angles_[m] = -op.angle;
@@ -120,7 +120,7 @@ class SettledPrefixBuilder
   private:
     /** A fresh unmeasured node on `wire`. */
     NodeId
-    newNode(QubitId wire)
+    addNode(QubitId wire)
     {
         angles_.push_back(0.0);
         flow_.push_back(invalidNode);
