@@ -54,6 +54,14 @@ Expected<LayerSchedulingProblem> buildLayerSchedulingProblem(
     std::vector<LocalSchedule> *local_out = nullptr,
     int num_workers = 0);
 
+/** The LSP borrows `g` and `deps`, so neither may be a temporary. */
+template <typename... Rest>
+Expected<LayerSchedulingProblem>
+buildLayerSchedulingProblem(Graph &&, Rest &&...) = delete;
+template <typename... Rest>
+Expected<LayerSchedulingProblem>
+buildLayerSchedulingProblem(const Graph &, Digraph &&, Rest &&...) = delete;
+
 } // namespace dcmbqc
 
 #endif // DCMBQC_CORE_LSP_BUILDER_HH

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <utility>
+
 #include "api/options.hh"
 #include "circuit/generators.hh"
 #include "core/lsp_builder.hh"
@@ -102,6 +105,30 @@ TEST(Lsp, BorrowsThePatternGraphAndDependencies)
     for (NodeId u = 0; u < g.numNodes(); ++u)
         EXPECT_EQ(lsp->qpuOfNode(u), assign[u]);
 }
+
+/** True when buildLayerSchedulingProblem accepts a G and a D. */
+template <typename G, typename D, typename = void>
+struct BuildsFrom : std::false_type
+{
+};
+template <typename G, typename D>
+struct BuildsFrom<
+    G, D,
+    std::void_t<decltype(buildLayerSchedulingProblem(
+        std::declval<G>(), std::declval<D>(),
+        std::declval<const Partitioning &>(), 2,
+        std::declval<const GridSpec &>(), PlacementOrder{}, 4))>>
+    : std::true_type
+{
+};
+
+// The LSP keeps the graphs' addresses, so a temporary graph or
+// dependency graph, which would dangle, does not compile.
+static_assert(BuildsFrom<const Graph &, const Digraph &>::value);
+static_assert(BuildsFrom<Graph &, Digraph &>::value);
+static_assert(!BuildsFrom<Graph, const Digraph &>::value);
+static_assert(!BuildsFrom<const Graph &, Digraph>::value);
+static_assert(!BuildsFrom<Graph, Digraph>::value);
 
 TEST(Lsp, EvaluateComputesComponents)
 {
