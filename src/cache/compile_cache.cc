@@ -70,7 +70,7 @@ CompileCache::touch(std::list<Entry>::iterator it)
     lru_.splice(lru_.begin(), lru_, it);
 }
 
-std::optional<std::vector<std::uint8_t>>
+CachedArtifact
 CompileCache::lookup(std::uint64_t key)
 {
     {
@@ -83,7 +83,7 @@ CompileCache::lookup(std::uint64_t key)
         }
         if (config_.diskDir.empty()) {
             ++stats_.misses;
-            return std::nullopt;
+            return nullptr;
         }
     }
 
@@ -111,18 +111,19 @@ CompileCache::lookup(std::uint64_t key)
         if (bytes.ok())
             std::remove(path.c_str());
         ++stats_.misses;
-        return std::nullopt;
+        return nullptr;
     }
     ++stats_.hits;
     ++stats_.diskHits;
     // Promote into the memory tier.
-    insertLocked(key, *bytes);
-    return std::move(bytes.value());
+    auto artifact = std::make_shared<const std::vector<std::uint8_t>>(
+        std::move(bytes.value()));
+    insertLocked(key, artifact);
+    return artifact;
 }
 
 void
-CompileCache::insertLocked(std::uint64_t key,
-                           std::vector<std::uint8_t> bytes)
+CompileCache::insertLocked(std::uint64_t key, CachedArtifact bytes)
 {
     auto it = index_.find(key);
     if (it != index_.end()) {
@@ -165,10 +166,12 @@ CompileCache::insert(std::uint64_t key, std::vector<std::uint8_t> bytes)
             std::remove(temp.c_str());
     }
 
+    auto artifact =
+        std::make_shared<const std::vector<std::uint8_t>>(std::move(bytes));
     std::lock_guard<std::mutex> lock(mutex_);
     if (disk_written)
         ++stats_.diskWrites;
-    insertLocked(key, std::move(bytes));
+    insertLocked(key, std::move(artifact));
 }
 
 void

@@ -28,8 +28,8 @@
 
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -81,6 +81,13 @@ struct DiskStoreStats
     std::uint64_t flatEntries = 0;
 };
 
+/**
+ * An artifact held by the cache. Readers share it with the memory
+ * tier, so a hit copies no payload, and an entry evicted while a
+ * reader holds it lives until that reader lets it go.
+ */
+using CachedArtifact = std::shared_ptr<const std::vector<std::uint8_t>>;
+
 /** Thread-safe LRU + disk store of serialized compile artifacts. */
 class CompileCache
 {
@@ -90,12 +97,11 @@ class CompileCache
     const CacheConfig &config() const { return config_; }
 
     /**
-     * Fetch the artifact bytes stored under `key`, bumping it to
+     * The artifact stored under `key` (null on a miss), bumping it to
      * most-recently-used. Falls through to the disk tier on a memory
      * miss. Counts one hit or one miss per call.
      */
-    std::optional<std::vector<std::uint8_t>>
-    lookup(std::uint64_t key);
+    CachedArtifact lookup(std::uint64_t key);
 
     /**
      * Store artifact bytes under `key`, evicting the least recently
@@ -141,11 +147,10 @@ class CompileCache
     static DiskStoreStats scanDiskStore(const std::string &dir);
 
   private:
-    using Entry = std::pair<std::uint64_t, std::vector<std::uint8_t>>;
+    using Entry = std::pair<std::uint64_t, CachedArtifact>;
 
     void touch(std::list<Entry>::iterator it);
-    void insertLocked(std::uint64_t key,
-                      std::vector<std::uint8_t> bytes);
+    void insertLocked(std::uint64_t key, CachedArtifact bytes);
 
     CacheConfig config_;
     mutable std::mutex mutex_;

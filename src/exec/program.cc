@@ -23,7 +23,6 @@ ExecProgram::fromPattern(Pattern pattern, std::string label)
     ExecProgram program;
     program.label_ = std::move(label);
     program.deps_ = realTimeDependencyGraph(pattern);
-    program.graph_ = pattern.graph();
     program.pattern_ = std::move(pattern);
     return program;
 }
@@ -97,18 +96,15 @@ ExecProgram::baseline() const
 Status
 ExecProgram::validate() const
 {
-    if (graph_.numNodes() == 0)
+    const NodeId nodes = graph().numNodes();
+    if (nodes == 0)
         return Status::invalidArgument(
             "program has no computation nodes");
-    if (deps_.numNodes() != graph_.numNodes())
+    if (deps_.numNodes() != nodes)
         return Status::invalidArgument(
             "dependency graph covers " +
             std::to_string(deps_.numNodes()) + " nodes, graph has " +
-            std::to_string(graph_.numNodes()));
-    if (pattern_ && pattern_->numNodes() != graph_.numNodes())
-        return Status::invalidArgument(
-            "pattern covers " + std::to_string(pattern_->numNodes()) +
-            " nodes, graph has " + std::to_string(graph_.numNodes()));
+            std::to_string(nodes));
     if (pattern_) {
         const Status angles = checkFiniteAngles(*pattern_);
         if (!angles.ok())
@@ -116,20 +112,20 @@ ExecProgram::validate() const
     }
     if (compiled_) {
         const auto &assignment = compiled_->partition.assignment();
-        if (static_cast<NodeId>(assignment.size()) != graph_.numNodes())
+        if (static_cast<NodeId>(assignment.size()) != nodes)
             return Status::invalidArgument(
                 "schedule partition covers " +
                 std::to_string(assignment.size()) +
                 " nodes, graph has " +
-                std::to_string(graph_.numNodes()));
+                std::to_string(nodes));
     }
     if (baseline_ &&
         static_cast<NodeId>(baseline_->schedule.nodeLayer.size()) !=
-            graph_.numNodes())
+            nodes)
         return Status::invalidArgument(
             "baseline schedule covers " +
             std::to_string(baseline_->schedule.nodeLayer.size()) +
-            " nodes, graph has " + std::to_string(graph_.numNodes()));
+            " nodes, graph has " + std::to_string(nodes));
     return Status::okStatus();
 }
 

@@ -8,8 +8,9 @@
  * the pattern, the Monte-Carlo loss backend reads the schedule.
  *
  * Factories derive whatever is derivable (a circuit is lowered to
- * its pattern; graph and dependencies are extracted from the
- * pattern), so callers only supply what they actually have.
+ * its pattern; the dependencies are derived from the pattern, whose
+ * graph the program reads in place), so callers only supply what
+ * they actually have.
  */
 
 #ifndef DCMBQC_EXEC_PROGRAM_HH
@@ -75,8 +76,14 @@ class ExecProgram
     /** The measurement pattern; panics when absent (check first). */
     const Pattern &pattern() const;
 
-    /** Computation graph (always present). */
-    const Graph &graph() const { return graph_; }
+    /**
+     * Computation graph (always present): the pattern's own graph
+     * when there is a pattern.
+     */
+    const Graph &graph() const
+    {
+        return pattern_ ? pattern_->graph() : graph_;
+    }
 
     /** Real-time dependency graph (always present). */
     const Digraph &deps() const { return deps_; }
@@ -98,6 +105,7 @@ class ExecProgram
 
     std::string label_;
     std::optional<Pattern> pattern_;
+    /** The graph of a `fromGraph` program; empty beside a pattern. */
     Graph graph_;
     Digraph deps_;
     std::optional<DcMbqcResult> compiled_;

@@ -4,7 +4,7 @@
 
 #include <cstdio>
 
-#include "serialize/binary.hh"
+#include "common/logging.hh"
 
 namespace dcmbqc
 {
@@ -89,17 +89,37 @@ artifactKindName(ArtifactKind kind)
     return "?";
 }
 
-std::vector<std::uint8_t>
-sealArtifact(ArtifactKind kind, const std::vector<std::uint8_t> &payload)
+BinaryWriter
+beginArtifact(ArtifactKind kind, std::size_t payload_size)
 {
-    BinaryWriter writer;
+    BinaryWriter writer =
+        BinaryWriter::sized(kHeaderSize + payload_size + kChecksumSize);
     writer.writeBytes(kMagic, sizeof(kMagic));
     writer.writeU16(artifactFormatVersion);
     writer.writeU16(static_cast<std::uint16_t>(kind));
-    writer.writeU64(payload.size());
-    writer.writeBytes(payload.data(), payload.size());
-    writer.writeU64(fnv1a64(payload.data(), payload.size()));
+    writer.writeU64(payload_size);
+    return writer;
+}
+
+std::vector<std::uint8_t>
+sealArtifact(BinaryWriter &&writer)
+{
+    // Exactly the checksum's room is left only when the payload is
+    // the size it was begun with (a longer one grows the buffer).
+    DCMBQC_ASSERT(writer.bytes().size() == writer.size() + kChecksumSize,
+                  "wrote ", writer.size(), " bytes into a ",
+                  writer.bytes().size(), "-byte artifact buffer");
+    writer.writeU64(fnv1a64(writer.bytes().data() + kHeaderSize,
+                            writer.size() - kHeaderSize));
     return writer.take();
+}
+
+std::vector<std::uint8_t>
+sealArtifact(ArtifactKind kind, const std::vector<std::uint8_t> &payload)
+{
+    BinaryWriter writer = beginArtifact(kind, payload.size());
+    writer.writeBytes(payload.data(), payload.size());
+    return sealArtifact(std::move(writer));
 }
 
 Expected<ArtifactView>

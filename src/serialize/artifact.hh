@@ -11,6 +11,8 @@
  *       16     n  payload (kind-specific codec, serialize/codecs.hh)
  *     16+n     8  FNV-1a 64 checksum of the payload
  *
+ * An artifact is written into one buffer of exactly this size
+ * (`beginArtifact`, then `sealArtifact`), which the checksum fills.
  * `openArtifact` rejects bad magic, unsupported versions, truncated
  * buffers and checksum mismatches through the Status channel, so a
  * corrupted or foreign file never reaches a payload codec.
@@ -24,6 +26,7 @@
 #include <vector>
 
 #include "api/status.hh"
+#include "serialize/binary.hh"
 
 namespace dcmbqc
 {
@@ -59,7 +62,23 @@ struct ArtifactView
     std::uint64_t checksum = 0;
 };
 
-/** Wrap a payload into a checksummed envelope. */
+/**
+ * A writer over one buffer sized exactly for the envelope of a
+ * `payload_size`-byte payload, with the header written and the
+ * writer at the payload. Write exactly `payload_size` bytes into it,
+ * then seal it with `sealArtifact(std::move(writer))`.
+ */
+BinaryWriter beginArtifact(ArtifactKind kind, std::size_t payload_size);
+
+/**
+ * Checksum the payload of a `beginArtifact` writer in place and store
+ * the checksum in the room left for it: the artifact, whose capacity
+ * is its size. Panics when the payload is not the size it was begun
+ * with (an encoder that writes other bytes than it measured).
+ */
+std::vector<std::uint8_t> sealArtifact(BinaryWriter &&writer);
+
+/** Wrap a payload into a checksummed envelope (one copy of it). */
 std::vector<std::uint8_t>
 sealArtifact(ArtifactKind kind,
              const std::vector<std::uint8_t> &payload);

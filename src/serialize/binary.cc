@@ -32,14 +32,17 @@ void
 BinaryWriter::writeString(const std::string &value)
 {
     writeU32(static_cast<std::uint32_t>(value.size()));
-    bytes_.insert(bytes_.end(), value.begin(), value.end());
+    writeBytes(reinterpret_cast<const std::uint8_t *>(value.data()),
+               value.size());
 }
 
 void
 BinaryWriter::writeI32Vector(const std::vector<std::int32_t> &values)
 {
     writeU32(static_cast<std::uint32_t>(values.size()));
-    std::uint8_t *out = grow(4 * values.size());
+    std::uint8_t *out = claim(4 * values.size());
+    if (!out)
+        return;
     for (std::int32_t v : values) {
         detail::storeLittle(out, static_cast<std::uint32_t>(v));
         out += 4;
@@ -50,7 +53,9 @@ void
 BinaryWriter::writeF64Vector(const std::vector<double> &values)
 {
     writeU32(static_cast<std::uint32_t>(values.size()));
-    std::uint8_t *out = grow(8 * values.size());
+    std::uint8_t *out = claim(8 * values.size());
+    if (!out)
+        return;
     for (double v : values) {
         detail::storeLittle(out, detail::doubleBits(v));
         out += 8;
@@ -60,7 +65,9 @@ BinaryWriter::writeF64Vector(const std::vector<double> &values)
 void
 BinaryWriter::writeBytes(const std::uint8_t *data, std::size_t size)
 {
-    bytes_.insert(bytes_.end(), data, data + size);
+    std::uint8_t *out = claim(size);
+    if (out && size > 0)
+        std::memcpy(out, data, size);
 }
 
 void

@@ -9,8 +9,8 @@
  * once through the Expected channel instead of asserting.
  *
  * The fixed-width fields are inline: each costs one bounds (or
- * capacity) check, and the vector fields check once per vector and
- * then convert the whole run.
+ * room) check, and the vector fields check once per vector and then
+ * convert the whole run.
  */
 
 #ifndef DCMBQC_SERIALIZE_BINARY_HH
@@ -86,15 +86,48 @@ bitsDouble(std::uint64_t bits)
 
 } // namespace detail
 
-/** Appends little-endian fields to a growable byte buffer. */
+/**
+ * Appends little-endian fields to a byte buffer. Every field takes
+ * the same path in each of a writer's three modes, so an encoder
+ * runs unchanged against any of them:
+ *  - a default writer grows its buffer as fields arrive;
+ *  - `measuring()` stores and allocates nothing: `size()` only adds
+ *    up the bytes the fields would take;
+ *  - `sized(n)` allocates one buffer of exactly `n` bytes and stores
+ *    each field straight into it (growing only past its end);
+ *    `beginArtifact` sizes one from a measuring pass, so an artifact
+ *    is written into a buffer that never reallocates.
+ */
 class BinaryWriter
 {
   public:
+    static BinaryWriter
+    measuring()
+    {
+        BinaryWriter writer;
+        writer.measuring_ = true;
+        return writer;
+    }
+
+    static BinaryWriter
+    sized(std::size_t bytes)
+    {
+        BinaryWriter writer;
+        writer.bytes_.resize(bytes);
+        return writer;
+    }
+
+    /**
+     * The buffer: `size()` bytes written, then whatever room of a
+     * sized buffer is not written yet. Empty when measuring.
+     */
     const std::vector<std::uint8_t> &bytes() const { return bytes_; }
     std::vector<std::uint8_t> take() { return std::move(bytes_); }
-    std::size_t size() const { return bytes_.size(); }
 
-    void writeU8(std::uint8_t value) { bytes_.push_back(value); }
+    /** Bytes written, or when measuring, counted so far. */
+    std::size_t size() const { return size_; }
+
+    void writeU8(std::uint8_t value) { put(value); }
     void writeU16(std::uint16_t value) { put(value); }
     void writeU32(std::uint32_t value) { put(value); }
     void writeU64(std::uint64_t value) { put(value); }
@@ -125,21 +158,31 @@ class BinaryWriter
     void
     put(T value)
     {
-        std::uint8_t field[sizeof(T)];
-        detail::storeLittle(field, value);
-        bytes_.insert(bytes_.end(), field, field + sizeof(T));
+        if (std::uint8_t *out = claim(sizeof(T)))
+            detail::storeLittle(out, value);
     }
 
-    /** Append `size` bytes and return where they start. */
+    /**
+     * Count the next `size` bytes and return where to store them:
+     * inside the buffer when it has room, else after growing it;
+     * null when measuring (or for no bytes at all in an empty one).
+     */
     std::uint8_t *
-    grow(std::size_t size)
+    claim(std::size_t size)
     {
-        const std::size_t at = bytes_.size();
-        bytes_.resize(at + size);
+        const std::size_t at = size_;
+        size_ += size;
+        if (size_ <= bytes_.size())
+            return bytes_.data() + at;
+        if (measuring_)
+            return nullptr;
+        bytes_.resize(size_);
         return bytes_.data() + at;
     }
 
     std::vector<std::uint8_t> bytes_;
+    std::size_t size_ = 0;
+    bool measuring_ = false;
 };
 
 /**

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 #include <vector>
 
 #include "mbqc/dependency.hh"
@@ -101,9 +102,10 @@ encodePartitioning(BinaryWriter &writer, const Partitioning &part)
 Partitioning
 decodePartitioning(BinaryReader &reader)
 {
+    static_assert(std::is_same_v<std::int32_t, int>,
+                  "the decoded assignment moves into a Partitioning");
     const int k = reader.readI32();
-    const std::vector<std::int32_t> assignment =
-        reader.readI32Vector();
+    std::vector<std::int32_t> assignment = reader.readI32Vector();
     if (!reader.ok())
         return {};
     if (k < 1) {
@@ -118,9 +120,7 @@ decodePartitioning(BinaryReader &reader)
             return {};
         }
     }
-    return Partitioning(std::vector<int>(assignment.begin(),
-                                         assignment.end()),
-                        k);
+    return Partitioning(std::move(assignment), k);
 }
 
 void
@@ -314,13 +314,21 @@ decodeArtifactAs(ArtifactKind kind,
     return decodeViewAs<T>(kind, *view, decode);
 }
 
+/**
+ * Run `encode` twice: once against a measuring writer, which only
+ * adds up the payload's size, then straight into one buffer sized for
+ * header, payload and checksum, which is sealed in place. No payload
+ * byte is copied and the artifact's capacity is its size.
+ */
 template <typename Encode>
 std::vector<std::uint8_t>
 sealPayload(ArtifactKind kind, Encode encode)
 {
-    BinaryWriter writer;
+    BinaryWriter measure = BinaryWriter::measuring();
+    encode(measure);
+    BinaryWriter writer = beginArtifact(kind, measure.size());
     encode(writer);
-    return sealArtifact(kind, writer.bytes());
+    return sealArtifact(std::move(writer));
 }
 
 } // namespace
@@ -497,17 +505,18 @@ void
 encodePattern(BinaryWriter &writer, const Pattern &pattern)
 {
     encodeGraph(writer, pattern.graph());
+    // Angles, flow and wires in the vector encoding (u32 count, then
+    // the elements), written node by node so no copy of them is made.
     const NodeId n = pattern.numNodes();
-    std::vector<double> angles(n);
-    std::vector<std::int32_t> flow(n), wires(n);
-    for (NodeId u = 0; u < n; ++u) {
-        angles[u] = pattern.angle(u);
-        flow[u] = pattern.flow(u);
-        wires[u] = pattern.wire(u);
-    }
-    writer.writeF64Vector(angles);
-    writer.writeI32Vector(flow);
-    writer.writeI32Vector(wires);
+    writer.writeU32(static_cast<std::uint32_t>(n));
+    for (NodeId u = 0; u < n; ++u)
+        writer.writeF64(pattern.angle(u));
+    writer.writeU32(static_cast<std::uint32_t>(n));
+    for (NodeId u = 0; u < n; ++u)
+        writer.writeI32(pattern.flow(u));
+    writer.writeU32(static_cast<std::uint32_t>(n));
+    for (NodeId u = 0; u < n; ++u)
+        writer.writeI32(pattern.wire(u));
     writer.writeI32Vector(pattern.measurementOrder());
     writer.writeI32Vector(pattern.outputs());
 

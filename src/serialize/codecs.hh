@@ -12,6 +12,10 @@
  *   encodeXArtifact(const X &) -> bytes
  *   decodeXArtifact(bytes) -> Expected<X>
  *
+ * `encodeXArtifact` runs `encodeX` twice, first against a measuring
+ * writer and then into one buffer of the artifact's exact size, so
+ * an encode allocates one artifact and copies no payload.
+ *
  * Decoders never assert on malformed input: structural violations
  * (out-of-range node ids, inconsistent vector sizes, invalid enum
  * tags, embedded X/Z dependency sets that disagree with the decoded

@@ -400,7 +400,9 @@ ServiceServer::serveHot(
     std::uint64_t checked = 0;
     if (!knownVerifier(key, &checked) || checked != verifier)
         return false;
-    auto bytes = cache_->lookup(key);
+    // The reply borrows the cached artifact; holding it here keeps it
+    // alive until the reply is sent, even if the cache evicts it.
+    const CachedArtifact bytes = cache_->lookup(key);
     if (!bytes)
         return false;
     // One pass over the cached artifact checks its envelope and

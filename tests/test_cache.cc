@@ -189,16 +189,50 @@ TEST(CompileCacheApi, LruEvictionDropsOldestEntry)
     CompileCache cache(config);
     cache.insert(1, {0x01});
     cache.insert(2, {0x02});
-    ASSERT_TRUE(cache.lookup(1).has_value()); // 1 now most recent
-    cache.insert(3, {0x03});                  // evicts 2
-    EXPECT_FALSE(cache.lookup(2).has_value());
-    EXPECT_TRUE(cache.lookup(1).has_value());
-    EXPECT_TRUE(cache.lookup(3).has_value());
+    ASSERT_NE(cache.lookup(1), nullptr); // 1 now most recent
+    cache.insert(3, {0x03});             // evicts 2
+    EXPECT_EQ(cache.lookup(2), nullptr);
+    EXPECT_NE(cache.lookup(1), nullptr);
+    EXPECT_NE(cache.lookup(3), nullptr);
     EXPECT_EQ(cache.size(), 2u);
     const CacheStats stats = cache.stats();
     EXPECT_EQ(stats.evictions, 1u);
     EXPECT_EQ(stats.misses, 1u);
     EXPECT_EQ(stats.hits, 3u);
+}
+
+TEST(CompileCacheApi, HitSharesTheStoredBuffer)
+{
+    CompileCache cache;
+    cache.insert(7, {0x01, 0x02, 0x03});
+    const CachedArtifact first = cache.lookup(7);
+    const CachedArtifact second = cache.lookup(7);
+    ASSERT_NE(first, nullptr);
+    // Both hits read the one stored buffer; neither copied it.
+    EXPECT_EQ(first, second);
+    EXPECT_EQ(first->data(), second->data());
+    EXPECT_EQ(*first, (std::vector<std::uint8_t>{0x01, 0x02, 0x03}));
+    EXPECT_EQ(cache.stats().hits, 2u);
+}
+
+TEST(CompileCacheApi, HeldHitOutlivesItsEviction)
+{
+    CacheConfig config;
+    config.capacity = 1;
+    CompileCache cache(config);
+    cache.insert(1, std::vector<std::uint8_t>(4096, 0xab));
+    const CachedArtifact held = cache.lookup(1);
+    ASSERT_NE(held, nullptr);
+    cache.insert(2, {0x02}); // evicts 1
+    EXPECT_EQ(cache.lookup(1), nullptr);
+    EXPECT_EQ(cache.stats().evictions, 1u);
+    // The reader's reference keeps the evicted bytes alive and whole.
+    ASSERT_EQ(held->size(), 4096u);
+    for (std::uint8_t byte : *held)
+        ASSERT_EQ(byte, 0xab);
+    cache.clear();
+    EXPECT_EQ(held.use_count(), 1);
+    EXPECT_EQ(held->front(), 0xab);
 }
 
 TEST(CompileCacheApi, EvictedEntryForcesRecompile)
@@ -260,7 +294,7 @@ TEST(CompileCacheApi, DiskTierSurvivesNewCacheInstance)
 
     // The disk entry is a regular artifact file.
     auto bytes = cache->lookup(cached_key);
-    ASSERT_TRUE(bytes.has_value());
+    ASSERT_NE(bytes, nullptr);
     auto decoded = decodeCompileReportArtifact(*bytes);
     EXPECT_TRUE(decoded.ok()) << decoded.status().toString();
 
@@ -401,7 +435,7 @@ TEST(CompileCacheApi, RoundTripPipelineReproducesExecutionBitwise)
     // Cached artifacts never embed executions: they are recorded
     // after the cache insert.
     auto cached_bytes = cache->lookup(cold->cacheKey);
-    ASSERT_TRUE(cached_bytes.has_value());
+    ASSERT_NE(cached_bytes, nullptr);
     auto cached = decodeCompileReportArtifact(*cached_bytes);
     ASSERT_TRUE(cached.ok());
     EXPECT_TRUE(cached->executions.empty());

@@ -244,6 +244,25 @@ TEST(ExecDispatch, PatternBackendsRejectGraphOnlyPrograms)
               StatusCode::FailedPrecondition);
 }
 
+TEST(ExecDispatch, PatternProgramKeepsOneGraph)
+{
+    // A pattern-backed program reads the pattern's own graph; a
+    // graph-only program keeps the graph it was given.
+    const ExecProgram program = ExecProgram::fromCircuit(makeQft(4));
+    ASSERT_TRUE(program.hasPattern());
+    EXPECT_EQ(&program.graph(), &program.pattern().graph());
+    const ExecProgram copy = program;
+    EXPECT_EQ(&copy.graph(), &copy.pattern().graph());
+
+    const ExecProgram graph_only = ExecProgram::fromGraph(
+        program.graph(), program.deps(), "graph-only");
+    EXPECT_EQ(graph_only.graph().numNodes(),
+              program.graph().numNodes());
+    EXPECT_EQ(graph_only.graph().numEdges(),
+              program.graph().numEdges());
+    EXPECT_TRUE(graph_only.validate().ok());
+}
+
 TEST(ExecDispatch, LossBackendRequiresACompiledSchedule)
 {
     ExecOptions options;

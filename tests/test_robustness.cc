@@ -23,8 +23,10 @@
  * in a forked child under RLIMIT_AS, a little above the child's
  * current address space. `mc-loss` samples 100 M shots, and
  * `statevector`, `stabilizer` and `schedule` 3 M shots each, without
- * a per-shot buffer, and a ThreadPool asked for 600 workers runs its
- * jobs on the threads the OS grants.
+ * a per-shot buffer, a ThreadPool asked for 600 workers runs its
+ * jobs on the threads the OS grants, and a streamed 300x300 graph
+ * state's report encodes within its artifact's size + 8 MiB,
+ * allocating no more than the artifact + 1 MiB.
  *
  * Frame part: a real hot CompileReply frame, as the daemon frames
  * it, is mutated the same ways, either as corrupted in flight, or
@@ -41,18 +43,22 @@
 
 #include <gtest/gtest.h>
 
+#include <malloc.h>
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <limits>
+#include <new>
 #include <random>
 #include <sstream>
 #include <string>
@@ -60,6 +66,7 @@
 
 #include "api/api.hh"
 #include "circuit/generators.hh"
+#include "circuit/huge_generators.hh"
 #include "common/thread_pool.hh"
 #include "serialize/artifact.hh"
 #include "serialize/codecs.hh"
@@ -79,6 +86,51 @@
 #if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
 #define DCMBQC_SHADOW_SANITIZER 1
 #endif
+#endif
+
+#ifndef DCMBQC_SHADOW_SANITIZER
+namespace
+{
+
+/**
+ * Bytes live through operator new, and their high-water mark since
+ * the last reset. glibc serves a forked child's requests from memory
+ * the parent already mapped (freed chunks, other threads' arena
+ * reservations), so RLIMIT_AS alone misses an allocation that fits
+ * there; a resource case that bounds what one call allocates reads
+ * these instead.
+ */
+std::atomic<std::size_t> liveHeapBytes{0};
+std::atomic<std::size_t> peakHeapBytes{0};
+
+} // namespace
+
+void *
+operator new(std::size_t size)
+{
+    void *block = std::malloc(size > 0 ? size : 1);
+    if (!block)
+        throw std::bad_alloc();
+    const std::size_t bytes = ::malloc_usable_size(block);
+    const std::size_t live =
+        liveHeapBytes.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+    std::size_t peak = peakHeapBytes.load(std::memory_order_relaxed);
+    while (live > peak &&
+           !peakHeapBytes.compare_exchange_weak(peak, live,
+                                                std::memory_order_relaxed)) {
+    }
+    return block;
+}
+
+void
+operator delete(void *block) noexcept
+{
+    if (!block)
+        return;
+    liveHeapBytes.fetch_sub(::malloc_usable_size(block),
+                            std::memory_order_relaxed);
+    std::free(block);
+}
 #endif
 
 namespace dcmbqc
@@ -822,6 +874,41 @@ TEST(ResourceRobustness, ScheduleShotCountRunsInBoundedMemory)
 #endif
     const std::string how = replayShotsUnderCap("schedule");
     EXPECT_EQ(how, "") << "the schedule child " << how;
+}
+
+TEST(ResourceRobustness, StreamedReportEncodesWithinOneArtifact)
+{
+#ifdef DCMBQC_SHADOW_SANITIZER
+    GTEST_SKIP() << "RLIMIT_AS cannot hold a sanitizer's shadow memory";
+#else
+    // The streamed 300x300 graph state's report encodes to about
+    // 11 MiB. An encode that grew its payload by doubling and then
+    // copied it into the envelope would allocate four to five times
+    // that; written once into a buffer of its exact size, it
+    // allocates one artifact (and at most 1 MiB of encoder scratch).
+    const CompilerDriver driver(CompileOptions()
+                                    .numQpus(4)
+                                    .gridSize(7)
+                                    .useBdir(false)
+                                    .window(4096)
+                                    .seed(1));
+    const auto report = driver.compile(CompileRequest::fromCircuitStream(
+        makeGraphStateStream(300, 300), "graphstate-300"));
+    ASSERT_TRUE(report.ok()) << report.status().toString();
+    const std::vector<std::uint8_t> expected =
+        encodeCompileReportArtifact(*report);
+    const std::size_t bound = expected.size() + kMiB;
+    const std::string how = runCapped(expected.size() + 8 * kMiB, [&] {
+        const std::size_t before = liveHeapBytes.load();
+        peakHeapBytes.store(before);
+        if (encodeCompileReportArtifact(*report) != expected)
+            return 1;
+        return peakHeapBytes.load() - before <= bound ? 0 : 2;
+    });
+    EXPECT_EQ(how, "") << "the encoding child " << how
+                       << " (1: other bytes; 2: allocated more than "
+                       << bound << " bytes)";
+#endif
 }
 
 TEST(ResourceRobustness, ThreadPoolRunsOnTheThreadsTheOsGrants)

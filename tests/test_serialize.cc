@@ -308,6 +308,89 @@ TEST(SerializeRoundTrip, CompileReportDistributedAndBaseline)
     }
 }
 
+// --- Encode buffers --------------------------------------------------------
+
+/** An encoded artifact held in exactly its own bytes, and valid. */
+void
+expectExactlySized(const char *kind,
+                   const std::vector<std::uint8_t> &artifact)
+{
+    EXPECT_EQ(artifact.capacity(), artifact.size()) << kind;
+    EXPECT_TRUE(openArtifact(artifact).ok()) << kind;
+}
+
+TEST(SerializeEncode, EveryArtifactKindIsWrittenIntoItsExactSize)
+{
+    // An encode measures the payload, then writes header, payload
+    // and checksum into one buffer of that size: no spare capacity,
+    // and no growth while it is written.
+    const Circuit circuit = makeQft(6);
+    const Pattern pattern = buildPattern(circuit);
+    const Digraph deps = realTimeDependencyGraph(pattern);
+    const CompileReport report = compileSomething();
+    const CompileReport baseline = compileSomething(/*baseline=*/true);
+    ExecResult result;
+    result.backend = "statevector";
+    result.label = "exact";
+    result.shots = result.completedShots = 8;
+    result.numWires = 2;
+    result.counts = {{"01", 3}, {"10", 5}};
+    result.probabilities = {{"01", 0.375}, {"10", 0.625}};
+    NoiseConfig noise;
+    noise.add("fusion", {{"failure_rate", 0.02}});
+
+    expectExactlySized("circuit", encodeCircuitArtifact(circuit));
+    expectExactlySized("graph", encodeGraphArtifact(pattern.graph()));
+    expectExactlySized("digraph", encodeDigraphArtifact(deps));
+    expectExactlySized("pattern", encodePatternArtifact(pattern));
+    expectExactlySized("config", encodeConfigArtifact(DcMbqcConfig{}));
+    expectExactlySized("local-schedule",
+                       encodeLocalScheduleArtifact(
+                           baseline.baselineResult().schedule));
+    expectExactlySized("schedule",
+                       encodeScheduleArtifact(report.result().schedule));
+    expectExactlySized("compile-report",
+                       encodeCompileReportArtifact(report));
+    expectExactlySized("baseline compile-report",
+                       encodeCompileReportArtifact(baseline));
+    expectExactlySized("exec-result", encodeExecResultArtifact(result));
+    expectExactlySized("noise-config", encodeNoiseConfigArtifact(noise));
+}
+
+TEST(SerializeEncode, SealedPayloadEqualsTheWrittenOne)
+{
+    // sealArtifact (a payload already in hand) and the two-pass
+    // encode write the same envelope, and it fills its buffer.
+    const Circuit circuit = makeQft(5);
+    BinaryWriter writer;
+    encodeCircuit(writer, circuit);
+    const std::vector<std::uint8_t> sealed =
+        sealArtifact(ArtifactKind::Circuit, writer.bytes());
+    EXPECT_EQ(sealed, encodeCircuitArtifact(circuit));
+    EXPECT_EQ(sealed.capacity(), sealed.size());
+
+    BinaryWriter measure = BinaryWriter::measuring();
+    encodeCircuit(measure, circuit);
+    EXPECT_EQ(measure.size(), writer.size());
+    EXPECT_TRUE(measure.bytes().empty());
+}
+
+TEST(SerializeEncodeDeathTest, PayloadOfAnotherSizeThanBegunPanics)
+{
+    // An encoder that writes other bytes than it measured is a bug.
+    const std::uint8_t payload[5] = {1, 2, 3, 4, 5};
+    for (const std::size_t written : {std::size_t(3), std::size_t(5)}) {
+        EXPECT_DEATH(
+            {
+                BinaryWriter writer = beginArtifact(ArtifactKind::Graph, 4);
+                writer.writeBytes(payload, written);
+                sealArtifact(std::move(writer));
+            },
+            "artifact buffer")
+            << written;
+    }
+}
+
 // --- Rejection paths -------------------------------------------------------
 
 TEST(SerializeReject, BadMagic)

@@ -225,7 +225,7 @@ TEST(ServiceServerApi, CorruptedHotArtifactIsDiscardedNotServed)
             SCOPED_TRACE(std::string(probe ? "probe" : "resend") +
                          ", byte " + std::to_string(at));
             auto cached = h.server.cache()->lookup(key);
-            ASSERT_TRUE(cached.has_value());
+            ASSERT_NE(cached, nullptr);
             std::vector<std::uint8_t> corrupted = *cached;
             corrupted[at] ^= 0x10;
             h.server.cache()->insert(key, corrupted);
