@@ -131,6 +131,12 @@ operator delete(void *block) noexcept
                             std::memory_order_relaxed);
     std::free(block);
 }
+
+void
+operator delete(void *block, std::size_t) noexcept
+{
+    ::operator delete(block);
+}
 #endif
 
 namespace dcmbqc
